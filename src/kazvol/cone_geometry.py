@@ -2,9 +2,13 @@
 
 The outer angle of a k-face of a d-polytope is the solid-angle fraction of
 its dual cone inside the (d-k)-dimensional space E_Delta^perp ∩ E_Gamma.
-Improper faces and facets have exact angles (1 and 1/2); everything else is
-estimated by Monte Carlo classification of uniform directions sampled in that
-normal space.
+Improper faces and facets have exact angles (1 and 1/2).  Normal cones of
+dimension 2 and 3 are measured in closed form from the facet normals that
+span them: the angle between the two rays, or a fan of spherical triangles
+(Van Oosterom & Strackee, IEEE TBME 1983).  Only cones of dimension 4 and up
+are estimated by Monte Carlo classification of uniform directions sampled in
+the normal space; :class:`AnglePass` takes all vertex angles of such a
+polytope from one sampling pass.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
 
 DEFAULT_ANGLE_SAMPLES = 2_000_000
 _CHUNK = 250_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,34 @@ def _classify(
     return AngleEstimate(p, err, "monte_carlo")
 
 
+def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstimate | None:
+    """Closed-form angle of a normal cone of dimension 2 or 3, else None.
+
+    Each facet through the face contributes its outer normal, an extreme ray
+    of the cone.  The bound is a floating-point error bound, not zero, so that
+    k-sigma gates on exact values still tolerate the last-ulp rounding.
+    """
+    if basis.d > 3:
+        return None
+    rays = np.array(P.facets_containing(face)) @ basis.vectors.T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    if basis.d == 2 and len(rays) == 2:
+        a, b = rays
+        theta = np.arctan2(abs(a[0] * b[1] - a[1] * b[0]), a @ b)
+        return AngleEstimate(float(theta / (2 * np.pi)), 16 * _EPS, "exact")
+    if basis.d == 3 and len(rays) >= 3:
+        # Cyclic order around the interior direction, then a fan from rays[0].
+        w = rays.sum(axis=0)
+        e1 = np.cross(w, rays[0])
+        e2 = np.cross(w, e1)
+        rays = rays[np.argsort(np.arctan2(rays @ e2, rays @ e1))]
+        a, b, c = rays[0], rays[1:-1], rays[2:]
+        triple = np.abs(np.cross(b, c) @ a)
+        omega = 2 * np.arctan2(triple, 1 + b @ a + np.sum(b * c, axis=1) + c @ a)
+        return AngleEstimate(float(omega.sum() / (4 * np.pi)), 16 * _EPS * len(rays), "exact")
+    return None
+
+
 def outer_angle(
     P: Polytope,
     face_id,
@@ -126,7 +159,7 @@ def outer_angle(
     if face.k == d - 1:
         return AngleEstimate(0.5, 0.0, "exact")
     basis = _normal_space(P, face, tol)
-    return _classify(P, face, basis, samples, stream, tol)
+    return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream, tol)
 
 
 def vertex_angle_partition(
@@ -150,11 +183,14 @@ def vertex_angle_partition(
         m = min(_CHUNK, samples - done)
         dirs = sphere_sample(span.d, stream.substream(chunk_idx), m) @ span.vectors
         vals = dirs @ P.vertices.T
-        order = np.argsort(vals, axis=1)
-        best = order[:, -1]
-        second = vals[np.arange(m), order[:, -2]] if P.n_vertices > 1 else np.full(m, -np.inf)
-        ok = vals[np.arange(m), best] - second > delta
-        np.add.at(counts, best[ok], 1)
+        # Winner, then runner-up once the winner is knocked out in place: no
+        # sort and no second (m, V) array.
+        rows = np.arange(m)
+        best = np.argmax(vals, axis=1)
+        top = vals[rows, best]
+        vals[rows, best] = -np.inf
+        ok = top - vals.max(axis=1) > delta
+        counts += np.bincount(best[ok], minlength=P.n_vertices)
         valid += int(np.sum(ok))
         done += m
         chunk_idx += 1
@@ -171,6 +207,9 @@ class AnglePass:
 
     Per-face Monte Carlo runs use substreams derived from the face's position
     in the lattice, so results are deterministic in (seed, stream_id, samples).
+    When the vertex cones have dimension 4 or more, the first vertex asked for
+    fills the cache for every vertex from one :func:`vertex_angle_partition`
+    pass, on a substream index no face uses.
     """
 
     def __init__(
@@ -189,6 +228,9 @@ class AnglePass:
 
     def angle(self, face: Face) -> AngleEstimate:
         key = face.id
+        if key not in self._cache and face.k == 0 and self.polytope.dim_real >= 4:
+            sub = self.stream.substream(len(self._order) + 1)
+            self._cache.update(vertex_angle_partition(self.polytope, self.samples, sub, self.tol))
         if key not in self._cache:
             sub = self.stream.substream(self._order.get(key, len(self._order)))
             self._cache[key] = outer_angle(self.polytope, key, self.samples, sub, self.tol)

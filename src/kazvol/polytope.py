@@ -83,7 +83,6 @@ class Face:
     hull_basis: cl.SubspaceBasis
     volume_k: float
     rho: float
-    outer_angle: float | None = None
 
     @property
     def id(self) -> frozenset[int]:

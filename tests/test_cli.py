@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -117,6 +118,12 @@ class TestJsonReports:
         assert report["seed"] == 42
         assert report["values"]["value"] == pytest.approx(2.8284271247, rel=1e-9)
 
+    def test_report_wall_time(self, theta4_file, capsys):
+        code, out = run(["pseudovolume", theta4_file, "--json"], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out[out.index("{"):out.rindex("}") + 1])
+        assert report["wall_time"] > 0.0
+
     def test_report_file(self, square_file, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         code, _ = run(["volume", square_file, "--json", str(out_file)], capsys)
@@ -126,23 +133,41 @@ class TestJsonReports:
 
 
 class TestDeterminism:
+    # A vertex of Theta_4 has a 4-dimensional normal cone, so its angle is
+    # still sampled (P_2 of Theta_4 is exact and the same for every seed).
     def test_same_seed_same_output(self, theta4_file, capsys):
-        _, out1 = run(["pseudovolume", theta4_file, "--samples", "50000",
+        _, out1 = run(["angle", theta4_file, "--face", "0", "--samples", "50000",
                        "--seed", "7"], capsys)
-        _, out2 = run(["pseudovolume", theta4_file, "--samples", "50000",
+        _, out2 = run(["angle", theta4_file, "--face", "0", "--samples", "50000",
                        "--seed", "7"], capsys)
-        line1 = next(l for l in out1.splitlines() if l.startswith("P_2"))
-        line2 = next(l for l in out2.splitlines() if l.startswith("P_2"))
+        line1 = next(l for l in out1.splitlines() if l.startswith("outer angle"))
+        line2 = next(l for l in out2.splitlines() if l.startswith("outer angle"))
         assert line1 == line2
 
     def test_different_seed_differs(self, theta4_file, capsys):
-        _, out1 = run(["pseudovolume", theta4_file, "--samples", "50000",
+        _, out1 = run(["angle", theta4_file, "--face", "0", "--samples", "50000",
                        "--seed", "7"], capsys)
-        _, out2 = run(["pseudovolume", theta4_file, "--samples", "50000",
+        _, out2 = run(["angle", theta4_file, "--face", "0", "--samples", "50000",
                        "--seed", "8"], capsys)
-        line1 = next(l for l in out1.splitlines() if l.startswith("P_2"))
-        line2 = next(l for l in out2.splitlines() if l.startswith("P_2"))
+        line1 = next(l for l in out1.splitlines() if l.startswith("outer angle"))
+        line2 = next(l for l in out2.splitlines() if l.startswith("outer angle"))
         assert line1 != line2
+
+    def test_verify_independent_of_hash_seed(self):
+        def values(hash_seed):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(
+                [sys.executable, "-m", "kazvol.cli", "verify", "--suite", "tables",
+                 "--samples", "20000", "--json", "-"],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            # Check names contain braces, so the report is found by its own lines.
+            lines = proc.stdout.splitlines()
+            start = lines.index("{")
+            end = len(lines) - lines[::-1].index("}")
+            return json.loads("\n".join(lines[start:end]))["values"]
+
+        assert values("1") == values("2")
 
 
 class TestExitCodes:

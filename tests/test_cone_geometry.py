@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kazvol import AnglePass, RandomStream, dual_cone, hull, outer_angle
-from kazvol.cone_geometry import vertex_angle_partition
+from kazvol import cone_geometry
+from kazvol.cone_geometry import _classify, _normal_space, vertex_angle_partition
+from kazvol.numerics import DEFAULT_TOLERANCE
 
 from conftest import SAMPLES, random_polytope
 
@@ -30,6 +32,53 @@ class TestExactAngles:
                 continue
             est = outer_angle(theta3, f.id, SAMPLES, stream)
             assert est.value == 0.5
+
+
+class TestClosedFormCones:
+    """Normal cones of dimension 2 and 3 are measured without sampling."""
+
+    # Hull seeds and the sample count were fixed before the first run.
+    SEEDS = (2019, 2020)
+    MC_SAMPLES = 200_000
+
+    @staticmethod
+    def assert_all(P, k, expected):
+        for f in P.faces[k]:
+            est = outer_angle(P, f.id)
+            assert est.method == "exact"
+            assert 0.0 < est.std_error < 1e-12
+            assert abs(est.value - expected) <= 4 * est.std_error
+
+    def test_theta4_two_faces(self, theta4):
+        self.assert_all(theta4, 2, 1 / 6)
+
+    def test_cube4_two_faces(self, cube4):
+        self.assert_all(cube4, 2, 1 / 4)
+
+    def test_cube4_edges(self, cube4):
+        self.assert_all(cube4, 1, 1 / 8)
+
+    def test_theta3_vertices(self, theta3):
+        # The six vertex cones of the octahedron tile R^3.
+        self.assert_all(theta3, 0, 1 / 6)
+
+    def test_square_vertices(self, square_c1):
+        self.assert_all(square_c1, 0, 1 / 4)
+
+    def test_agrees_with_sampling_on_random_hulls(self, stream):
+        tol = DEFAULT_TOLERANCE
+        checked = 0
+        for seed in self.SEEDS:
+            P = random_polytope(np.random.default_rng(seed), 6)
+            for k in (1, 2):
+                for i, f in enumerate(P.faces[k]):
+                    exact = outer_angle(P, f.id)
+                    assert exact.method == "exact"
+                    mc = _classify(P, f, _normal_space(P, f, tol), self.MC_SAMPLES,
+                                   stream.substream(seed).substream(100 * k + i), tol)
+                    assert abs(exact.value - mc.value) <= 4 * mc.std_error, (seed, f.id)
+                    checked += 1
+        assert checked >= 50
 
 
 class TestMonteCarloAngles:
@@ -79,6 +128,19 @@ class TestPartition:
             est = outer_angle(square_c1, f.id, SAMPLES, stream)
             assert part[f.id].value == pytest.approx(
                 est.value, abs=4 * (part[f.id].std_error + est.std_error))
+
+    def test_counts_match_full_sort(self, cube4, stream):
+        # Reference: the winner and runner-up of each direction by a full sort.
+        part = vertex_angle_partition(cube4, SAMPLES, stream)
+        span = cube4.span_basis
+        dirs = cone_geometry.sphere_sample(span.d, stream.substream(0), SAMPLES) @ span.vectors
+        vals = dirs @ cube4.vertices.T
+        order = np.argsort(vals, axis=1)
+        rows = np.arange(SAMPLES)
+        ok = vals[rows, order[:, -1]] - vals[rows, order[:, -2]] > 1e-8
+        counts = np.bincount(order[ok, -1], minlength=cube4.n_vertices)
+        for v in range(cube4.n_vertices):
+            assert part[frozenset({v})].value == counts[v] / ok.sum()
 
     def test_point_polytope(self, stream):
         P = hull(np.array([[1.0, 2.0]]))
@@ -133,3 +195,21 @@ class TestAnglePass:
         total = sum(ap.angle(f).value for f in cube4.faces[0])
         err = sum(ap.angle(f).std_error for f in cube4.faces[0])
         assert total == pytest.approx(1.0, abs=4 * err + 1e-9)
+
+    def test_vertex_angles_from_one_pass(self, cube4, stream, monkeypatch):
+        calls = []
+        sample = cone_geometry.sphere_sample
+
+        def counted(dim, sub, count):
+            calls.append(count)
+            return sample(dim, sub, count)
+
+        monkeypatch.setattr(cone_geometry, "sphere_sample", counted)
+        ap = AnglePass(cube4, SAMPLES, stream)
+        angles = [ap.angle(f) for f in cube4.faces[0]]
+        assert sum(calls) == SAMPLES
+        assert all(a.method == "monte_carlo" for a in angles)
+        assert all(a.value == pytest.approx(1 / 16, abs=4 * a.std_error) for a in angles)
+        # Lower-dimensional cones are exact and sample nothing more.
+        ap.angle(cube4.faces[1][0])
+        assert sum(calls) == SAMPLES
