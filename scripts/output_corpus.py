@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Dump every reported value of a fixed corpus for one kazvol source tree.
+
+    python3 scripts/output_corpus.py OLD/src old.json
+    python3 scripts/output_corpus.py src new.json
+    cmp old.json new.json
+
+A refactor that must leave every output unchanged should give byte-identical
+files.  The corpus, at --samples 30000 --seed 5: the CLI commands
+pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
+polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball), smooth
+(balls, an ellipsoid, --mixed --boundary) and verify -- report values,
+per-face rows and stdout lines less the timing line -- plus library paths the
+CLI does not reach.  Every value is stored as repr or exact JSON, so equality
+of the files is equality of the floats.
+"""
+import contextlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+src, out_path = str(Path(sys.argv[1]).resolve()), sys.argv[2]
+sys.path.insert(0, src)
+import numpy as np  # noqa: E402
+
+import kazvol  # noqa: E402
+from kazvol import cli, smooth_bodies as sb  # noqa: E402
+from kazvol.numerics import RandomStream, Tolerance  # noqa: E402
+
+pv = importlib.import_module("kazvol.pseudovolume")
+assert kazvol.__file__.startswith(src), f"imported {kazvol.__file__}, not {src}"
+DATA = Path(__file__).resolve().parents[1] / "data"
+POLYS = ["cube4", "real_square2", "segment", "square_c1", "theta3", "theta4"]
+COMMON = ["--samples", "30000", "--seed", "5"]
+result = {}
+
+
+def run(key, argv):
+    with tempfile.TemporaryDirectory() as d:
+        rep = Path(d) / "r.json"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv + COMMON + ["--json", str(rep)])
+        lines = [l for l in buf.getvalue().splitlines() if not l.startswith("done in")]
+        data = json.loads(rep.read_text()) if rep.exists() else {}
+        result[key] = {"code": code, "values": data.get("values"),
+                       "per_face": data.get("per_face"), "stdout": lines}
+
+
+ellipsoid = json.dumps({"kind": "ellipsoid", "n": 2,
+                        "Q": (np.diag([1, 2, 3, 4]) + 0.1).tolist()})
+for name in POLYS:
+    f = str(DATA / f"{name}.json")
+    P = kazvol.load_polytope(f)
+    for cmd in ("pseudovolume", "faces"):
+        run(f"{cmd} {name}", [cmd, f])
+    for eps in ("0", "0.5"):
+        run(f"eps-expand {name} {eps}", ["eps-expand", f, "--eps", eps])
+    for k in range(P.dim_real + 1):
+        run(f"intrinsic {name} {k}", ["intrinsic", f, "--k", str(k)])
+        run(f"phi-volume {name} {k}", ["phi-volume", f, "--k", str(k)])
+        face = P.faces[k][0]
+        ids = ",".join(map(str, face.vertex_ids))
+        run(f"angle {name} {ids}", ["angle", f, "--face", ids])
+    if P.ambient_n == 2:
+        run(f"mixed-ball {name}", ["mixed", f, "--ball"])
+pairs = [("theta4", "cube4"), ("segment", "theta3"), ("real_square2", "theta4"),
+         ("theta3", "theta3")]
+for a, b in pairs:
+    fa, fb = str(DATA / f"{a}.json"), str(DATA / f"{b}.json")
+    run(f"mixed {a} {b}", ["mixed", fa, fb])
+    run(f"mixed-oracle {a} {b}", ["mixed", fa, fb, "--oracle"])
+    run(f"mixed-tol {a} {b}", ["mixed", fa, fb, "--tol", "1e-6", "--oracle"])
+run("mixed-ball segment theta3", ["mixed", str(DATA / "segment.json"),
+                                  str(DATA / "theta3.json"), "--ball"])
+for body in ("ball2", "lower_ball2"):
+    run(f"smooth {body}", ["smooth", str(DATA / f"{body}.json")])
+run("smooth ellipsoid", ["smooth", ellipsoid])
+run("smooth mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
+                     str(DATA / "lower_ball2.json"), "--boundary"])
+run("smooth mixed ellipsoid", ["smooth", ellipsoid, "--mixed", str(DATA / "ball2.json"),
+                               "--boundary"])
+run("verify", ["verify"])
+
+# Library paths the CLI does not reach.
+lib = {}
+S = RandomStream(5)
+for name, body in (("ball2", sb.ball(2)), ("lower_ball2", sb.lower_ball(2)),
+                   ("ball1", sb.ball(1)), ("ball3", sb.ball(3)),
+                   ("ellipsoid", sb.load_body(ellipsoid))):
+    for red in ("sphere", "ball"):
+        r = sb.mc_pseudovolume(body, 30000, S, reduction=red)
+        lib[f"mc {name} {red}"] = [r.value, r.std_error, r.samples]
+    r = sb.mc_pseudovolume(body, 250_001, S.substream(3), reduction="ball")
+    lib[f"mc {name} ball 250001"] = [r.value, r.std_error]
+polys = {n: kazvol.load_polytope(str(DATA / f"{n}.json")) for n in POLYS}
+combos = [["segment"], ["theta4"], ["segment", "theta3"], ["theta4", "cube4"],
+          ["real_square2", "theta4"], ["cube4"]]
+for combo in combos:
+    parts = [polys[c] for c in combo]
+    for phi in (pv.RHO, pv.UNIT):
+        for method in ("direct", "polarization"):
+            e = pv.mixed_phi_volume(parts, phi, 30000, S, method=method)
+            lib[f"mixed_phi {combo} {phi.name} {method}"] = [e.value, e.std_error]
+for combo in (["theta4", "cube4"], ["segment", "theta3"]):
+    e = pv.mixed_pseudovolume([polys[c] for c in combo], 30000, S, method="polarization")
+    lib[f"mixed_pv polar {combo}"] = [e.value, e.std_error]
+for name in ("theta4", "cube4", "theta3"):
+    P = polys[name]
+    for normal, offset in ((np.array([1.0, 0.3, -0.2, 0.5]), 0.1),
+                           (np.array([0.0, 1.0, 1.0, 0.0]), -0.2)):
+        e = pv.valuation_check(P, normal, offset, 30000, S)
+        lib[f"valuation {name} {offset}"] = [e.value, e.std_error]
+    ap = kazvol.AnglePass(P, 30000, S)
+    for k in range(P.dim_real + 1):
+        lib[f"phi UNIT {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.UNIT, ap)
+        lib[f"phi RHO {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.RHO, ap)
+    rep = pv.pseudovolume(P, ap)
+    lib[f"pv {name}"] = [rep.value, rep.mc_std_error, [list(map(repr, t[1:])) + [list(t[0])]
+                                                       for t in rep.per_face_terms]]
+    x = pv.eps_neighborhood_pseudovolume(P, 0.7, ap)
+    lib[f"eps {name}"] = [list(x.coefficients), x.value, x.std_error]
+    x = pv.eps_neighborhood_pseudovolume(P, 0.7, samples=30000, stream=S.substream(4),
+                                         tol=Tolerance(1e-6, 1e-6))
+    lib[f"eps tol {name}"] = [list(x.coefficients), x.value, x.std_error]
+    part = kazvol.cone_geometry.vertex_angle_partition(P, 300_001, S.substream(6))
+    lib[f"partition {name}"] = sorted((sorted(k), v.value, v.std_error) for k, v in part.items())
+point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
+lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, pv.RHO, kazvol.AnglePass(point, 10, S)),
+                    pv.intrinsic_phi_volume(point, 0, pv.UNIT, kazvol.AnglePass(point, 10, S))]
+lib["point eps"] = pv.eps_neighborhood_pseudovolume(point, 0.3, samples=1000, stream=S).value
+result["library"] = {k: repr(v) for k, v in lib.items()}
+Path(out_path).write_text(json.dumps(result, indent=1, sort_keys=True))
+print(len(result) - 1, "CLI reports,", len(lib), "library values")

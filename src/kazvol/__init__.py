@@ -70,7 +70,6 @@ from .smooth_bodies import (
 )
 from .verification import run_suite
 from .volumes import (
-    DegenerateFace,
     SizeMismatch,
     SubspaceMismatch,
     alexandroff_gap,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -57,7 +58,7 @@ class RunReport:
         if args.json is not None:
             text = json.dumps(asdict(self), indent=2)
             if args.json == "-":
-                print(text)
+                print(text, file=args.stdout)
             else:
                 with open(args.json, "w") as fh:
                     fh.write(text)
@@ -70,7 +71,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exact", action="store_true", help="exact rational vertex parsing")
     sub.add_argument("--oracle", action="store_true", help="run independent cross-check paths")
     sub.add_argument("--json", nargs="?", const="-", default=None,
-                     help="write a JSON report (to stdout with no argument)")
+                     help="write a JSON report (with no argument: to stdout, "
+                          "with every other line moved to stderr)")
 
 
 def _context(args):
@@ -374,23 +376,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
-    try:
-        code = args.fn(args)
-    except (pt.DimensionCapExceeded,) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except SizeMismatch as exc:
-        if "permutation path" in str(exc):
+    # With `--json -` the report is the only thing on stdout.
+    args.stdout = sys.stdout
+    quiet = args.json == "-"
+    with contextlib.redirect_stdout(sys.stderr) if quiet else contextlib.nullcontext():
+        try:
+            code = args.fn(args)
+        except (pt.DimensionCapExceeded,) as exc:
             print(f"resource cap: {exc}", file=sys.stderr)
             return EXIT_CAP
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    elapsed = time.perf_counter() - args.started
-    if code == EXIT_OK:
-        print(f"done in {elapsed:.2f}s (seed {args.seed})")
+        except SizeMismatch as exc:
+            if "permutation path" in str(exc):
+                print(f"resource cap: {exc}", file=sys.stderr)
+                return EXIT_CAP
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        elapsed = time.perf_counter() - args.started
+        if code == EXIT_OK:
+            print(f"done in {elapsed:.2f}s (seed {args.seed})")
     return code
 
 

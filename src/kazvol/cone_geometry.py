@@ -8,7 +8,8 @@ span them: the angle between the two rays, or a fan of spherical triangles
 (Van Oosterom & Strackee, IEEE TBME 1983).  Only cones of dimension 4 and up
 are estimated by Monte Carlo classification of uniform directions sampled in
 the normal space; :class:`AnglePass` takes all vertex angles of such a
-polytope from one sampling pass.
+polytope from one sampling pass.  Both samplers draw through
+:func:`numerics.chunks` and report through :func:`numerics.proportion`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complex_linalg as cl
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, sphere_sample
+from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, chunks, proportion, sphere_sample
 from .polytope import Face, FaceNotFound, Polytope
 
 __all__ = [
@@ -98,11 +99,8 @@ def _classify(
     delta = tol.geom_eps * scale_ * 10
     hits = 0
     valid = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        dirs = sphere_sample(basis.d, stream.substream(chunk_idx), m) @ basis.vectors
+    for sub, m in chunks(samples, stream, _CHUNK):
+        dirs = sphere_sample(basis.d, sub, m) @ basis.vectors
         vals = dirs @ P.vertices.T
         v_face = vals[:, member[0]]
         v_other = vals[:, other].max(axis=1)
@@ -110,11 +108,7 @@ def _classify(
         ambiguous = np.abs(gap) <= delta
         hits += int(np.sum(gap > delta))
         valid += m - int(np.sum(ambiguous))
-        done += m
-        chunk_idx += 1
-    p = hits / valid if valid else 0.0
-    err = float(np.sqrt(p * (1.0 - p) / valid)) if valid else float("inf")
-    return AngleEstimate(p, err, "monte_carlo")
+    return AngleEstimate(*proportion(hits, valid), "monte_carlo")
 
 
 def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstimate | None:
@@ -177,11 +171,8 @@ def vertex_angle_partition(
     delta = tol.geom_eps * scale_ * 10
     counts = np.zeros(P.n_vertices, dtype=np.int64)
     valid = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        dirs = sphere_sample(span.d, stream.substream(chunk_idx), m) @ span.vectors
+    for sub, m in chunks(samples, stream, _CHUNK):
+        dirs = sphere_sample(span.d, sub, m) @ span.vectors
         vals = dirs @ P.vertices.T
         # Winner, then runner-up once the winner is knocked out in place: no
         # sort and no second (m, V) array.
@@ -192,14 +183,8 @@ def vertex_angle_partition(
         ok = top - vals.max(axis=1) > delta
         counts += np.bincount(best[ok], minlength=P.n_vertices)
         valid += int(np.sum(ok))
-        done += m
-        chunk_idx += 1
-    out = {}
-    for v in range(P.n_vertices):
-        p = counts[v] / valid if valid else 0.0
-        err = float(np.sqrt(p * (1.0 - p) / valid)) if valid else float("inf")
-        out[frozenset({v})] = AngleEstimate(float(p), err, "monte_carlo")
-    return out
+    return {frozenset({v}): AngleEstimate(*proportion(counts[v], valid), "monte_carlo")
+            for v in range(P.n_vertices)}
 
 
 class AnglePass:

@@ -3,13 +3,16 @@
 All Monte Carlo code in the package draws from :class:`RandomStream`, a
 counter-based descriptor built on numpy's Philox generator.  Two streams with
 the same (seed, stream_id) always produce identical samples, regardless of how
-many other streams have been consumed in between.
+many other streams have been consumed in between.  Every sampling loop splits
+its draws with :func:`chunks`, the one place that derives a per-chunk
+substream, and hit-or-miss estimators report through :func:`proportion`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +22,8 @@ __all__ = [
     "kappa",
     "wallis",
     "sphere_sample",
+    "chunks",
+    "proportion",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -89,3 +94,21 @@ def sphere_sample(dim: int, stream: RandomStream, count: int) -> np.ndarray:
         x[bad] = 1.0
         norms = np.linalg.norm(x, axis=1)
     return x / norms[:, None]
+
+
+def chunks(samples: int, stream: RandomStream, size: int) -> Iterator[tuple[RandomStream, int]]:
+    """Split ``samples`` draws into chunks of at most ``size``.
+
+    Yields ``(stream.substream(i), count)`` for chunk ``i``; the counts sum to
+    ``samples``.  The chunk size therefore decides which draws a run uses.
+    """
+    for i, start in enumerate(range(0, samples, size)):
+        yield stream.substream(i), min(size, samples - start)
+
+
+def proportion(hits: int, valid: int) -> tuple[float, float]:
+    """Hit fraction among ``valid`` samples and its binomial standard error."""
+    if not valid:
+        return 0.0, float("inf")
+    p = hits / valid
+    return float(p), math.sqrt(p * (1.0 - p) / valid)

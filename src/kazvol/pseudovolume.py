@@ -10,6 +10,13 @@ the rho-weighted n-th intrinsic volume.  Q_n is its polarization; the primary
 computation runs combinatorially over the faces of the Minkowski sum with
 summand mixed volumes, with the polarization of P_n retained as an independent
 cross-check path.
+
+Every sum of phi(E_Delta) * vol_k(Delta) * psi_Gamma(Delta) over the k-faces
+of one polytope (P_n, v_k^phi, the eps-expansion coefficients and each term of
+the polarization) goes through the single face sum ``_face_sum``, which
+returns the value, its Monte Carlo error and the per-face rows in one pass.
+Weights evaluate a :class:`Face`; ``RHO`` reads the ``Face.rho`` that ``hull``
+computed under the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import complex_linalg as cl
 from .cone_geometry import DEFAULT_ANGLE_SAMPLES, AnglePass
 from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, kappa
 from .polytope import Face, Polytope, hull, minkowski_sum, split
@@ -45,14 +51,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A weight phi on real subspaces of C^n, evaluated on orthonormal bases."""
+    """A weight phi on real subspaces of C^n, evaluated on a face's affine hull.
 
-    evaluate: Callable[[cl.SubspaceBasis], float]
+    ``evaluate`` receives the :class:`Face`; ``face.hull_basis`` is an
+    orthonormal basis of the subspace E_Delta.
+    """
+
+    evaluate: Callable[[Face], float]
     name: str = "phi"
 
 
-RHO = WeightFunction(lambda basis: cl.rho(basis).rho, "rho")
-UNIT = WeightFunction(lambda basis: 1.0, "one")
+RHO = WeightFunction(lambda face: face.rho, "rho")
+UNIT = WeightFunction(lambda face: 1.0, "one")
 
 
 @dataclass(frozen=True)
@@ -87,30 +97,33 @@ def _angle_pass(P: Polytope, angles, samples, stream, tol) -> AnglePass:
     return AnglePass(P, samples, stream, tol)
 
 
+def _face_sum(
+    P: Polytope, k: int, phi: WeightFunction, angles: AnglePass
+) -> tuple[float, float, tuple]:
+    """Sum of phi * vol_k * psi over the k-faces with phi != 0.
+
+    Returns (value, error, rows): the error sums |phi * vol_k| times each
+    angle's standard error, and each row is (vertex ids, phi, vol_k, angle,
+    term).
+    """
+    total = 0.0
+    err = 0.0
+    rows = []
+    for f in P.faces.get(k, []):
+        w = phi.evaluate(f)
+        if w == 0.0:
+            continue
+        a = angles.angle(f)
+        term = w * f.volume_k * a.value
+        rows.append((f.vertex_ids, w, f.volume_k, a.value, term))
+        total += term
+        err += abs(w * f.volume_k) * a.std_error
+    return float(total), float(err), tuple(rows)
+
+
 def intrinsic_phi_volume(P: Polytope, k: int, phi: WeightFunction, angles: AnglePass) -> float:
     """v_k^phi(Gamma) = sum over k-faces of phi(E_Delta) * vol_k * psi_Gamma."""
-    if k == 0 and P.dim_real == 0:
-        zero = cl.SubspaceBasis(P.ambient_n, np.zeros((0, 2 * P.ambient_n)))
-        return float(phi.evaluate(zero))
-    if k < 0 or k > P.dim_real:
-        return 0.0
-    total = 0.0
-    for f in P.faces.get(k, []):
-        w = phi.evaluate(f.hull_basis)
-        if w == 0.0:
-            continue
-        total += w * f.volume_k * angles.angle(f).value
-    return float(total)
-
-
-def _phi_error(P: Polytope, k: int, phi: WeightFunction, angles: AnglePass) -> float:
-    err = 0.0
-    for f in P.faces.get(k, []):
-        w = phi.evaluate(f.hull_basis)
-        if w == 0.0:
-            continue
-        err += abs(w * f.volume_k) * angles.angle(f).std_error
-    return err
+    return _face_sum(P, k, phi, angles)[0]
 
 
 def pseudovolume(
@@ -120,21 +133,10 @@ def pseudovolume(
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> PseudovolumeReport:
-    """P_n(Gamma) over the equidimensional n-faces, with per-face terms."""
-    n = P.ambient_n
+    """P_n(Gamma) = v_n^rho(Gamma) over the equidimensional n-faces, with per-face terms."""
     ap = _angle_pass(P, angles, samples, stream, tol)
-    terms = []
-    total = 0.0
-    err = 0.0
-    for f in P.faces.get(n, []) if n <= P.dim_real else []:
-        if f.rho <= tol.rank_eps:
-            continue
-        a = ap.angle(f)
-        term = f.rho * f.volume_k * a.value
-        terms.append((f.vertex_ids, f.rho, f.volume_k, a.value, term))
-        total += term
-        err += f.rho * f.volume_k * a.std_error
-    return PseudovolumeReport(float(total), tuple(terms), float(err))
+    value, err, rows = _face_sum(P, P.ambient_n, RHO, ap)
+    return PseudovolumeReport(value, rows, err)
 
 
 def mixed_phi_volume(
@@ -159,7 +161,7 @@ def mixed_phi_volume(
         total = 0.0
         err = 0.0
         for f in total_poly.faces.get(k, []):
-            w = phi.evaluate(f.hull_basis)
+            w = phi.evaluate(f)
             if w == 0.0:
                 continue
             summands = dec.summands(f)
@@ -178,9 +180,9 @@ def mixed_phi_volume(
             members = [parts[i] for i in range(k) if mask >> i & 1]
             s, _ = minkowski_sum(members, tol)
             ap = AnglePass(s, samples, stream.substream(mask), tol)
-            sign = (-1) ** (k - len(members))
-            total += sign * intrinsic_phi_volume(s, k, phi, ap)
-            err += _phi_error(s, k, phi, ap)
+            value, e, _ = _face_sum(s, k, phi, ap)
+            total += (-1) ** (k - len(members)) * value
+            err += e
         fact = math.factorial(k)
         return Estimate(float(total / fact), float(err / fact))
     raise ValueError(f"unknown method {method!r}")
@@ -196,25 +198,14 @@ def mixed_pseudovolume(
     """Q_n(Gamma_1, ..., Gamma_n), the polarization of P_n.
 
     ``method="direct"`` runs the combinatorial face formula on the Minkowski
-    sum; ``method="polarization"`` polarizes pseudovolume itself (independent
-    oracle, costlier).
+    sum; ``method="polarization"`` polarizes P_n = v_n^rho itself over the
+    subset sums (independent oracle, costlier).  Both are
+    :func:`mixed_phi_volume` with the weight ``RHO``.
     """
     n = parts[0].ambient_n
     if len(parts) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
-    if method == "polarization":
-        total = 0.0
-        err = 0.0
-        for mask in range(1, 1 << n):
-            members = [parts[i] for i in range(n) if mask >> i & 1]
-            s, _ = minkowski_sum(members, tol)
-            rep = pseudovolume(s, None, samples, stream.substream(mask), tol)
-            sign = (-1) ** (n - len(members))
-            total += sign * rep.value
-            err += rep.mc_std_error
-        fact = math.factorial(n)
-        return Estimate(total / fact, err / fact)
-    return mixed_phi_volume(parts, RHO, samples, stream, tol, method="direct")
+    return mixed_phi_volume(parts, RHO, samples, stream, tol, method)
 
 
 def mixed_with_ball(
@@ -256,8 +247,7 @@ def eps_neighborhood_pseudovolume(
     errs = []
     for k in range(n + 1):
         factor = 2 ** (n - k) * kappa(2 * n - k) / kappa(n)
-        vk = intrinsic_phi_volume(P, k, RHO, ap)
-        ek = _phi_error(P, k, RHO, ap)
+        vk, ek, _ = _face_sum(P, k, RHO, ap)
         coeffs.append(factor * vk)
         errs.append(factor * ek)
     value = sum(c * eps ** (n - k) for k, c in enumerate(coeffs))

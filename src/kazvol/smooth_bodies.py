@@ -9,7 +9,9 @@ Monge-Ampere integral over the unit ball reduces to a sphere average:
 
 Mixed pseudovolumes replace the determinant with the mixed discriminant of
 the bodies' Hessians; the boundary-sphere formula provides an independent
-second path through the gradient matrix M_{jk} = z_j * dh/dz_k.
+second path through the gradient matrix M_{jk} = z_j * dh/dz_k.  Every
+quadrature, and the solid-ball cross-check of the sphere reduction, runs
+through the one chunked estimator ``_sphere_mc``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, kappa, sphere_sample
+from . import complex_linalg as cl
+from .numerics import RandomStream, chunks, kappa, sphere_sample
 from .volumes import batch_mixed_discriminant
 
 __all__ = [
@@ -163,7 +166,7 @@ def ellipsoid(n: int, q: np.ndarray) -> SupportBody:
         raise ValueError("Q must be symmetric")
 
     def h(z):
-        x = _interleave(z)
+        x = cl.complex_to_real(z)
         return np.sqrt(np.einsum("ij,...i,...j->...", q, x, x))
 
     return SupportBody(n, "ellipsoid", h)
@@ -173,24 +176,13 @@ def custom_body(n: int, h: Callable[[np.ndarray], np.ndarray]) -> SupportBody:
     return SupportBody(n, "custom", h)
 
 
-def _interleave(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=float)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
-def _deinterleave(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
 # ---------------------------------------------------------------------------
 # Hessians and gradients
 
 
 def _fd_real_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
     """Real 2n x 2n Hessians of h by central differences, shape (N, 2n, 2n)."""
-    x = _interleave(z)
+    x = cl.complex_to_real(z)
     m, dim = x.shape
     steps = _FD_STEP * np.linalg.norm(x, axis=-1)
     out = np.empty((m, dim, dim))
@@ -200,17 +192,17 @@ def _fd_real_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
         ea[a] = 1.0
         da = steps[:, None] * ea[None, :]
         out[:, a, a] = (
-            body.h(_deinterleave(x + da)) - 2 * f0 + body.h(_deinterleave(x - da))
+            body.h(cl.real_to_complex(x + da)) - 2 * f0 + body.h(cl.real_to_complex(x - da))
         ) / steps**2
         for b in range(a + 1, dim):
             eb = np.zeros(dim)
             eb[b] = 1.0
             db = steps[:, None] * eb[None, :]
             mixed = (
-                body.h(_deinterleave(x + da + db))
-                - body.h(_deinterleave(x + da - db))
-                - body.h(_deinterleave(x - da + db))
-                + body.h(_deinterleave(x - da - db))
+                body.h(cl.real_to_complex(x + da + db))
+                - body.h(cl.real_to_complex(x + da - db))
+                - body.h(cl.real_to_complex(x - da + db))
+                + body.h(cl.real_to_complex(x - da - db))
             ) / (4 * steps**2)
             out[:, a, b] = mixed
             out[:, b, a] = mixed
@@ -241,7 +233,7 @@ def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
     z = _as_points(z, n)
     if body.gradient is not None:
         return body.gradient(z)
-    x = _interleave(z)
+    x = cl.complex_to_real(z)
     dim = 2 * n
     steps = _FD_STEP * np.linalg.norm(x, axis=-1)
     partials = np.empty((z.shape[0], dim))
@@ -249,9 +241,9 @@ def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
         ea = np.zeros(dim)
         ea[a] = 1.0
         da = steps[:, None] * ea[None, :]
-        partials[:, a] = (body.h(_deinterleave(x + da)) - body.h(_deinterleave(x - da))) / (
-            2 * steps
-        )
+        partials[:, a] = (
+            body.h(cl.real_to_complex(x + da)) - body.h(cl.real_to_complex(x - da))
+        ) / (2 * steps)
     return 0.5 * (partials[:, 0::2] - 1j * partials[:, 1::2])
 
 
@@ -297,23 +289,26 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteIntegrand("non-finite integrand sample")
 
 
-def _sphere_mc(integrand, dim: int, samples: int, stream: RandomStream) -> tuple[float, float]:
-    """Mean and standard error of a function of uniform sphere directions."""
+def _sphere_mc(
+    integrand, dim: int, samples: int, stream: RandomStream, ball: bool = False
+) -> tuple[float, float]:
+    """Mean and standard error of a function of uniform sphere directions.
+
+    With ``ball`` the points fill the unit ball instead: each chunk's
+    directions are scaled by radii U^{1/dim} drawn from its substream 0.
+    """
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        theta = sphere_sample(dim, stream.substream(chunk_idx), m)
-        vals = integrand(_deinterleave(theta))
+    for sub, m in chunks(samples, stream, _CHUNK):
+        theta = sphere_sample(dim, sub, m)
+        if ball:
+            theta = theta * (sub.substream(0).generator().random(m) ** (1.0 / dim))[:, None]
+        vals = integrand(cl.real_to_complex(theta))
         _check_finite(vals)
         if np.iscomplexobj(vals):
             vals = vals.real
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
-        done += m
-        chunk_idx += 1
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     return mean, math.sqrt(var / samples)
@@ -329,42 +324,21 @@ def mc_pseudovolume(
 
     ``reduction="sphere"`` uses the (-n)-homogeneity of the determinant to
     integrate over the unit sphere; ``reduction="ball"`` samples the solid
-    ball directly (slower, kept as a cross-check of the reduction).
+    ball directly (slower, kept as a cross-check of the reduction).  The ball
+    average carries half the sphere constant: (4^n / kappa_n) * vol(B_2n).
     """
+    if reduction not in ("sphere", "ball"):
+        raise ValueError(f"unknown reduction {reduction!r}")
     n = body.ambient_n
     constant = 4**n * 2 * kappa(2 * n) / kappa(n)
+    if reduction == "ball":
+        constant /= 2
 
     def integrand(z):
         return np.linalg.det(complex_hessian(body, z))
 
-    if reduction == "sphere":
-        mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
-        return QuadratureResult(constant * mean, constant * err, samples)
-    if reduction == "ball":
-        # Uniform ball points: sphere direction times U^{1/2n} radius.
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        chunk_idx = 0
-        while done < samples:
-            m = min(_CHUNK, samples - done)
-            sub = stream.substream(chunk_idx)
-            theta = sphere_sample(2 * n, sub, m)
-            radii = sub.substream(0).generator().random(m) ** (1.0 / (2 * n))
-            vals = integrand(_deinterleave(theta * radii[:, None]))
-            _check_finite(vals)
-            vals = vals.real
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals**2))
-            done += m
-            chunk_idx += 1
-        mean = total / samples
-        var = max(total_sq / samples - mean**2, 0.0)
-        constant_ball = 4**n * kappa(2 * n) / kappa(n)
-        return QuadratureResult(
-            constant_ball * mean, constant_ball * math.sqrt(var / samples), samples
-        )
-    raise ValueError(f"unknown reduction {reduction!r}")
+    mean, err = _sphere_mc(integrand, 2 * n, samples, stream, ball=reduction == "ball")
+    return QuadratureResult(constant * mean, constant * err, samples)
 
 
 def mc_mixed_pseudovolume(

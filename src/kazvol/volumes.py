@@ -21,11 +21,9 @@ from .polytope import Polytope, convex_volume
 __all__ = [
     "SizeMismatch",
     "SubspaceMismatch",
-    "DegenerateFace",
     "MIXED_DISCRIMINANT_PERMUTATION_CAP",
     "face_volume",
     "mixed_volume",
-    "mixed_volume_faces",
     "intrinsic_volume",
     "mixed_discriminant",
     "batch_mixed_discriminant",
@@ -42,10 +40,6 @@ class SizeMismatch(ValueError):
 
 
 class SubspaceMismatch(ValueError):
-    pass
-
-
-class DegenerateFace(ValueError):
     pass
 
 
@@ -94,19 +88,6 @@ def mixed_volume(
         sign = (-1) ** (k - len(members))
         total += sign * convex_volume(acc)
     return total / math.factorial(k)
-
-
-def mixed_volume_faces(
-    P: Polytope, faces, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Mixed volume of k faces of (summands of) a polytope sharing one k-dim span."""
-    hulls = []
-    for f in faces:
-        pts = P.vertices[sorted(f.id)] if hasattr(f, "id") else np.asarray(f)
-        from .polytope import hull  # local import avoids a cycle at module load
-
-        hulls.append(hull(pts, tol))
-    return mixed_volume(hulls, tol=tol)
 
 
 def intrinsic_volume(P: Polytope, k: int, angles) -> float:

@@ -46,7 +46,7 @@ from kazvol import (
 )
 from kazvol.complex_linalg import random_unitary, realify
 from kazvol.numerics import kappa
-from kazvol.pseudovolume import _phi_error
+from kazvol.pseudovolume import _face_sum
 
 from conftest import random_polygon_real, random_polytope
 
@@ -375,7 +375,7 @@ def test_criterion_07_eps_expansion():
     targets = (2 * math.pi, 32.0 / 3.0, 4.0)
     for k, (got, want) in enumerate(zip(exp.coefficients, targets)):
         factor = 2 ** (2 - k) * kappa(4 - k) / kappa(2)
-        err = factor * _phi_error(square, k, RHO, ap)
+        err = factor * _face_sum(square, k, RHO, ap)[1]
         assert abs(got - want) <= 4 * err + 1e-9, \
             f"coefficient of eps^{2 - k}: {got} vs {want}"
 

@@ -161,13 +161,21 @@ class TestDeterminism:
                  "--samples", "20000", "--json", "-"],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            # Check names contain braces, so the report is found by its own lines.
-            lines = proc.stdout.splitlines()
-            start = lines.index("{")
-            end = len(lines) - lines[::-1].index("}")
-            return json.loads("\n".join(lines[start:end]))["values"]
+            return json.loads(proc.stdout)["values"]
 
         assert values("1") == values("2")
+
+    def test_json_stdout_holds_only_the_report(self):
+        # Check names contain braces, so only a clean stdout parses as a whole.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kazvol.cli", "verify", "--suite", "tables",
+             "--samples", "20000", "--json", "-"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == "verify"
+        assert "checks passed" in proc.stderr
+        assert "done in" in proc.stderr
 
 
 class TestExitCodes:

@@ -15,7 +15,7 @@ from kazvol import (
     realify,
     rho,
 )
-from kazvol.complex_linalg import complex_to_real, multiply_i, real_to_complex
+from kazvol.complex_linalg import _t_vectors, complex_to_real, multiply_i, real_to_complex
 from kazvol.numerics import kappa
 
 
@@ -190,12 +190,17 @@ class TestRealify:
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_rho_bounds_property(seed):
-    """0 <= rho <= 1 and rho is invariant under basis change of the span."""
+    """0 <= rho <= 1, the t-vector route agrees, and rho is invariant under
+    basis change of the span."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 5))
     b = SubspaceBasis.from_span(3, rng.normal(size=(d, 6)))
     r = rho(b).rho
     assert 0.0 <= r <= 1.0 + 1e-12
+    if b.d <= 3:
+        # rho = det of the Hermitian Gram matrix = sqrt(Gram det of the t-vectors).
+        t = _t_vectors(b)
+        assert abs(r - math.sqrt(max(np.linalg.det(t @ t.T), 0.0))) <= 1e-8
     mix = rng.normal(size=(b.d, b.d)) + np.eye(b.d)
     again = SubspaceBasis.from_span(3, mix @ b.vectors)
     if again.d == b.d:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kazvol import RandomStream, Tolerance, kappa, sphere_sample, wallis
+from kazvol.numerics import chunks, proportion
 
 
 class TestKappa:
@@ -100,3 +101,31 @@ class TestRandomStream:
             sphere_sample(0, RandomStream(1), 10)
         with pytest.raises(ValueError):
             sphere_sample(3, RandomStream(1), 0)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("samples, counts", [
+        (7, [7]),                 # fewer samples than one chunk
+        (30, [10, 10, 10]),       # an exact multiple
+        (25, [10, 10, 5]),
+        (0, []),
+    ])
+    def test_counts(self, samples, counts):
+        got = list(chunks(samples, RandomStream(3, 5), 10))
+        assert [m for _, m in got] == counts
+        assert sum(m for _, m in got) == samples
+
+    def test_chunk_i_uses_substream_i(self):
+        parent = RandomStream(3, 5)
+        subs = [sub for sub, _ in chunks(35, parent, 10)]
+        assert subs == [parent.substream(i) for i in range(4)]
+
+
+class TestProportion:
+    def test_binomial_error(self):
+        p, err = proportion(25, 100)
+        assert p == 0.25
+        assert err == math.sqrt(0.25 * 0.75 / 100)
+
+    def test_no_valid_samples(self):
+        assert proportion(0, 0) == (0.0, float("inf"))

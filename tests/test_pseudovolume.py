@@ -23,6 +23,7 @@ from kazvol import (
     valuation_check,
 )
 from kazvol.complex_linalg import random_unitary, realify
+from kazvol.numerics import Tolerance
 from kazvol.smooth_bodies import ball_pseudovolume
 
 from conftest import SAMPLES, random_polygon_real, random_polytope
@@ -175,6 +176,16 @@ class TestPhiVolumes:
         assert intrinsic_phi_volume(theta4, 2, RHO, ap) == pytest.approx(
             rep.value, rel=1e-12)
 
+    def test_rho_weight_uses_hull_tolerance(self, stream):
+        # Under rank_eps = 1e-6 the triangle spans a complex line up to 1e-7,
+        # so its rho is 0; rho under the default 1e-9 would be about 5e-15.
+        tol = Tolerance(1e-6, 1e-6)
+        P = hull(np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1e-7, 0]]), tol)
+        ap = AnglePass(P, SAMPLES, stream, tol)
+        rep = pseudovolume(P, angles=ap, tol=tol)
+        assert rep.value == 0.0
+        assert intrinsic_phi_volume(P, 2, RHO, ap) == rep.value
+
 
 class TestMixedPseudovolume:
     def test_diagonal(self, theta4, stream):
@@ -213,6 +224,10 @@ class TestMixedPseudovolume:
     def test_wrong_arity(self, theta4):
         with pytest.raises(ValueError):
             mixed_pseudovolume([theta4])
+
+    def test_unknown_method(self, theta4, cube4):
+        with pytest.raises(ValueError):
+            mixed_pseudovolume([theta4, cube4], samples=10, method="laplace")
 
     def test_segment_degeneracy(self, stream):
         # Segments with C-dependent directions: Q_2 = 0; independent: > 0.
