@@ -31,6 +31,7 @@ from .polytope import (
     save_polytope,
     scale,
     split,
+    summand_faces,
     support,
     translate,
 )

@@ -76,6 +76,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _context(args):
+    if not 1 <= args.samples < float("inf"):
+        raise ValueError(f"--samples must be a finite number >= 1, got {args.samples:g}")
     tol = Tolerance(rank_eps=args.tol, geom_eps=args.tol)
     stream = RandomStream(seed=args.seed)
     return tol, stream, int(args.samples)
@@ -282,6 +284,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_discriminant(args) -> int:
+    _context(args)  # only to reject a bad --samples, which the report records
     data = json.loads(open(args.file).read()) if not args.file.lstrip().startswith("{") \
         else json.loads(args.file)
     mats = [_parse_matrix(m) for m in data["matrices"]]

@@ -1,7 +1,7 @@
 """V-representation polytopes in C^n = R^{2n}.
 
-Convex hull with full face lattice, support function, Minkowski sums with the
-face-summand decomposition, scaling, translation, and halfspace splitting.
+Convex hull with full face lattice, support function, Minkowski sums and the
+summand faces of a face of a sum, scaling, translation, and halfspace splitting.
 Lower-dimensional polytopes are first-class: the lattice is built inside the
 affine hull of the input points.
 """
@@ -9,6 +9,7 @@ affine hull of the input points.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,10 +26,10 @@ __all__ = [
     "FaceNotFound",
     "Face",
     "Polytope",
-    "SummandDecomposition",
     "hull",
     "support",
     "minkowski_sum",
+    "summand_faces",
     "scale",
     "translate",
     "split",
@@ -290,38 +291,28 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     return h, face
 
 
-@dataclass(frozen=True)
-class SummandDecomposition:
-    """For each face of a Minkowski sum, its unique faces in the summands."""
-
-    assignment: dict[frozenset[int], tuple[Face, ...]]
-
-    def summands(self, face: Face) -> tuple[Face, ...]:
-        return self.assignment[face.id]
-
-
-def minkowski_sum(
-    parts: list[Polytope], tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[Polytope, SummandDecomposition]:
+def minkowski_sum(parts: list[Polytope], tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     if not parts:
         raise EmptyInput("need at least one summand")
     n = parts[0].ambient_n
     if any(p.ambient_n != n for p in parts):
         raise ValueError("summands must share the ambient space")
-    total = 1
-    for p in parts:
-        total *= p.n_vertices
+    total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
     acc = parts[0].vertices
     for p in parts[1:]:
         acc = (acc[:, None, :] + p.vertices[None, :, :]).reshape(-1, 2 * n)
-    total_poly = hull(acc, tol)
-    assignment: dict[frozenset[int], tuple[Face, ...]] = {}
-    for face in total_poly.all_faces():
-        u = total_poly.witness_direction(face)
-        assignment[face.id] = tuple(support(p, u, tol)[1] for p in parts)
-    return total_poly, SummandDecomposition(assignment)
+    return hull(acc, tol)
+
+
+def summand_faces(
+    S: Polytope, parts: list[Polytope], face: Face, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[Face, ...]:
+    """The face F(A_l, u) of each summand, where F(S, u) = face and S = sum of the A_l:
+    F(A_1 + ... + A_m, u) = F(A_1, u) + ... + F(A_m, u) for every direction u."""
+    u = S.witness_direction(face)
+    return tuple(support(p, u, tol)[1] for p in parts)
 
 
 def scale(P: Polytope, lam: float, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
@@ -366,12 +357,6 @@ def split(
     plus = piece(vals >= -eps, crossings)
     minus = piece(vals <= eps, crossings)
     on_plane = piece(np.abs(vals) <= eps, crossings)
-    if not (vals >= -eps).any() and crossings.size == 0:
-        plus = None
-    if not (vals <= eps).any() and crossings.size == 0:
-        minus = None
-    if not (np.abs(vals) <= eps).any() and crossings.size == 0:
-        on_plane = None
     return plus, minus, on_plane
 
 

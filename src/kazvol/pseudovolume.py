@@ -15,6 +15,8 @@ Every sum of phi(E_Delta) * vol_k(Delta) * psi_Gamma(Delta) over the k-faces
 of one polytope (P_n, v_k^phi, the eps-expansion coefficients and each term of
 the polarization) goes through the single face sum ``_face_sum``, which
 returns the value, its Monte Carlo error and the per-face rows in one pass.
+The direct path to Q_n is that sum over the Minkowski sum with the mixed
+volume of the summand faces, read from their vertices, in place of vol_k.
 Weights evaluate a :class:`Face`; ``RHO`` reads the ``Face.rho`` that ``hull``
 computed under the caller's tolerance.
 """
@@ -29,7 +31,8 @@ import numpy as np
 
 from .cone_geometry import DEFAULT_ANGLE_SAMPLES, AnglePass
 from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, kappa
-from .polytope import Face, Polytope, hull, minkowski_sum, split
+# `hull` is unused here but stays bound for the perfbench tracer's rebind check.
+from .polytope import Face, Polytope, hull, minkowski_sum, split, summand_faces  # noqa: F401
 from .volumes import mixed_volume
 
 __all__ = [
@@ -98,13 +101,17 @@ def _angle_pass(P: Polytope, angles, samples, stream, tol) -> AnglePass:
 
 
 def _face_sum(
-    P: Polytope, k: int, phi: WeightFunction, angles: AnglePass
+    P: Polytope,
+    k: int,
+    phi: WeightFunction,
+    angles: AnglePass,
+    measure: Callable[[Face], float] = lambda f: f.volume_k,
 ) -> tuple[float, float, tuple]:
-    """Sum of phi * vol_k * psi over the k-faces with phi != 0.
+    """Sum of phi * measure * psi over the k-faces where phi and the measure are nonzero.
 
-    Returns (value, error, rows): the error sums |phi * vol_k| times each
-    angle's standard error, and each row is (vertex ids, phi, vol_k, angle,
-    term).
+    The measure defaults to vol_k.  Returns (value, error, rows): the error sums
+    |phi * measure| times each angle's standard error, and each row is
+    (vertex ids, phi, measure, angle, term).
     """
     total = 0.0
     err = 0.0
@@ -113,11 +120,14 @@ def _face_sum(
         w = phi.evaluate(f)
         if w == 0.0:
             continue
+        m = measure(f)
+        if m == 0.0:
+            continue
         a = angles.angle(f)
-        term = w * f.volume_k * a.value
-        rows.append((f.vertex_ids, w, f.volume_k, a.value, term))
+        term = w * m * a.value
+        rows.append((f.vertex_ids, w, m, a.value, term))
         total += term
-        err += abs(w * f.volume_k) * a.std_error
+        err += abs(w * m) * a.std_error
     return float(total), float(err), tuple(rows)
 
 
@@ -156,29 +166,21 @@ def mixed_phi_volume(
     """
     k = len(parts)
     if method == "direct":
-        total_poly, dec = minkowski_sum(parts, tol)
-        ap = AnglePass(total_poly, samples, stream, tol)
-        total = 0.0
-        err = 0.0
-        for f in total_poly.faces.get(k, []):
-            w = phi.evaluate(f)
-            if w == 0.0:
-                continue
-            summands = dec.summands(f)
-            pieces = [hull(p.vertices[sorted(s.id)], tol) for p, s in zip(parts, summands)]
-            v = mixed_volume(pieces, f.hull_basis, tol)
-            if v == 0.0:
-                continue
-            a = ap.angle(f)
-            total += w * v * a.value
-            err += abs(w * v) * a.std_error
-        return Estimate(float(total), float(err))
+        S = minkowski_sum(parts, tol)
+
+        def mixed(f: Face) -> float:
+            faces = summand_faces(S, parts, f, tol)
+            return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, faces)],
+                                f.hull_basis, tol)
+
+        value, err, _ = _face_sum(S, k, phi, AnglePass(S, samples, stream, tol), mixed)
+        return Estimate(value, err)
     if method == "polarization":
         total = 0.0
         err = 0.0
         for mask in range(1, 1 << k):
             members = [parts[i] for i in range(k) if mask >> i & 1]
-            s, _ = minkowski_sum(members, tol)
+            s = minkowski_sum(members, tol)
             ap = AnglePass(s, samples, stream.substream(mask), tol)
             value, e, _ = _face_sum(s, k, phi, ap)
             total += (-1) ** (k - len(members)) * value

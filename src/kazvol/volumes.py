@@ -1,10 +1,11 @@
 """Volumes, mixed volumes, and mixed discriminants.
 
-Mixed volumes of polytopes are computed by the inclusion-exclusion
-polarization of the volume over Minkowski subset sums.  Mixed discriminants
-come with three independent evaluation paths (permutation definition, subset
-inclusion-exclusion, Laplace-style expansion) plus a batched subset-formula
-version for Monte Carlo integrands.
+Mixed volumes of point sets (vertex arrays) are computed by the
+inclusion-exclusion polarization of the volume over Minkowski subset sums.
+Mixed discriminants come with three independent evaluation paths
+(permutation definition, subset inclusion-exclusion, Laplace-style
+expansion); the subset path is the batched formula used by the Monte Carlo
+integrands, applied to a batch of one.
 """
 
 from __future__ import annotations
@@ -48,37 +49,39 @@ def face_volume(P: Polytope, face_id) -> float:
     return P.face_by_ids(face_id).volume_k
 
 
-def _body_coords(P: Polytope, basis: cl.SubspaceBasis, tol: Tolerance) -> np.ndarray:
+def _body_coords(vertices: np.ndarray, basis: cl.SubspaceBasis, tol: Tolerance) -> np.ndarray:
     """Coordinates of the vertices in the subspace frame, after translating to v0."""
-    diffs = P.vertices - P.vertices[0]
+    diffs = vertices - vertices[0]
     coords = diffs @ basis.vectors.T
     residual = diffs - coords @ basis.vectors
-    scale_ = max(1.0, float(np.abs(P.vertices).max()))
+    scale_ = max(1.0, float(np.abs(vertices).max()))
     if residual.size and np.max(np.abs(residual)) > tol.geom_eps * scale_ * 100:
         raise SubspaceMismatch("body does not lie in a translate of the given subspace")
     return coords
 
 
 def mixed_volume(
-    bodies: list[Polytope],
+    bodies: list[np.ndarray],
     basis: cl.SubspaceBasis | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Mixed volume V_k(A_1, ..., A_k) of k bodies in a common k-dim subspace.
 
-    V_k is the polarization of the k-volume:
+    Each body A_l is given by its points, an array of shape (N_l, 2n); only
+    their convex hull matters.  V_k is the polarization of the k-volume:
     V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|} vol_k(sum_{l in I} A_l).
     Each body may live in its own translate of the subspace.
     """
     k = len(bodies)
     if k == 0:
         raise SizeMismatch("need at least one body")
+    bodies = [np.atleast_2d(np.asarray(b, dtype=float)) for b in bodies]
     if basis is None:
-        stacked = np.vstack([p.vertices - p.vertices[0] for p in bodies])
-        basis = cl.SubspaceBasis.from_span(bodies[0].ambient_n, stacked, tol)
+        stacked = np.vstack([b - b[0] for b in bodies])
+        basis = cl.SubspaceBasis.from_span(bodies[0].shape[1] // 2, stacked, tol)
     if basis.d != k:
         raise SizeMismatch(f"{k} bodies require a {k}-dimensional subspace, got {basis.d}")
-    coords = [_body_coords(p, basis, tol) for p in bodies]
+    coords = [_body_coords(b, basis, tol) for b in bodies]
     total = 0.0
     for mask in range(1, 1 << k):
         members = [coords[i] for i in range(k) if mask >> i & 1]
@@ -107,7 +110,7 @@ def intrinsic_volume(P: Polytope, k: int, angles) -> float:
 def _check_square(mats: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
     if not mats:
         raise SizeMismatch("need at least one matrix")
-    out = [np.asarray(m) for m in mats]
+    out = [np.asarray(m, dtype=complex) for m in mats]
     n = out[0].shape[0]
     for m in out:
         if m.shape != (n, n):
@@ -120,23 +123,11 @@ def _check_square(mats: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
 def _mixed_discriminant_permutation(mats: list[np.ndarray]) -> complex:
     n = len(mats)
     total = 0.0 + 0.0j
-    cols = [np.asarray(m, dtype=complex) for m in mats]
     for sigma in itertools.permutations(range(n)):
         mixed = np.empty((n, n), dtype=complex)
         for ell in range(n):
-            mixed[:, ell] = cols[sigma[ell]][:, ell]
+            mixed[:, ell] = mats[sigma[ell]][:, ell]
         total += np.linalg.det(mixed)
-    return total / math.factorial(n)
-
-
-def _mixed_discriminant_subset(mats: list[np.ndarray]) -> complex:
-    n = len(mats)
-    total = 0.0 + 0.0j
-    arrs = [np.asarray(m, dtype=complex) for m in mats]
-    for mask in range(1, 1 << n):
-        members = [arrs[i] for i in range(n) if mask >> i & 1]
-        sign = (-1) ** (n - len(members))
-        total += sign * np.linalg.det(sum(members))
     return total / math.factorial(n)
 
 
@@ -146,9 +137,9 @@ def _mixed_discriminant_laplace(mats: list[np.ndarray], ell: int = 0) -> complex
     """
     n = len(mats)
     if n == 1:
-        return complex(np.asarray(mats[0], dtype=complex)[0, 0])
-    m = np.asarray(mats[ell], dtype=complex)
-    others = [np.asarray(mats[i], dtype=complex) for i in range(n) if i != ell]
+        return complex(mats[0][0, 0])
+    m = mats[ell]
+    others = [mats[i] for i in range(n) if i != ell]
     total = 0.0 + 0.0j
     for j in range(n):
         for k in range(n):
@@ -174,14 +165,12 @@ def mixed_discriminant(mats: list[np.ndarray], method: str = "auto") -> complex:
             raise SizeMismatch(
                 f"permutation path limited to n <= {MIXED_DISCRIMINANT_PERMUTATION_CAP}"
             )
-        value = _mixed_discriminant_permutation(arrs)
-    elif method == "subset":
-        value = _mixed_discriminant_subset(arrs)
-    elif method == "laplace":
-        value = _mixed_discriminant_laplace(arrs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return value
+        return _mixed_discriminant_permutation(arrs)
+    if method == "subset":
+        return batch_mixed_discriminant([m[None] for m in arrs])[0]
+    if method == "laplace":
+        return _mixed_discriminant_laplace(arrs)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def batch_mixed_discriminant(mats: list[np.ndarray]) -> np.ndarray:

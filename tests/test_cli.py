@@ -202,6 +202,20 @@ class TestExitCodes:
         code, _ = run(["faces", str(big)], capsys)
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("command", ["smooth", "angle", "pseudovolume", "discriminant"])
+    @pytest.mark.parametrize("samples", ["0", "0.5", "nan", "inf"])
+    def test_samples_below_one(self, command, samples, square_file, tmp_path, capsys):
+        body = tmp_path / "ball.json"
+        body.write_text(json.dumps({"kind": "ball", "n": 2}))
+        args = {"smooth": ["smooth", str(body)],
+                "angle": ["angle", square_file, "--face", "0"],
+                "pseudovolume": ["pseudovolume", square_file],
+                "discriminant": ["discriminant", '{"matrices": [[[1]]]}']}[command]
+        code = main(args + ["--samples", samples])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "--samples" in err
+
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",
                          "--samples", "50000"], capsys)

@@ -18,6 +18,7 @@ from kazvol import (
     save_polytope,
     scale,
     split,
+    summand_faces,
     support,
     translate,
 )
@@ -144,7 +145,7 @@ class TestMinkowskiSum:
     def test_square_sum(self):
         a = hull(np.array([[0, 0], [1, 0]], dtype=float))
         b = hull(np.array([[0, 0], [0, 1]], dtype=float))
-        s, dec = minkowski_sum([a, b])
+        s = minkowski_sum([a, b])
         assert s.dim_real == 2
         assert s.improper_face.volume_k == pytest.approx(1.0)
 
@@ -152,9 +153,9 @@ class TestMinkowskiSum:
         rng = np.random.default_rng(3)
         a = random_polytope(rng, 5)
         b = random_polytope(rng, 5)
-        s, dec = minkowski_sum([a, b])
-        for f in s.faces[1]:
-            fa, fb = dec.summands(f)
+        s = minkowski_sum([a, b])
+        for f in s.all_faces():
+            fa, fb = summand_faces(s, [a, b], f)
             # Face of the sum decomposes as the sum of its summand faces.
             va = a.vertices[sorted(fa.id)]
             vb = b.vertices[sorted(fb.id)]
@@ -167,7 +168,7 @@ class TestMinkowskiSum:
         rng = np.random.default_rng(4)
         a = random_polytope(rng, 6)
         b = random_polytope(rng, 6)
-        s, _ = minkowski_sum([a, b])
+        s = minkowski_sum([a, b])
         assert s.improper_face.volume_k >= (
             a.improper_face.volume_k + b.improper_face.volume_k - 1e-12)
 

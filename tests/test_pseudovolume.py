@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -210,7 +211,7 @@ class TestMixedPseudovolume:
             a = random_polygon_real(rng)
             b = random_polygon_real(rng)
             q = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream.substream(i))
-            v = mixed_volume([a, b])
+            v = mixed_volume([a.vertices, b.vertices])
             assert q.value == pytest.approx(v, abs=4 * q.std_error + 1e-9)
 
     def test_symmetry(self, stream):
@@ -228,6 +229,23 @@ class TestMixedPseudovolume:
     def test_unknown_method(self, theta4, cube4):
         with pytest.raises(ValueError):
             mixed_pseudovolume([theta4, cube4], samples=10, method="laplace")
+
+    def test_direct_path_hulls_only_the_sum(self, theta4, cube4, monkeypatch):
+        # Summand faces are read from the summands' vertices, never re-hulled.
+        # (The package attribute `kazvol.pseudovolume` is the function.)
+        polytope_mod = importlib.import_module("kazvol.polytope")
+        pseudovolume_mod = importlib.import_module("kazvol.pseudovolume")
+        real_hull = polytope_mod.hull
+        calls = []
+
+        def counting_hull(*args, **kwargs):
+            calls.append(args)
+            return real_hull(*args, **kwargs)
+
+        monkeypatch.setattr(polytope_mod, "hull", counting_hull)
+        monkeypatch.setattr(pseudovolume_mod, "hull", counting_hull)
+        mixed_phi_volume([theta4, cube4], RHO, samples=10, method="direct")
+        assert len(calls) == 1
 
     def test_segment_degeneracy(self, stream):
         # Segments with C-dependent directions: Q_2 = 0; independent: > 0.
