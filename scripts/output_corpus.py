@@ -4,6 +4,7 @@
     python3 scripts/output_corpus.py OLD/src old.json
     python3 scripts/output_corpus.py src new.json
     cmp old.json new.json
+    python3 scripts/output_corpus.py --compare old.json new.json --rtol 1e-12
 
 A refactor that must leave every output unchanged should give byte-identical
 files.  The corpus, at --samples 30000 --seed 5: the CLI commands
@@ -13,14 +14,83 @@ polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball), smooth
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
+
+A change that may move floats by rounding only is checked with --compare:
+floats in report values, per-face rows and library values must agree within
+relative tolerance --rtol, numbers in stdout lines (printed to 9 significant
+digits) within 1e-8, and everything else exactly.  It lists every difference
+and exits 1 if there is one.
 """
+import ast
 import contextlib
 import importlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
+
+STDOUT_RTOL = 1e-8
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def _close(a, b, rtol: float) -> bool:
+    """Same structure; floats within rtol of each other, everything else equal."""
+    if isinstance(a, float) or isinstance(b, float):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+            return False
+        a, b = float(a), float(b)
+        return a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= rtol * max(abs(a), abs(b))
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)) and type(a) is type(b):
+        return len(a) == len(b) and all(_close(x, y, rtol) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k], rtol) for k in a)
+    if isinstance(a, str) and isinstance(b, str) and a != b:
+        try:  # library rows hold some floats as repr strings
+            return _close(float(a), float(b), rtol)
+        except ValueError:
+            return False
+    return a == b
+
+
+def _line_close(a: str, b: str) -> bool:
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
+        return False
+    return all(_close(float(x), float(y), STDOUT_RTOL) for x, y in zip(pa[1::2], pb[1::2]))
+
+
+def compare(old_path: str, new_path: str, rtol: float) -> int:
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    diffs = [f"{key}: only in one corpus" for key in sorted(old.keys() ^ new.keys())]
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
+        if key == "library":
+            diffs += [f"library {k}: {a.get(k)} vs {b.get(k)}" for k in sorted(a.keys() | b.keys())
+                      if k not in a or k not in b
+                      or not _close(ast.literal_eval(a[k]), ast.literal_eval(b[k]), rtol)]
+            continue
+        for field in ("code", "values", "per_face"):
+            if not _close(a[field], b[field], rtol):
+                diffs.append(f"{key} {field}: {a[field]} vs {b[field]}")
+        if len(a["stdout"]) != len(b["stdout"]):
+            diffs.append(f"{key} stdout: {len(a['stdout'])} vs {len(b['stdout'])} lines")
+        diffs += [f"{key} stdout: {x!r} vs {y!r}" for x, y in zip(a["stdout"], b["stdout"])
+                  if not _line_close(x, y)]
+    for line in diffs:
+        print(line if len(line) <= 300 else line[:300] + " ...")
+    print(f"{len(diffs)} differences over {len(old)} entries at rtol {rtol:g} "
+          f"(stdout numbers at {STDOUT_RTOL:g})")
+    return 1 if diffs else 0
+
+
+if sys.argv[1] == "--compare":
+    if len(sys.argv) != 6 or sys.argv[4] != "--rtol":
+        sys.exit("usage: output_corpus.py --compare OLD NEW --rtol R")
+    sys.exit(compare(sys.argv[2], sys.argv[3], float(sys.argv[5])))
 
 src, out_path = str(Path(sys.argv[1]).resolve()), sys.argv[2]
 sys.path.insert(0, src)

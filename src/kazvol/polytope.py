@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,17 +78,29 @@ def convex_volume(points: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Face:
-    """A face of a polytope, with its affine-hull data."""
+    """A face of a polytope, with its affine-hull data.
+
+    ``hull_basis``, an orthonormal basis of E_Delta, is computed on first access.
+    """
 
     vertex_ids: tuple[int, ...]
     k: int
-    hull_basis: cl.SubspaceBasis
     volume_k: float
     rho: float
+    _points: np.ndarray = field(repr=False)  # the polytope's vertex array
+    _tol: Tolerance = field(repr=False)
 
     @property
     def id(self) -> frozenset[int]:
         return frozenset(self.vertex_ids)
+
+    @cached_property
+    def hull_basis(self) -> cl.SubspaceBasis:
+        n = self._points.shape[1] // 2
+        if len(self.vertex_ids) == 1:
+            return cl.SubspaceBasis(n, np.zeros((0, 2 * n)))
+        pts = self._points[list(self.vertex_ids)]
+        return cl.SubspaceBasis.from_span(n, pts - pts[0], self._tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,26 +181,127 @@ def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nd
 
 
 def _facet_sets(coords: np.ndarray, qhull: ConvexHull, eps: float) -> dict[frozenset[int], np.ndarray]:
-    """Map facet vertex set -> outer unit normal (in the projected coordinates)."""
+    """Map facet vertex set -> outer unit normal (in the projected coordinates).
+
+    Qhull triangulates non-simplicial facets, so one facet can come as many
+    equations; each vertex set keeps the normal of its first equation.
+    Equations are taken in chunks of about 2**20 point-equation pairs.
+    """
     out: dict[frozenset[int], np.ndarray] = {}
     scale_ = max(1.0, float(np.abs(coords).max()))
-    for eq in qhull.equations:
-        normal, offset = eq[:-1], eq[-1]
-        vals = coords @ normal + offset
-        members = frozenset(int(i) for i in np.nonzero(np.abs(vals) <= eps * scale_ * 10)[0])
-        out.setdefault(members, normal / np.linalg.norm(normal))
+    step = max(1, 2**20 // len(coords))
+    for start in range(0, len(qhull.equations), step):
+        eqs = qhull.equations[start:start + step]
+        on_plane = np.abs(coords @ eqs[:, :-1].T + eqs[:, -1]) <= eps * scale_ * 10
+        _, first = np.unique(np.packbits(on_plane, axis=0).T, axis=0, return_index=True)
+        for j in np.sort(first):
+            members = frozenset(np.flatnonzero(on_plane[:, j]).tolist())
+            out.setdefault(members, eqs[j, :-1] / np.linalg.norm(eqs[j, :-1]))
     return out
 
 
-def _build_face(ambient_n: int, vertices: np.ndarray, ids: frozenset[int], tol: Tolerance) -> Face:
-    pts = vertices[sorted(ids)]
-    basis = cl.SubspaceBasis.from_span(ambient_n, pts - pts[0], tol) if len(pts) > 1 else cl.SubspaceBasis(
-        ambient_n, np.zeros((0, 2 * ambient_n))
-    )
-    k = basis.d
-    vol = convex_volume((pts - pts[0]) @ basis.vectors.T) if k > 0 else 1.0
-    r = cl.rho(basis, tol).rho
-    return Face(tuple(sorted(ids)), k, basis, vol, r)
+def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int, ...]]]:
+    """Sorted vertex-id tuples of the proper faces, by dimension, from the facets down.
+
+    The (k-1)-faces of a k-face F are the inclusion-maximal nonempty proper
+    sets F & g over the facets g, with vertex sets as int bitmasks.  A k-face
+    with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
+    deletions, and no intersection is needed.
+    """
+    facet_masks = [sum(1 << v for v in ids) for ids in facets]
+    level = dict(zip(facet_masks, facets))
+    out = {d - 1: level}
+    for k in range(d - 1, 0, -1):
+        below: dict[int, tuple[int, ...]] = {}
+        for m, ids in level.items():
+            if len(ids) == k + 1:
+                for j, v in enumerate(ids):
+                    c = m ^ (1 << v)
+                    if c not in below:
+                        below[c] = ids[:j] + ids[j + 1:]
+                continue
+            maximal: list[int] = []
+            for c in sorted({m & g for g in facet_masks} - {0, m}, key=int.bit_count, reverse=True):
+                if all(c & o != c for o in maximal):
+                    maximal.append(c)
+            for c in maximal:
+                if c not in below:
+                    below[c] = tuple(v for v in ids if c >> v & 1)
+        out[k - 1] = level = below
+    return {k: sorted(faces.values()) for k, faces in out.items()}
+
+
+def _frame_rho(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``cl.rho`` of the spans of orthonormal frames (F, 2n, k), batched.
+
+    rho is the Gram determinant of the complexified frame, the product of its
+    squared singular values; it is exactly 0 for k > n and wherever the
+    complex rank under ``tol`` falls short of k, as in ``cl.rho``.
+    """
+    count, n2, k = frames.shape
+    if k == 0:
+        return np.ones(count)
+    if k > n2 // 2:
+        return np.zeros(count)
+    z = frames[:, 0::2, :] + 1j * frames[:, 1::2, :]
+    s = np.linalg.svd(z, compute_uv=False)
+    cutoff = tol.rank_eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
+    equi = np.all(s > cutoff[:, None], axis=1)
+    return np.where(equi, np.clip(np.prod(s * s, axis=1), 0.0, 1.0), 0.0)
+
+
+def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """vol_k and rho of F k-simplices from their edge vectors (F, k, 2n).
+
+    One batched QR of the edges gives an orthonormal frame of each span and
+    vol_k = |det R| / k!.
+    """
+    k = edges.shape[1]
+    q, r = np.linalg.qr(np.swapaxes(edges, 1, 2))
+    vol = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
+    return vol, _frame_rho(q, tol)
+
+
+def _build_face(vertices: np.ndarray, ids: tuple[int, ...], k: int, tol: Tolerance) -> Face:
+    """A face whose basis, volume and rho are computed on their own (non-simplicial faces)."""
+    pts = vertices[list(ids)]
+    basis = cl.SubspaceBasis.from_span(vertices.shape[1] // 2, pts - pts[0], tol)
+    vol = convex_volume((pts - pts[0]) @ basis.vectors.T)
+    face = Face(ids, k, vol, cl.rho(basis, tol).rho, vertices, tol)
+    face.__dict__["hull_basis"] = basis  # the value the lazy property would compute
+    return face
+
+
+def _faces(
+    vertices: np.ndarray,
+    lattice: dict[int, list[tuple[int, ...]]],
+    d: int,
+    volume: float,
+    frame: np.ndarray,
+    tol: Tolerance,
+) -> dict[int, list[Face]]:
+    """Faces with their data: proper faces from the lattice, then the improper face.
+
+    Simplicial k-faces get vol_k and rho from one batched pass per dimension;
+    the improper face takes the given volume and the rho of the orthonormal
+    frame (rows) of E_Gamma.
+    """
+    faces: dict[int, list[Face]] = {}
+    for k, ids_list in sorted(lattice.items()):
+        simplices = [ids for ids in ids_list if len(ids) == k + 1]
+        data: dict[tuple[int, ...], tuple[float, float]] = {}
+        if k == 0:
+            data = dict.fromkeys(simplices, (1.0, 1.0))
+        elif simplices:
+            idx = np.array(simplices)
+            vol, rho = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
+            data = dict(zip(simplices, zip(vol.tolist(), rho.tolist())))
+        faces[k] = [Face(ids, k, *data[ids], vertices, tol) if ids in data
+                    else _build_face(vertices, ids, k, tol) for ids in ids_list]
+    rho = float(_frame_rho(frame.T[None], tol)[0])
+    faces.setdefault(d, []).append(Face(tuple(range(len(vertices))), d, volume, rho, vertices, tol))
+    _euler_check(faces, d)
+    return faces
 
 
 def _euler_check(faces: dict[int, list[Face]], d: int) -> None:
@@ -211,66 +325,39 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     pts = _dedupe(pts, tol.geom_eps)
     center, basis_rows = _affine_frame(pts, tol)
     d = basis_rows.shape[0]
+    span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
         vertices = pts[:1]
-        face = _build_face(n, vertices, frozenset({0}), tol)
-        return Polytope(n, vertices, {0: [face]}, 0,
-                        cl.SubspaceBasis(n, basis_rows), center, ())
+        return Polytope(n, vertices, _faces(vertices, {}, 0, 1.0, basis_rows, tol), 0,
+                        span, center, ())
 
     coords = (pts - center) @ basis_rows.T
 
     if d == 1:
         order = np.argsort(coords[:, 0])
         vertices = pts[[order[0], order[-1]]]
-        v0 = _build_face(n, vertices, frozenset({0}), tol)
-        v1 = _build_face(n, vertices, frozenset({1}), tol)
-        whole = _build_face(n, vertices, frozenset({0, 1}), tol)
+        length = float(coords[order[-1], 0] - coords[order[0], 0])
         direction = basis_rows[0]
         lo = -direction if coords[order[0], 0] < coords[order[-1], 0] else direction
         facets = ((frozenset({0}), lo), (frozenset({1}), -lo))
-        faces = {0: [v0, v1], 1: [whole]}
-        _euler_check(faces, 1)
-        return Polytope(n, vertices, faces, 1, cl.SubspaceBasis(n, basis_rows), center, facets)
+        faces = _faces(vertices, {0: [(0,), (1,)]}, 1, length, basis_rows, tol)
+        return Polytope(n, vertices, faces, 1, span, center, facets)
 
     qh = ConvexHull(coords)
     keep = sorted(int(i) for i in qh.vertices)
     vertices = pts[keep]
-    vcoords = coords[keep]
     remap = {old: new for new, old in enumerate(keep)}
     facet_sets = {}
     for members, normal in _facet_sets(coords, qh, tol.geom_eps).items():
         facet_sets[frozenset(remap[i] for i in members if i in remap)] = normal
 
-    # Face lattice: closure of the facet vertex sets under intersection.
-    all_ids: set[frozenset[int]] = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new: set[frozenset[int]] = set()
-        for s in frontier:
-            for t in facet_sets:
-                inter = s & t
-                if inter and inter not in all_ids and inter not in new:
-                    new.add(inter)
-        all_ids |= new
-        frontier = new
-    all_ids.add(frozenset(range(len(keep))))
-
-    faces: dict[int, list[Face]] = {}
-    for ids in all_ids:
-        face = _build_face(n, vertices, ids, tol)
-        faces.setdefault(face.k, []).append(face)
-    for k in faces:
-        faces[k].sort(key=lambda f: f.vertex_ids)
-    # Keep the improper face in the last slot of its dimension class.
-    top = frozenset(range(len(keep)))
-    faces[d] = [f for f in faces[d] if f.id != top] + [f for f in faces[d] if f.id == top]
-    _euler_check(faces, d)
-
+    lattice = _lattice([tuple(sorted(ids)) for ids in facet_sets], d)
+    faces = _faces(vertices, lattice, d, float(qh.volume), basis_rows, tol)
     facet_data = tuple(
         (ids, normal @ basis_rows) for ids, normal in facet_sets.items()
     )
-    return Polytope(n, vertices, faces, d, cl.SubspaceBasis(n, basis_rows), center, facet_data)
+    return Polytope(n, vertices, faces, d, span, center, facet_data)
 
 
 def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[float, Face]:
@@ -285,9 +372,10 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     members = frozenset(int(i) for i in np.nonzero(vals >= h - tol.geom_eps * norm * scale_)[0])
     face = P._index().get(members)
     if face is None:
-        # Tolerance artifact: fall back to the minimal face containing the set.
-        candidates = [f for f in P.all_faces() if members <= f.id]
-        face = min(candidates, key=lambda f: (f.k, len(f.vertex_ids)))
+        # Tolerance artifact: fall back to the smallest face containing the set,
+        # the intersection of the facets through it (P itself if there are none).
+        through = [ids for ids, _ in P.facet_data if members <= ids]
+        face = P.face_by_ids(frozenset.intersection(*through)) if through else P.improper_face
     return h, face
 
 

@@ -249,7 +249,8 @@ def eps_neighborhood_pseudovolume(
     errs = []
     for k in range(n + 1):
         factor = 2 ** (n - k) * kappa(2 * n - k) / kappa(n)
-        vk, ek, _ = _face_sum(P, k, RHO, ap)
+        # The vertex normal cones tile E_Gamma and rho of a point is 1: v_0^rho = 1.
+        vk, ek, _ = (1.0, 0.0, ()) if k == 0 else _face_sum(P, k, RHO, ap)
         coeffs.append(factor * vk)
         errs.append(factor * ek)
     value = sum(c * eps ** (n - k) for k, c in enumerate(coeffs))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,13 @@ from kazvol import (
     support,
     translate,
 )
+from kazvol import complex_linalg as cl
+from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance
 from kazvol.polytope import convex_volume
 
 from conftest import random_polytope
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 class TestConvexVolume:
@@ -140,6 +145,20 @@ class TestSupport:
             for vid in f.vertex_ids:
                 assert vals[vid] == pytest.approx(h, abs=1e-9)
 
+    def test_fallback_to_facet_intersection(self):
+        # B lies 2e-9 above the segment AC: Qhull keeps it as a vertex, but within
+        # the facet tolerance A, B and C share one facet, so {B} is no face of
+        # the lattice and the exposed set in direction i falls back to that facet.
+        pts = np.array([[-1, 0], [0, 2e-9], [1, 0], [0, -1]], dtype=float)
+        P = hull(pts)
+        ids = {tuple(p): i for i, p in enumerate(P.vertices.tolist())}
+        a, b, c = (ids[tuple(p)] for p in pts[:3].tolist())
+        assert frozenset({b}) not in P._index()
+        h, f = support(P, np.array([0.0, 1.0]))
+        assert h == pytest.approx(2e-9, rel=1e-12)
+        assert f.vertex_ids == tuple(sorted((a, b, c)))
+        assert f.k == 1
+
 
 class TestMinkowskiSum:
     def test_square_sum(self):
@@ -246,3 +265,120 @@ def test_hull_euler_property(seed):
     fv = P.face_vector()
     total = sum((-1) ** k * c for k, c in enumerate(fv))
     assert total == 1
+
+
+def frozenset_lattice(P, tol=DEFAULT_TOLERANCE):
+    """Oracle: the face lattice as the closure of the facet vertex sets under
+    intersection, with each face's dimension, basis, volume and rho computed
+    on its own (SVD rank, Qhull volume, ``cl.rho``).
+
+    Returns {k: [(vertex ids, volume, rho), ...]} in the order ``hull`` must
+    give: sorted by vertex ids within each dimension, improper face last.
+    """
+    facets = [ids for ids, _ in P.facet_data]
+    all_ids = set(facets)
+    frontier = set(facets)
+    while frontier:
+        new = set()
+        for s in frontier:
+            for t in facets:
+                inter = s & t
+                if inter and inter not in all_ids and inter not in new:
+                    new.add(inter)
+        all_ids |= new
+        frontier = new
+    top = frozenset(range(P.n_vertices))
+    all_ids.add(top)
+    out = {}
+    for ids in all_ids:
+        pts = P.vertices[sorted(ids)]
+        basis = cl.SubspaceBasis.from_span(P.ambient_n, pts - pts[0], tol) if len(pts) > 1 \
+            else cl.SubspaceBasis(P.ambient_n, np.zeros((0, 2 * P.ambient_n)))
+        k = basis.d
+        vol = convex_volume((pts - pts[0]) @ basis.vectors.T) if k > 0 else 1.0
+        out.setdefault(k, []).append((tuple(sorted(ids)), vol, cl.rho(basis, tol).rho))
+    for k in out:
+        out[k].sort(key=lambda row: (row[0] == tuple(sorted(top)), row[0]))
+    return out
+
+
+def _exact_rho(vertices, ids):
+    """rho of a simplex's span as det H / det G of its edge vectors, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = mpmath.matrix((vertices[list(ids[1:])] - vertices[ids[0]]).tolist())
+        z = mpmath.matrix([[mpmath.mpc(row[2 * j], row[2 * j + 1]) for j in range(w.cols // 2)]
+                           for row in w.tolist()])
+        return float(mpmath.re(mpmath.det(z * z.H)) / mpmath.det(w * w.T))
+
+
+def _integer_grid(rng, count, dim):
+    return rng.integers(-2, 3, size=(count, dim)).astype(float)
+
+
+def _in_subspace(rng, count, dim, n):
+    frame = np.linalg.qr(rng.normal(size=(2 * n, dim)))[0].T
+    return rng.normal(size=(count, dim)) @ frame + rng.normal(size=2 * n)
+
+
+# Inputs and seeds fixed before the oracle was first run against ``hull``.
+ORACLE_CASES = {
+    **{f"data {name}": (lambda name=name: load_polytope(DATA / f"{name}.json"))
+       for name in ("cube4", "real_square2", "segment", "square_c1", "theta3", "theta4")},
+    **{f"gauss C{n} seed {seed}": (lambda n=n, m=m, seed=seed:
+                                   hull(np.random.default_rng(seed).normal(size=(m, 2 * n))))
+       for n, m, seeds in ((2, 9, (101, 102)), (3, 12, (103, 104)), (4, 11, (105, 106)))
+       for seed in seeds},
+    **{f"subspace dim {dim} of C{n}": (lambda dim=dim, n=n:
+                                        hull(_in_subspace(np.random.default_rng(107 + dim), 9, dim, n)))
+       for dim, n in ((2, 2), (3, 2), (3, 3), (5, 3))},
+    **{f"integer grid C{n} seed {seed}": (lambda n=n, seed=seed:
+                                          hull(_integer_grid(np.random.default_rng(seed), 14, 2 * n)))
+       for n, seed in ((2, 111), (2, 112), (3, 113))},
+    "cube + crosspolytope": lambda: minkowski_sum(
+        [load_polytope(DATA / "cube4.json"), load_polytope(DATA / "theta4.json")]),
+    "prism": lambda: hull(np.array([[a, b, c, 0.0] for a, b in ((0, 0), (1, 0), (0, 1))
+                                    for c in (0.0, 1.0)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_lattice_matches_frozenset_oracle(case):
+    """Same faces in the same order as the closure oracle; vol and rho within 1e-12
+    relative, and exact-zero rho on exactly the same faces."""
+    P = ORACLE_CASES[case]()
+    want = frozenset_lattice(P)
+    assert P.face_vector() == [len(want.get(k, [])) for k in range(P.dim_real + 1)]
+    assert [f.vertex_ids for f in P.all_faces()] == [row[0] for k in sorted(want) for row in want[k]]
+    for f, (ids, vol, rho) in zip(P.all_faces(), [row for k in sorted(want) for row in want[k]]):
+        assert f.volume_k == pytest.approx(vol, rel=1e-12, abs=0), (case, ids)
+        assert (f.rho == 0.0) == (rho == 0.0), (case, ids, f.rho, rho)
+        if f.rho != pytest.approx(rho, rel=1e-12, abs=0):
+            # cl.rho's LU determinant carries an absolute error near 1e-16, so a
+            # small rho can miss by more than 1e-12 relative: then the batched
+            # value must match 40-digit arithmetic at 1e-12 and beat cl.rho.
+            exact = _exact_rho(P.vertices, ids)
+            assert f.rho == pytest.approx(exact, rel=1e-12, abs=0), (case, ids)
+            assert abs(f.rho - exact) < abs(rho - exact), (case, ids)
+
+
+def test_lattice_oracle_under_loose_tolerance():
+    """Under rank_eps = 1e-6 the near-complex triangle's rho is exactly 0 on both paths."""
+    tol = Tolerance(1e-6, 1e-6)
+    P = hull(np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1e-7, 0], [0, 0, 0, 1]]), tol)
+    lattice = frozenset_lattice(P, tol)
+    want = [row for k in sorted(lattice) for row in lattice[k]]
+    got = P.all_faces()
+    assert [f.vertex_ids for f in got] == [row[0] for row in want]
+    assert [f.rho == 0.0 for f in got] == [row[2] == 0.0 for row in want]
+    assert any(f.rho == 0.0 and f.k == 2 for f in got)
+
+
+def test_hull_basis_is_lazy_and_unchanged(theta4):
+    """Simplicial faces build their basis on first access, from the same call as before."""
+    f = theta4.faces[2][0]
+    assert "hull_basis" not in f.__dict__
+    pts = theta4.vertices[list(f.vertex_ids)]
+    want = cl.SubspaceBasis.from_span(2, pts - pts[0])
+    assert np.array_equal(f.hull_basis.vectors, want.vectors)
+    assert f.hull_basis is f.hull_basis

@@ -24,7 +24,7 @@ from kazvol import (
     valuation_check,
 )
 from kazvol.complex_linalg import random_unitary, realify
-from kazvol.numerics import Tolerance
+from kazvol.numerics import Tolerance, kappa
 from kazvol.smooth_bodies import ball_pseudovolume
 
 from conftest import SAMPLES, random_polygon_real, random_polytope
@@ -295,6 +295,18 @@ class TestEpsExpansion:
         exp = eps_neighborhood_pseudovolume(theta4, 0.0, angles=ap)
         rep = pseudovolume(theta4, angles=ap)
         assert exp.value == pytest.approx(rep.value, rel=1e-12)
+
+    def test_vertex_coefficient_exact_without_sampling(self, cube4, stream, monkeypatch):
+        """v_0^rho = 1 from the identity, so the cube's expansion samples nothing
+        (its edge and 2-face cones have dimension 3 and 2) and carries no error."""
+        cg = importlib.import_module("kazvol.cone_geometry")
+        calls = []
+        real = cg.sphere_sample
+        monkeypatch.setattr(cg, "sphere_sample", lambda *a, **k: calls.append(a) or real(*a, **k))
+        exp = eps_neighborhood_pseudovolume(cube4, 1.0, samples=SAMPLES, stream=stream)
+        assert calls == []
+        assert exp.std_error < 1e-9
+        assert exp.coefficients[0] == 4 * kappa(4) / kappa(2)
 
     def test_negative_eps_rejected(self, theta4):
         with pytest.raises(ValueError):
