@@ -10,7 +10,8 @@ A refactor that must leave every output unchanged should give byte-identical
 files.  The corpus, at --samples 30000 --seed 5: the CLI commands
 pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
 polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball), smooth
-(balls, an ellipsoid, --mixed --boundary) and verify -- report values,
+(balls, an ellipsoid, --mixed --boundary, --oracle; the bodies in C^3 at
+--samples 70000, where two cubature rules fit) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
@@ -108,12 +109,12 @@ COMMON = ["--samples", "30000", "--seed", "5"]
 result = {}
 
 
-def run(key, argv):
+def run(key, argv, tail=()):
     with tempfile.TemporaryDirectory() as d:
         rep = Path(d) / "r.json"
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(argv + COMMON + ["--json", str(rep)])
+            code = cli.main(argv + COMMON + list(tail) + ["--json", str(rep)])
         lines = [l for l in buf.getvalue().splitlines() if not l.startswith("done in")]
         data = json.loads(rep.read_text()) if rep.exists() else {}
         result[key] = {"code": code, "values": data.get("values"),
@@ -153,6 +154,12 @@ run("smooth mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
                      str(DATA / "lower_ball2.json"), "--boundary"])
 run("smooth mixed ellipsoid", ["smooth", ellipsoid, "--mixed", str(DATA / "ball2.json"),
                                "--boundary"])
+for kind in ("ball", "lower_ball"):
+    run(f"smooth {kind}3", ["smooth", json.dumps({"kind": kind, "n": 3})],
+        tail=["--samples", "70000"])
+run("smooth oracle lower_ball2", ["smooth", str(DATA / "lower_ball2.json"), "--oracle"])
+run("smooth oracle mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
+                            str(DATA / "lower_ball2.json"), "--oracle"])
 run("verify", ["verify"])
 
 # Library paths the CLI does not reach.

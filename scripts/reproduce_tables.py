@@ -2,7 +2,9 @@
 """Reproduce the pseudovolume tables for full- and lower-dimensional balls.
 
 Prints, for n = 1..n_max, the closed-form values of P_n(B_2n) and
-P_n(B_2n-1) next to their Monte Carlo estimates, with standard errors.
+P_n(B_2n-1) next to their sphere-quadrature estimates (cubature for n <= 3
+when two rules fit in --samples nodes, Monte Carlo otherwise), with standard
+errors.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from kazvol import (
     ball_pseudovolume,
     lower_ball,
     lower_ball_pseudovolume,
-    mc_pseudovolume,
+    smooth_quadrature,
 )
 
 
@@ -34,22 +36,22 @@ def main() -> None:
     cfg = Config(n_max=args.n_max, samples=args.samples, seed=args.seed)
     stream = RandomStream(cfg.seed)
 
-    print(f"{'n':>2}  {'P_n(B_2n)':>14}  {'MC':>14}  {'err':>9}   "
-          f"{'P_n(B_2n-1)':>14}  {'MC':>14}  {'err':>9}")
+    print(f"{'n':>2}  {'P_n(B_2n)':>14}  {'quadrature':>14}  {'err':>9}   "
+          f"{'P_n(B_2n-1)':>14}  {'quadrature':>14}  {'err':>9}")
     for n in range(1, cfg.n_max + 1):
         full = ball_pseudovolume(n)
         low = lower_ball_pseudovolume(n)
-        full_mc = mc_pseudovolume(ball(n), cfg.samples, stream.substream(2 * n))
+        full_q = smooth_quadrature([ball(n)], cfg.samples, stream.substream(2 * n))
         if n == 1:
-            # B_1 is a segment: the boundary is not smooth and the
-            # Monge-Ampere density vanishes, so the quadrature does not apply.
+            # B_1 is a segment: its whole density lies on the singular line,
+            # which no sphere quadrature sees.
             low_cols = f"{'(segment)':>14}  {'--':>9}"
         else:
-            low_mc = mc_pseudovolume(lower_ball(n), cfg.samples,
-                                     stream.substream(2 * n + 1))
-            low_cols = f"{low_mc.value:>14.9f}  {low_mc.std_error:>9.2e}"
-        print(f"{n:>2}  {full:>14.9f}  {full_mc.value:>14.9f}  "
-              f"{full_mc.std_error:>9.2e}   {low:>14.9f}  {low_cols}")
+            low_q = smooth_quadrature([lower_ball(n)], cfg.samples,
+                                       stream.substream(2 * n + 1))
+            low_cols = f"{low_q.value:>14.9f}  {low_q.std_error:>9.2e}"
+        print(f"{n:>2}  {full:>14.9f}  {full_q.value:>14.9f}  "
+              f"{full_q.std_error:>9.2e}   {low:>14.9f}  {low_cols}")
 
     print("\nclosed forms only, n up to 10:")
     for n in range(1, 11):

@@ -54,6 +54,7 @@ from .smooth_bodies import (
     NonFiniteIntegrand,
     QuadratureResult,
     SingularPoint,
+    SphereRule,
     SupportBody,
     ball,
     ball_pseudovolume,
@@ -68,6 +69,7 @@ from .smooth_bodies import (
     lower_ball_pseudovolume,
     mc_mixed_pseudovolume,
     mc_pseudovolume,
+    smooth_quadrature,
 )
 from .verification import run_suite
 from .volumes import (

@@ -26,6 +26,7 @@ from . import smooth_bodies as sb
 from . import verification
 from .pseudovolume import (
     RHO,
+    UNIT,
     eps_neighborhood_pseudovolume,
     intrinsic_phi_volume,
     mixed_pseudovolume,
@@ -34,7 +35,7 @@ from .pseudovolume import (
 )
 from .cone_geometry import AnglePass, outer_angle
 from .numerics import RandomStream, Tolerance
-from .volumes import SizeMismatch, intrinsic_volume, mixed_discriminant
+from .volumes import SizeMismatch, mixed_discriminant
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -169,7 +170,7 @@ def cmd_intrinsic(args) -> int:
     tol, stream, samples = _context(args)
     P = _load_poly(args.file, args, tol)
     ap = AnglePass(P, samples, stream, tol)
-    value = intrinsic_volume(P, args.k, ap.angle)
+    value = intrinsic_phi_volume(P, args.k, UNIT, ap)
     print(f"v_{args.k} = {value:.9g}")
     rep = _report(args, "intrinsic", [args.file], k=args.k)
     rep.values = {"k": args.k, "value": value}
@@ -256,27 +257,35 @@ def cmd_smooth(args) -> int:
     _, stream, samples = _context(args)
     bodies = [sb.load_body(f) for f in [args.file] + (args.mixed or [])]
     n = bodies[0].ambient_n
+
+    def show(label, res):
+        how = f"cubature, {res.samples} nodes" if res.method == "cubature" else "Monte Carlo"
+        print(f"{label} ({how}) = {res.value:.9g} ± {res.std_error:.3g}")
+
     if len(bodies) == 1:
         body = bodies[0]
         if body.kind == "ball_2n":
-            closed = sb.ball_pseudovolume(n)
-            print(f"closed form: {closed:.12g}")
+            print(f"closed form: {sb.ball_pseudovolume(n):.12g}")
         elif body.kind == "ball_2n_minus_1":
-            closed = sb.lower_ball_pseudovolume(n)
-            print(f"closed form: {closed:.12g}")
-        res = sb.mc_pseudovolume(body, samples, stream)
-        print(f"P_{n} (Monte Carlo) = {res.value:.9g} ± {res.std_error:.3g}")
-        values = {"value": res.value, "std_error": res.std_error}
+            print(f"closed form: {sb.lower_ball_pseudovolume(n):.12g}")
+        res = sb.smooth_quadrature(bodies, samples, stream)
+        show(f"P_{n}", res)
     else:
         bodies = bodies + [sb.ball(n)] * (n - len(bodies))
-        res = sb.mc_mixed_pseudovolume(bodies, samples, stream)
-        print(f"Q_{n} (interior quadrature) = {res.value:.9g} ± {res.std_error:.3g}")
-        values = {"value": res.value, "std_error": res.std_error}
-        if args.boundary or args.oracle:
-            bres = sb.boundary_mixed_pseudovolume(bodies, samples, stream.substream(1))
-            print(f"Q_{n} (boundary quadrature) = {bres.value:.9g} ± {bres.std_error:.3g}")
-            values["boundary_value"] = bres.value
-            values["boundary_std_error"] = bres.std_error
+        res = sb.smooth_quadrature(bodies, samples, stream)
+        show(f"Q_{n} interior", res)
+    values = {"value": res.value, "std_error": res.std_error, "method": res.method,
+              "nodes": res.samples}
+    if len(bodies) > 1 and (args.boundary or args.oracle):
+        bres = sb.smooth_quadrature(bodies, samples, stream.substream(1), boundary=True)
+        show(f"Q_{n} boundary", bres)
+        values.update(boundary_value=bres.value, boundary_std_error=bres.std_error,
+                      boundary_method=bres.method, boundary_nodes=bres.samples)
+    if args.oracle:
+        mc = (sb.mc_pseudovolume(bodies[0], samples, stream.substream(2)) if len(bodies) == 1
+              else sb.mc_mixed_pseudovolume(bodies, samples, stream.substream(2)))
+        print(f"Monte Carlo cross-check: {mc.value:.9g} ± {mc.std_error:.3g}")
+        values.update(mc_value=mc.value, mc_std_error=mc.std_error)
     rep = _report(args, "smooth", [args.file] + (args.mixed or []))
     rep.values = values
     rep.emit(args)

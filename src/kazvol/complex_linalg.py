@@ -160,9 +160,11 @@ def cr_decomposition(
 def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionReport:
     """Volume-distortion coefficient of the subspace spanned by the basis.
 
-    Computed as det of the Hermitian Gram matrix.  The t-vector route, the
-    Gram determinant of the t-vectors spanning E', gives the same value and
-    is checked against it in the tests rather than on every call.
+    rho is the determinant of the Hermitian Gram matrix z z^*, taken as the
+    product of the squared singular values of z, the same ones that give the
+    complex rank.  The t-vector route, the Gram determinant of the t-vectors
+    spanning E', gives the same value and is checked against it in the tests
+    rather than on every call.
     """
     basis.check(tol)
     d = basis.d
@@ -170,15 +172,11 @@ def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionR
     if d == 0:
         return DistortionReport(rho=1.0, cr_dim=0, complex_dim=0, equidimensional=True)
     z = real_to_complex(basis.vectors)
-    complex_dim = int(np.linalg.matrix_rank(z, tol=tol.rank_eps * max(1.0, float(np.abs(z).max()))))
+    s = np.linalg.svd(z, compute_uv=False)
+    complex_dim = int(np.sum(s > tol.rank_eps * max(1.0, float(np.abs(z).max()))))
     cr_dim = 2 * (d - complex_dim)
     equi = cr_dim == 0
-    if d > n:
-        value = 0.0
-    else:
-        a = z @ z.conj().T
-        value = float(np.linalg.det(a).real)
-        value = min(max(value, 0.0), 1.0)
+    value = 0.0 if d > n else min(max(float(np.prod(s**2)), 0.0), 1.0)
     if not equi:
         value = 0.0
     return DistortionReport(rho=value, cr_dim=cr_dim, complex_dim=complex_dim, equidimensional=equi)

@@ -111,8 +111,13 @@ def _face_sum(
 
     The measure defaults to vol_k.  Returns (value, error, rows): the error sums
     |phi * measure| times each angle's standard error, and each row is
-    (vertex ids, phi, measure, angle, term).
+    (vertex ids, phi, measure, angle, term).  For k = 0 the vertex normal cones
+    tile E_Gamma and every vertex spans {0}, so the sum is phi({0}) * measure of
+    a vertex, exact and without angles or rows.
     """
+    if k == 0:
+        f = P.faces[0][0]
+        return float(phi.evaluate(f) * measure(f)), 0.0, ()
     total = 0.0
     err = 0.0
     rows = []
@@ -249,8 +254,7 @@ def eps_neighborhood_pseudovolume(
     errs = []
     for k in range(n + 1):
         factor = 2 ** (n - k) * kappa(2 * n - k) / kappa(n)
-        # The vertex normal cones tile E_Gamma and rho of a point is 1: v_0^rho = 1.
-        vk, ek, _ = (1.0, 0.0, ()) if k == 0 else _face_sum(P, k, RHO, ap)
+        vk, ek, _ = _face_sum(P, k, RHO, ap)
         coeffs.append(factor * vk)
         errs.append(factor * ek)
     value = sum(c * eps ** (n - k) for k, c in enumerate(coeffs))

@@ -9,13 +9,19 @@ Monge-Ampere integral over the unit ball reduces to a sphere average:
 
 Mixed pseudovolumes replace the determinant with the mixed discriminant of
 the bodies' Hessians; the boundary-sphere formula provides an independent
-second path through the gradient matrix M_{jk} = z_j * dh/dz_k.  Every
-quadrature, and the solid-ball cross-check of the sphere reduction, runs
-through the one chunked estimator ``_sphere_mc``.
+second path through the gradient matrix M_{jk} = z_j * dh/dz_k.  ``_density``
+writes each of the three integrands once.
+
+``smooth_quadrature`` averages them with a deterministic product rule
+(:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise with
+the one chunked Monte Carlo estimator ``_sphere_mc``, which also serves the
+``mc_*`` functions (the oracle) and the solid-ball cross-check of the sphere
+reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.special import roots_jacobi, roots_legendre
 
 from . import complex_linalg as cl
 from .numerics import RandomStream, chunks, kappa, sphere_sample
@@ -33,6 +40,7 @@ __all__ = [
     "NonFiniteIntegrand",
     "SupportBody",
     "QuadratureResult",
+    "SphereRule",
     "ball",
     "lower_ball",
     "ellipsoid",
@@ -44,6 +52,7 @@ __all__ = [
     "mc_pseudovolume",
     "mc_mixed_pseudovolume",
     "boundary_mixed_pseudovolume",
+    "smooth_quadrature",
     "levi_ball_identity",
     "load_body",
     "DEFAULT_SAMPLES",
@@ -68,7 +77,9 @@ class SupportBody:
 
     ``h`` maps complex points of shape (N, n) to values of shape (N,);
     ``hessian``/``gradient`` are optional analytic maps (finite differences
-    are used when absent).
+    are used when absent).  ``singular_axis`` is the real coordinate (in the
+    interleaved layout) of a line on which the support function has a kink,
+    or None: cubature puts its polar axis there.
     """
 
     ambient_n: int
@@ -76,13 +87,17 @@ class SupportBody:
     h: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    singular_axis: int | None = None
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """``samples`` counts integrand evaluations: draws, or cubature nodes over the ladder."""
+
     value: float
     std_error: float
     samples: int
+    method: str = "monte_carlo"
 
 
 def _as_points(z: np.ndarray, n: int) -> np.ndarray:
@@ -154,7 +169,7 @@ def lower_ball(n: int) -> SupportBody:
         out[:, 1:] = np.conj(z[:, 1:]) / (2 * hv[:, None])
         return out
 
-    return SupportBody(n, "ball_2n_minus_1", hval, hessian, gradient)
+    return SupportBody(n, "ball_2n_minus_1", hval, hessian, gradient, singular_axis=0)
 
 
 def ellipsoid(n: int, q: np.ndarray) -> SupportBody:
@@ -169,7 +184,22 @@ def ellipsoid(n: int, q: np.ndarray) -> SupportBody:
         x = cl.complex_to_real(z)
         return np.sqrt(np.einsum("ij,...i,...j->...", q, x, x))
 
-    return SupportBody(n, "ellipsoid", h)
+    def real_gradient(z):
+        """(h, Qx / h) at the points."""
+        x = cl.complex_to_real(z)
+        qx = x @ q
+        hv = np.sqrt(np.sum(qx * x, axis=-1))
+        return hv, qx / hv[:, None]
+
+    def hessian(z):
+        # Real Hessian (Q - Qx x^T Q / h^2) / h.
+        hv, g = real_gradient(z)
+        return _complex_hessian_of((q - g[:, :, None] * g[:, None, :]) / hv[:, None, None])
+
+    def gradient(z):
+        return _complex_gradient_of(real_gradient(z)[1])
+
+    return SupportBody(n, "ellipsoid", h, hessian, gradient)
 
 
 def custom_body(n: int, h: Callable[[np.ndarray], np.ndarray]) -> SupportBody:
@@ -178,6 +208,20 @@ def custom_body(n: int, h: Callable[[np.ndarray], np.ndarray]) -> SupportBody:
 
 # ---------------------------------------------------------------------------
 # Hessians and gradients
+
+
+def _complex_hessian_of(hr: np.ndarray) -> np.ndarray:
+    """(d^2 h / dz_l dz_bar_k) from real Hessians (N, 2n, 2n), via d/dz = (d/dx - i d/dy)/2."""
+    xx = hr[:, 0::2, 0::2]
+    yy = hr[:, 1::2, 1::2]
+    xy = hr[:, 0::2, 1::2]
+    yx = hr[:, 1::2, 0::2]
+    return 0.25 * ((xx + yy) + 1j * (xy - yx))
+
+
+def _complex_gradient_of(g: np.ndarray) -> np.ndarray:
+    """(dh/dz_l) from real gradients (N, 2n)."""
+    return 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
 
 
 def _fd_real_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
@@ -219,12 +263,7 @@ def complex_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
     z = _as_points(z, n)
     if body.hessian is not None:
         return body.hessian(z)
-    hr = _fd_real_hessian(body, z)
-    xx = hr[:, 0::2, 0::2]
-    yy = hr[:, 1::2, 1::2]
-    xy = hr[:, 0::2, 1::2]
-    yx = hr[:, 1::2, 0::2]
-    return 0.25 * ((xx + yy) + 1j * (xy - yx))
+    return _complex_hessian_of(_fd_real_hessian(body, z))
 
 
 def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
@@ -244,7 +283,7 @@ def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
         partials[:, a] = (
             body.h(cl.real_to_complex(x + da)) - body.h(cl.real_to_complex(x - da))
         ) / (2 * steps)
-    return 0.5 * (partials[:, 0::2] - 1j * partials[:, 1::2])
+    return _complex_gradient_of(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +323,39 @@ def levi_ball_identity(n: int) -> tuple[float, float]:
 # Quadrature
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _real_values(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("non-finite integrand sample")
+    return values.real if np.iscomplexobj(values) else values
+
+
+def _density(bodies: list[SupportBody], boundary: bool = False):
+    """(constant, integrand): P_n or Q_n is constant times the sphere average of the integrand.
+
+    One body gives det Hess_C h, n bodies the mixed discriminant of their
+    Hessians.  With ``boundary`` the first body enters through
+    M_{jk} = z_j * dh/dz_k as the Hermitian matrix conj(M) + transpose(M):
+
+        Q_n = (4^{n-1} / kappa_n) * integral over the unit sphere of
+              D_n(conj(M) + M^T, Hess_C h_{A_2}, ...).
+    """
+    n = bodies[0].ambient_n
+    if (boundary or len(bodies) > 1) and len(bodies) != n:
+        raise ValueError(f"need exactly {n} bodies in C^{n}")
+    if boundary:
+
+        def integrand(z):
+            grad = complex_gradient(bodies[0], z)
+            m = z[:, :, None] * grad[:, None, :]
+            first = np.conj(m) + np.swapaxes(m, 1, 2)
+            mats = [first] + [complex_hessian(b, z) for b in bodies[1:]]
+            return batch_mixed_discriminant(mats)
+
+        return 4 ** (n - 1) * 2 * n * kappa(2 * n) / kappa(n), integrand
+    constant = 4**n * 2 * kappa(2 * n) / kappa(n)
+    if len(bodies) == 1:
+        return constant, lambda z: np.linalg.det(complex_hessian(bodies[0], z))
+    return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in bodies])
 
 
 def _sphere_mc(
@@ -303,15 +372,149 @@ def _sphere_mc(
         theta = sphere_sample(dim, sub, m)
         if ball:
             theta = theta * (sub.substream(0).generator().random(m) ** (1.0 / dim))[:, None]
-        vals = integrand(cl.real_to_complex(theta))
-        _check_finite(vals)
-        if np.iscomplexobj(vals):
-            vals = vals.real
+        vals = _real_values(integrand(cl.real_to_complex(theta)))
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     return mean, math.sqrt(var / samples)
+
+
+def _polynomial_rule(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, k) and weights of a product rule on S^{k-1}, exact up to degree 2m - 1.
+
+    S^0 is its two points; the circle takes the 2m-point trapezoid rule;
+    S^{k-1} for k >= 3 takes m Gauss-Jacobi nodes in u = cos s with
+    alpha = beta = (k - 3) / 2, each carrying a copy of the rule on S^{k-2}.
+    """
+    if k == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    if k == 2:
+        s = np.pi * np.arange(2 * m) / m
+        return np.column_stack([np.cos(s), np.sin(s)]), np.full(2 * m, np.pi / m)
+    u, w = roots_jacobi(m, (k - 3) / 2, (k - 3) / 2)
+    sub, sub_w = _polynomial_rule(k - 1, m)
+    r = np.sqrt(1.0 - u**2)
+    points = np.column_stack([np.repeat(u, len(sub_w)), (r[:, None, None] * sub).reshape(-1, k - 1)])
+    return points, np.outer(w, sub_w).ravel()
+
+
+def _polar_count(dim: int, degree: int) -> int:
+    # Gauss-Legendre in t integrates trigonometric polynomials of degree
+    # degree + dim - 2 (a monomial times sin^{dim-2} t) to rounding with
+    # pi/4 nodes per unit of degree plus a margin; checked by the tests.
+    return math.ceil(math.pi * (degree + dim - 2) / 4) + 12
+
+
+def _rule_size(dim: int, degree: int) -> int:
+    m = (degree + 1) // 2
+    return _polar_count(dim, degree) * (2 if dim == 2 else 2 * m ** (dim - 2))
+
+
+class SphereRule:
+    """Product cubature on the unit sphere S^{dim-1} of R^dim (Stroud 1971, 2.6 and 3).
+
+    The polar angle t from the real coordinate ``axis`` takes Gauss-Legendre
+    nodes on [0, pi], with sin^{dim-2} t folded into the weights; the
+    sub-sphere S^{dim-2} takes ``_polynomial_rule``.  Monomials up to
+    ``degree`` integrate exactly up to rounding.  A support function with a
+    kink along the axis reads h = sin t on the rule, smooth in t, so the
+    integrand times the weight stays smooth.
+    """
+
+    def __init__(self, dim: int, degree: int, axis: int = 0) -> None:
+        if dim < 2 or degree < 1 or not 0 <= axis < dim:
+            raise ValueError("need dim >= 2, degree >= 1 and 0 <= axis < dim")
+        x, w = roots_legendre(_polar_count(dim, degree))
+        t = np.pi * (x + 1) / 2
+        self.dim, self.axis = dim, axis
+        self.size = _rule_size(dim, degree)
+        self._cos, self._sin = np.cos(t), np.sin(t)
+        self._polar_w = np.pi / 2 * w * self._sin ** (dim - 2)
+        self._sub, self._sub_w = _polynomial_rule(dim - 1, (degree + 1) // 2)
+
+    def nodes(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points (stop - start, dim) and weights of the nodes with flat indices [start, stop)."""
+        i, j = np.divmod(np.arange(start, stop), len(self._sub_w))
+        points = np.empty((stop - start, self.dim))
+        points[:, self.axis] = self._cos[i]
+        points[:, np.arange(self.dim) != self.axis] = self._sin[i, None] * self._sub[j]
+        return points, self._polar_w[i] * self._sub_w[j]
+
+
+def _ladder(dim: int):
+    """(degree, node count) of the ladder's rules, coarsest first."""
+    m = 4
+    while True:
+        yield 2 * m - 1, _rule_size(dim, 2 * m - 1)
+        m += max(2, m // 3)
+
+
+def _cubature(integrand, dim: int, samples: int, axis: int) -> tuple[float, float, int] | None:
+    """Sphere average of the integrand over a ladder of ``SphereRule``s.
+
+    Stops when two successive rules agree to 1e-12 of sum |w f|, or before a
+    rule with more than ``samples`` nodes; None when fewer than two rules
+    fit.  Returns (mean, error, nodes evaluated): the finer rule's value, and
+    the last difference plus the rounding bound N * eps * sum |w f| of its N
+    terms.
+    """
+    ladder = _ladder(dim)
+    rungs = [next(ladder), next(ladder)]
+    if rungs[1][1] > samples:
+        return None
+    values = []
+    nodes = 0
+    for degree, size in itertools.chain(rungs, ladder):
+        if size > samples:
+            break
+        rule = SphereRule(dim, degree, axis)
+        total = total_abs = 0.0
+        for start in range(0, size, _CHUNK):
+            points, weights = rule.nodes(start, min(start + _CHUNK, size))
+            wf = weights * _real_values(integrand(cl.real_to_complex(points)))
+            total += float(np.sum(wf))
+            total_abs += float(np.sum(np.abs(wf)))
+        nodes += size
+        values.append(total)
+        if len(values) > 1 and abs(total - values[-2]) <= 1e-12 * total_abs:
+            break
+    err = abs(values[-1] - values[-2]) + size * math.ulp(1.0) * total_abs
+    area = 2 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+    return values[-1] / area, err / area, nodes
+
+
+def smooth_quadrature(
+    bodies: list[SupportBody],
+    samples: int = DEFAULT_SAMPLES,
+    stream: RandomStream = RandomStream(),
+    boundary: bool = False,
+) -> QuadratureResult:
+    """P_n of one body, or Q_n of n bodies (by the boundary formula with ``boundary``).
+
+    Cubature runs when n <= 3, every body has an analytic Hessian (with
+    ``boundary``, the first body an analytic gradient too), the bodies'
+    singular axes coincide and two rules of the ladder fit in ``samples``
+    nodes.  Otherwise ``_sphere_mc`` runs at ``samples`` draws from
+    ``stream``: the draws of ``mc_pseudovolume``, ``mc_mixed_pseudovolume``
+    and ``boundary_mixed_pseudovolume``.
+    """
+    n = bodies[0].ambient_n
+    axes = {b.singular_axis for b in bodies} - {None}
+    if n == 1 and axes:
+        raise ValueError(
+            "in C^1 a body with a singular line carries all of its density on that line, "
+            "which no sphere quadrature sees (the segment lower_ball(1) has P_1 = 2)")
+    constant, integrand = _density(bodies, boundary)
+    analytic = all(b.hessian is not None for b in bodies) and (
+        not boundary or bodies[0].gradient is not None)
+    if n <= 3 and analytic and len(axes) <= 1:
+        res = _cubature(integrand, 2 * n, samples, min(axes, default=0))
+        if res is not None:
+            mean, err, nodes = res
+            return QuadratureResult(constant * mean, constant * err, nodes, "cubature")
+    mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
+    return QuadratureResult(constant * mean, constant * err, samples)
 
 
 def mc_pseudovolume(
@@ -320,7 +523,7 @@ def mc_pseudovolume(
     stream: RandomStream = RandomStream(),
     reduction: str = "sphere",
 ) -> QuadratureResult:
-    """P_n(A) = (4^n / kappa_n) * integral of det Hess_C h_A over B_2n.
+    """P_n(A) = (4^n / kappa_n) * integral of det Hess_C h_A over B_2n, by Monte Carlo.
 
     ``reduction="sphere"`` uses the (-n)-homogeneity of the determinant to
     integrate over the unit sphere; ``reduction="ball"`` samples the solid
@@ -329,15 +532,11 @@ def mc_pseudovolume(
     """
     if reduction not in ("sphere", "ball"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    n = body.ambient_n
-    constant = 4**n * 2 * kappa(2 * n) / kappa(n)
+    constant, integrand = _density([body])
     if reduction == "ball":
         constant /= 2
-
-    def integrand(z):
-        return np.linalg.det(complex_hessian(body, z))
-
-    mean, err = _sphere_mc(integrand, 2 * n, samples, stream, ball=reduction == "ball")
+    mean, err = _sphere_mc(integrand, 2 * body.ambient_n, samples, stream,
+                           ball=reduction == "ball")
     return QuadratureResult(constant * mean, constant * err, samples)
 
 
@@ -346,16 +545,11 @@ def mc_mixed_pseudovolume(
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
 ) -> QuadratureResult:
-    """Q_n via the mixed discriminant of the bodies' complex Hessians."""
+    """Q_n via the mixed discriminant of the bodies' complex Hessians, by Monte Carlo."""
     n = bodies[0].ambient_n
     if len(bodies) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
-    constant = 4**n * 2 * kappa(2 * n) / kappa(n)
-
-    def integrand(z):
-        mats = [complex_hessian(b, z) for b in bodies]
-        return batch_mixed_discriminant(mats)
-
+    constant, integrand = _density(bodies)
     mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
     return QuadratureResult(constant * mean, constant * err, samples)
 
@@ -365,27 +559,9 @@ def boundary_mixed_pseudovolume(
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
 ) -> QuadratureResult:
-    """Q_n via the boundary-sphere formula.
-
-    The first body enters through M_{jk} = z_j * dh/dz_k as the Hermitian
-    matrix conj(M) + transpose(M); the others through their complex Hessians:
-
-        Q_n = (4^{n-1} / kappa_n) * integral over the unit sphere of
-              D_n(conj(M) + M^T, Hess_C h_{A_2}, ...).
-    """
-    n = bodies[0].ambient_n
-    if len(bodies) != n:
-        raise ValueError(f"need exactly {n} bodies in C^{n}")
-    constant = 4 ** (n - 1) * 2 * n * kappa(2 * n) / kappa(n)
-
-    def integrand(z):
-        grad = complex_gradient(bodies[0], z)
-        m = z[:, :, None] * grad[:, None, :]
-        first = np.conj(m) + np.swapaxes(m, 1, 2)
-        mats = [first] + [complex_hessian(b, z) for b in bodies[1:]]
-        return batch_mixed_discriminant(mats)
-
-    mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
+    """Q_n via the boundary-sphere formula (see ``_density``), by Monte Carlo."""
+    constant, integrand = _density(bodies, boundary=True)
+    mean, err = _sphere_mc(integrand, 2 * bodies[0].ambient_n, samples, stream)
     return QuadratureResult(constant * mean, constant * err, samples)
 
 

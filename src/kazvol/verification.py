@@ -84,29 +84,29 @@ def suite_tables(samples: int, stream: RandomStream) -> list[Check]:
         ))
     mc_samples = min(samples, 400_000)
     for n in (1, 2, 3):
-        res = sb.mc_pseudovolume(sb.ball(n), mc_samples, stream.substream(n))
+        res = sb.smooth_quadrature([sb.ball(n)], mc_samples, stream.substream(n))
         expected = TABLE_FULL[n - 1]
         checks.append(_check(
-            f"P{n}(B_{2 * n}) Monte Carlo",
+            f"P{n}(B_{2 * n}) sphere quadrature",
             abs(res.value - expected) <= 3 * res.std_error + 1e-9,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g}",
+            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g} ({res.method})",
         ))
     for n in (2, 3):
-        res = sb.mc_pseudovolume(sb.lower_ball(n), mc_samples, stream.substream(10 + n))
+        res = sb.smooth_quadrature([sb.lower_ball(n)], mc_samples, stream.substream(10 + n))
         expected = TABLE_LOWER[n - 1]
         checks.append(_check(
-            f"P{n}(B_{2 * n - 1}) Monte Carlo",
+            f"P{n}(B_{2 * n - 1}) sphere quadrature",
             abs(res.value - expected) <= 4 * res.std_error,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g}",
+            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g} ({res.method})",
         ))
     bodies = [sb.ball(2), sb.lower_ball(2)]
-    interior = sb.mc_mixed_pseudovolume(bodies, mc_samples, stream.substream(20))
-    boundary = sb.boundary_mixed_pseudovolume(bodies, mc_samples, stream.substream(21))
+    interior = sb.smooth_quadrature(bodies, mc_samples, stream.substream(20))
+    boundary = sb.smooth_quadrature(bodies, mc_samples, stream.substream(21), boundary=True)
     for label, res in (("interior", interior), ("boundary", boundary)):
         checks.append(_check(
             f"Q2(B4,B3) {label} quadrature = 16/3",
             abs(res.value - Q2_BALLS) <= 4 * res.std_error,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {Q2_BALLS:.6g}",
+            f"{res.value:.6g} ± {res.std_error:.2g} vs {Q2_BALLS:.6g} ({res.method})",
         ))
     return checks
 

@@ -99,6 +99,47 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert "6.28318530718" in out
 
+    def test_smooth_reports_cubature_without_sampling(self, tmp_path, capsys, monkeypatch):
+        import kazvol.smooth_bodies as sb
+
+        calls = []
+        monkeypatch.setattr(sb, "sphere_sample", lambda *a: calls.append(a))
+        body = tmp_path / "lower_ball.json"
+        body.write_text(json.dumps({"kind": "lower_ball", "n": 3}))
+        report = tmp_path / "report.json"
+        code, out = run(["smooth", str(body), "--json", str(report)], capsys)
+        values = json.loads(report.read_text())["values"]
+        assert code == EXIT_OK
+        assert values["method"] == "cubature" and values["nodes"] > 0
+        assert abs(values["value"] - 32 * np.pi / 15) <= values["std_error"]
+        assert calls == []
+
+    def test_smooth_oracle_runs_monte_carlo(self, tmp_path, capsys):
+        body = tmp_path / "ball.json"
+        body.write_text(json.dumps({"kind": "ball", "n": 2}))
+        report = tmp_path / "report.json"
+        code, out = run(["smooth", str(body), "--oracle", "--samples", "5000",
+                         "--json", str(report)], capsys)
+        values = json.loads(report.read_text())["values"]
+        assert code == EXIT_OK
+        assert values["method"] == "cubature"
+        assert values["mc_value"] == pytest.approx(values["value"], rel=1e-12)
+        assert values["mc_std_error"] < 1e-8
+        assert "Monte Carlo cross-check" in out
+
+    @pytest.mark.parametrize("command", ["intrinsic", "phi-volume"])
+    def test_k0_exact_without_sampling(self, command, theta4_file, tmp_path, capsys,
+                                       monkeypatch):
+        import kazvol.cone_geometry as cg
+
+        calls = []
+        monkeypatch.setattr(cg, "sphere_sample", lambda *a: calls.append(a))
+        report = tmp_path / "report.json"
+        code, _ = run([command, theta4_file, "--k", "0", "--json", str(report)], capsys)
+        assert code == EXIT_OK
+        assert json.loads(report.read_text())["values"]["value"] == 1.0
+        assert calls == []
+
     def test_discriminant(self, capsys):
         payload = json.dumps({"matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]})
         code, out = run(["discriminant", payload], capsys)
@@ -215,6 +256,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "input error" in err and "--samples" in err
+
+    def test_smooth_lower_ball_in_c1(self, capsys):
+        code = main(["smooth", json.dumps({"kind": "lower_ball", "n": 1})])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "singular line" in err
 
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",

@@ -11,6 +11,7 @@ from kazvol import (
     SubspaceBasis,
     cr_decomposition,
     hermitian_gram,
+    hull,
     random_unitary,
     realify,
     rho,
@@ -120,6 +121,16 @@ class TestRho:
         # Two-face span of conv{e1, ie1, e2}: all such faces have rho = 2/3.
         b = basis_of(2, [[-1, 1, 0, 0], [-1, 0, 0, 1]])
         assert rho(b).rho == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_small_rho_matches_40_digits(self):
+        # Face (0, 1, 9, 10) of the hull of 12 Gaussian points in C^3 (default_rng(104)):
+        # rho is about 6.4e-6, where an LU determinant of the Gram matrix was 5.9e-11 off.
+        from test_polytope import _exact_rho
+
+        P = hull(np.random.default_rng(104).normal(size=(12, 6)))
+        ids = (0, 1, 9, 10)
+        b = basis_of(3, P.vertices[list(ids[1:])] - P.vertices[ids[0]])
+        assert rho(b).rho == pytest.approx(_exact_rho(P.vertices, ids), rel=1e-12, abs=0)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)

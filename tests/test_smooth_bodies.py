@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -7,6 +9,7 @@ import pytest
 from kazvol import (
     NonFiniteIntegrand,
     RandomStream,
+    SphereRule,
     ball,
     ball_pseudovolume,
     batch_mixed_discriminant,
@@ -21,10 +24,20 @@ from kazvol import (
     lower_ball_pseudovolume,
     mc_mixed_pseudovolume,
     mc_pseudovolume,
+    smooth_quadrature,
 )
 from kazvol.numerics import kappa, sphere_sample
 
 MC = 200_000
+# Seeds of the cubature and analytic-ellipsoid tests, fixed before their first run.
+ANISO_SEED = 7  # Q = A A^T + 4I with A from default_rng(7)
+ANISO_MC_STREAM = RandomStream(7)
+FALLBACK_STREAM = RandomStream(30)
+
+
+def anisotropic_ellipsoid():
+    a = np.random.default_rng(ANISO_SEED).normal(size=(4, 4))
+    return ellipsoid(2, a @ a.T + 4 * np.eye(4))
 
 
 def sphere_points(n, count, seed=0):
@@ -95,16 +108,25 @@ class TestDerivatives:
             dets = np.linalg.det(h).real
             np.testing.assert_allclose(dets, 2.0 ** -(n + 1), rtol=1e-10)
 
+    def test_ellipsoid_derivatives_match_fd(self):
+        body = anisotropic_ellipsoid()
+        fd = custom_body(2, body.h)
+        z = sphere_points(2, 50, seed=20)
+        np.testing.assert_allclose(
+            complex_hessian(body, z), complex_hessian(fd, z), atol=1e-5)
+        np.testing.assert_allclose(
+            complex_gradient(body, z), complex_gradient(fd, z), atol=1e-5)
+
     def test_hessian_hermitian(self):
         z = sphere_points(2, 50, seed=6)
-        for body in (ball(2), lower_ball(2)):
+        for body in (ball(2), lower_ball(2), anisotropic_ellipsoid()):
             h = complex_hessian(body, z)
             np.testing.assert_allclose(h, np.conj(np.swapaxes(h, 1, 2)), atol=1e-10)
 
     def test_euler_identity(self):
         # h is 1-homogeneous: Re <grad, z-part> relation 2 Re sum(dh/dz * z) = h.
         z = sphere_points(2, 50, seed=7)
-        for body in (ball(2), lower_ball(2)):
+        for body in (ball(2), lower_ball(2), anisotropic_ellipsoid()):
             g = complex_gradient(body, z)
             recon = 2 * np.sum(g * z, axis=1).real
             np.testing.assert_allclose(recon, body.h(z), atol=1e-8)
@@ -148,6 +170,107 @@ class TestQuadrature:
         body = ellipsoid(2, t**2 * np.eye(4))
         res = mc_pseudovolume(body, 50_000, RandomStream(8))
         assert res.value == pytest.approx(t**2 * 2 * math.pi, rel=1e-3)
+
+
+def _monomial_integral(alpha):
+    """Integral of x^alpha over the unit sphere of R^len(alpha)."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    b = [(a + 1) / 2 for a in alpha]
+    return 2 * math.prod(math.gamma(x) for x in b) / math.gamma(sum(b))
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("dim,degree,axis", [
+        (2, 7, 0), (2, 11, 1), (2, 19, 0),
+        (4, 7, 0), (4, 11, 0), (4, 15, 3),
+        (6, 7, 0), (6, 7, 5),
+    ])
+    def test_monomials_exact_up_to_degree(self, dim, degree, axis):
+        rule = SphereRule(dim, degree, axis)
+        points, weights = rule.nodes(0, rule.size)
+        area = _monomial_integral((0,) * dim)
+        assert weights.sum() == pytest.approx(area, rel=1e-14)
+        powers = points[:, :, None] ** np.arange(degree + 1)  # (N, dim, degree + 1)
+        worst = 0.0
+        for alpha in itertools.product(range(degree + 1), repeat=dim):
+            if sum(alpha) > degree:
+                continue
+            value = weights @ np.prod(powers[:, np.arange(dim), alpha], axis=1)
+            worst = max(worst, abs(value - _monomial_integral(alpha)))
+        assert worst <= 1e-14 * area
+
+    def test_chunks_tile_the_rule(self):
+        rule = SphereRule(4, 11, 2)
+        whole = rule.nodes(0, rule.size)
+        parts = [rule.nodes(a, min(a + 500, rule.size)) for a in range(0, rule.size, 500)]
+        np.testing.assert_array_equal(np.vstack([p for p, _ in parts]), whole[0])
+        np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), whole[1])
+        np.testing.assert_allclose(np.linalg.norm(whole[0], axis=1), 1.0, rtol=1e-15)
+
+
+class TestCubature:
+    @pytest.mark.parametrize("name,bodies,boundary,expected", [
+        ("P1(B2)", [ball(1)], False, math.pi),
+        ("P2(B4)", [ball(2)], False, 2 * math.pi),
+        ("P3(B6)", [ball(3)], False, math.pi**2),
+        ("P2(B3)", [lower_ball(2)], False, 4 * math.pi / 3),
+        ("P3(B5)", [lower_ball(3)], False, 32 * math.pi / 15),
+        ("ellipsoid 4I", [ellipsoid(2, 4 * np.eye(4))], False, 8 * math.pi),
+        ("ellipsoid 2.25I", [ellipsoid(2, 2.25 * np.eye(4))], False, 2.25 * 2 * math.pi),
+        ("Q2(B4,B3) interior", [ball(2), lower_ball(2)], False, 16 / 3),
+        ("Q2(B4,B3) boundary", [ball(2), lower_ball(2)], True, 16 / 3),
+        ("Q2(B3,B4) boundary", [lower_ball(2), ball(2)], True, 16 / 3),
+    ])
+    def test_closed_forms(self, name, bodies, boundary, expected):
+        res = smooth_quadrature(bodies, boundary=boundary)
+        assert res.method == "cubature"
+        assert abs(res.value - expected) <= res.std_error, name
+        assert res.std_error <= 1e-9 * expected
+
+    def test_anisotropic_ellipsoid_matches_monte_carlo(self):
+        body = anisotropic_ellipsoid()
+        cub = smooth_quadrature([body])
+        mc = mc_pseudovolume(body, 2_000_000, ANISO_MC_STREAM)
+        assert cub.method == "cubature"
+        assert abs(cub.value - mc.value) <= 4 * mc.std_error + cub.std_error
+        assert cub.std_error <= 1e-6 * cub.value
+
+    def test_ladder_respects_samples(self):
+        # More nodes allowed, finer rules: the coarse answer's error bar covers the fine one.
+        body = anisotropic_ellipsoid()
+        coarse = smooth_quadrature([body], 3_000)
+        fine = smooth_quadrature([body], 300_000)
+        assert coarse.method == fine.method == "cubature"
+        assert coarse.samples < fine.samples
+        assert abs(coarse.value - fine.value) <= coarse.std_error
+
+    @pytest.mark.parametrize("case", ["different axes", "custom body", "too few samples",
+                                      "boundary without gradient", "n = 4"])
+    def test_fallback_to_monte_carlo(self, case):
+        rotated = dataclasses.replace(lower_ball(2), singular_axis=1)
+        no_gradient = dataclasses.replace(ball(2), gradient=None)
+        bodies, boundary, samples, oracle = {
+            "different axes": ([lower_ball(2), rotated], False, 4_000, mc_mixed_pseudovolume),
+            "custom body": ([custom_body(2, ball(2).h)], False, 4_000, mc_pseudovolume),
+            "too few samples": ([ball(3)], False, 20_000, mc_pseudovolume),
+            "boundary without gradient": ([no_gradient, lower_ball(2)], True, 4_000,
+                                          boundary_mixed_pseudovolume),
+            "n = 4": ([ball(4)], False, 4_000, mc_pseudovolume),
+        }[case]
+        res = smooth_quadrature(bodies, samples, FALLBACK_STREAM, boundary=boundary)
+        want = oracle(bodies[0] if oracle is mc_pseudovolume else bodies, samples,
+                      FALLBACK_STREAM)
+        assert res.method == "monte_carlo"
+        assert (res.value, res.std_error, res.samples) == (want.value, want.std_error, samples)
+
+    def test_interior_without_gradient_still_cubature(self):
+        no_gradient = dataclasses.replace(ball(2), gradient=None)
+        assert smooth_quadrature([no_gradient, lower_ball(2)]).method == "cubature"
+
+    def test_singular_line_in_c1_rejected(self):
+        with pytest.raises(ValueError, match="singular line"):
+            smooth_quadrature([lower_ball(1)])
 
 
 class TestMixedQuadrature:
