@@ -9,7 +9,8 @@
 A refactor that must leave every output unchanged should give byte-identical
 files.  The corpus, at --samples 30000 --seed 5: the CLI commands
 pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
-polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball), smooth
+polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball; plain on
+cube4 + cube4 and theta4 + theta4), smooth
 (balls, an ellipsoid, --mixed --boundary, --oracle; the bodies in C^3 at
 --samples 70000, where two cubature rules fit) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
@@ -145,6 +146,9 @@ for a, b in pairs:
     run(f"mixed {a} {b}", ["mixed", fa, fb])
     run(f"mixed-oracle {a} {b}", ["mixed", fa, fb, "--oracle"])
     run(f"mixed-tol {a} {b}", ["mixed", fa, fb, "--tol", "1e-6", "--oracle"])
+# Sums made mostly of exact duplicates (256 -> 81 and 64 -> 33 points) pin the dedupe.
+for name in ("cube4", "theta4"):
+    run(f"mixed {name} {name}", ["mixed", str(DATA / f"{name}.json"), str(DATA / f"{name}.json")])
 run("mixed-ball segment theta3", ["mixed", str(DATA / "segment.json"),
                                   str(DATA / "theta3.json"), "--ball"])
 for body in ("ball2", "lower_ball2"):

@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import complex_linalg as cl
 from .numerics import DEFAULT_TOLERANCE, Tolerance
@@ -80,13 +80,13 @@ def convex_volume(points: np.ndarray) -> float:
 class Face:
     """A face of a polytope, with its affine-hull data.
 
-    ``hull_basis``, an orthonormal basis of E_Delta, is computed on first access.
+    ``hull_basis`` (an orthonormal basis of E_Delta), ``volume_k`` and ``rho``
+    are computed on first access.  ``hull`` fills in volume and rho up front
+    for vertices, simplices and the improper face.
     """
 
     vertex_ids: tuple[int, ...]
     k: int
-    volume_k: float
-    rho: float
     _points: np.ndarray = field(repr=False)  # the polytope's vertex array
     _tol: Tolerance = field(repr=False)
 
@@ -101,6 +101,15 @@ class Face:
             return cl.SubspaceBasis(n, np.zeros((0, 2 * n)))
         pts = self._points[list(self.vertex_ids)]
         return cl.SubspaceBasis.from_span(n, pts - pts[0], self._tol)
+
+    @cached_property
+    def volume_k(self) -> float:
+        pts = self._points[list(self.vertex_ids)]
+        return convex_volume((pts - pts[0]) @ self.hull_basis.vectors.T)
+
+    @cached_property
+    def rho(self) -> float:
+        return cl.rho(self.hull_basis, self._tol).rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +169,15 @@ class Polytope:
 
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
+    """The points in input order, less each one within Chebyshev distance
+    eps * scale of an earlier kept point (one k-d-tree pair query, then a
+    greedy pass over the close pairs only)."""
     scale_ = max(1.0, float(np.abs(points).max()))
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= eps * scale_ for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    pairs = cKDTree(points).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
+    dropped = [False] * len(points)
+    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+        dropped[j] = dropped[j] or not dropped[i]
+    return points[~np.array(dropped, dtype=bool)]
 
 
 def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -262,16 +274,6 @@ def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     return vol, _frame_rho(q, tol)
 
 
-def _build_face(vertices: np.ndarray, ids: tuple[int, ...], k: int, tol: Tolerance) -> Face:
-    """A face whose basis, volume and rho are computed on their own (non-simplicial faces)."""
-    pts = vertices[list(ids)]
-    basis = cl.SubspaceBasis.from_span(vertices.shape[1] // 2, pts - pts[0], tol)
-    vol = convex_volume((pts - pts[0]) @ basis.vectors.T)
-    face = Face(ids, k, vol, cl.rho(basis, tol).rho, vertices, tol)
-    face.__dict__["hull_basis"] = basis  # the value the lazy property would compute
-    return face
-
-
 def _faces(
     vertices: np.ndarray,
     lattice: dict[int, list[tuple[int, ...]]],
@@ -284,22 +286,22 @@ def _faces(
 
     Simplicial k-faces get vol_k and rho from one batched pass per dimension;
     the improper face takes the given volume and the rho of the orthonormal
-    frame (rows) of E_Gamma.
+    frame (rows) of E_Gamma.  Other faces compute theirs on first access.
     """
     faces: dict[int, list[Face]] = {}
     for k, ids_list in sorted(lattice.items()):
-        simplices = [ids for ids in ids_list if len(ids) == k + 1]
-        data: dict[tuple[int, ...], tuple[float, float]] = {}
-        if k == 0:
-            data = dict.fromkeys(simplices, (1.0, 1.0))
-        elif simplices:
-            idx = np.array(simplices)
+        faces[k] = [Face(ids, k, vertices, tol) for ids in ids_list]
+        simplices = [f for f in faces[k] if len(f.vertex_ids) == k + 1]
+        data = [(1.0, 1.0)] * len(simplices)
+        if k > 0 and simplices:
+            idx = np.array([f.vertex_ids for f in simplices])
             vol, rho = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
-            data = dict(zip(simplices, zip(vol.tolist(), rho.tolist())))
-        faces[k] = [Face(ids, k, *data[ids], vertices, tol) if ids in data
-                    else _build_face(vertices, ids, k, tol) for ids in ids_list]
-    rho = float(_frame_rho(frame.T[None], tol)[0])
-    faces.setdefault(d, []).append(Face(tuple(range(len(vertices))), d, volume, rho, vertices, tol))
+            data = zip(vol.tolist(), rho.tolist())
+        for f, (vol, rho) in zip(simplices, data):
+            f.__dict__.update(volume_k=vol, rho=rho)
+    top = Face(tuple(range(len(vertices))), d, vertices, tol)
+    top.__dict__.update(volume_k=volume, rho=float(_frame_rho(frame.T[None], tol)[0]))
+    faces.setdefault(d, []).append(top)
     _euler_check(faces, d)
     return faces
 
@@ -322,6 +324,9 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     if dim2n > DIMENSION_CAP:
         raise DimensionCapExceeded(f"real dimension {dim2n} exceeds cap {DIMENSION_CAP}")
     n = dim2n // 2
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {int(bad[0])} is not finite: {pts[bad[0]].tolist()}")
     pts = _dedupe(pts, tol.geom_eps)
     center, basis_rows = _affine_frame(pts, tol)
     d = basis_rows.shape[0]

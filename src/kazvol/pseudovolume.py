@@ -246,8 +246,8 @@ def eps_neighborhood_pseudovolume(
     P_n((Gamma)_eps) = sum_{k=0}^{n} 2^{n-k} kappa_{2n-k}/kappa_n
                        * v_k^rho(Gamma) * eps^{n-k}.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     n = P.ambient_n
     ap = _angle_pass(P, angles, samples, stream, tol)
     coeffs = []

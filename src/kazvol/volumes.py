@@ -82,6 +82,8 @@ def mixed_volume(
     if basis.d != k:
         raise SizeMismatch(f"{k} bodies require a {k}-dimensional subspace, got {basis.d}")
     coords = [_body_coords(b, basis, tol) for b in bodies]
+    if any(len(c) == 1 for c in coords):
+        return 0.0  # V_k is translation invariant in each body and vanishes on a point
     total = 0.0
     for mask in range(1, 1 << k):
         members = [coords[i] for i in range(k) if mask >> i & 1]

@@ -243,6 +243,23 @@ class TestExitCodes:
         code, _ = run(["faces", str(big)], capsys)
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("command", ["pseudovolume", "faces"])
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_vertex(self, command, value, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"n": 1, "vertices": [[0, 0], [{value}, 1], [1, 1]]}}')
+        code = main([command, str(bad), "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "point 1 is not finite" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps(self, eps, theta4_file, capsys):
+        code = main(["eps-expand", theta4_file, "--eps", eps, "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "eps must be finite" in err
+
     @pytest.mark.parametrize("command", ["smooth", "angle", "pseudovolume", "discriminant"])
     @pytest.mark.parametrize("samples", ["0", "0.5", "nan", "inf"])
     def test_samples_below_one(self, command, samples, square_file, tmp_path, capsys):

@@ -25,7 +25,7 @@ from kazvol import (
 )
 from kazvol import complex_linalg as cl
 from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance
-from kazvol.polytope import convex_volume
+from kazvol.polytope import _dedupe, convex_volume
 
 from conftest import random_polytope
 
@@ -374,11 +374,86 @@ def test_lattice_oracle_under_loose_tolerance():
     assert any(f.rho == 0.0 and f.k == 2 for f in got)
 
 
-def test_hull_basis_is_lazy_and_unchanged(theta4):
-    """Simplicial faces build their basis on first access, from the same call as before."""
-    f = theta4.faces[2][0]
-    assert "hull_basis" not in f.__dict__
-    pts = theta4.vertices[list(f.vertex_ids)]
-    want = cl.SubspaceBasis.from_span(2, pts - pts[0])
-    assert np.array_equal(f.hull_basis.vectors, want.vectors)
-    assert f.hull_basis is f.hull_basis
+def test_hull_basis_is_lazy_and_unchanged(theta4, cube4):
+    """Faces, simplicial (a triangle of Theta_4) or not (a square of the cube),
+    build their basis on first access, from the same call as before."""
+    for P in (theta4, cube4):
+        f = P.faces[2][0]
+        assert "hull_basis" not in f.__dict__
+        pts = P.vertices[list(f.vertex_ids)]
+        want = cl.SubspaceBasis.from_span(2, pts - pts[0])
+        assert np.array_equal(f.hull_basis.vectors, want.vectors)
+        assert f.hull_basis is f.hull_basis
+
+
+def test_sum_face_data_is_lazy_and_unchanged(theta4, cube4):
+    """A sum's non-simplicial proper faces compute vol_k and rho on first read,
+    bit for bit from the calls that once built them eagerly; every other face
+    has both filled in by ``hull``."""
+    S = minkowski_sum([theta4, cube4])
+    lazy = [f for f in S.all_faces() if 0 < f.k < S.dim_real and len(f.vertex_ids) > f.k + 1]
+    assert len(lazy) == 208
+    assert not any({"volume_k", "rho"} & f.__dict__.keys() for f in lazy)
+    assert all({"volume_k", "rho"} <= f.__dict__.keys() for f in S.all_faces() if f not in lazy)
+    for f in lazy:
+        pts = S.vertices[list(f.vertex_ids)]
+        basis = cl.SubspaceBasis.from_span(2, pts - pts[0])
+        assert f.volume_k == convex_volume((pts - pts[0]) @ basis.vectors.T)
+        assert f.rho == cl.rho(basis).rho
+
+
+def greedy_dedupe(points, eps):
+    """Oracle: the point-by-point loop that ``_dedupe`` replaced.  A point is
+    dropped iff an earlier kept point lies within Chebyshev distance eps * scale."""
+    scale_ = max(1.0, float(np.abs(points).max()))
+    kept = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= eps * scale_ for q in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+def _planted_duplicates(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(30, 4))
+    return rng.permutation(np.vstack([pts, pts[rng.integers(0, 30, size=25)]]))
+
+
+def _near_duplicates(seed, offset):
+    """Points in [-0.5, 0.5]^4 (so the scale is 1), each followed by a copy
+    moved by offset * eps in one signed coordinate."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.5, 0.5, size=(20, 4))
+    moved = pts + offset * EPS * rng.choice([-1.0, 1.0], size=(20, 1)) * np.eye(4)[rng.integers(0, 4, 20)]
+    return np.vstack([pts, moved])[np.argsort(np.tile(np.arange(20), 2), kind="stable")]
+
+
+def _sum_points(a, b):
+    """All pairwise sums, the points ``minkowski_sum`` hands to ``hull``."""
+    return (a[:, None] + b[None]).reshape(-1, a.shape[1])
+
+
+EPS = DEFAULT_TOLERANCE.geom_eps
+CUBE4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+THETA4 = np.vstack([np.eye(4), -np.eye(4)])
+# Inputs and seeds fixed before the oracle was first run against ``_dedupe``.
+DEDUPE_CASES = {
+    **{f"planted duplicates seed {seed}": (lambda seed=seed: _planted_duplicates(seed))
+       for seed in (201, 202, 203)},
+    **{f"near duplicates at {offset} eps": (lambda offset=offset: _near_duplicates(204, offset))
+       for offset in (0.5, 2.0)},
+    "chain a-b-c": lambda: np.array([[0.0, 0.0], [0.8 * EPS, 0.0], [1.6 * EPS, 0.0]]),
+    "cube + cube": lambda: _sum_points(CUBE4, CUBE4),
+    "theta4 + cube": lambda: _sum_points(THETA4, CUBE4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEDUPE_CASES))
+def test_dedupe_matches_greedy_oracle(case):
+    points = DEDUPE_CASES[case]()
+    assert np.array_equal(_dedupe(points, EPS), greedy_dedupe(points, EPS))
+
+
+def test_dedupe_chain_keeps_both_ends():
+    points = DEDUPE_CASES["chain a-b-c"]()
+    assert np.array_equal(_dedupe(points, EPS), points[[0, 2]])

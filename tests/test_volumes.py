@@ -91,6 +91,16 @@ class TestMixedVolume:
                           - a.improper_face.volume_k - b.improper_face.volume_k)
         assert mixed_volume([a.vertices, b.vertices]) == pytest.approx(expected, rel=1e-8)
 
+    def test_point_summand_is_zero_without_qhull(self, monkeypatch):
+        import kazvol.volumes as vol
+        calls = []
+        monkeypatch.setattr(vol, "convex_volume", lambda pts: calls.append(pts) or 1.0)
+        point = np.array([[0.3, 0.0, -1.0, 0.0]])
+        triangle = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=float)
+        assert mixed_volume([point, triangle]) == 0.0
+        assert mixed_volume([triangle, point]) == 0.0
+        assert calls == []
+
     def test_dimension_mismatch(self):
         a = segment([1, 0, 0, 0])
         with pytest.raises(SizeMismatch):
