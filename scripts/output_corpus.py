@@ -207,8 +207,6 @@ for name in ("theta4", "cube4", "theta3"):
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, samples=30000, stream=S.substream(4),
                                          tol=Tolerance(1e-6, 1e-6))
     lib[f"eps tol {name}"] = [list(x.coefficients), x.value, x.std_error]
-    part = kazvol.cone_geometry.vertex_angle_partition(P, 300_001, S.substream(6))
-    lib[f"partition {name}"] = sorted((sorted(k), v.value, v.std_error) for k, v in part.items())
 point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
 lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, pv.RHO, kazvol.AnglePass(point, 10, S)),
                     pv.intrinsic_phi_volume(point, 0, pv.UNIT, kazvol.AnglePass(point, 10, S))]

@@ -34,7 +34,7 @@ from .pseudovolume import (
     pseudovolume,
 )
 from .cone_geometry import AnglePass, outer_angle
-from .numerics import RandomStream, Tolerance
+from .numerics import RandomStream, Tolerance, read_json
 from .volumes import SizeMismatch, mixed_discriminant
 
 EXIT_OK = 0
@@ -84,10 +84,6 @@ def _context(args):
     return tol, stream, int(args.samples)
 
 
-def _load_poly(path: str, args, tol):
-    return pt.load_polytope(path, tol, exact=args.exact)
-
-
 def _report(args, command, inputs, **flags) -> RunReport:
     return RunReport(command=command, inputs=list(inputs), seed=args.seed,
                      samples=int(args.samples), flags=flags)
@@ -108,8 +104,7 @@ def _parse_matrix(rows) -> np.ndarray:
 
 def cmd_rho(args) -> int:
     tol, _, _ = _context(args)
-    data = json.loads(open(args.file).read()) if not args.file.lstrip().startswith("{") \
-        else json.loads(args.file)
+    data = read_json(args.file)
     n = int(data["n"])
     vectors = np.array(data["vectors"], dtype=float)
     basis = cl.SubspaceBasis.from_span(n, vectors, tol)
@@ -128,7 +123,7 @@ def cmd_rho(args) -> int:
 
 def cmd_faces(args) -> int:
     tol, _, _ = _context(args)
-    P = _load_poly(args.file, args, tol)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
     print(f"face vector: {P.face_vector()}")
@@ -145,7 +140,7 @@ def cmd_faces(args) -> int:
 
 def cmd_angle(args) -> int:
     tol, stream, samples = _context(args)
-    P = _load_poly(args.file, args, tol)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
     ids = [int(x) for x in args.face.split(",")]
     est = outer_angle(P, ids, samples, stream, tol)
     print(f"outer angle of face {ids}: {est.value:.9g} ± {est.std_error:.3g} ({est.method})")
@@ -157,7 +152,7 @@ def cmd_angle(args) -> int:
 
 def cmd_volume(args) -> int:
     tol, _, _ = _context(args)
-    P = _load_poly(args.file, args, tol)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
     vol = P.improper_face.volume_k
     print(f"vol_{P.dim_real} = {vol:.12g}")
     rep = _report(args, "volume", [args.file])
@@ -167,24 +162,13 @@ def cmd_volume(args) -> int:
 
 
 def cmd_intrinsic(args) -> int:
+    """v_k for ``intrinsic``, v_k^rho for ``phi-volume``."""
     tol, stream, samples = _context(args)
-    P = _load_poly(args.file, args, tol)
-    ap = AnglePass(P, samples, stream, tol)
-    value = intrinsic_phi_volume(P, args.k, UNIT, ap)
-    print(f"v_{args.k} = {value:.9g}")
-    rep = _report(args, "intrinsic", [args.file], k=args.k)
-    rep.values = {"k": args.k, "value": value}
-    rep.emit(args)
-    return EXIT_OK
-
-
-def cmd_phi_volume(args) -> int:
-    tol, stream, samples = _context(args)
-    P = _load_poly(args.file, args, tol)
-    ap = AnglePass(P, samples, stream, tol)
-    value = intrinsic_phi_volume(P, args.k, RHO, ap)
-    print(f"v_{args.k}^rho = {value:.9g}")
-    rep = _report(args, "phi-volume", [args.file], k=args.k)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    phi, label = (RHO, "^rho") if args.command == "phi-volume" else (UNIT, "")
+    value = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream, tol))
+    print(f"v_{args.k}{label} = {value:.9g}")
+    rep = _report(args, args.command, [args.file], k=args.k)
     rep.values = {"k": args.k, "value": value}
     rep.emit(args)
     return EXIT_OK
@@ -192,7 +176,7 @@ def cmd_phi_volume(args) -> int:
 
 def cmd_pseudovolume(args) -> int:
     tol, stream, samples = _context(args)
-    P = _load_poly(args.file, args, tol)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
     report = pseudovolume(P, samples=samples, stream=stream, tol=tol)
     print(f"P_{P.ambient_n} = {report.value:.9g} ± {report.mc_std_error:.3g}")
     if report.per_face_terms:
@@ -210,7 +194,7 @@ def cmd_pseudovolume(args) -> int:
 
 def cmd_mixed(args) -> int:
     tol, stream, samples = _context(args)
-    parts = [_load_poly(f, args, tol) for f in args.files]
+    parts = [pt.load_polytope(f, tol, exact=args.exact) for f in args.files]
     n = parts[0].ambient_n
     if args.ball:
         k = len(parts)
@@ -234,7 +218,7 @@ def cmd_mixed(args) -> int:
 
 def cmd_eps_expand(args) -> int:
     tol, stream, samples = _context(args)
-    P = _load_poly(args.file, args, tol)
+    P = pt.load_polytope(args.file, tol, exact=args.exact)
     exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream, tol=tol)
     n = P.ambient_n
     terms = " + ".join(f"{c:.9g}*eps^{n - k}" for k, c in enumerate(exp.coefficients))
@@ -294,8 +278,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_discriminant(args) -> int:
     _context(args)  # only to reject a bad --samples, which the report records
-    data = json.loads(open(args.file).read()) if not args.file.lstrip().startswith("{") \
-        else json.loads(args.file)
+    data = read_json(args.file)
     mats = [_parse_matrix(m) for m in data["matrices"]]
     value = mixed_discriminant(mats, method=args.method)
     if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
@@ -358,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("intrinsic", cmd_intrinsic, help="intrinsic volume v_k")
     s.add_argument("file")
     s.add_argument("--k", type=int, required=True)
-    s = add("phi-volume", cmd_phi_volume, help="rho-weighted intrinsic volume v_k^rho")
+    s = add("phi-volume", cmd_intrinsic, help="rho-weighted intrinsic volume v_k^rho")
     s.add_argument("file")
     s.add_argument("--k", type=int, required=True)
     s = add("pseudovolume", cmd_pseudovolume, help="Kazarnovskii pseudovolume P_n")

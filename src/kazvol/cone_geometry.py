@@ -7,9 +7,8 @@ dimension 2 and 3 are measured in closed form from the facet normals that
 span them: the angle between the two rays, or a fan of spherical triangles
 (Van Oosterom & Strackee, IEEE TBME 1983).  Only cones of dimension 4 and up
 are estimated by Monte Carlo classification of uniform directions sampled in
-the normal space; :class:`AnglePass` takes all vertex angles of such a
-polytope from one sampling pass.  Both samplers draw through
-:func:`numerics.chunks` and report through :func:`numerics.proportion`.
+the normal space, a vertex like any other face; the hit fraction is the
+package's one estimator :func:`numerics.sampled_mean`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complex_linalg as cl
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, chunks, proportion, sphere_sample
+from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, sampled_mean, sphere_sample
 from .polytope import Face, FaceNotFound, Polytope
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "DualCone",
     "dual_cone",
     "outer_angle",
-    "vertex_angle_partition",
     "AnglePass",
     "DEFAULT_ANGLE_SAMPLES",
 ]
@@ -92,23 +90,24 @@ def _classify(
     stream: RandomStream,
     tol: Tolerance,
 ) -> AngleEstimate:
-    """Fraction of directions in the cone's span whose support face equals the face."""
+    """Fraction of directions in the cone's span whose support face equals the face.
+
+    Directions whose gap between the face and the best other vertex is within
+    the tolerance are ambiguous and dropped.
+    """
     member = np.array(sorted(face.id))
     other = np.array(sorted(frozenset(range(P.n_vertices)) - face.id))
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     delta = tol.geom_eps * scale_ * 10
-    hits = 0
-    valid = 0
-    for sub, m in chunks(samples, stream, _CHUNK):
+
+    def hits(sub: RandomStream, m: int) -> np.ndarray:
         dirs = sphere_sample(basis.d, sub, m) @ basis.vectors
         vals = dirs @ P.vertices.T
-        v_face = vals[:, member[0]]
-        v_other = vals[:, other].max(axis=1)
-        gap = v_face - v_other
-        ambiguous = np.abs(gap) <= delta
-        hits += int(np.sum(gap > delta))
-        valid += m - int(np.sum(ambiguous))
-    return AngleEstimate(*proportion(hits, valid), "monte_carlo")
+        gap = vals[:, member[0]] - vals[:, other].max(axis=1)
+        return gap[np.abs(gap) > delta] > 0
+
+    value, err, _ = sampled_mean(hits, samples, stream, _CHUNK)
+    return AngleEstimate(value, err, "monte_carlo")
 
 
 def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstimate | None:
@@ -156,45 +155,11 @@ def outer_angle(
     return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream, tol)
 
 
-def vertex_angle_partition(
-    P: Polytope,
-    samples: int = DEFAULT_ANGLE_SAMPLES,
-    stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> dict[frozenset[int], AngleEstimate]:
-    """Angles of all vertices from a single sampling pass over the sphere of E_Gamma."""
-    if P.dim_real == 0:
-        only = P.faces[0][0]
-        return {only.id: AngleEstimate(1.0, 0.0, "exact")}
-    span = P.span_basis
-    scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    delta = tol.geom_eps * scale_ * 10
-    counts = np.zeros(P.n_vertices, dtype=np.int64)
-    valid = 0
-    for sub, m in chunks(samples, stream, _CHUNK):
-        dirs = sphere_sample(span.d, sub, m) @ span.vectors
-        vals = dirs @ P.vertices.T
-        # Winner, then runner-up once the winner is knocked out in place: no
-        # sort and no second (m, V) array.
-        rows = np.arange(m)
-        best = np.argmax(vals, axis=1)
-        top = vals[rows, best]
-        vals[rows, best] = -np.inf
-        ok = top - vals.max(axis=1) > delta
-        counts += np.bincount(best[ok], minlength=P.n_vertices)
-        valid += int(np.sum(ok))
-    return {frozenset({v}): AngleEstimate(*proportion(counts[v], valid), "monte_carlo")
-            for v in range(P.n_vertices)}
-
-
 class AnglePass:
     """Shared, cached angle computation for all faces of one polytope.
 
     Per-face Monte Carlo runs use substreams derived from the face's position
     in the lattice, so results are deterministic in (seed, stream_id, samples).
-    When the vertex cones have dimension 4 or more, the first vertex asked for
-    fills the cache for every vertex from one :func:`vertex_angle_partition`
-    pass, on a substream index no face uses.
     """
 
     def __init__(
@@ -213,9 +178,6 @@ class AnglePass:
 
     def angle(self, face: Face) -> AngleEstimate:
         key = face.id
-        if key not in self._cache and face.k == 0 and self.polytope.dim_real >= 4:
-            sub = self.stream.substream(len(self._order) + 1)
-            self._cache.update(vertex_angle_partition(self.polytope, self.samples, sub, self.tol))
         if key not in self._cache:
             sub = self.stream.substream(self._order.get(key, len(self._order)))
             self._cache[key] = outer_angle(self.polytope, key, self.samples, sub, self.tol)

@@ -1,18 +1,21 @@
-"""Shared scalar utilities: ball volumes, Wallis integrals, tolerances, seeded sampling.
+"""Shared utilities: ball volumes, Wallis integrals, tolerances, JSON input, seeded sampling.
 
 All Monte Carlo code in the package draws from :class:`RandomStream`, a
 counter-based descriptor built on numpy's Philox generator.  Two streams with
 the same (seed, stream_id) always produce identical samples, regardless of how
-many other streams have been consumed in between.  Every sampling loop splits
-its draws with :func:`chunks`, the one place that derives a per-chunk
-substream, and hit-or-miss estimators report through :func:`proportion`.
+many other streams have been consumed in between.  Every Monte Carlo value,
+the sampled outer angles and the smooth-body sphere averages alike, is the
+one estimator :func:`sampled_mean`: its loop over :func:`chunks` is the one
+place that derives a per-chunk substream.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,7 +26,8 @@ __all__ = [
     "wallis",
     "sphere_sample",
     "chunks",
-    "proportion",
+    "sampled_mean",
+    "read_json",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -106,9 +110,36 @@ def chunks(samples: int, stream: RandomStream, size: int) -> Iterator[tuple[Rand
         yield stream.substream(i), min(size, samples - start)
 
 
-def proportion(hits: int, valid: int) -> tuple[float, float]:
-    """Hit fraction among ``valid`` samples and its binomial standard error."""
-    if not valid:
-        return 0.0, float("inf")
-    p = hits / valid
-    return float(p), math.sqrt(p * (1.0 - p) / valid)
+def sampled_mean(values_of: Callable[[RandomStream, int], np.ndarray], samples: int,
+                 stream: RandomStream, size: int) -> tuple[float, float, int]:
+    """Mean, standard error and number of the values kept from ``samples`` draws.
+
+    ``values_of(sub, m)`` makes the ``m`` draws of one chunk of :func:`chunks`
+    from its substream ``sub`` and returns the values of those it keeps.  For
+    0/1 values the mean is hits / used.  No kept draw gives (0.0, inf, 0).
+    """
+    total = total_sq = 0.0
+    used = 0
+    for sub, m in chunks(samples, stream, size):
+        vals = np.asarray(values_of(sub, m), dtype=float)
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals**2))
+        used += len(vals)
+    if not used:
+        return 0.0, float("inf"), 0
+    mean = total / used
+    var = max(total_sq / used - mean**2, 0.0)
+    return mean, math.sqrt(var / used), used
+
+
+def read_json(source):
+    """A JSON document from a file path, inline JSON text, or an already parsed object.
+
+    A string that starts with "{" is inline JSON; any other string or path is
+    read as a file, so a missing file raises an OSError naming it.
+    """
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return json.loads(source)
+    if isinstance(source, (str, Path)):
+        return json.loads(Path(source).read_text())
+    return source

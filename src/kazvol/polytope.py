@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import complex_linalg as cl
-from .numerics import DEFAULT_TOLERANCE, Tolerance
+from .numerics import DEFAULT_TOLERANCE, Tolerance, read_json
 
 __all__ = [
     "DimensionCapExceeded",
@@ -472,12 +472,7 @@ def load_polytope(source, tol: Tolerance = DEFAULT_TOLERANCE, exact: bool = Fals
     vertex list is deduplicated in rational arithmetic before the floating
     lattice is built.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = read_json(source)
     n = int(data["n"])
     rows = data["vertices"]
     if not rows:

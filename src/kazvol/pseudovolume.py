@@ -94,12 +94,6 @@ class EpsExpansion:
     std_error: float
 
 
-def _angle_pass(P: Polytope, angles, samples, stream, tol) -> AnglePass:
-    if angles is not None:
-        return angles
-    return AnglePass(P, samples, stream, tol)
-
-
 def _face_sum(
     P: Polytope,
     k: int,
@@ -149,7 +143,7 @@ def pseudovolume(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> PseudovolumeReport:
     """P_n(Gamma) = v_n^rho(Gamma) over the equidimensional n-faces, with per-face terms."""
-    ap = _angle_pass(P, angles, samples, stream, tol)
+    ap = angles or AnglePass(P, samples, stream, tol)
     value, err, rows = _face_sum(P, P.ambient_n, RHO, ap)
     return PseudovolumeReport(value, rows, err)
 
@@ -249,7 +243,7 @@ def eps_neighborhood_pseudovolume(
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
     n = P.ambient_n
-    ap = _angle_pass(P, angles, samples, stream, tol)
+    ap = angles or AnglePass(P, samples, stream, tol)
     coeffs = []
     errs = []
     for k in range(n + 1):

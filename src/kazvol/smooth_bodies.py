@@ -13,26 +13,25 @@ second path through the gradient matrix M_{jk} = z_j * dh/dz_k.  ``_density``
 writes each of the three integrands once.
 
 ``smooth_quadrature`` averages them with a deterministic product rule
-(:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise with
-the one chunked Monte Carlo estimator ``_sphere_mc``, which also serves the
-``mc_*`` functions (the oracle) and the solid-ball cross-check of the sphere
-reduction.
+(:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise by
+Monte Carlo.  ``_sphere_mc`` is the one Monte Carlo path: it feeds the
+integrand at uniform sphere directions (or, for the solid-ball cross-check of
+the sphere reduction, uniform ball points) to :func:`numerics.sampled_mean`,
+and serves the fallback and the ``mc_*`` functions (the oracle) alike.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import complex_linalg as cl
-from .numerics import RandomStream, chunks, kappa, sphere_sample
+from .numerics import RandomStream, kappa, read_json, sampled_mean, sphere_sample
 from .volumes import batch_mixed_discriminant
 
 __all__ = [
@@ -358,26 +357,26 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
     return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in bodies])
 
 
-def _sphere_mc(
-    integrand, dim: int, samples: int, stream: RandomStream, ball: bool = False
-) -> tuple[float, float]:
-    """Mean and standard error of a function of uniform sphere directions.
+def _sphere_mc(bodies: list[SupportBody], samples: int, stream: RandomStream,
+               boundary: bool = False, ball: bool = False) -> QuadratureResult:
+    """``_density``'s constant times the Monte Carlo mean of its integrand on the sphere.
 
-    With ``ball`` the points fill the unit ball instead: each chunk's
-    directions are scaled by radii U^{1/dim} drawn from its substream 0.
+    With ``ball`` the points fill the unit ball instead, at half the constant:
+    each chunk's directions are scaled by radii U^{1/dim} from its substream 0.
     """
-    total = 0.0
-    total_sq = 0.0
-    for sub, m in chunks(samples, stream, _CHUNK):
+    constant, integrand = _density(bodies, boundary)
+    dim = 2 * bodies[0].ambient_n
+
+    def values_of(sub: RandomStream, m: int) -> np.ndarray:
         theta = sphere_sample(dim, sub, m)
         if ball:
             theta = theta * (sub.substream(0).generator().random(m) ** (1.0 / dim))[:, None]
-        vals = _real_values(integrand(cl.real_to_complex(theta)))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    return mean, math.sqrt(var / samples)
+        return _real_values(integrand(cl.real_to_complex(theta)))
+
+    if ball:
+        constant /= 2
+    mean, err, _ = sampled_mean(values_of, samples, stream, _CHUNK)
+    return QuadratureResult(constant * mean, constant * err, samples)
 
 
 def _polynomial_rule(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -505,16 +504,15 @@ def smooth_quadrature(
         raise ValueError(
             "in C^1 a body with a singular line carries all of its density on that line, "
             "which no sphere quadrature sees (the segment lower_ball(1) has P_1 = 2)")
-    constant, integrand = _density(bodies, boundary)
     analytic = all(b.hessian is not None for b in bodies) and (
         not boundary or bodies[0].gradient is not None)
     if n <= 3 and analytic and len(axes) <= 1:
+        constant, integrand = _density(bodies, boundary)
         res = _cubature(integrand, 2 * n, samples, min(axes, default=0))
         if res is not None:
             mean, err, nodes = res
             return QuadratureResult(constant * mean, constant * err, nodes, "cubature")
-    mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
-    return QuadratureResult(constant * mean, constant * err, samples)
+    return _sphere_mc(bodies, samples, stream, boundary)
 
 
 def mc_pseudovolume(
@@ -532,12 +530,7 @@ def mc_pseudovolume(
     """
     if reduction not in ("sphere", "ball"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    constant, integrand = _density([body])
-    if reduction == "ball":
-        constant /= 2
-    mean, err = _sphere_mc(integrand, 2 * body.ambient_n, samples, stream,
-                           ball=reduction == "ball")
-    return QuadratureResult(constant * mean, constant * err, samples)
+    return _sphere_mc([body], samples, stream, ball=reduction == "ball")
 
 
 def mc_mixed_pseudovolume(
@@ -549,9 +542,7 @@ def mc_mixed_pseudovolume(
     n = bodies[0].ambient_n
     if len(bodies) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
-    constant, integrand = _density(bodies)
-    mean, err = _sphere_mc(integrand, 2 * n, samples, stream)
-    return QuadratureResult(constant * mean, constant * err, samples)
+    return _sphere_mc(bodies, samples, stream)
 
 
 def boundary_mixed_pseudovolume(
@@ -560,9 +551,7 @@ def boundary_mixed_pseudovolume(
     stream: RandomStream = RandomStream(),
 ) -> QuadratureResult:
     """Q_n via the boundary-sphere formula (see ``_density``), by Monte Carlo."""
-    constant, integrand = _density(bodies, boundary=True)
-    mean, err = _sphere_mc(integrand, 2 * bodies[0].ambient_n, samples, stream)
-    return QuadratureResult(constant * mean, constant * err, samples)
+    return _sphere_mc(bodies, samples, stream, boundary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +560,8 @@ def boundary_mixed_pseudovolume(
 
 def load_body(source) -> SupportBody:
     """Load a smooth body descriptor: {"kind": "ball"|"lower_ball"|"ellipsoid",
-    "n": int, "Q": [[...]] (ellipsoid only)}."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    "n": int, "Q": [[...]] (ellipsoid only)}, as a path, inline JSON or a dict."""
+    data = read_json(source)
     kind = data["kind"]
     n = int(data["n"])
     if kind == "ball":

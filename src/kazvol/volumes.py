@@ -99,9 +99,12 @@ def intrinsic_volume(P: Polytope, k: int, angles) -> float:
     """v_k(Gamma) = sum over k-faces of vol_k * outer angle.
 
     ``angles`` is a callable Face -> AngleEstimate (e.g. AnglePass.angle).
+    v_0 = 1 exactly, without angles: the vertex normal cones tile E_Gamma.
     """
     if k < 0 or k > P.dim_real:
         return 0.0
+    if k == 0:
+        return 1.0
     return float(sum(f.volume_k * angles(f).value for f in P.faces.get(k, [])))
 
 

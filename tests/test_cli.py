@@ -224,6 +224,14 @@ class TestExitCodes:
         code, _ = run(["faces", "/nonexistent/path.json"], capsys)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["pseudovolume", "smooth", "mixed", "rho", "discriminant"])
+    def test_missing_file_is_named(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = main([command, missing, "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "missing.json" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

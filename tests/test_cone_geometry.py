@@ -5,7 +5,7 @@ import pytest
 
 from kazvol import AnglePass, RandomStream, dual_cone, hull, outer_angle
 from kazvol import cone_geometry
-from kazvol.cone_geometry import _classify, _normal_space, vertex_angle_partition
+from kazvol.cone_geometry import _classify, _normal_space
 from kazvol.numerics import DEFAULT_TOLERANCE
 
 from conftest import SAMPLES, random_polytope
@@ -113,40 +113,23 @@ class TestMonteCarloAngles:
 
 
 class TestPartition:
+    """The vertex normal cones tile E_Gamma, so the vertex angles sum to 1."""
+
     def test_vertex_angles_sum_to_one(self, stream):
         rng = np.random.default_rng(12)
         for i in range(3):
             P = random_polytope(rng, 6)
-            part = vertex_angle_partition(P, SAMPLES, stream.substream(i))
-            total = sum(est.value for est in part.values())
-            err = sum(est.std_error for est in part.values())
+            ap = AnglePass(P, SAMPLES, stream.substream(i))
+            angles = [ap.angle(f) for f in P.faces[0]]
+            assert all(a.method == "monte_carlo" for a in angles)
+            total = sum(a.value for a in angles)
+            err = sum(a.std_error for a in angles)
             assert total == pytest.approx(1.0, abs=4 * err + 1e-9)
-
-    def test_matches_per_face_estimates(self, square_c1, stream):
-        part = vertex_angle_partition(square_c1, SAMPLES, stream)
-        for f in square_c1.faces[0]:
-            est = outer_angle(square_c1, f.id, SAMPLES, stream)
-            assert part[f.id].value == pytest.approx(
-                est.value, abs=4 * (part[f.id].std_error + est.std_error))
-
-    def test_counts_match_full_sort(self, cube4, stream):
-        # Reference: the winner and runner-up of each direction by a full sort.
-        part = vertex_angle_partition(cube4, SAMPLES, stream)
-        span = cube4.span_basis
-        dirs = cone_geometry.sphere_sample(span.d, stream.substream(0), SAMPLES) @ span.vectors
-        vals = dirs @ cube4.vertices.T
-        order = np.argsort(vals, axis=1)
-        rows = np.arange(SAMPLES)
-        ok = vals[rows, order[:, -1]] - vals[rows, order[:, -2]] > 1e-8
-        counts = np.bincount(order[ok, -1], minlength=cube4.n_vertices)
-        for v in range(cube4.n_vertices):
-            assert part[frozenset({v})].value == counts[v] / ok.sum()
 
     def test_point_polytope(self, stream):
         P = hull(np.array([[1.0, 2.0]]))
-        part = vertex_angle_partition(P, SAMPLES, stream)
-        (est,) = part.values()
-        assert est.value == 1.0
+        est = outer_angle(P, P.faces[0][0].id, SAMPLES, stream)
+        assert (est.value, est.std_error, est.method) == (1.0, 0.0, "exact")
 
 
 class TestDualCone:
@@ -196,7 +179,9 @@ class TestAnglePass:
         err = sum(ap.angle(f).std_error for f in cube4.faces[0])
         assert total == pytest.approx(1.0, abs=4 * err + 1e-9)
 
-    def test_vertex_angles_from_one_pass(self, cube4, stream, monkeypatch):
+    def test_vertex_samples_on_its_lattice_substream(self, cube4, stream, monkeypatch):
+        # A vertex is sampled like any other face: SAMPLES draws on the
+        # substream of its position in the lattice.
         calls = []
         sample = cone_geometry.sphere_sample
 
@@ -206,10 +191,14 @@ class TestAnglePass:
 
         monkeypatch.setattr(cone_geometry, "sphere_sample", counted)
         ap = AnglePass(cube4, SAMPLES, stream)
-        angles = [ap.angle(f) for f in cube4.faces[0]]
-        assert sum(calls) == SAMPLES
-        assert all(a.method == "monte_carlo" for a in angles)
-        assert all(a.value == pytest.approx(1 / 16, abs=4 * a.std_error) for a in angles)
+        order = [f.id for f in cube4.all_faces()]
+        for f in cube4.faces[0][:3]:
+            got = ap.angle(f)
+            want = outer_angle(cube4, f.id, SAMPLES, stream.substream(order.index(f.id)))
+            assert (got.value, got.std_error, got.method) == (
+                want.value, want.std_error, "monte_carlo")
+            assert got.value == pytest.approx(1 / 16, abs=4 * got.std_error)
+        assert sum(calls) == 6 * SAMPLES
         # Lower-dimensional cones are exact and sample nothing more.
         ap.angle(cube4.faces[1][0])
-        assert sum(calls) == SAMPLES
+        assert sum(calls) == 6 * SAMPLES

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kazvol import RandomStream, Tolerance, kappa, sphere_sample, wallis
-from kazvol.numerics import chunks, proportion
+from kazvol.numerics import chunks, read_json, sampled_mean
 
 
 class TestKappa:
@@ -121,11 +121,67 @@ class TestChunks:
         assert subs == [parent.substream(i) for i in range(4)]
 
 
-class TestProportion:
-    def test_binomial_error(self):
-        p, err = proportion(25, 100)
-        assert p == 0.25
-        assert err == math.sqrt(0.25 * 0.75 / 100)
+class TestSampledMean:
+    @staticmethod
+    def indicator(hits_per_chunk, kept_per_chunk):
+        """values_of returning fixed 0/1 values per chunk, recording what it was asked for."""
+        calls = []
 
-    def test_no_valid_samples(self):
-        assert proportion(0, 0) == (0.0, float("inf"))
+        def values_of(sub, m):
+            calls.append((sub, m))
+            i = len(calls) - 1
+            return np.arange(kept_per_chunk[i]) < hits_per_chunk[i]
+
+        return values_of, calls
+
+    def test_indicator_is_binomial_proportion(self):
+        # 25 hits among 100 kept draws out of 130, over chunks of 50, 50 and 30.
+        values_of, calls = self.indicator([10, 10, 5], [40, 40, 20])
+        mean, err, used = sampled_mean(values_of, 130, RandomStream(3, 5), 50)
+        assert [m for _, m in calls] == [50, 50, 30]
+        assert [sub for sub, _ in calls] == [RandomStream(3, 5).substream(i) for i in range(3)]
+        assert used == 100
+        assert mean == 25 / 100
+        assert err == pytest.approx(math.sqrt(0.25 * 0.75 / 100), rel=1e-15)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_indicator_matches_counts(self, counts):
+        kept = [a + b for a, b in counts]
+        hits = [a for a, _ in counts]
+        values_of, _ = self.indicator(hits, kept)
+        mean, err, used = sampled_mean(values_of, 50 * len(counts), RandomStream(1), 50)
+        assert used == sum(kept)
+        if used:
+            p = sum(hits) / used
+            assert mean == p
+            assert err == pytest.approx(math.sqrt(p * (1 - p) / used), rel=1e-12, abs=1e-15)
+
+    def test_matches_numpy_moments(self):
+        stream = RandomStream(8)
+        mean, err, used = sampled_mean(lambda sub, m: sub.generator().normal(size=m),
+                                       1000, stream, 600)
+        values = np.concatenate([sub.generator().normal(size=m)
+                                 for sub, m in chunks(1000, stream, 600)])
+        assert used == 1000
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert err == pytest.approx(values.std() / math.sqrt(1000), rel=1e-9)
+
+    def test_nothing_kept(self):
+        assert sampled_mean(lambda sub, m: np.zeros(0), 100, RandomStream(1), 30) == (
+            0.0, float("inf"), 0)
+        assert sampled_mean(lambda sub, m: np.ones(m), 0, RandomStream(1), 30) == (
+            0.0, float("inf"), 0)
+
+
+class TestReadJson:
+    def test_path_inline_and_dict(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 1}')
+        assert read_json(path) == read_json(str(path)) == read_json(' {"n": 1}') == {"n": 1}
+        data = {"n": 2}
+        assert read_json(data) is data
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(OSError, match="missing.json"):
+            read_json(str(tmp_path / "missing.json"))

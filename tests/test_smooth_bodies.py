@@ -154,6 +154,11 @@ class TestQuadrature:
         b = mc_pseudovolume(lower_ball(2), MC, RandomStream(5), reduction="ball")
         assert a.value == pytest.approx(b.value, abs=4 * (a.std_error + b.std_error))
 
+    def test_no_samples_has_infinite_error(self):
+        for reduction in ("sphere", "ball"):
+            res = mc_pseudovolume(ball(2), samples=0, reduction=reduction)
+            assert (res.value, res.std_error, res.samples) == (0.0, math.inf, 0)
+
     def test_deterministic(self):
         a = mc_pseudovolume(lower_ball(2), 50_000, RandomStream(6))
         b = mc_pseudovolume(lower_ball(2), 50_000, RandomStream(6))

@@ -119,6 +119,16 @@ class TestIntrinsicVolume:
         v0 = intrinsic_volume(square_c1, 0, ap.angle)
         assert v0 == pytest.approx(1.0, abs=0.02)
 
+    def test_v0_exact_without_sampling(self, cube4, stream, monkeypatch):
+        # The vertex normal cones tile E_Gamma, so v_0 = 1 with no angle drawn.
+        from kazvol import cone_geometry
+
+        def no_sampling(*args):
+            raise AssertionError("sphere_sample called")
+
+        monkeypatch.setattr(cone_geometry, "sphere_sample", no_sampling)
+        assert intrinsic_volume(cube4, 0, AnglePass(cube4, SAMPLES, stream).angle) == 1.0
+
     def test_out_of_range(self, square_c1, stream):
         ap = AnglePass(square_c1, SAMPLES, stream)
         assert intrinsic_volume(square_c1, 3, ap.angle) == 0.0
