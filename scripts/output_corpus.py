@@ -11,8 +11,9 @@ files.  The corpus, at --samples 30000 --seed 5: the CLI commands
 pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
 polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball; plain on
 cube4 + cube4 and theta4 + theta4), smooth
-(balls, an ellipsoid, --mixed --boundary, --oracle; the bodies in C^3 at
---samples 70000, where two cubature rules fit) and verify -- report values,
+(balls, an ellipsoid, a degenerate ellipsoid, an indefinite Q, --mixed
+--boundary, --oracle; the bodies in C^3 at --samples 70000, where two
+cubature rules fit) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
@@ -154,6 +155,10 @@ run("mixed-ball segment theta3", ["mixed", str(DATA / "segment.json"),
 for body in ("ball2", "lower_ball2"):
     run(f"smooth {body}", ["smooth", str(DATA / f"{body}.json")])
 run("smooth ellipsoid", ["smooth", ellipsoid])
+run("smooth degenerate ellipsoid", ["smooth", json.dumps({
+    "kind": "ellipsoid", "n": 2, "Q": np.diag([1.0, 1.0, 1.0, 0.0]).tolist()})])
+run("smooth indefinite ellipsoid", ["smooth", json.dumps({
+    "kind": "ellipsoid", "n": 1, "Q": [[1, 0], [0, -1]]})])
 run("smooth mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
                      str(DATA / "lower_ball2.json"), "--boundary"])
 run("smooth mixed ellipsoid", ["smooth", ellipsoid, "--mixed", str(DATA / "ball2.json"),

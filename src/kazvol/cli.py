@@ -34,7 +34,7 @@ from .pseudovolume import (
     pseudovolume,
 )
 from .cone_geometry import AnglePass, outer_angle
-from .numerics import RandomStream, Tolerance, read_json
+from .numerics import RandomStream, Tolerance, read_field, read_json
 from .volumes import SizeMismatch, mixed_discriminant
 
 EXIT_OK = 0
@@ -105,8 +105,8 @@ def _parse_matrix(rows) -> np.ndarray:
 def cmd_rho(args) -> int:
     tol, _, _ = _context(args)
     data = read_json(args.file)
-    n = int(data["n"])
-    vectors = np.array(data["vectors"], dtype=float)
+    n = read_field(data, "n", int)
+    vectors = read_field(data, "vectors", lambda v: np.array(v, dtype=float))
     basis = cl.SubspaceBasis.from_span(n, vectors, tol)
     report = cl.rho(basis, tol)
     print(f"d = {basis.d}, complex dim of span = {report.complex_dim}, "
@@ -279,7 +279,7 @@ def cmd_smooth(args) -> int:
 def cmd_discriminant(args) -> int:
     _context(args)  # only to reject a bad --samples, which the report records
     data = read_json(args.file)
-    mats = [_parse_matrix(m) for m in data["matrices"]]
+    mats = read_field(data, "matrices", lambda ms: [_parse_matrix(m) for m in ms])
     value = mixed_discriminant(mats, method=args.method)
     if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
         print(f"D_{len(mats)} = {value.real:.12g}")

@@ -28,6 +28,7 @@ __all__ = [
     "chunks",
     "sampled_mean",
     "read_json",
+    "read_field",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -132,14 +133,28 @@ def sampled_mean(values_of: Callable[[RandomStream, int], np.ndarray], samples: 
     return mean, math.sqrt(var / used), used
 
 
-def read_json(source):
-    """A JSON document from a file path, inline JSON text, or an already parsed object.
+def read_json(source) -> dict:
+    """A JSON object from a file path, inline JSON text, or an already parsed dict.
 
     A string that starts with "{" is inline JSON; any other string or path is
-    read as a file, so a missing file raises an OSError naming it.
+    read as a file, so a missing file raises an OSError naming it.  A document
+    that is not an object is a ValueError.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        return json.loads(source)
-    if isinstance(source, (str, Path)):
-        return json.loads(Path(source).read_text())
-    return source
+        data = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        data = json.loads(Path(source).read_text())
+    else:
+        data = source
+    if not isinstance(data, dict):
+        raise ValueError(f"input must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def read_field(data: dict, name: str, parse: Callable):
+    """``parse(data[name])``; a value ``parse`` rejects is a ValueError naming the field."""
+    value = data[name]
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None

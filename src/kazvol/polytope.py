@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import complex_linalg as cl
-from .numerics import DEFAULT_TOLERANCE, Tolerance, read_json
+from .numerics import DEFAULT_TOLERANCE, Tolerance, read_field, read_json
 
 __all__ = [
     "DimensionCapExceeded",
@@ -473,11 +473,11 @@ def load_polytope(source, tol: Tolerance = DEFAULT_TOLERANCE, exact: bool = Fals
     lattice is built.
     """
     data = read_json(source)
-    n = int(data["n"])
-    rows = data["vertices"]
-    if not rows:
+    n = read_field(data, "n", int)
+    parsed = read_field(data, "vertices",
+                        lambda rows: [[_parse_number(x, exact) for x in row] for row in rows])
+    if not parsed:
         raise EmptyInput("no vertices in input")
-    parsed = [[_parse_number(x, exact) for x in row] for row in rows]
     for row in parsed:
         if len(row) != 2 * n:
             raise ValueError(f"vertex with {len(row)} coordinates, expected {2 * n}")

@@ -12,6 +12,12 @@ the bodies' Hessians; the boundary-sphere formula provides an independent
 second path through the gradient matrix M_{jk} = z_j * dh/dz_k.  ``_density``
 writes each of the three integrands once.
 
+The built-in bodies -- ``ball`` (Q = I), ``lower_ball`` (Q = diag(0, 1, ...,
+1)) and ``ellipsoid`` (any positive semidefinite Q) -- share the support
+function h(x) = sqrt(x^T Q x) and its one closed-form complex Hessian and
+gradient (``_quadratic_body``); a ``custom_body`` is differentiated by finite
+differences.
+
 ``smooth_quadrature`` averages them with a deterministic product rule
 (:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise by
 Monte Carlo.  ``_sphere_mc`` is the one Monte Carlo path: it feeds the
@@ -31,7 +37,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import complex_linalg as cl
-from .numerics import RandomStream, kappa, read_json, sampled_mean, sphere_sample
+from .numerics import RandomStream, kappa, read_field, read_json, sampled_mean, sphere_sample
 from .volumes import batch_mixed_discriminant
 
 __all__ = [
@@ -76,9 +82,10 @@ class SupportBody:
 
     ``h`` maps complex points of shape (N, n) to values of shape (N,);
     ``hessian``/``gradient`` are optional analytic maps (finite differences
-    are used when absent).  ``singular_axis`` is the real coordinate (in the
-    interleaved layout) of a line on which the support function has a kink,
-    or None: cubature puts its polar axis there.
+    are used when absent; the built-in bodies take both from their Q).
+    ``singular_axis`` is the real coordinate (in the interleaved layout) of a
+    line on which the support function has a kink, or None: cubature puts its
+    polar axis there.  A built-in body has one when exactly one Q_jj is 0.
     """
 
     ambient_n: int
@@ -110,95 +117,74 @@ def _as_points(z: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Built-in bodies
+# Built-in bodies: h(x) = sqrt(x^T Q x) in the interleaved real coordinates
+
+
+def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
+    """The body with support function h(x) = sqrt(x^T Q x), Q positive semidefinite.
+
+    With u = (g_x + i g_y) / 2 half the complex form of the real gradient
+    g = Qx / h, dh/dz = conj(u), and the real Hessian (Q - g g^T) / h has the
+    complex Hessian (A - conj(u) u^T) / h with A = ``_complex_hessian_of(Q)``.
+    The singular axis is the coordinate j with Q_jj = 0 when there is exactly
+    one: h has its kink on that line.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a = _complex_hessian_of(q)
+    floor = 1e-12 * math.sqrt(np.max(np.abs(q)))
+    zeros = np.flatnonzero(np.diag(q) == 0)
+
+    def h_and_qx(z):
+        x = cl.complex_to_real(z)
+        qx = x @ q
+        return np.sqrt(np.einsum("...i,...i->...", qx, x)), qx
+
+    def h_and_u(z):
+        hv, qx = h_and_qx(z)
+        if not np.all(hv > floor):
+            raise SingularPoint("support value underflows on the singular line")
+        return hv, cl.real_to_complex(qx / (2 * hv)[:, None])
+
+    def hessian(z):
+        hv, u = h_and_u(z)
+        out = np.conj(u)[:, :, None] * u[:, None, :]
+        np.subtract(a, out, out=out)
+        out /= hv[:, None, None]
+        return out
+
+    def gradient(z):
+        return np.conj(h_and_u(z)[1])
+
+    axis = int(zeros[0]) if len(zeros) == 1 else None
+    return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, singular_axis=axis)
 
 
 def ball(n: int) -> SupportBody:
-    """Full-dimensional unit ball B_2n of C^n; h(z) = ||z||."""
-
-    def h(z):
-        return np.linalg.norm(z, axis=-1)
-
-    def hessian(z):
-        norm = np.linalg.norm(z, axis=-1)[:, None, None]
-        outer = np.conj(z)[:, :, None] * z[:, None, :]
-        eye = np.eye(n)[None, :, :]
-        return eye / (2 * norm) - outer / (4 * norm**3)
-
-    def gradient(z):
-        return np.conj(z) / (2 * np.linalg.norm(z, axis=-1)[:, None])
-
-    return SupportBody(n, "ball_2n", h, hessian, gradient)
+    """Full-dimensional unit ball B_2n of C^n; h(z) = ||z||, Q = I."""
+    return _quadratic_body(n, np.eye(2 * n), "ball_2n")
 
 
 def lower_ball(n: int) -> SupportBody:
     """Unit ball B_{2n-1} of the hyperplane {Re z_1 = 0} in C^n.
 
-    h(z) = sqrt((Im z_1)^2 + sum_{l>=2} |z_l|^2).
+    h(z) = sqrt((Im z_1)^2 + sum_{l>=2} |z_l|^2): Q = diag(0, 1, ..., 1).
     """
-
-    def hval(z):
-        y1 = z[..., 0].imag
-        tail = np.sum(np.abs(z[..., 1:]) ** 2, axis=-1)
-        return np.sqrt(y1**2 + tail)
-
-    def hessian(z):
-        m = z.shape[0]
-        y1 = z[:, 0].imag
-        hv = hval(z)
-        if np.any(hv < 1e-12):
-            raise SingularPoint("support value underflows on the singular line")
-        out = np.empty((m, n, n), dtype=complex)
-        h3 = 4 * hv**3
-        out[:, 0, 0] = 1 / (4 * hv) - y1**2 / h3
-        if n > 1:
-            tail = z[:, 1:]
-            out[:, 0, 1:] = 1j * y1[:, None] * tail / h3[:, None]
-            out[:, 1:, 0] = -1j * y1[:, None] * np.conj(tail) / h3[:, None]
-            outer = np.conj(tail)[:, :, None] * tail[:, None, :]
-            eye = np.eye(n - 1)[None, :, :]
-            out[:, 1:, 1:] = eye / (2 * hv[:, None, None]) - outer / h3[:, None, None]
-        return out
-
-    def gradient(z):
-        y1 = z[:, 0].imag
-        hv = hval(z)
-        out = np.empty_like(z)
-        out[:, 0] = -1j * y1 / (2 * hv)
-        out[:, 1:] = np.conj(z[:, 1:]) / (2 * hv[:, None])
-        return out
-
-    return SupportBody(n, "ball_2n_minus_1", hval, hessian, gradient, singular_axis=0)
+    return _quadratic_body(n, np.diag([0.0] + [1.0] * (2 * n - 1)), "ball_2n_minus_1")
 
 
 def ellipsoid(n: int, q: np.ndarray) -> SupportBody:
-    """Body with support function h(x) = sqrt(x^T Q x), Q a 2n x 2n SPD matrix."""
+    """Body with support function h(x) = sqrt(x^T Q x), Q a 2n x 2n PSD matrix."""
     q = np.asarray(q, dtype=float)
     if q.shape != (2 * n, 2 * n):
         raise ValueError(f"Q must be {2 * n}x{2 * n}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("Q must be finite")
     if np.max(np.abs(q - q.T)) > 1e-12:
         raise ValueError("Q must be symmetric")
-
-    def h(z):
-        x = cl.complex_to_real(z)
-        return np.sqrt(np.einsum("ij,...i,...j->...", q, x, x))
-
-    def real_gradient(z):
-        """(h, Qx / h) at the points."""
-        x = cl.complex_to_real(z)
-        qx = x @ q
-        hv = np.sqrt(np.sum(qx * x, axis=-1))
-        return hv, qx / hv[:, None]
-
-    def hessian(z):
-        # Real Hessian (Q - Qx x^T Q / h^2) / h.
-        hv, g = real_gradient(z)
-        return _complex_hessian_of((q - g[:, :, None] * g[:, None, :]) / hv[:, None, None])
-
-    def gradient(z):
-        return _complex_gradient_of(real_gradient(z)[1])
-
-    return SupportBody(n, "ellipsoid", h, hessian, gradient)
+    if np.linalg.eigvalsh(q)[0] < -1e-12 * np.max(np.abs(q)):
+        raise ValueError("Q must be positive semidefinite")
+    return _quadratic_body(n, q, "ellipsoid")
 
 
 def custom_body(n: int, h: Callable[[np.ndarray], np.ndarray]) -> SupportBody:
@@ -210,17 +196,12 @@ def custom_body(n: int, h: Callable[[np.ndarray], np.ndarray]) -> SupportBody:
 
 
 def _complex_hessian_of(hr: np.ndarray) -> np.ndarray:
-    """(d^2 h / dz_l dz_bar_k) from real Hessians (N, 2n, 2n), via d/dz = (d/dx - i d/dy)/2."""
-    xx = hr[:, 0::2, 0::2]
-    yy = hr[:, 1::2, 1::2]
-    xy = hr[:, 0::2, 1::2]
-    yx = hr[:, 1::2, 0::2]
+    """(d^2 h / dz_l dz_bar_k) from real Hessians (..., 2n, 2n), via d/dz = (d/dx - i d/dy)/2."""
+    xx = hr[..., 0::2, 0::2]
+    yy = hr[..., 1::2, 1::2]
+    xy = hr[..., 0::2, 1::2]
+    yx = hr[..., 1::2, 0::2]
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
-
-
-def _complex_gradient_of(g: np.ndarray) -> np.ndarray:
-    """(dh/dz_l) from real gradients (N, 2n)."""
-    return 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
 
 
 def _fd_real_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
@@ -282,7 +263,7 @@ def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
         partials[:, a] = (
             body.h(cl.real_to_complex(x + da)) - body.h(cl.real_to_complex(x - da))
         ) / (2 * steps)
-    return _complex_gradient_of(partials)
+    return 0.5 * (partials[:, 0::2] - 1j * partials[:, 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +544,11 @@ def load_body(source) -> SupportBody:
     "n": int, "Q": [[...]] (ellipsoid only)}, as a path, inline JSON or a dict."""
     data = read_json(source)
     kind = data["kind"]
-    n = int(data["n"])
+    n = read_field(data, "n", int)
     if kind == "ball":
         return ball(n)
     if kind == "lower_ball":
         return lower_ball(n)
     if kind == "ellipsoid":
-        return ellipsoid(n, np.asarray(data["Q"], dtype=float))
+        return ellipsoid(n, read_field(data, "Q", lambda q: np.asarray(q, dtype=float)))
     raise ValueError(f"unknown body kind {kind!r}")

@@ -244,6 +244,28 @@ class TestExitCodes:
         code, _ = run(["faces", str(bad)], capsys)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command,text,named", [
+        ("faces", "[1, 2]", "JSON object"),
+        ("smooth", "[1, 2]", "JSON object"),
+        ("faces", '{"n": 1, "vertices": 5}', "field 'vertices'"),
+        ("faces", '{"n": null, "vertices": [[0, 0], [1, 0]]}', "field 'n'"),
+        ("smooth", '{"kind": "ball", "n": null}', "field 'n'"),
+    ])
+    def test_malformed_document(self, command, text, named, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        code = main([command, str(doc), "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and named in err
+
+    def test_indefinite_ellipsoid(self, capsys):
+        body = json.dumps({"kind": "ellipsoid", "n": 1, "Q": [[1, 0], [0, -1]]})
+        code = main(["smooth", body, "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "positive semidefinite" in err
+
     def test_dimension_cap(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({

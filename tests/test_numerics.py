@@ -182,6 +182,13 @@ class TestReadJson:
         data = {"n": 2}
         assert read_json(data) is data
 
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for source in (path, [1, 2]):
+            with pytest.raises(ValueError, match="JSON object, not list"):
+                read_json(source)
+
     def test_missing_file_names_it(self, tmp_path):
         with pytest.raises(OSError, match="missing.json"):
             read_json(str(tmp_path / "missing.json"))

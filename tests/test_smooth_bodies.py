@@ -40,6 +40,11 @@ def anisotropic_ellipsoid():
     return ellipsoid(2, a @ a.T + 4 * np.eye(4))
 
 
+def degenerate_ellipsoid():
+    # Q = diag(1, 1, 1, 0) drops Im z_2: a unitary image of lower_ball(2).
+    return ellipsoid(2, np.diag([1.0, 1.0, 1.0, 0.0]))
+
+
 def sphere_points(n, count, seed=0):
     pts = sphere_sample(2 * n, RandomStream(seed), count)
     return pts[:, ::2] + 1j * pts[:, 1::2]
@@ -109,17 +114,17 @@ class TestDerivatives:
             np.testing.assert_allclose(dets, 2.0 ** -(n + 1), rtol=1e-10)
 
     def test_ellipsoid_derivatives_match_fd(self):
-        body = anisotropic_ellipsoid()
-        fd = custom_body(2, body.h)
         z = sphere_points(2, 50, seed=20)
-        np.testing.assert_allclose(
-            complex_hessian(body, z), complex_hessian(fd, z), atol=1e-5)
-        np.testing.assert_allclose(
-            complex_gradient(body, z), complex_gradient(fd, z), atol=1e-5)
+        for body in (anisotropic_ellipsoid(), degenerate_ellipsoid()):
+            fd = custom_body(2, body.h)
+            np.testing.assert_allclose(
+                complex_hessian(body, z), complex_hessian(fd, z), atol=1e-5)
+            np.testing.assert_allclose(
+                complex_gradient(body, z), complex_gradient(fd, z), atol=1e-5)
 
     def test_hessian_hermitian(self):
         z = sphere_points(2, 50, seed=6)
-        for body in (ball(2), lower_ball(2), anisotropic_ellipsoid()):
+        for body in (ball(2), lower_ball(2), anisotropic_ellipsoid(), degenerate_ellipsoid()):
             h = complex_hessian(body, z)
             np.testing.assert_allclose(h, np.conj(np.swapaxes(h, 1, 2)), atol=1e-10)
 
@@ -226,6 +231,7 @@ class TestCubature:
         ("Q2(B4,B3) interior", [ball(2), lower_ball(2)], False, 16 / 3),
         ("Q2(B4,B3) boundary", [ball(2), lower_ball(2)], True, 16 / 3),
         ("Q2(B3,B4) boundary", [lower_ball(2), ball(2)], True, 16 / 3),
+        ("ellipsoid diag(1,1,1,0)", [degenerate_ellipsoid()], False, 4 * math.pi / 3),
     ])
     def test_closed_forms(self, name, bodies, boundary, expected):
         res = smooth_quadrature(bodies, boundary=boundary)
@@ -313,8 +319,17 @@ class TestErrorHandling:
             mc_pseudovolume(bad, 10_000, RandomStream(1))
 
     def test_ellipsoid_validation(self):
-        with pytest.raises(ValueError):
-            ellipsoid(2, np.eye(3))
+        for q, match in ((np.eye(3), "4x4"),
+                         (np.diag([1.0, 1.0, 1.0, -1.0]), "positive semidefinite"),
+                         (np.diag([1.0, 1.0, 1.0, np.nan]), "finite")):
+            with pytest.raises(ValueError, match=match):
+                ellipsoid(2, q)
+
+    def test_singular_axis_from_q(self):
+        assert ball(2).singular_axis is None
+        assert lower_ball(2).singular_axis == 0
+        assert degenerate_ellipsoid().singular_axis == 3
+        assert ellipsoid(2, np.diag([0.0, 1.0, 1.0, 0.0])).singular_axis is None
 
 
 class TestLoadBody:
