@@ -53,10 +53,10 @@ def census(P, name: str, cfg: Config) -> None:
         a = ap.angle(f)
         rhos.append(f.rho)
         print(f"  face {sorted(f.id)}: rho = {f.rho:.9f}, area = {f.volume_k:.9f}, "
-              f"psi = {a.value:.6f} ± {a.std_error:.1e}")
+              f"psi = {a.value:.6f} ± {a.std_error:.1e} (bound {a.bound:.1e}, {a.method})")
     print(f"  distinct rho values: {sorted(set(round(r, 9) for r in rhos))}")
     rep = pseudovolume(P, angles=ap)
-    print(f"  P_2({name}) = {rep.value:.9f} ± {rep.mc_std_error:.2e}")
+    print(f"  P_2({name}) = {rep.value:.9f} ± {rep.std_error:.2e} (bound {rep.bound:.1e})")
 
 
 def main() -> None:

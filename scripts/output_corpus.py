@@ -179,9 +179,9 @@ for name, body in (("ball2", sb.ball(2)), ("lower_ball2", sb.lower_ball(2)),
                    ("ellipsoid", sb.load_body(ellipsoid))):
     for red in ("sphere", "ball"):
         r = sb.mc_pseudovolume(body, 30000, S, reduction=red)
-        lib[f"mc {name} {red}"] = [r.value, r.std_error, r.samples]
+        lib[f"mc {name} {red}"] = [r.value, r.std_error, r.bound, r.samples]
     r = sb.mc_pseudovolume(body, 250_001, S.substream(3), reduction="ball")
-    lib[f"mc {name} ball 250001"] = [r.value, r.std_error]
+    lib[f"mc {name} ball 250001"] = [r.value, r.std_error, r.bound]
 polys = {n: kazvol.load_polytope(str(DATA / f"{n}.json")) for n in POLYS}
 combos = [["segment"], ["theta4"], ["segment", "theta3"], ["theta4", "cube4"],
           ["real_square2", "theta4"], ["cube4"]]
@@ -190,28 +190,28 @@ for combo in combos:
     for phi in (pv.RHO, pv.UNIT):
         for method in ("direct", "polarization"):
             e = pv.mixed_phi_volume(parts, phi, 30000, S, method=method)
-            lib[f"mixed_phi {combo} {phi.name} {method}"] = [e.value, e.std_error]
+            lib[f"mixed_phi {combo} {phi.name} {method}"] = [e.value, e.std_error, e.bound]
 for combo in (["theta4", "cube4"], ["segment", "theta3"]):
     e = pv.mixed_pseudovolume([polys[c] for c in combo], 30000, S, method="polarization")
-    lib[f"mixed_pv polar {combo}"] = [e.value, e.std_error]
+    lib[f"mixed_pv polar {combo}"] = [e.value, e.std_error, e.bound]
 for name in ("theta4", "cube4", "theta3"):
     P = polys[name]
     for normal, offset in ((np.array([1.0, 0.3, -0.2, 0.5]), 0.1),
                            (np.array([0.0, 1.0, 1.0, 0.0]), -0.2)):
         e = pv.valuation_check(P, normal, offset, 30000, S)
-        lib[f"valuation {name} {offset}"] = [e.value, e.std_error]
+        lib[f"valuation {name} {offset}"] = [e.value, e.std_error, e.bound]
     ap = kazvol.AnglePass(P, 30000, S)
     for k in range(P.dim_real + 1):
         lib[f"phi UNIT {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.UNIT, ap)
         lib[f"phi RHO {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.RHO, ap)
     rep = pv.pseudovolume(P, ap)
-    lib[f"pv {name}"] = [rep.value, rep.mc_std_error, [list(map(repr, t[1:])) + [list(t[0])]
-                                                       for t in rep.per_face_terms]]
+    lib[f"pv {name}"] = [rep.value, rep.std_error, rep.bound,
+                         [list(map(repr, t[1:])) + [list(t[0])] for t in rep.terms]]
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, ap)
-    lib[f"eps {name}"] = [list(x.coefficients), x.value, x.std_error]
+    lib[f"eps {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, samples=30000, stream=S.substream(4),
                                          tol=Tolerance(1e-6, 1e-6))
-    lib[f"eps tol {name}"] = [list(x.coefficients), x.value, x.std_error]
+    lib[f"eps tol {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
 point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
 lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, pv.RHO, kazvol.AnglePass(point, 10, S)),
                     pv.intrinsic_phi_volume(point, 0, pv.UNIT, kazvol.AnglePass(point, 10, S))]

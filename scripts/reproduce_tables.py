@@ -36,8 +36,8 @@ def main() -> None:
     cfg = Config(n_max=args.n_max, samples=args.samples, seed=args.seed)
     stream = RandomStream(cfg.seed)
 
-    print(f"{'n':>2}  {'P_n(B_2n)':>14}  {'quadrature':>14}  {'err':>9}   "
-          f"{'P_n(B_2n-1)':>14}  {'quadrature':>14}  {'err':>9}")
+    print(f"{'n':>2}  {'P_n(B_2n)':>14}  {'quadrature':>14}  {'sigma':>9}  {'bound':>9}   "
+          f"{'P_n(B_2n-1)':>14}  {'quadrature':>14}  {'sigma':>9}  {'bound':>9}")
     for n in range(1, cfg.n_max + 1):
         full = ball_pseudovolume(n)
         low = lower_ball_pseudovolume(n)
@@ -45,13 +45,13 @@ def main() -> None:
         if n == 1:
             # B_1 is a segment: its whole density lies on the singular line,
             # which no sphere quadrature sees.
-            low_cols = f"{'(segment)':>14}  {'--':>9}"
+            low_cols = f"{'(segment)':>14}  {'--':>9}  {'--':>9}"
         else:
             low_q = smooth_quadrature([lower_ball(n)], cfg.samples,
                                        stream.substream(2 * n + 1))
-            low_cols = f"{low_q.value:>14.9f}  {low_q.std_error:>9.2e}"
+            low_cols = f"{low_q.value:>14.9f}  {low_q.std_error:>9.2e}  {low_q.bound:>9.2e}"
         print(f"{n:>2}  {full:>14.9f}  {full_q.value:>14.9f}  "
-              f"{full_q.std_error:>9.2e}   {low:>14.9f}  {low_cols}")
+              f"{full_q.std_error:>9.2e}  {full_q.bound:>9.2e}   {low:>14.9f}  {low_cols}")
 
     print("\nclosed forms only, n up to 10:")
     for n in range(1, 11):

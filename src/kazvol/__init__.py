@@ -16,8 +16,9 @@ from .complex_linalg import (
     realify,
     rho,
 )
-from .cone_geometry import AngleEstimate, AnglePass, DualCone, dual_cone, outer_angle
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, kappa, sphere_sample, wallis
+from .cone_geometry import AnglePass, DualCone, dual_cone, outer_angle
+from .numerics import (DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, kappa,
+                       sphere_sample, wallis, weighted_sum)
 from .polytope import (
     DimensionCapExceeded,
     EmptyInput,
@@ -38,9 +39,6 @@ from .polytope import (
 from .pseudovolume import (
     RHO,
     UNIT,
-    EpsExpansion,
-    Estimate,
-    PseudovolumeReport,
     WeightFunction,
     eps_neighborhood_pseudovolume,
     intrinsic_phi_volume,
@@ -52,7 +50,6 @@ from .pseudovolume import (
 )
 from .smooth_bodies import (
     NonFiniteIntegrand,
-    QuadratureResult,
     SingularPoint,
     SphereRule,
     SupportBody,

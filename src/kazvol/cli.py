@@ -98,6 +98,24 @@ def _parse_matrix(rows) -> np.ndarray:
     return np.array([[num(x) for x in row] for row in rows])
 
 
+def _finite_array(value) -> np.ndarray:
+    array = np.array(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"not an array of finite numbers: {value!r}")
+    return array
+
+
+def _pm(est) -> str:
+    """``± std_error``, then the deterministic bound when there is one."""
+    return f"± {est.std_error:.3g}" + (f" (bound {est.bound:.2g})" if est.bound else "")
+
+
+def _estimate_values(est, **values) -> dict:
+    """Report values followed by the estimate's error, method and draws or nodes used."""
+    return {**values, "std_error": est.std_error, "bound": est.bound, "method": est.method,
+            "samples_used": est.samples}
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 
@@ -106,7 +124,7 @@ def cmd_rho(args) -> int:
     tol, _, _ = _context(args)
     data = read_json(args.file)
     n = read_field(data, "n", int)
-    vectors = read_field(data, "vectors", lambda v: np.array(v, dtype=float))
+    vectors = read_field(data, "vectors", _finite_array)
     basis = cl.SubspaceBasis.from_span(n, vectors, tol)
     report = cl.rho(basis, tol)
     print(f"d = {basis.d}, complex dim of span = {report.complex_dim}, "
@@ -143,9 +161,9 @@ def cmd_angle(args) -> int:
     P = pt.load_polytope(args.file, tol, exact=args.exact)
     ids = [int(x) for x in args.face.split(",")]
     est = outer_angle(P, ids, samples, stream, tol)
-    print(f"outer angle of face {ids}: {est.value:.9g} ± {est.std_error:.3g} ({est.method})")
+    print(f"outer angle of face {ids}: {est.value:.9g} {_pm(est)} ({est.method})")
     rep = _report(args, "angle", [args.file], face=ids)
-    rep.values = {"angle": est.value, "std_error": est.std_error, "method": est.method}
+    rep.values = _estimate_values(est, angle=est.value)
     rep.emit(args)
     return EXIT_OK
 
@@ -178,16 +196,16 @@ def cmd_pseudovolume(args) -> int:
     tol, stream, samples = _context(args)
     P = pt.load_polytope(args.file, tol, exact=args.exact)
     report = pseudovolume(P, samples=samples, stream=stream, tol=tol)
-    print(f"P_{P.ambient_n} = {report.value:.9g} ± {report.mc_std_error:.3g}")
-    if report.per_face_terms:
+    print(f"P_{P.ambient_n} = {report.value:.9g} {_pm(report)}")
+    if report.terms:
         print("  face                     rho        vol_n      angle      term")
-        for ids, rho_, vol, angle, term in report.per_face_terms:
+        for ids, rho_, vol, angle, term in report.terms:
             print(f"  {str(list(ids)):24s} {rho_:<10.6g} {vol:<10.6g} "
                   f"{angle:<10.6g} {term:.6g}")
     rep = _report(args, "pseudovolume", [args.file])
-    rep.values = {"value": report.value, "std_error": report.mc_std_error}
+    rep.values = _estimate_values(report, value=report.value)
     rep.per_face = [list(map(float, (rho_, vol, angle, term))) + [list(ids)]
-                    for ids, rho_, vol, angle, term in report.per_face_terms]
+                    for ids, rho_, vol, angle, term in report.terms]
     rep.emit(args)
     return EXIT_OK
 
@@ -199,17 +217,17 @@ def cmd_mixed(args) -> int:
     if args.ball:
         k = len(parts)
         est = mixed_with_ball(parts, samples, stream, tol)
-        print(f"Q_{n}({k} bodies, B[{n - k}]) = {est.value:.9g} ± {est.std_error:.3g}")
+        print(f"Q_{n}({k} bodies, B[{n - k}]) = {est.value:.9g} {_pm(est)}")
     else:
         est = mixed_pseudovolume(parts, samples, stream, tol)
-        print(f"Q_{n} = {est.value:.9g} ± {est.std_error:.3g}")
-    values = {"value": est.value, "std_error": est.std_error}
+        print(f"Q_{n} = {est.value:.9g} {_pm(est)}")
+    values = _estimate_values(est, value=est.value)
     if args.oracle and not args.ball:
         oracle = mixed_pseudovolume(parts, samples, stream.substream(99), tol,
                                        method="polarization")
-        print(f"polarization cross-check: {oracle.value:.9g} ± {oracle.std_error:.3g}")
-        values["oracle_value"] = oracle.value
-        values["oracle_std_error"] = oracle.std_error
+        print(f"polarization cross-check: {oracle.value:.9g} {_pm(oracle)}")
+        values.update(oracle_value=oracle.value, oracle_std_error=oracle.std_error,
+                      oracle_bound=oracle.bound)
     rep = _report(args, "mixed", args.files, ball=bool(args.ball))
     rep.values = values
     rep.emit(args)
@@ -221,18 +239,18 @@ def cmd_eps_expand(args) -> int:
     P = pt.load_polytope(args.file, tol, exact=args.exact)
     exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream, tol=tol)
     n = P.ambient_n
-    terms = " + ".join(f"{c:.9g}*eps^{n - k}" for k, c in enumerate(exp.coefficients))
+    coefficients = [c.value for c in exp.terms]
+    terms = " + ".join(f"{c:.9g}*eps^{n - k}" for k, c in enumerate(coefficients))
     print(f"P_{n}((Gamma)_eps) = {terms}")
-    print(f"at eps = {args.eps}: {exp.value:.9g} ± {exp.std_error:.3g}")
+    print(f"at eps = {args.eps}: {exp.value:.9g} {_pm(exp)}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("eps,value\n")
             for e in np.linspace(0.0, max(args.eps, 1.0), 101):
-                val = sum(c * e ** (n - k) for k, c in enumerate(exp.coefficients))
+                val = sum(c * e ** (n - k) for k, c in enumerate(coefficients))
                 fh.write(f"{e},{val}\n")
     rep = _report(args, "eps-expand", [args.file], eps=args.eps)
-    rep.values = {"coefficients": list(exp.coefficients), "value": exp.value,
-                  "std_error": exp.std_error}
+    rep.values = _estimate_values(exp, coefficients=coefficients, value=exp.value)
     rep.emit(args)
     return EXIT_OK
 
@@ -244,7 +262,7 @@ def cmd_smooth(args) -> int:
 
     def show(label, res):
         how = f"cubature, {res.samples} nodes" if res.method == "cubature" else "Monte Carlo"
-        print(f"{label} ({how}) = {res.value:.9g} ± {res.std_error:.3g}")
+        print(f"{label} ({how}) = {res.value:.9g} {_pm(res)}")
 
     if len(bodies) == 1:
         body = bodies[0]
@@ -258,18 +276,18 @@ def cmd_smooth(args) -> int:
         bodies = bodies + [sb.ball(n)] * (n - len(bodies))
         res = sb.smooth_quadrature(bodies, samples, stream)
         show(f"Q_{n} interior", res)
-    values = {"value": res.value, "std_error": res.std_error, "method": res.method,
-              "nodes": res.samples}
+    values = _estimate_values(res, value=res.value, nodes=res.samples)
     if len(bodies) > 1 and (args.boundary or args.oracle):
         bres = sb.smooth_quadrature(bodies, samples, stream.substream(1), boundary=True)
         show(f"Q_{n} boundary", bres)
         values.update(boundary_value=bres.value, boundary_std_error=bres.std_error,
-                      boundary_method=bres.method, boundary_nodes=bres.samples)
+                      boundary_bound=bres.bound, boundary_method=bres.method,
+                      boundary_nodes=bres.samples)
     if args.oracle:
         mc = (sb.mc_pseudovolume(bodies[0], samples, stream.substream(2)) if len(bodies) == 1
               else sb.mc_mixed_pseudovolume(bodies, samples, stream.substream(2)))
-        print(f"Monte Carlo cross-check: {mc.value:.9g} ± {mc.std_error:.3g}")
-        values.update(mc_value=mc.value, mc_std_error=mc.std_error)
+        print(f"Monte Carlo cross-check: {mc.value:.9g} {_pm(mc)}")
+        values.update(mc_value=mc.value, mc_std_error=mc.std_error, mc_bound=mc.bound)
     rep = _report(args, "smooth", [args.file] + (args.mixed or []))
     rep.values = values
     rep.emit(args)

@@ -8,7 +8,10 @@ span them: the angle between the two rays, or a fan of spherical triangles
 (Van Oosterom & Strackee, IEEE TBME 1983).  Only cones of dimension 4 and up
 are estimated by Monte Carlo classification of uniform directions sampled in
 the normal space, a vertex like any other face; the hit fraction is the
-package's one estimator :func:`numerics.sampled_mean`.
+package's one estimator :func:`numerics.sampled_mean`.  Every angle is a
+:class:`numerics.Estimate`: a closed form carries its rounding in ``bound``
+and method "exact", a sampled angle its standard error, the number of
+unambiguous draws it kept and method "monte_carlo".
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complex_linalg as cl
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, sampled_mean, sphere_sample
+from .numerics import (DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, sampled_mean,
+                       sphere_sample)
 from .polytope import Face, FaceNotFound, Polytope
 
 __all__ = [
-    "AngleEstimate",
     "DualCone",
     "dual_cone",
     "outer_angle",
@@ -33,13 +36,6 @@ __all__ = [
 DEFAULT_ANGLE_SAMPLES = 2_000_000
 _CHUNK = 250_000
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    value: float
-    std_error: float
-    method: str  # "exact" or "monte_carlo"
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +85,7 @@ def _classify(
     samples: int,
     stream: RandomStream,
     tol: Tolerance,
-) -> AngleEstimate:
+) -> Estimate:
     """Fraction of directions in the cone's span whose support face equals the face.
 
     Directions whose gap between the face and the best other vertex is within
@@ -106,16 +102,16 @@ def _classify(
         gap = vals[:, member[0]] - vals[:, other].max(axis=1)
         return gap[np.abs(gap) > delta] > 0
 
-    value, err, _ = sampled_mean(hits, samples, stream, _CHUNK)
-    return AngleEstimate(value, err, "monte_carlo")
+    value, err, used = sampled_mean(hits, samples, stream, _CHUNK)
+    return Estimate(value, err, method="monte_carlo", samples=used)
 
 
-def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstimate | None:
+def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> Estimate | None:
     """Closed-form angle of a normal cone of dimension 2 or 3, else None.
 
     Each facet through the face contributes its outer normal, an extreme ray
-    of the cone.  The bound is a floating-point error bound, not zero, so that
-    k-sigma gates on exact values still tolerate the last-ulp rounding.
+    of the cone.  Its ``bound`` is a floating-point error bound, so that gates
+    on exact values still tolerate the last-ulp rounding.
     """
     if basis.d > 3:
         return None
@@ -124,7 +120,7 @@ def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstim
     if basis.d == 2 and len(rays) == 2:
         a, b = rays
         theta = np.arctan2(abs(a[0] * b[1] - a[1] * b[0]), a @ b)
-        return AngleEstimate(float(theta / (2 * np.pi)), 16 * _EPS, "exact")
+        return Estimate(float(theta / (2 * np.pi)), bound=16 * _EPS)
     if basis.d == 3 and len(rays) >= 3:
         # Cyclic order around the interior direction, then a fan from rays[0].
         w = rays.sum(axis=0)
@@ -134,7 +130,7 @@ def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> AngleEstim
         a, b, c = rays[0], rays[1:-1], rays[2:]
         triple = np.abs(np.cross(b, c) @ a)
         omega = 2 * np.arctan2(triple, 1 + b @ a + np.sum(b * c, axis=1) + c @ a)
-        return AngleEstimate(float(omega.sum() / (4 * np.pi)), 16 * _EPS * len(rays), "exact")
+        return Estimate(float(omega.sum() / (4 * np.pi)), bound=16 * _EPS * len(rays))
     return None
 
 
@@ -144,13 +140,13 @@ def outer_angle(
     samples: int = DEFAULT_ANGLE_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> AngleEstimate:
+) -> Estimate:
     face = P.face_by_ids(face_id)
     d = P.dim_real
     if face.k == d:
-        return AngleEstimate(1.0, 0.0, "exact")
+        return Estimate(1.0)
     if face.k == d - 1:
-        return AngleEstimate(0.5, 0.0, "exact")
+        return Estimate(0.5)
     basis = _normal_space(P, face, tol)
     return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream, tol)
 
@@ -173,10 +169,10 @@ class AnglePass:
         self.samples = samples
         self.stream = stream
         self.tol = tol
-        self._cache: dict[frozenset[int], AngleEstimate] = {}
+        self._cache: dict[frozenset[int], Estimate] = {}
         self._order = {f.id: i for i, f in enumerate(P.all_faces())}
 
-    def angle(self, face: Face) -> AngleEstimate:
+    def angle(self, face: Face) -> Estimate:
         key = face.id
         if key not in self._cache:
             sub = self.stream.substream(self._order.get(key, len(self._order)))

@@ -7,6 +7,9 @@ many other streams have been consumed in between.  Every Monte Carlo value,
 the sampled outer angles and the smooth-body sphere averages alike, is the
 one estimator :func:`sampled_mean`: its loop over :func:`chunks` is the one
 place that derives a per-chunk substream.
+Every result is an :class:`Estimate`, with one statistical standard deviation
+and a deterministic error bound; :func:`weighted_sum` is the one place that
+combines the errors of independent estimates.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
     "Tolerance",
+    "Estimate",
+    "weighted_sum",
     "RandomStream",
     "kappa",
     "wallis",
@@ -131,6 +136,34 @@ def sampled_mean(values_of: Callable[[RandomStream, int], np.ndarray], samples: 
     mean = total / used
     var = max(total_sq / used - mean**2, 0.0)
     return mean, math.sqrt(var / used), used
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A value, its standard error and a deterministic bound (rounding, a cubature ladder);
+    ``samples`` counts the draws kept or the nodes evaluated, ``terms`` the parts of a sum
+    (per-face rows, or one coefficient ``Estimate`` per degree)."""
+
+    value: float
+    std_error: float = 0.0
+    bound: float = 0.0
+    method: str = "exact"
+    samples: int = 0
+    terms: tuple = ()
+
+
+def weighted_sum(pairs: Iterable[tuple[float, Estimate]], terms: tuple = ()) -> Estimate:
+    """sum c * value over ``(c, estimate)`` pairs of independent estimates: standard errors
+    add in quadrature, ``|c| * bound`` and the samples add, and the method is the parts'
+    sorted methods joined by "+" (no parts give an exact 0)."""
+    pairs = list(pairs)
+    value = 0.0
+    for c, e in pairs:
+        value += c * e.value
+    return Estimate(float(value), math.hypot(*(c * e.std_error for c, e in pairs)),
+                    float(sum(abs(c) * e.bound for c, e in pairs)),
+                    "+".join(sorted({e.method for _, e in pairs})) or "exact",
+                    sum(e.samples for _, e in pairs), tuple(terms))
 
 
 def read_json(source) -> dict:

@@ -14,9 +14,11 @@ cross-check path.
 Every sum of phi(E_Delta) * vol_k(Delta) * psi_Gamma(Delta) over the k-faces
 of one polytope (P_n, v_k^phi, the eps-expansion coefficients and each term of
 the polarization) goes through the single face sum ``_face_sum``, which
-returns the value, its Monte Carlo error and the per-face rows in one pass.
+returns an :class:`numerics.Estimate` with the per-face rows as its terms.
 The direct path to Q_n is that sum over the Minkowski sum with the mixed
 volume of the summand faces, read from their vertices, in place of vol_k.
+The outer angles come from independent substreams, so every sum of them, and
+every sum of such sums, is a :func:`numerics.weighted_sum`.
 Weights evaluate a :class:`Face`; ``RHO`` reads the ``Face.rho`` that ``hull``
 computed under the caller's tolerance.
 """
@@ -24,13 +26,13 @@ computed under the caller's tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .cone_geometry import DEFAULT_ANGLE_SAMPLES, AnglePass
-from .numerics import DEFAULT_TOLERANCE, RandomStream, Tolerance, kappa
+from .numerics import DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
 from .polytope import Face, Polytope, hull, minkowski_sum, split, summand_faces  # noqa: F401
 from .volumes import mixed_volume
@@ -39,9 +41,6 @@ __all__ = [
     "WeightFunction",
     "RHO",
     "UNIT",
-    "Estimate",
-    "PseudovolumeReport",
-    "EpsExpansion",
     "intrinsic_phi_volume",
     "mixed_phi_volume",
     "pseudovolume",
@@ -68,52 +67,25 @@ RHO = WeightFunction(lambda face: face.rho, "rho")
 UNIT = WeightFunction(lambda face: 1.0, "one")
 
 
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    std_error: float
-
-
-@dataclass(frozen=True)
-class PseudovolumeReport:
-    value: float
-    per_face_terms: tuple[tuple[tuple[int, ...], float, float, float, float], ...]
-    mc_std_error: float
-
-
-@dataclass(frozen=True)
-class EpsExpansion:
-    """Coefficients of P_n((Gamma)_eps) as a polynomial in eps.
-
-    ``coefficients[k]`` multiplies eps**(n-k) and equals
-    2^{n-k} * kappa_{2n-k} / kappa_n * v_k^rho(Gamma).
-    """
-
-    coefficients: tuple[float, ...]
-    value: float
-    std_error: float
-
-
 def _face_sum(
     P: Polytope,
     k: int,
     phi: WeightFunction,
     angles: AnglePass,
     measure: Callable[[Face], float] = lambda f: f.volume_k,
-) -> tuple[float, float, tuple]:
+) -> Estimate:
     """Sum of phi * measure * psi over the k-faces where phi and the measure are nonzero.
 
-    The measure defaults to vol_k.  Returns (value, error, rows): the error sums
-    |phi * measure| times each angle's standard error, and each row is
-    (vertex ids, phi, measure, angle, term).  For k = 0 the vertex normal cones
-    tile E_Gamma and every vertex spans {0}, so the sum is phi({0}) * measure of
-    a vertex, exact and without angles or rows.
+    The measure defaults to vol_k.  The weighted sum of the angles with weights
+    phi * measure, and the per-face rows (vertex ids, phi, measure, angle, term)
+    as its terms.  For k = 0 the vertex normal cones tile E_Gamma and every
+    vertex spans {0}, so the sum is phi({0}) * measure of a vertex, exact and
+    without angles or rows.
     """
     if k == 0:
         f = P.faces[0][0]
-        return float(phi.evaluate(f) * measure(f)), 0.0, ()
-    total = 0.0
-    err = 0.0
+        return Estimate(float(phi.evaluate(f) * measure(f)))
+    pairs = []
     rows = []
     for f in P.faces.get(k, []):
         w = phi.evaluate(f)
@@ -123,16 +95,14 @@ def _face_sum(
         if m == 0.0:
             continue
         a = angles.angle(f)
-        term = w * m * a.value
-        rows.append((f.vertex_ids, w, m, a.value, term))
-        total += term
-        err += abs(w * m) * a.std_error
-    return float(total), float(err), tuple(rows)
+        pairs.append((w * m, a))
+        rows.append((f.vertex_ids, w, m, a.value, w * m * a.value))
+    return weighted_sum(pairs, rows)
 
 
 def intrinsic_phi_volume(P: Polytope, k: int, phi: WeightFunction, angles: AnglePass) -> float:
     """v_k^phi(Gamma) = sum over k-faces of phi(E_Delta) * vol_k * psi_Gamma."""
-    return _face_sum(P, k, phi, angles)[0]
+    return _face_sum(P, k, phi, angles).value
 
 
 def pseudovolume(
@@ -141,11 +111,9 @@ def pseudovolume(
     samples: int = DEFAULT_ANGLE_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> PseudovolumeReport:
+) -> Estimate:
     """P_n(Gamma) = v_n^rho(Gamma) over the equidimensional n-faces, with per-face terms."""
-    ap = angles or AnglePass(P, samples, stream, tol)
-    value, err, rows = _face_sum(P, P.ambient_n, RHO, ap)
-    return PseudovolumeReport(value, rows, err)
+    return _face_sum(P, P.ambient_n, RHO, angles or AnglePass(P, samples, stream, tol))
 
 
 def mixed_phi_volume(
@@ -172,20 +140,15 @@ def mixed_phi_volume(
             return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, faces)],
                                 f.hull_basis, tol)
 
-        value, err, _ = _face_sum(S, k, phi, AnglePass(S, samples, stream, tol), mixed)
-        return Estimate(value, err)
+        return _face_sum(S, k, phi, AnglePass(S, samples, stream, tol), mixed)
     if method == "polarization":
-        total = 0.0
-        err = 0.0
+        pairs = []
         for mask in range(1, 1 << k):
             members = [parts[i] for i in range(k) if mask >> i & 1]
             s = minkowski_sum(members, tol)
             ap = AnglePass(s, samples, stream.substream(mask), tol)
-            value, e, _ = _face_sum(s, k, phi, ap)
-            total += (-1) ** (k - len(members)) * value
-            err += e
-        fact = math.factorial(k)
-        return Estimate(float(total / fact), float(err / fact))
+            pairs.append(((-1) ** (k - len(members)) / math.factorial(k), _face_sum(s, k, phi, ap)))
+        return weighted_sum(pairs)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -223,8 +186,7 @@ def mixed_with_ball(
     if k == n:
         return mixed_pseudovolume(parts, samples, stream, tol)
     vk = mixed_phi_volume(parts, RHO, samples, stream, tol)
-    factor = 2 ** (n - k) * kappa(2 * n - k) / (kappa(n) * math.comb(n, k))
-    return Estimate(factor * vk.value, factor * vk.std_error)
+    return weighted_sum([(2 ** (n - k) * kappa(2 * n - k) / (kappa(n) * math.comb(n, k)), vk)])
 
 
 def eps_neighborhood_pseudovolume(
@@ -234,26 +196,22 @@ def eps_neighborhood_pseudovolume(
     samples: int = DEFAULT_ANGLE_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> EpsExpansion:
+) -> Estimate:
     """P_n of the eps-neighborhood (Gamma)_eps = Gamma + eps*B_2n.
 
     P_n((Gamma)_eps) = sum_{k=0}^{n} 2^{n-k} kappa_{2n-k}/kappa_n
                        * v_k^rho(Gamma) * eps^{n-k}.
+
+    The terms are the coefficients, one Estimate per k: ``terms[k]``
+    multiplies eps**(n-k).
     """
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
     n = P.ambient_n
     ap = angles or AnglePass(P, samples, stream, tol)
-    coeffs = []
-    errs = []
-    for k in range(n + 1):
-        factor = 2 ** (n - k) * kappa(2 * n - k) / kappa(n)
-        vk, ek, _ = _face_sum(P, k, RHO, ap)
-        coeffs.append(factor * vk)
-        errs.append(factor * ek)
-    value = sum(c * eps ** (n - k) for k, c in enumerate(coeffs))
-    err = sum(e * eps ** (n - k) for k, e in enumerate(errs))
-    return EpsExpansion(tuple(coeffs), float(value), float(err))
+    coeffs = [weighted_sum([(2 ** (n - k) * kappa(2 * n - k) / kappa(n), _face_sum(P, k, RHO, ap))])
+              for k in range(n + 1)]
+    return weighted_sum([(eps ** (n - k), c) for k, c in enumerate(coeffs)], coeffs)
 
 
 def valuation_check(
@@ -266,12 +224,8 @@ def valuation_check(
 ) -> Estimate:
     """|P_n(P+) + P_n(P-) - P_n(P) - P_n(P0)| for the split along <u,.> = c."""
     plus, minus, on_plane = split(P, normal, offset, tol)
-    total = 0.0
-    err = 0.0
-    for piece, sign, idx in ((plus, 1, 1), (minus, 1, 2), (P, -1, 3), (on_plane, -1, 4)):
-        if piece is None:
-            continue
-        rep = pseudovolume(piece, None, samples, stream.substream(idx), tol)
-        total += sign * rep.value
-        err += rep.mc_std_error
-    return Estimate(abs(total), err)
+    residual = weighted_sum(
+        (sign, pseudovolume(piece, None, samples, stream.substream(idx), tol))
+        for piece, sign, idx in ((plus, 1, 1), (minus, 1, 2), (P, -1, 3), (on_plane, -1, 4))
+        if piece is not None)
+    return replace(residual, value=abs(residual.value))

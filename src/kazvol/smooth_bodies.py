@@ -23,7 +23,10 @@ differences.
 Monte Carlo.  ``_sphere_mc`` is the one Monte Carlo path: it feeds the
 integrand at uniform sphere directions (or, for the solid-ball cross-check of
 the sphere reduction, uniform ball points) to :func:`numerics.sampled_mean`,
-and serves the fallback and the ``mc_*`` functions (the oracle) alike.
+and serves the fallback and the ``mc_*`` functions (the oracle) alike.  Both
+return an :class:`numerics.Estimate`: cubature puts its ladder and rounding
+error into ``bound`` and counts the nodes it evaluated, Monte Carlo reports a
+standard error and counts the draws it kept.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import complex_linalg as cl
-from .numerics import RandomStream, kappa, read_field, read_json, sampled_mean, sphere_sample
+from .numerics import (Estimate, RandomStream, kappa, read_field, read_json, sampled_mean,
+                       sphere_sample)
 from .volumes import batch_mixed_discriminant
 
 __all__ = [
     "SingularPoint",
     "NonFiniteIntegrand",
     "SupportBody",
-    "QuadratureResult",
     "SphereRule",
     "ball",
     "lower_ball",
@@ -94,16 +97,6 @@ class SupportBody:
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     singular_axis: int | None = None
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """``samples`` counts integrand evaluations: draws, or cubature nodes over the ladder."""
-
-    value: float
-    std_error: float
-    samples: int
-    method: str = "monte_carlo"
 
 
 def _as_points(z: np.ndarray, n: int) -> np.ndarray:
@@ -339,7 +332,7 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
 
 
 def _sphere_mc(bodies: list[SupportBody], samples: int, stream: RandomStream,
-               boundary: bool = False, ball: bool = False) -> QuadratureResult:
+               boundary: bool = False, ball: bool = False) -> Estimate:
     """``_density``'s constant times the Monte Carlo mean of its integrand on the sphere.
 
     With ``ball`` the points fill the unit ball instead, at half the constant:
@@ -356,8 +349,8 @@ def _sphere_mc(bodies: list[SupportBody], samples: int, stream: RandomStream,
 
     if ball:
         constant /= 2
-    mean, err, _ = sampled_mean(values_of, samples, stream, _CHUNK)
-    return QuadratureResult(constant * mean, constant * err, samples)
+    mean, err, used = sampled_mean(values_of, samples, stream, _CHUNK)
+    return Estimate(constant * mean, constant * err, method="monte_carlo", samples=used)
 
 
 def _polynomial_rule(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +428,7 @@ def _cubature(integrand, dim: int, samples: int, axis: int) -> tuple[float, floa
 
     Stops when two successive rules agree to 1e-12 of sum |w f|, or before a
     rule with more than ``samples`` nodes; None when fewer than two rules
-    fit.  Returns (mean, error, nodes evaluated): the finer rule's value, and
+    fit.  Returns (mean, bound, nodes evaluated): the finer rule's value, and
     the last difference plus the rounding bound N * eps * sum |w f| of its N
     terms.
     """
@@ -469,7 +462,7 @@ def smooth_quadrature(
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     boundary: bool = False,
-) -> QuadratureResult:
+) -> Estimate:
     """P_n of one body, or Q_n of n bodies (by the boundary formula with ``boundary``).
 
     Cubature runs when n <= 3, every body has an analytic Hessian (with
@@ -492,7 +485,7 @@ def smooth_quadrature(
         res = _cubature(integrand, 2 * n, samples, min(axes, default=0))
         if res is not None:
             mean, err, nodes = res
-            return QuadratureResult(constant * mean, constant * err, nodes, "cubature")
+            return Estimate(constant * mean, bound=constant * err, method="cubature", samples=nodes)
     return _sphere_mc(bodies, samples, stream, boundary)
 
 
@@ -501,7 +494,7 @@ def mc_pseudovolume(
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     reduction: str = "sphere",
-) -> QuadratureResult:
+) -> Estimate:
     """P_n(A) = (4^n / kappa_n) * integral of det Hess_C h_A over B_2n, by Monte Carlo.
 
     ``reduction="sphere"`` uses the (-n)-homogeneity of the determinant to
@@ -518,7 +511,7 @@ def mc_mixed_pseudovolume(
     bodies: list[SupportBody],
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-) -> QuadratureResult:
+) -> Estimate:
     """Q_n via the mixed discriminant of the bodies' complex Hessians, by Monte Carlo."""
     n = bodies[0].ambient_n
     if len(bodies) != n:
@@ -530,7 +523,7 @@ def boundary_mixed_pseudovolume(
     bodies: list[SupportBody],
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-) -> QuadratureResult:
+) -> Estimate:
     """Q_n via the boundary-sphere formula (see ``_density``), by Monte Carlo."""
     return _sphere_mc(bodies, samples, stream, boundary=True)
 

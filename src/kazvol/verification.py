@@ -18,7 +18,7 @@ from . import complex_linalg as cl
 from . import polytope as pt
 from . import smooth_bodies as sb
 from .pseudovolume import pseudovolume, valuation_check
-from .numerics import RandomStream, kappa, wallis
+from .numerics import RandomStream, kappa, wallis, weighted_sum
 
 __all__ = ["Check", "run_suite", "SUITES"]
 
@@ -88,16 +88,18 @@ def suite_tables(samples: int, stream: RandomStream) -> list[Check]:
         expected = TABLE_FULL[n - 1]
         checks.append(_check(
             f"P{n}(B_{2 * n}) sphere quadrature",
-            abs(res.value - expected) <= 3 * res.std_error + 1e-9,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g} ({res.method})",
+            abs(res.value - expected) <= 3 * res.std_error + res.bound + 1e-9,
+            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {expected:.6g} "
+            f"({res.method})",
         ))
     for n in (2, 3):
         res = sb.smooth_quadrature([sb.lower_ball(n)], mc_samples, stream.substream(10 + n))
         expected = TABLE_LOWER[n - 1]
         checks.append(_check(
             f"P{n}(B_{2 * n - 1}) sphere quadrature",
-            abs(res.value - expected) <= 4 * res.std_error,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {expected:.6g} ({res.method})",
+            abs(res.value - expected) <= 4 * res.std_error + res.bound,
+            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {expected:.6g} "
+            f"({res.method})",
         ))
     bodies = [sb.ball(2), sb.lower_ball(2)]
     interior = sb.smooth_quadrature(bodies, mc_samples, stream.substream(20))
@@ -105,8 +107,9 @@ def suite_tables(samples: int, stream: RandomStream) -> list[Check]:
     for label, res in (("interior", interior), ("boundary", boundary)):
         checks.append(_check(
             f"Q2(B4,B3) {label} quadrature = 16/3",
-            abs(res.value - Q2_BALLS) <= 4 * res.std_error,
-            f"{res.value:.6g} ± {res.std_error:.2g} vs {Q2_BALLS:.6g} ({res.method})",
+            abs(res.value - Q2_BALLS) <= 4 * res.std_error + res.bound,
+            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {Q2_BALLS:.6g} "
+            f"({res.method})",
         ))
     return checks
 
@@ -139,8 +142,8 @@ def suite_invariants(samples: int, stream: RandomStream) -> list[Check]:
     rep = pseudovolume(cube, samples=angle_samples, stream=stream.substream(2))
     checks.append(_check(
         "P2(I4) = 16",
-        abs(rep.value - 16.0) <= 4 * rep.mc_std_error,
-        f"{rep.value:.5f} ± {rep.mc_std_error:.2g}",
+        abs(rep.value - 16.0) <= 4 * rep.std_error + rep.bound,
+        f"{rep.value:.5f} ± {rep.std_error:.2g} + {rep.bound:.2g}",
     ))
 
     theta4 = pt.hull(np.vstack([np.eye(4), -np.eye(4)]))
@@ -148,8 +151,8 @@ def suite_invariants(samples: int, stream: RandomStream) -> list[Check]:
     expected = 16 * math.sqrt(3) / 9
     checks.append(_check(
         "P2(Theta4) = 16 sqrt3/9 (all 32 two-faces have rho = 2/3)",
-        abs(rep.value - expected) <= 4 * rep.mc_std_error,
-        f"{rep.value:.5f} ± {rep.mc_std_error:.2g} vs {expected:.5f}",
+        abs(rep.value - expected) <= 4 * rep.std_error + rep.bound,
+        f"{rep.value:.5f} ± {rep.std_error:.2g} + {rep.bound:.2g} vs {expected:.5f}",
     ))
 
     theta3 = pt.hull(np.array(
@@ -172,7 +175,7 @@ def suite_invariants(samples: int, stream: RandomStream) -> list[Check]:
         u /= np.linalg.norm(u)
         res = valuation_check(P, u, float(P.centroid @ u), samples=angle_samples,
                                  stream=stream.substream(30 + i))
-        residual_ok &= res.value <= 4 * res.std_error + 1e-9
+        residual_ok &= res.value <= 4 * res.std_error + res.bound + 1e-9
         detail.append(f"{res.value:.2g}")
     checks.append(_check("valuation residuals on random splits", residual_ok, ", ".join(detail)))
 
@@ -182,9 +185,10 @@ def suite_invariants(samples: int, stream: RandomStream) -> list[Check]:
     rot = pt.hull(square2.vertices @ u_mat.T)
     rep_a = pseudovolume(square2, samples=angle_samples, stream=stream.substream(41))
     rep_b = pseudovolume(rot, samples=angle_samples, stream=stream.substream(42))
+    diff = weighted_sum([(1, rep_a), (-1, rep_b)])
     checks.append(_check(
         "P2 unitary invariance on I2 x {0}",
-        abs(rep_a.value - rep_b.value) <= 4 * (rep_a.mc_std_error + rep_b.mc_std_error) + 1e-9,
+        abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9,
         f"{rep_a.value:.5f} vs {rep_b.value:.5f}",
     ))
     swapped = square2.vertices.copy()

@@ -98,7 +98,7 @@ def mixed_volume(
 def intrinsic_volume(P: Polytope, k: int, angles) -> float:
     """v_k(Gamma) = sum over k-faces of vol_k * outer angle.
 
-    ``angles`` is a callable Face -> AngleEstimate (e.g. AnglePass.angle).
+    ``angles`` is a callable Face -> Estimate (e.g. AnglePass.angle).
     v_0 = 1 exactly, without angles: the vertex normal cones tile E_Gamma.
     """
     if k < 0 or k > P.dim_real:

@@ -21,7 +21,6 @@ import pytest
 from scipy.integrate import nquad
 
 from kazvol import (
-    RHO,
     AnglePass,
     RandomStream,
     alexandroff_gap,
@@ -45,8 +44,7 @@ from kazvol import (
     valuation_check,
 )
 from kazvol.complex_linalg import random_unitary, realify
-from kazvol.numerics import kappa
-from kazvol.pseudovolume import _face_sum
+from kazvol.numerics import weighted_sum
 
 from conftest import random_polygon_real, random_polytope
 
@@ -204,7 +202,7 @@ def test_criterion_04_polytope_closed_values():
     for n in (1, 2):
         cube = hull(np.array(list(itertools.product([-1.0, 1.0], repeat=2 * n))))
         rep = pseudovolume(cube, samples=MC_ANGLE, stream=stream.substream(2 + n))
-        assert abs(rep.value - 4.0**n) <= 4 * rep.mc_std_error + 1e-9
+        assert abs(rep.value - 4.0**n) <= 4 * rep.std_error + rep.bound + 1e-9
 
     theta4 = theta4_polytope()
     ap = AnglePass(theta4, MC_ANGLE, stream.substream(5))
@@ -212,7 +210,7 @@ def test_criterion_04_polytope_closed_values():
         if f.id == theta4.improper_face.id:
             continue
         a = ap.angle(f)
-        assert abs(a.value - 1.0 / 6.0) <= 4 * a.std_error, \
+        assert abs(a.value - 1.0 / 6.0) <= 4 * a.std_error + a.bound, \
             f"two-face angle {a.value} != 1/6"
 
     rhos = sorted(f.rho for f in theta4.faces[2] if f.id != theta4.improper_face.id)
@@ -220,10 +218,10 @@ def test_criterion_04_polytope_closed_values():
     assert len(rhos) == 32 and n_two_thirds == 32, f"two-face rho values {rhos}"
     rep4 = pseudovolume(theta4, angles=ap)
     rep3 = pseudovolume(theta3_polytope(), samples=MC_ANGLE, stream=stream.substream(6))
-    assert abs(rep4.value - 16 * math.sqrt(3) / 9) <= 4 * rep4.mc_std_error, \
-        f"P_2(Theta_4) = {rep4.value} ± {rep4.mc_std_error}"
-    assert abs(rep3.value - 4 * math.sqrt(3) / 3) <= 4 * rep3.mc_std_error + 1e-9, \
-        f"P_2(Theta_3) = {rep3.value} ± {rep3.mc_std_error}"
+    assert abs(rep4.value - 16 * math.sqrt(3) / 9) <= 4 * rep4.std_error + rep4.bound, \
+        f"P_2(Theta_4) = {rep4.value} ± {rep4.std_error} + {rep4.bound}"
+    assert abs(rep3.value - 4 * math.sqrt(3) / 3) <= 4 * rep3.std_error + rep3.bound + 1e-9, \
+        f"P_2(Theta_3) = {rep3.value} ± {rep3.std_error} + {rep3.bound}"
 
 
 def test_criterion_04_independent_face_census():
@@ -335,7 +333,7 @@ def test_criterion_05_real_reduction():
         b = random_polygon_real(rng)
         q = mixed_pseudovolume([a, b], samples=100_000, stream=stream.substream(i))
         v = mixed_volume([a.vertices, b.vertices])
-        assert abs(q.value - v) <= 4 * q.std_error + 1e-9, \
+        assert abs(q.value - v) <= 4 * q.std_error + q.bound + 1e-9, \
             f"pair {i}: Q_2 = {q.value} vs V_2 = {v}"
 
 
@@ -355,9 +353,9 @@ def test_criterion_06_non_monotonicity():
     lam = 0.25
     k_rep = pseudovolume(k_body(lam), samples=MC_ANGLE, stream=stream.substream(1))
     g_rep = pseudovolume(gamma_body(lam), samples=MC_ANGLE, stream=stream.substream(2))
-    assert abs(k_rep.value - 2 * lam) <= 4 * k_rep.mc_std_error + 1e-9
+    assert abs(k_rep.value - 2 * lam) <= 4 * k_rep.std_error + k_rep.bound + 1e-9
     expected = 8 * lam**2 / math.sqrt(1 + lam**2)
-    assert abs(g_rep.value - expected) <= 4 * g_rep.mc_std_error + 1e-9
+    assert abs(g_rep.value - expected) <= 4 * g_rep.std_error + g_rep.bound + 1e-9
 
     lam = 0.2
     k_rep = pseudovolume(k_body(lam), samples=MC_ANGLE, stream=stream.substream(3))
@@ -373,11 +371,9 @@ def test_criterion_07_eps_expansion():
     ap = AnglePass(square, MC_ANGLE, stream)
     exp = eps_neighborhood_pseudovolume(square, 0.0, angles=ap)
     targets = (2 * math.pi, 32.0 / 3.0, 4.0)
-    for k, (got, want) in enumerate(zip(exp.coefficients, targets)):
-        factor = 2 ** (2 - k) * kappa(4 - k) / kappa(2)
-        err = factor * _face_sum(square, k, RHO, ap)[1]
-        assert abs(got - want) <= 4 * err + 1e-9, \
-            f"coefficient of eps^{2 - k}: {got} vs {want}"
+    for k, (got, want) in enumerate(zip(exp.terms, targets)):
+        assert abs(got.value - want) <= 4 * got.std_error + got.bound + 1e-9, \
+            f"coefficient of eps^{2 - k}: {got.value} vs {want}"
 
     point = hull(np.zeros((1, 4)))
     for eps in (0.3, 1.0, 2.5):
@@ -398,8 +394,8 @@ def test_criterion_08_valuation_residual():
         u /= np.linalg.norm(u)
         res = valuation_check(P, u, float(P.centroid @ u),
                               samples=100_000, stream=stream.substream(i))
-        assert res.value <= 4 * res.std_error + 1e-9, \
-            f"split {i}: residual {res.value} vs error {res.std_error}"
+        assert res.value <= 4 * res.std_error + res.bound + 1e-9, \
+            f"split {i}: residual {res.value} vs error {res.std_error} + {res.bound}"
 
 
 def test_criterion_09_invariance_battery():
@@ -412,19 +408,19 @@ def test_criterion_09_invariance_battery():
         lam = float(rng.uniform(0.5, 2.0))
         scaled = pseudovolume(scale(P, lam), samples=100_000,
                               stream=stream.substream(3 * i + 1))
-        budget = 4 * (lam**2 * base.mc_std_error + scaled.mc_std_error) + 1e-9
-        assert abs(scaled.value - lam**2 * base.value) <= budget
+        diff = weighted_sum([(1, scaled), (-lam**2, base)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9
 
         moved = pseudovolume(translate(P, rng.normal(size=4)),
                              samples=100_000, stream=stream.substream(3 * i + 2))
-        budget = 4 * (base.mc_std_error + moved.mc_std_error) + 1e-9
-        assert abs(moved.value - base.value) <= budget
+        diff = weighted_sum([(1, moved), (-1, base)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9
 
         u = realify(random_unitary(2, stream.substream(100 + i)))
         rotated = pseudovolume(hull(P.vertices @ u.T), samples=100_000,
                                stream=stream.substream(200 + i))
-        budget = 4 * (base.mc_std_error + rotated.mc_std_error) + 1e-9
-        assert abs(rotated.value - base.value) <= budget
+        diff = weighted_sum([(1, rotated), (-1, base)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9
 
     # I_2 = square of side 2 in R^2 x {0}: P_2 = 4 = 2^2; the orthogonal swap
     # of Im z_1 and Re z_2 sends it into a complex line where P_2 = 0 exactly.

@@ -92,6 +92,17 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert "eps^" in out
 
+    def test_vertex_angle_reports_draws_used(self, theta4_file, tmp_path, capsys):
+        # A vertex of Theta_4 has a 4-dimensional normal cone, so it is sampled.
+        report = tmp_path / "report.json"
+        code, _ = run(["angle", theta4_file, "--face", "0", "--samples", "5000",
+                       "--json", str(report)], capsys)
+        values = json.loads(report.read_text())["values"]
+        assert code == EXIT_OK
+        assert values["method"] == "monte_carlo"
+        assert 0 < values["samples_used"] <= 5000
+        assert values["bound"] == 0.0 and values["std_error"] > 0.0
+
     def test_smooth_ball(self, tmp_path, capsys):
         body = tmp_path / "ball.json"
         body.write_text(json.dumps({"kind": "ball", "n": 2}))
@@ -111,7 +122,7 @@ class TestBasicCommands:
         values = json.loads(report.read_text())["values"]
         assert code == EXIT_OK
         assert values["method"] == "cubature" and values["nodes"] > 0
-        assert abs(values["value"] - 32 * np.pi / 15) <= values["std_error"]
+        assert abs(values["value"] - 32 * np.pi / 15) <= values["std_error"] + values["bound"]
         assert calls == []
 
     def test_smooth_oracle_runs_monte_carlo(self, tmp_path, capsys):
@@ -250,6 +261,8 @@ class TestExitCodes:
         ("faces", '{"n": 1, "vertices": 5}', "field 'vertices'"),
         ("faces", '{"n": null, "vertices": [[0, 0], [1, 0]]}', "field 'n'"),
         ("smooth", '{"kind": "ball", "n": null}', "field 'n'"),
+        ("rho", '{"n": 1, "vectors": null}', "field 'vectors'"),
+        ("rho", '{"n": 1, "vectors": [[NaN, 0]]}', "field 'vectors'"),
     ])
     def test_malformed_document(self, command, text, named, tmp_path, capsys):
         doc = tmp_path / "doc.json"

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kazvol import (
     valuation_check,
 )
 from kazvol.complex_linalg import random_unitary, realify
-from kazvol.numerics import Tolerance, kappa
+from kazvol.numerics import Tolerance, kappa, weighted_sum
 from kazvol.smooth_bodies import ball_pseudovolume
 
 from conftest import SAMPLES, random_polygon_real, random_polytope
@@ -56,33 +57,33 @@ class TestPolytopeValues:
         rep = pseudovolume(square_c1, samples=SAMPLES, stream=stream)
         # 4 edges, length sqrt2, rho = 1, psi = 1/2 each.
         assert rep.value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        assert rep.mc_std_error == 0.0
+        assert rep.std_error == 0.0
 
     def test_cube4(self, cube4, stream):
         rep = pseudovolume(cube4, samples=4 * SAMPLES, stream=stream)
-        assert rep.value == pytest.approx(16.0, abs=4 * rep.mc_std_error)
+        assert rep.value == pytest.approx(16.0, abs=4 * rep.std_error + rep.bound)
 
     def test_cube2_exact(self, square_c1, stream):
         # In C^1 the improper 1-face never appears; 2-dim body: P_1 uses edges.
         rep = pseudovolume(square_c1, samples=SAMPLES, stream=stream)
-        assert len(rep.per_face_terms) == 4
+        assert len(rep.terms) == 4
 
     def test_theta4(self, theta4, stream):
         rep = pseudovolume(theta4, samples=4 * SAMPLES, stream=stream)
         expected = 16 * math.sqrt(3) / 9
-        assert rep.value == pytest.approx(expected, abs=4 * rep.mc_std_error)
+        assert rep.value == pytest.approx(expected, abs=4 * rep.std_error + rep.bound)
         # Every two-face carries rho = 2/3.
-        for _, r, v, _, _ in rep.per_face_terms:
+        for _, r, v, _, _ in rep.terms:
             assert r == pytest.approx(2.0 / 3.0, abs=1e-9)
             assert v == pytest.approx(math.sqrt(3) / 2, rel=1e-9)
-        assert len(rep.per_face_terms) == 32
+        assert len(rep.terms) == 32
 
     def test_theta3(self, theta3, stream):
         # Facets of the 3-dimensional body have exact angles 1/2, so the
         # value is exact: 8 faces x (2/3) x (sqrt3/2) x (1/2).
         rep = pseudovolume(theta3, samples=SAMPLES, stream=stream)
         assert rep.value == pytest.approx(4 * math.sqrt(3) / 3, abs=1e-9)
-        assert rep.mc_std_error == 0.0
+        assert rep.std_error == 0.0
 
     def test_real_square(self, real_square2, stream):
         # Full-dimensional in its span: P_2 = area = 4, exact.
@@ -102,13 +103,13 @@ class TestNonMonotonicity:
     def test_k_lambda(self, stream):
         lam = 0.25
         rep = pseudovolume(nonmon_k(lam), samples=SAMPLES, stream=stream)
-        assert rep.value == pytest.approx(2 * lam, abs=4 * rep.mc_std_error + 1e-9)
+        assert rep.value == pytest.approx(2 * lam, abs=4 * rep.std_error + rep.bound + 1e-9)
 
     def test_gamma_lambda(self, stream):
         lam = 0.25
         rep = pseudovolume(nonmon_gamma(lam), samples=SAMPLES, stream=stream)
         expected = 8 * lam**2 / math.sqrt(1 + lam**2)
-        assert rep.value == pytest.approx(expected, abs=4 * rep.mc_std_error + 1e-9)
+        assert rep.value == pytest.approx(expected, abs=4 * rep.std_error + rep.bound + 1e-9)
 
     def test_strict_reversal(self, stream):
         # K subset Gamma yet P_2(K) > P_2(Gamma) for small lambda.
@@ -116,23 +117,22 @@ class TestNonMonotonicity:
         small = pseudovolume(nonmon_k(lam), samples=SAMPLES, stream=stream)
         big = pseudovolume(nonmon_gamma(lam), samples=SAMPLES, stream=stream)
         gap = small.value - big.value
-        assert gap > 4 * (small.mc_std_error + big.mc_std_error)
+        assert gap > 4 * (small.std_error + small.bound + big.std_error + big.bound)
 
 
 class TestInvariance:
     def test_homogeneity(self, theta4, stream):
         rep = pseudovolume(theta4, samples=SAMPLES, stream=stream)
         rep2 = pseudovolume(scale(theta4, 1.7), samples=SAMPLES, stream=stream)
-        assert rep2.value == pytest.approx(
-            1.7**2 * rep.value,
-            abs=4 * (1.7**2 * rep.mc_std_error + rep2.mc_std_error))
+        diff = weighted_sum([(1, rep2), (-1.7**2, rep)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound
 
     def test_translation(self, theta4, stream):
         shifted = translate(theta4, np.array([0.3, -1.2, 0.7, 2.0]))
         a = pseudovolume(theta4, samples=SAMPLES, stream=stream)
         b = pseudovolume(shifted, samples=SAMPLES, stream=stream)
-        assert b.value == pytest.approx(
-            a.value, abs=4 * (a.mc_std_error + b.mc_std_error) + 1e-9)
+        diff = weighted_sum([(1, b), (-1, a)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9
 
     def test_unitary_invariance(self, stream):
         rng = np.random.default_rng(21)
@@ -142,8 +142,8 @@ class TestInvariance:
             rotated = hull(P.vertices @ u.T)
             a = pseudovolume(P, samples=SAMPLES, stream=stream.substream(60 + i))
             b = pseudovolume(rotated, samples=SAMPLES, stream=stream.substream(70 + i))
-            assert b.value == pytest.approx(
-                a.value, abs=4 * (a.mc_std_error + b.mc_std_error) + 1e-9)
+            diff = weighted_sum([(1, b), (-1, a)])
+            assert abs(diff.value) <= 4 * diff.std_error + diff.bound + 1e-9
 
     def test_orthogonal_counterexample(self, real_square2, stream):
         # Swapping Im z1 with Re z2 is orthogonal but not unitary and sends
@@ -192,8 +192,8 @@ class TestMixedPseudovolume:
     def test_diagonal(self, theta4, stream):
         q = mixed_pseudovolume([theta4, theta4], samples=SAMPLES, stream=stream)
         p = pseudovolume(theta4, samples=SAMPLES, stream=stream)
-        assert q.value == pytest.approx(
-            p.value, abs=4 * (q.std_error + p.mc_std_error))
+        diff = weighted_sum([(1, q), (-1, p)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound
 
     def test_direct_vs_polarization(self, stream):
         rng = np.random.default_rng(22)
@@ -202,7 +202,8 @@ class TestMixedPseudovolume:
         d = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream)
         p = mixed_pseudovolume([a, b], samples=SAMPLES,
                                stream=stream.substream(1), method="polarization")
-        assert d.value == pytest.approx(p.value, abs=4 * (d.std_error + p.std_error))
+        diff = weighted_sum([(1, d), (-1, p)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound
 
     def test_real_reduction(self, stream):
         # On real polygons Q_2 equals the Minkowski mixed volume.
@@ -212,7 +213,7 @@ class TestMixedPseudovolume:
             b = random_polygon_real(rng)
             q = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream.substream(i))
             v = mixed_volume([a.vertices, b.vertices])
-            assert q.value == pytest.approx(v, abs=4 * q.std_error + 1e-9)
+            assert q.value == pytest.approx(v, abs=4 * q.std_error + q.bound + 1e-9)
 
     def test_symmetry(self, stream):
         rng = np.random.default_rng(24)
@@ -220,7 +221,8 @@ class TestMixedPseudovolume:
         b = random_polytope(rng, 5)
         q1 = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream)
         q2 = mixed_pseudovolume([b, a], samples=SAMPLES, stream=stream)
-        assert q1.value == pytest.approx(q2.value, abs=4 * (q1.std_error + q2.std_error))
+        diff = weighted_sum([(1, q1), (-1, q2)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound
 
     def test_wrong_arity(self, theta4):
         with pytest.raises(ValueError):
@@ -267,7 +269,8 @@ class TestMixedWithBall:
     def test_full_slot_falls_back(self, theta4, stream):
         est = mixed_with_ball([theta4, theta4], samples=SAMPLES, stream=stream)
         p = pseudovolume(theta4, samples=SAMPLES, stream=stream)
-        assert est.value == pytest.approx(p.value, abs=4 * (est.std_error + p.mc_std_error))
+        diff = weighted_sum([(1, est), (-1, p)])
+        assert abs(diff.value) <= 4 * diff.std_error + diff.bound
 
     def test_arity_check(self, theta4):
         with pytest.raises(ValueError):
@@ -278,7 +281,7 @@ class TestEpsExpansion:
     def test_real_square_coefficients(self, real_square2, stream):
         exp = eps_neighborhood_pseudovolume(
             real_square2, 0.5, samples=SAMPLES, stream=stream)
-        c0, c1, c2 = exp.coefficients
+        c0, c1, c2 = (c.value for c in exp.terms)
         # c0 and c1 involve Monte Carlo vertex/edge angles; c2 is the exact area.
         assert c0 == pytest.approx(2 * math.pi, abs=0.05)
         assert c1 == pytest.approx(32.0 / 3.0, abs=0.2)
@@ -305,8 +308,8 @@ class TestEpsExpansion:
         monkeypatch.setattr(cg, "sphere_sample", lambda *a, **k: calls.append(a) or real(*a, **k))
         exp = eps_neighborhood_pseudovolume(cube4, 1.0, samples=SAMPLES, stream=stream)
         assert calls == []
-        assert exp.std_error < 1e-9
-        assert exp.coefficients[0] == 4 * kappa(4) / kappa(2)
+        assert exp.std_error == 0.0 and exp.bound < 1e-9
+        assert exp.terms[0].value == 4 * kappa(4) / kappa(2)
 
     def test_negative_eps_rejected(self, theta4):
         with pytest.raises(ValueError):
@@ -319,6 +322,26 @@ class TestEpsExpansion:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class TestErrorCalibration:
+    """The std_error of a sum of independent sampled face terms is one standard deviation."""
+
+    # Declared before the first run, with the band [0.6, 1.5] (about the
+    # 99.9 % range of a chi with 29 degrees of freedom, over sqrt(29)).
+    SEEDS = range(30)
+    SAMPLES = 1_000
+
+    def test_spread_matches_reported_error(self):
+        P = hull(np.random.default_rng(2026).normal(size=(10, 6)))
+        runs = [eps_neighborhood_pseudovolume(P, 1.0, samples=self.SAMPLES,
+                                              stream=RandomStream(seed))
+                for seed in self.SEEDS]
+        # Edges and 2-faces of this C^3 polytope have normal cones of dimension 5 and 4.
+        assert all(r.terms[k].method == "monte_carlo" for r in runs for k in (1, 2))
+        spread = statistics.stdev(r.value for r in runs)
+        rms = math.sqrt(statistics.fmean(r.std_error**2 for r in runs))
+        assert 0.6 <= spread / rms <= 1.5, (spread, rms)
+
+
 class TestValuation:
     def test_random_splits(self, stream):
         rng = np.random.default_rng(25)
@@ -328,11 +351,11 @@ class TestValuation:
             u /= np.linalg.norm(u)
             c = float(P.centroid @ u)
             res = valuation_check(P, u, c, samples=SAMPLES, stream=stream.substream(i))
-            assert res.value <= 4 * res.std_error + 1e-9
+            assert res.value <= 4 * res.std_error + res.bound + 1e-9
 
     def test_split_misses(self, theta4, stream):
         # A plane that misses the body: one side is the whole body, the other
         # empty, so the residual is pure Monte Carlo noise.
         res = valuation_check(theta4, np.array([1.0, 0, 0, 0]), 10.0,
                               samples=SAMPLES, stream=stream)
-        assert res.value <= 4 * res.std_error + 1e-9
+        assert res.value <= 4 * res.std_error + res.bound + 1e-9
