@@ -187,10 +187,10 @@ combos = [["segment"], ["theta4"], ["segment", "theta3"], ["theta4", "cube4"],
           ["real_square2", "theta4"], ["cube4"]]
 for combo in combos:
     parts = [polys[c] for c in combo]
-    for phi in (pv.RHO, pv.UNIT):
+    for label, phi in (("rho", pv.RHO), ("one", pv.UNIT)):
         for method in ("direct", "polarization"):
             e = pv.mixed_phi_volume(parts, phi, 30000, S, method=method)
-            lib[f"mixed_phi {combo} {phi.name} {method}"] = [e.value, e.std_error, e.bound]
+            lib[f"mixed_phi {combo} {label} {method}"] = [e.value, e.std_error, e.bound]
 for combo in (["theta4", "cube4"], ["segment", "theta3"]):
     e = pv.mixed_pseudovolume([polys[c] for c in combo], 30000, S, method="polarization")
     lib[f"mixed_pv polar {combo}"] = [e.value, e.std_error, e.bound]
@@ -202,19 +202,19 @@ for name in ("theta4", "cube4", "theta3"):
         lib[f"valuation {name} {offset}"] = [e.value, e.std_error, e.bound]
     ap = kazvol.AnglePass(P, 30000, S)
     for k in range(P.dim_real + 1):
-        lib[f"phi UNIT {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.UNIT, ap)
-        lib[f"phi RHO {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.RHO, ap)
+        lib[f"phi UNIT {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.UNIT, ap).value
+        lib[f"phi RHO {name} {k}"] = pv.intrinsic_phi_volume(P, k, pv.RHO, ap).value
     rep = pv.pseudovolume(P, ap)
     lib[f"pv {name}"] = [rep.value, rep.std_error, rep.bound,
                          [list(map(repr, t[1:])) + [list(t[0])] for t in rep.terms]]
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, ap)
     lib[f"eps {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, samples=30000, stream=S.substream(4),
-                                         tol=Tolerance(1e-6, 1e-6))
+                                         tol=Tolerance(1e-6))
     lib[f"eps tol {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
 point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
-lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, pv.RHO, kazvol.AnglePass(point, 10, S)),
-                    pv.intrinsic_phi_volume(point, 0, pv.UNIT, kazvol.AnglePass(point, 10, S))]
+lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, phi, kazvol.AnglePass(point, 10, S)).value
+                    for phi in (pv.RHO, pv.UNIT)]
 lib["point eps"] = pv.eps_neighborhood_pseudovolume(point, 0.3, samples=1000, stream=S).value
 result["library"] = {k: repr(v) for k, v in lib.items()}
 Path(out_path).write_text(json.dumps(result, indent=1, sort_keys=True))

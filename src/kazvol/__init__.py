@@ -11,12 +11,11 @@ from .complex_linalg import (
     NonOrthonormalBasis,
     SubspaceBasis,
     cr_decomposition,
-    hermitian_gram,
     random_unitary,
     realify,
     rho,
 )
-from .cone_geometry import AnglePass, DualCone, dual_cone, outer_angle
+from .cone_geometry import AnglePass, outer_angle
 from .numerics import (DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, kappa,
                        sphere_sample, wallis, weighted_sum)
 from .polytope import (
@@ -28,18 +27,13 @@ from .polytope import (
     hull,
     load_polytope,
     minkowski_sum,
-    polytope_to_dict,
-    save_polytope,
-    scale,
     split,
     summand_faces,
     support,
-    translate,
 )
 from .pseudovolume import (
     RHO,
     UNIT,
-    WeightFunction,
     eps_neighborhood_pseudovolume,
     intrinsic_phi_volume,
     mixed_phi_volume,
@@ -74,7 +68,6 @@ from .volumes import (
     SubspaceMismatch,
     alexandroff_gap,
     batch_mixed_discriminant,
-    face_volume,
     intrinsic_volume,
     mixed_discriminant,
     mixed_volume,

@@ -68,8 +68,7 @@ class RunReport:
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=float, default=2e6, help="Monte Carlo samples")
     sub.add_argument("--seed", type=int, default=42, help="random seed")
-    sub.add_argument("--tol", type=float, default=1e-9, help="geometric tolerance")
-    sub.add_argument("--exact", action="store_true", help="exact rational vertex parsing")
+    sub.add_argument("--tol", type=float, default=1e-9, help="rank and geometric tolerance")
     sub.add_argument("--oracle", action="store_true", help="run independent cross-check paths")
     sub.add_argument("--json", nargs="?", const="-", default=None,
                      help="write a JSON report (with no argument: to stdout, "
@@ -79,7 +78,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 def _context(args):
     if not 1 <= args.samples < float("inf"):
         raise ValueError(f"--samples must be a finite number >= 1, got {args.samples:g}")
-    tol = Tolerance(rank_eps=args.tol, geom_eps=args.tol)
+    tol = Tolerance(args.tol)
     stream = RandomStream(seed=args.seed)
     return tol, stream, int(args.samples)
 
@@ -141,7 +140,7 @@ def cmd_rho(args) -> int:
 
 def cmd_faces(args) -> int:
     tol, _, _ = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
     print(f"face vector: {P.face_vector()}")
@@ -158,7 +157,7 @@ def cmd_faces(args) -> int:
 
 def cmd_angle(args) -> int:
     tol, stream, samples = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     ids = [int(x) for x in args.face.split(",")]
     est = outer_angle(P, ids, samples, stream, tol)
     print(f"outer angle of face {ids}: {est.value:.9g} {_pm(est)} ({est.method})")
@@ -170,7 +169,7 @@ def cmd_angle(args) -> int:
 
 def cmd_volume(args) -> int:
     tol, _, _ = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     vol = P.improper_face.volume_k
     print(f"vol_{P.dim_real} = {vol:.12g}")
     rep = _report(args, "volume", [args.file])
@@ -182,19 +181,19 @@ def cmd_volume(args) -> int:
 def cmd_intrinsic(args) -> int:
     """v_k for ``intrinsic``, v_k^rho for ``phi-volume``."""
     tol, stream, samples = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     phi, label = (RHO, "^rho") if args.command == "phi-volume" else (UNIT, "")
-    value = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream, tol))
-    print(f"v_{args.k}{label} = {value:.9g}")
+    est = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream, tol))
+    print(f"v_{args.k}{label} = {est.value:.9g} {_pm(est)}")
     rep = _report(args, args.command, [args.file], k=args.k)
-    rep.values = {"k": args.k, "value": value}
+    rep.values = _estimate_values(est, k=args.k, value=est.value)
     rep.emit(args)
     return EXIT_OK
 
 
 def cmd_pseudovolume(args) -> int:
     tol, stream, samples = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     report = pseudovolume(P, samples=samples, stream=stream, tol=tol)
     print(f"P_{P.ambient_n} = {report.value:.9g} {_pm(report)}")
     if report.terms:
@@ -212,7 +211,7 @@ def cmd_pseudovolume(args) -> int:
 
 def cmd_mixed(args) -> int:
     tol, stream, samples = _context(args)
-    parts = [pt.load_polytope(f, tol, exact=args.exact) for f in args.files]
+    parts = [pt.load_polytope(f, tol) for f in args.files]
     n = parts[0].ambient_n
     if args.ball:
         k = len(parts)
@@ -236,7 +235,7 @@ def cmd_mixed(args) -> int:
 
 def cmd_eps_expand(args) -> int:
     tol, stream, samples = _context(args)
-    P = pt.load_polytope(args.file, tol, exact=args.exact)
+    P = pt.load_polytope(args.file, tol)
     exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream, tol=tol)
     n = P.ambient_n
     coefficients = [c.value for c in exp.terms]

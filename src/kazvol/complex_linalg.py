@@ -22,7 +22,6 @@ __all__ = [
     "real_to_complex",
     "complex_to_real",
     "multiply_i",
-    "hermitian_gram",
     "rho",
     "cr_decomposition",
     "realify",
@@ -78,7 +77,7 @@ class SubspaceBasis:
         if self.d == 0:
             return
         gram = self.vectors @ self.vectors.T
-        if np.max(np.abs(gram - np.eye(self.d))) > tol.rank_eps * 10:
+        if np.max(np.abs(gram - np.eye(self.d))) > tol.eps * 10:
             raise NonOrthonormalBasis("Gram matrix differs from identity")
 
     @classmethod
@@ -93,7 +92,7 @@ class SubspaceBasis:
         if v.size == 0:
             return cls(ambient_n, np.zeros((0, 2 * ambient_n)))
         u, s, vt = np.linalg.svd(v, full_matrices=False)
-        cutoff = max(s[0], 1.0) * tol.rank_eps if s.size else 0.0
+        cutoff = max(s[0], 1.0) * tol.eps if s.size else 0.0
         rank = int(np.sum(s > cutoff))
         return cls(ambient_n, vt[:rank])
 
@@ -104,13 +103,6 @@ class DistortionReport:
     cr_dim: int
     complex_dim: int
     equidimensional: bool
-
-
-def hermitian_gram(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Matrix A with A[l, j] = <v_l, v_j> under the standard Hermitian product."""
-    basis.check(tol)
-    z = real_to_complex(basis.vectors)
-    return z @ z.conj().T
 
 
 def _t_vectors(basis: SubspaceBasis) -> np.ndarray:
@@ -138,7 +130,7 @@ def cr_decomposition(
     # Kernel of a -> sum_l a_l t_l corresponds to E^C via sum_l a_l v_l.
     u, s, vt = np.linalg.svd(t, full_matrices=True)
     smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > smax * tol.rank_eps))
+    rank = int(np.sum(s > smax * tol.eps))
     kernel = u[:, rank:].T  # rows are coefficient vectors a with a @ t = 0
     ec_vectors = kernel @ basis.vectors
     ec_basis = SubspaceBasis.from_span(basis.ambient_n, ec_vectors, tol)
@@ -151,7 +143,7 @@ def cr_decomposition(
         # Prefer original t-vectors where they are independent, for the
         # orthogonality statements about the d = 2 case.
         norms = np.linalg.norm(t, axis=1)
-        keep = [i for i in range(d) if norms[i] > tol.rank_eps]
+        keep = [i for i in range(d) if norms[i] > tol.eps]
         if len(keep) == rank and np.linalg.matrix_rank(t[keep]) == rank:
             prime = t[keep]
     return ec_basis, prime
@@ -173,7 +165,7 @@ def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionR
         return DistortionReport(rho=1.0, cr_dim=0, complex_dim=0, equidimensional=True)
     z = real_to_complex(basis.vectors)
     s = np.linalg.svd(z, compute_uv=False)
-    complex_dim = int(np.sum(s > tol.rank_eps * max(1.0, float(np.abs(z).max()))))
+    complex_dim = int(np.sum(s > tol.eps * max(1.0, float(np.abs(z).max()))))
     cr_dim = 2 * (d - complex_dim)
     equi = cr_dim == 0
     value = 0.0 if d > n else min(max(float(np.prod(s**2)), 0.0), 1.0)

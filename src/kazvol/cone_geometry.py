@@ -1,4 +1,4 @@
-"""Dual cones and outer angles of polytope faces.
+"""Outer angles of polytope faces.
 
 The outer angle of a k-face of a d-polytope is the solid-angle fraction of
 its dual cone inside the (d-k)-dimensional space E_Delta^perp ∩ E_Gamma.
@@ -16,18 +16,14 @@ unambiguous draws it kept and method "monte_carlo".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import complex_linalg as cl
 from .numerics import (DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, sampled_mean,
                        sphere_sample)
-from .polytope import Face, FaceNotFound, Polytope
+from .polytope import Face, Polytope
 
 __all__ = [
-    "DualCone",
-    "dual_cone",
     "outer_angle",
     "AnglePass",
     "DEFAULT_ANGLE_SAMPLES",
@@ -38,16 +34,6 @@ _CHUNK = 250_000
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class DualCone:
-    """Dual cone of a face, living in E_Delta^perp ∩ E_Gamma."""
-
-    face_id: tuple[int, ...]
-    generators: tuple[np.ndarray, ...]  # outer normals of the facets containing the face
-    ambient_basis: cl.SubspaceBasis  # orthonormal basis of the space the cone spans
-    witness: np.ndarray  # a relative-interior direction (zero for the improper face)
-
-
 def _normal_space(P: Polytope, face: Face, tol: Tolerance) -> cl.SubspaceBasis:
     """Orthonormal basis of E_Delta^perp ∩ E_Gamma."""
     span = P.span_basis.vectors
@@ -56,26 +42,6 @@ def _normal_space(P: Polytope, face: Face, tol: Tolerance) -> cl.SubspaceBasis:
     fb = face.hull_basis.vectors
     residual = span - (span @ fb.T) @ fb
     return cl.SubspaceBasis.from_span(P.ambient_n, residual, tol)
-
-
-def _orthocomplement(P: Polytope, tol: Tolerance) -> cl.SubspaceBasis:
-    """Orthonormal basis of E_Gamma^perp in R^{2n}."""
-    span = P.span_basis.vectors
-    eye = np.eye(2 * P.ambient_n)
-    residual = eye - (eye @ span.T) @ span
-    return cl.SubspaceBasis.from_span(P.ambient_n, residual, tol)
-
-
-def dual_cone(P: Polytope, face_id, tol: Tolerance = DEFAULT_TOLERANCE) -> DualCone:
-    face = P.face_by_ids(face_id)
-    if face.id == P.improper_face.id:
-        basis = _orthocomplement(P, tol)
-        return DualCone(face.vertex_ids, (), basis, np.zeros(2 * P.ambient_n))
-    generators = tuple(P.facets_containing(face))
-    if not generators:
-        raise FaceNotFound(sorted(face.id))
-    return DualCone(face.vertex_ids, generators, _normal_space(P, face, tol),
-                    P.witness_direction(face))
 
 
 def _classify(
@@ -94,7 +60,7 @@ def _classify(
     member = np.array(sorted(face.id))
     other = np.array(sorted(frozenset(range(P.n_vertices)) - face.id))
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    delta = tol.geom_eps * scale_ * 10
+    delta = tol.eps * scale_ * 10
 
     def hits(sub: RandomStream, m: int) -> np.ndarray:
         dirs = sphere_sample(basis.d, sub, m) @ basis.vectors

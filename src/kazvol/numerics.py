@@ -40,16 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerance policy shared by rank decisions and face coincidence tests."""
+    """Numeric tolerance shared by rank decisions and face coincidence tests."""
 
-    rank_eps: float = 1e-9
-    geom_eps: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("rank_eps", "geom_eps"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-3):
-                raise ValueError(f"{name} must lie in (0, 1e-3), got {value!r}")
+        if not (0.0 < self.eps < 1e-3):
+            raise ValueError(f"eps must lie in (0, 1e-3), got {self.eps!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()

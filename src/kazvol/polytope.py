@@ -1,19 +1,17 @@
 """V-representation polytopes in C^n = R^{2n}.
 
 Convex hull with full face lattice, support function, Minkowski sums and the
-summand faces of a face of a sum, scaling, translation, and halfspace splitting.
+summand faces of a face of a sum, and halfspace splitting.
 Lower-dimensional polytopes are first-class: the lattice is built inside the
 affine hull of the input points.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -31,13 +29,9 @@ __all__ = [
     "support",
     "minkowski_sum",
     "summand_faces",
-    "scale",
-    "translate",
     "split",
     "convex_volume",
     "load_polytope",
-    "polytope_to_dict",
-    "save_polytope",
 ]
 
 DIMENSION_CAP = 8  # real ambient dimension 2n
@@ -188,7 +182,7 @@ def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nd
         return center, np.zeros((0, points.shape[1]))
     u, s, vt = np.linalg.svd(diffs, full_matrices=False)
     scale_ = max(s[0], 1.0) if s.size else 1.0
-    rank = int(np.sum(s > tol.rank_eps * scale_ * 10))
+    rank = int(np.sum(s > tol.eps * scale_ * 10))
     return center, vt[:rank]
 
 
@@ -257,7 +251,7 @@ def _frame_rho(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
         return np.zeros(count)
     z = frames[:, 0::2, :] + 1j * frames[:, 1::2, :]
     s = np.linalg.svd(z, compute_uv=False)
-    cutoff = tol.rank_eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
+    cutoff = tol.eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
     equi = np.all(s > cutoff[:, None], axis=1)
     return np.where(equi, np.clip(np.prod(s * s, axis=1), 0.0, 1.0), 0.0)
 
@@ -327,7 +321,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ValueError(f"point {int(bad[0])} is not finite: {pts[bad[0]].tolist()}")
-    pts = _dedupe(pts, tol.geom_eps)
+    pts = _dedupe(pts, tol.eps)
     center, basis_rows = _affine_frame(pts, tol)
     d = basis_rows.shape[0]
     span = cl.SubspaceBasis(n, basis_rows)
@@ -354,7 +348,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     vertices = pts[keep]
     remap = {old: new for new, old in enumerate(keep)}
     facet_sets = {}
-    for members, normal in _facet_sets(coords, qh, tol.geom_eps).items():
+    for members, normal in _facet_sets(coords, qh, tol.eps).items():
         facet_sets[frozenset(remap[i] for i in members if i in remap)] = normal
 
     lattice = _lattice([tuple(sorted(ids)) for ids in facet_sets], d)
@@ -374,7 +368,7 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     vals = P.vertices @ u
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    members = frozenset(int(i) for i in np.nonzero(vals >= h - tol.geom_eps * norm * scale_)[0])
+    members = frozenset(int(i) for i in np.nonzero(vals >= h - tol.eps * norm * scale_)[0])
     face = P._index().get(members)
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
@@ -408,16 +402,6 @@ def summand_faces(
     return tuple(support(p, u, tol)[1] for p in parts)
 
 
-def scale(P: Polytope, lam: float, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
-    if lam < 0:
-        raise ValueError("scaling factor must be non-negative")
-    return hull(P.vertices * lam, tol)
-
-
-def translate(P: Polytope, t: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
-    return hull(P.vertices + np.asarray(t, dtype=float), tol)
-
-
 def split(
     P: Polytope, normal: np.ndarray, offset: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[Polytope | None, Polytope | None, Polytope | None]:
@@ -429,7 +413,7 @@ def split(
     u = u / np.linalg.norm(u)
     vals = P.vertices @ u - offset
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    eps = tol.geom_eps * scale_ * 10
+    eps = tol.eps * scale_ * 10
     crossings = []
     for edge in P.faces.get(1, []):
         i, j = edge.vertex_ids
@@ -457,45 +441,23 @@ def split(
 # File format
 
 
-def _parse_number(x, exact: bool):
-    if isinstance(x, str):
-        frac = Fraction(x)
-        return frac if exact else float(frac)
-    return Fraction(x) if exact else float(x)
+def _parse_number(x) -> float:
+    return float(Fraction(x)) if isinstance(x, str) else float(x)
 
 
-def load_polytope(source, tol: Tolerance = DEFAULT_TOLERANCE, exact: bool = False) -> Polytope:
+def load_polytope(source, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     """Load a polytope from a JSON file path, JSON string, or dict.
 
     Format: {"n": int, "vertices": [[re1, im1, ..., re_n, im_n], ...]} with
-    coordinates given as numbers or exact "p/q" strings.  In exact mode the
-    vertex list is deduplicated in rational arithmetic before the floating
-    lattice is built.
+    coordinates given as numbers or exact "p/q" strings.
     """
     data = read_json(source)
     n = read_field(data, "n", int)
     parsed = read_field(data, "vertices",
-                        lambda rows: [[_parse_number(x, exact) for x in row] for row in rows])
+                        lambda rows: [[_parse_number(x) for x in row] for row in rows])
     if not parsed:
         raise EmptyInput("no vertices in input")
     for row in parsed:
         if len(row) != 2 * n:
             raise ValueError(f"vertex with {len(row)} coordinates, expected {2 * n}")
-    if exact:
-        seen = set()
-        unique = []
-        for row in parsed:
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                unique.append([float(x) for x in row])
-        parsed = unique
     return hull(np.array(parsed, dtype=float), tol)
-
-
-def polytope_to_dict(P: Polytope) -> dict:
-    return {"n": P.ambient_n, "vertices": P.vertices.tolist()}
-
-
-def save_polytope(P: Polytope, path) -> None:
-    Path(path).write_text(json.dumps(polytope_to_dict(P), indent=2))

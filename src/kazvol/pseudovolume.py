@@ -19,14 +19,16 @@ The direct path to Q_n is that sum over the Minkowski sum with the mixed
 volume of the summand faces, read from their vertices, in place of vol_k.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
-Weights evaluate a :class:`Face`; ``RHO`` reads the ``Face.rho`` that ``hull``
+A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
+is an orthonormal basis of E_Delta); ``RHO`` reads the ``Face.rho`` that ``hull``
 computed under the caller's tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -38,7 +40,6 @@ from .polytope import Face, Polytope, hull, minkowski_sum, split, summand_faces 
 from .volumes import mixed_volume
 
 __all__ = [
-    "WeightFunction",
     "RHO",
     "UNIT",
     "intrinsic_phi_volume",
@@ -51,26 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """A weight phi on real subspaces of C^n, evaluated on a face's affine hull.
-
-    ``evaluate`` receives the :class:`Face`; ``face.hull_basis`` is an
-    orthonormal basis of the subspace E_Delta.
-    """
-
-    evaluate: Callable[[Face], float]
-    name: str = "phi"
-
-
-RHO = WeightFunction(lambda face: face.rho, "rho")
-UNIT = WeightFunction(lambda face: 1.0, "one")
+RHO: Callable[[Face], float] = attrgetter("rho")
+UNIT: Callable[[Face], float] = lambda face: 1.0  # noqa: E731
 
 
 def _face_sum(
     P: Polytope,
     k: int,
-    phi: WeightFunction,
+    phi: Callable[[Face], float],
     angles: AnglePass,
     measure: Callable[[Face], float] = lambda f: f.volume_k,
 ) -> Estimate:
@@ -84,11 +73,11 @@ def _face_sum(
     """
     if k == 0:
         f = P.faces[0][0]
-        return Estimate(float(phi.evaluate(f) * measure(f)))
+        return Estimate(float(phi(f) * measure(f)))
     pairs = []
     rows = []
     for f in P.faces.get(k, []):
-        w = phi.evaluate(f)
+        w = phi(f)
         if w == 0.0:
             continue
         m = measure(f)
@@ -100,9 +89,11 @@ def _face_sum(
     return weighted_sum(pairs, rows)
 
 
-def intrinsic_phi_volume(P: Polytope, k: int, phi: WeightFunction, angles: AnglePass) -> float:
-    """v_k^phi(Gamma) = sum over k-faces of phi(E_Delta) * vol_k * psi_Gamma."""
-    return _face_sum(P, k, phi, angles).value
+def intrinsic_phi_volume(P: Polytope, k: int, phi: Callable[[Face], float],
+                         angles: AnglePass) -> Estimate:
+    """v_k^phi(Gamma) = sum over k-faces of phi(E_Delta) * vol_k * psi_Gamma, with per-face
+    terms."""
+    return _face_sum(P, k, phi, angles)
 
 
 def pseudovolume(
@@ -118,7 +109,7 @@ def pseudovolume(
 
 def mixed_phi_volume(
     parts: list[Polytope],
-    phi: WeightFunction,
+    phi: Callable[[Face], float],
     samples: int = DEFAULT_ANGLE_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,

@@ -86,9 +86,9 @@ class SupportBody:
     ``h`` maps complex points of shape (N, n) to values of shape (N,);
     ``hessian``/``gradient`` are optional analytic maps (finite differences
     are used when absent; the built-in bodies take both from their Q).
-    ``singular_axis`` is the real coordinate (in the interleaved layout) of a
-    line on which the support function has a kink, or None: cubature puts its
-    polar axis there.  A built-in body has one when exactly one Q_jj is 0.
+    ``singular_axis`` is a unit vector (in the interleaved real layout) along
+    a line on which the support function has a kink, or None: cubature puts its
+    polar axis there.  A built-in body has one when ker Q is one line.
     """
 
     ambient_n: int
@@ -96,7 +96,7 @@ class SupportBody:
     h: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    singular_axis: int | None = None
+    singular_axis: np.ndarray | None = None
 
 
 def _as_points(z: np.ndarray, n: int) -> np.ndarray:
@@ -119,14 +119,15 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     With u = (g_x + i g_y) / 2 half the complex form of the real gradient
     g = Qx / h, dh/dz = conj(u), and the real Hessian (Q - g g^T) / h has the
     complex Hessian (A - conj(u) u^T) / h with A = ``_complex_hessian_of(Q)``.
-    The singular axis is the coordinate j with Q_jj = 0 when there is exactly
-    one: h has its kink on that line.
+    When ker Q is one line, h has its kink there, and the singular axis is
+    its unit null vector, signed so that its largest entry is positive.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = _complex_hessian_of(q)
     floor = 1e-12 * math.sqrt(np.max(np.abs(q)))
-    zeros = np.flatnonzero(np.diag(q) == 0)
+    eigenvalues, eigenvectors = np.linalg.eigh(q)
+    null = eigenvectors[:, eigenvalues <= 1e-12 * eigenvalues[-1]]
 
     def h_and_qx(z):
         x = cl.complex_to_real(z)
@@ -149,7 +150,9 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     def gradient(z):
         return np.conj(h_and_u(z)[1])
 
-    axis = int(zeros[0]) if len(zeros) == 1 else None
+    axis = None
+    if null.shape[1] == 1:
+        axis = null[:, 0] * np.sign(null[np.argmax(np.abs(null[:, 0])), 0])
     return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, singular_axis=axis)
 
 
@@ -387,20 +390,27 @@ def _rule_size(dim: int, degree: int) -> int:
 class SphereRule:
     """Product cubature on the unit sphere S^{dim-1} of R^dim (Stroud 1971, 2.6 and 3).
 
-    The polar angle t from the real coordinate ``axis`` takes Gauss-Legendre
-    nodes on [0, pi], with sin^{dim-2} t folded into the weights; the
-    sub-sphere S^{dim-2} takes ``_polynomial_rule``.  Monomials up to
-    ``degree`` integrate exactly up to rounding.  A support function with a
-    kink along the axis reads h = sin t on the rule, smooth in t, so the
-    integrand times the weight stays smooth.
+    The polar angle t from e_0 takes Gauss-Legendre nodes on [0, pi], with
+    sin^{dim-2} t folded into the weights; the sub-sphere S^{dim-2} takes
+    ``_polynomial_rule``.  A unit vector ``axis`` moves the nodes by the
+    Householder reflection that takes e_0 to it, which leaves the sphere
+    measure alone.  Monomials up to ``degree`` integrate exactly up to
+    rounding.  A support function with a kink along the axis reads h = sin t
+    on the rule, smooth in t, so the integrand times the weight stays smooth.
     """
 
-    def __init__(self, dim: int, degree: int, axis: int = 0) -> None:
-        if dim < 2 or degree < 1 or not 0 <= axis < dim:
-            raise ValueError("need dim >= 2, degree >= 1 and 0 <= axis < dim")
+    def __init__(self, dim: int, degree: int, axis: np.ndarray | None = None) -> None:
+        if dim < 2 or degree < 1:
+            raise ValueError("need dim >= 2 and degree >= 1")
+        e0 = np.eye(dim)[0]
+        axis = e0 if axis is None else np.asarray(axis, dtype=float)
+        if axis.shape != (dim,) or abs(np.linalg.norm(axis) - 1) > 1e-12:
+            raise ValueError("axis must be a unit vector of R^dim")
+        v = e0 - axis
+        self._reflection = np.eye(dim) - 2 * np.outer(v, v) / (v @ v) if v.any() else None
         x, w = roots_legendre(_polar_count(dim, degree))
         t = np.pi * (x + 1) / 2
-        self.dim, self.axis = dim, axis
+        self.dim = dim
         self.size = _rule_size(dim, degree)
         self._cos, self._sin = np.cos(t), np.sin(t)
         self._polar_w = np.pi / 2 * w * self._sin ** (dim - 2)
@@ -410,8 +420,10 @@ class SphereRule:
         """Points (stop - start, dim) and weights of the nodes with flat indices [start, stop)."""
         i, j = np.divmod(np.arange(start, stop), len(self._sub_w))
         points = np.empty((stop - start, self.dim))
-        points[:, self.axis] = self._cos[i]
-        points[:, np.arange(self.dim) != self.axis] = self._sin[i, None] * self._sub[j]
+        points[:, 0] = self._cos[i]
+        points[:, 1:] = self._sin[i, None] * self._sub[j]
+        if self._reflection is not None:
+            points = points @ self._reflection
         return points, self._polar_w[i] * self._sub_w[j]
 
 
@@ -423,7 +435,8 @@ def _ladder(dim: int):
         m += max(2, m // 3)
 
 
-def _cubature(integrand, dim: int, samples: int, axis: int) -> tuple[float, float, int] | None:
+def _cubature(integrand, dim: int, samples: int,
+              axis: np.ndarray | None) -> tuple[float, float, int] | None:
     """Sphere average of the integrand over a ladder of ``SphereRule``s.
 
     Stops when two successive rules agree to 1e-12 of sum |w f|, or before a
@@ -467,22 +480,22 @@ def smooth_quadrature(
 
     Cubature runs when n <= 3, every body has an analytic Hessian (with
     ``boundary``, the first body an analytic gradient too), the bodies'
-    singular axes coincide and two rules of the ladder fit in ``samples``
+    singular axes lie on one line and two rules of the ladder fit in ``samples``
     nodes.  Otherwise ``_sphere_mc`` runs at ``samples`` draws from
     ``stream``: the draws of ``mc_pseudovolume``, ``mc_mixed_pseudovolume``
     and ``boundary_mixed_pseudovolume``.
     """
     n = bodies[0].ambient_n
-    axes = {b.singular_axis for b in bodies} - {None}
+    axes = [b.singular_axis for b in bodies if b.singular_axis is not None]
     if n == 1 and axes:
         raise ValueError(
             "in C^1 a body with a singular line carries all of its density on that line, "
             "which no sphere quadrature sees (the segment lower_ball(1) has P_1 = 2)")
     analytic = all(b.hessian is not None for b in bodies) and (
         not boundary or bodies[0].gradient is not None)
-    if n <= 3 and analytic and len(axes) <= 1:
+    if n <= 3 and analytic and all(abs(a @ axes[0]) >= 1 - 1e-12 for a in axes):
         constant, integrand = _density(bodies, boundary)
-        res = _cubature(integrand, 2 * n, samples, min(axes, default=0))
+        res = _cubature(integrand, 2 * n, samples, axes[0] if axes else None)
         if res is not None:
             mean, err, nodes = res
             return Estimate(constant * mean, bound=constant * err, method="cubature", samples=nodes)

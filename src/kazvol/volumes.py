@@ -23,7 +23,6 @@ __all__ = [
     "SizeMismatch",
     "SubspaceMismatch",
     "MIXED_DISCRIMINANT_PERMUTATION_CAP",
-    "face_volume",
     "mixed_volume",
     "intrinsic_volume",
     "mixed_discriminant",
@@ -44,18 +43,13 @@ class SubspaceMismatch(ValueError):
     pass
 
 
-def face_volume(P: Polytope, face_id) -> float:
-    """k-dimensional volume of a face (1.0 for vertices by convention)."""
-    return P.face_by_ids(face_id).volume_k
-
-
 def _body_coords(vertices: np.ndarray, basis: cl.SubspaceBasis, tol: Tolerance) -> np.ndarray:
     """Coordinates of the vertices in the subspace frame, after translating to v0."""
     diffs = vertices - vertices[0]
     coords = diffs @ basis.vectors.T
     residual = diffs - coords @ basis.vectors
     scale_ = max(1.0, float(np.abs(vertices).max()))
-    if residual.size and np.max(np.abs(residual)) > tol.geom_eps * scale_ * 100:
+    if residual.size and np.max(np.abs(residual)) > tol.eps * scale_ * 100:
         raise SubspaceMismatch("body does not lie in a translate of the given subspace")
     return coords
 

@@ -74,6 +74,19 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert "v_2 = 2" in out
 
+    def test_intrinsic_reports_monte_carlo_error(self, tmp_path, capsys):
+        # The edges of a 9-point cloud in C^3 have 5-dimensional normal cones, so v_1 is sampled.
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(json.dumps({
+            "n": 3, "vertices": np.random.default_rng(2026).normal(size=(9, 6)).tolist()}))
+        report = tmp_path / "report.json"
+        code, out = run(["intrinsic", str(cloud), "--k", "1", "--samples", "2000",
+                         "--json", str(report)], capsys)
+        values = json.loads(report.read_text())["values"]
+        assert code == EXIT_OK
+        assert values["std_error"] > 0 and "monte_carlo" in values["method"]
+        assert f"± {values['std_error']:.3g}" in out
+
     def test_phi_volume(self, theta4_file, capsys):
         code, out = run(["phi-volume", theta4_file, "--k", "2",
                          "--samples", "50000"], capsys)
@@ -318,10 +331,13 @@ class TestExitCodes:
         assert "input error" in err and "--samples" in err
 
     def test_smooth_lower_ball_in_c1(self, capsys):
-        code = main(["smooth", json.dumps({"kind": "lower_ball", "n": 1})])
-        err = capsys.readouterr().err
-        assert code == EXIT_INPUT
-        assert "input error" in err and "singular line" in err
+        # The segment [-i, i], and [-(1 + i), 1 + i] from a Q whose null vector is off-axis.
+        for body in ({"kind": "lower_ball", "n": 1},
+                     {"kind": "ellipsoid", "n": 1, "Q": [[1, 1], [1, 1]]}):
+            code = main(["smooth", json.dumps(body)])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT
+            assert "input error" in err and "singular line" in err
 
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",

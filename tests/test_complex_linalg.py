@@ -10,7 +10,6 @@ from kazvol import (
     RandomStream,
     SubspaceBasis,
     cr_decomposition,
-    hermitian_gram,
     hull,
     random_unitary,
     realify,
@@ -169,15 +168,6 @@ class TestCrDecomposition:
             ec, prime = cr_decomposition(b)
             assert ec.d + prime.shape[0] == b.d
             assert ec.d % 2 == 0
-
-
-class TestHermitianGram:
-    def test_hermitian(self):
-        rng = np.random.default_rng(1)
-        b = SubspaceBasis.from_span(2, rng.normal(size=(3, 4)))
-        g = hermitian_gram(b)
-        np.testing.assert_allclose(g, g.conj().T, atol=1e-12)
-        np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-12)
 
 
 class TestRealify:

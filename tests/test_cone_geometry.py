@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kazvol import AnglePass, RandomStream, dual_cone, hull, outer_angle
+from kazvol import AnglePass, RandomStream, hull, outer_angle
 from kazvol import cone_geometry
 from kazvol.cone_geometry import _classify, _normal_space
 from kazvol.numerics import DEFAULT_TOLERANCE, weighted_sum
@@ -134,27 +134,25 @@ class TestPartition:
 class TestDualCone:
     def test_facet_normal(self, cube4):
         f = next(f for f in cube4.faces[3] if f.id != cube4.improper_face.id)
-        dc = dual_cone(cube4, f.id)
-        assert len(dc.generators) >= 1
+        assert len(cube4.facets_containing(f)) >= 1
         # The witness direction supports the polytope exactly on the face.
-        vals = cube4.vertices @ dc.witness
+        vals = cube4.vertices @ cube4.witness_direction(f)
         top = np.isclose(vals, vals.max(), atol=1e-9)
         assert set(np.flatnonzero(top)) == set(f.id)
 
     def test_vertex_cone(self, square_c1):
         f = square_c1.faces[0][0]
-        dc = dual_cone(square_c1, f.id)
-        vals = square_c1.vertices @ dc.witness
+        vals = square_c1.vertices @ square_c1.witness_direction(f)
         assert np.argmax(vals) == next(iter(f.id))
 
     def test_improper_cone_orthogonal(self, theta3):
-        # For the improper face the cone is the orthocomplement of the span.
-        dc = dual_cone(theta3, theta3.improper_face.id)
-        assert dc.generators == ()
-        assert dc.ambient_basis.d == 1
-        for g in dc.ambient_basis.vectors:
-            np.testing.assert_allclose(theta3.vertices @ g,
-                                       (theta3.vertices @ g)[0], atol=1e-9)
+        # For the improper face the witness is 0 and the cone is the
+        # orthocomplement of the span, a line along which theta3 is constant.
+        np.testing.assert_array_equal(theta3.witness_direction(theta3.improper_face), 0.0)
+        assert theta3.facets_containing(theta3.improper_face) == []
+        assert theta3.span_basis.d == 3
+        g = np.linalg.svd(theta3.span_basis.vectors)[2][-1]
+        np.testing.assert_allclose(theta3.vertices @ g, (theta3.vertices @ g)[0], atol=1e-9)
 
 
 class TestAnglePass:

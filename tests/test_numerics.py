@@ -54,15 +54,13 @@ class TestWallis:
 
 class TestTolerance:
     def test_defaults(self):
-        tol = Tolerance()
-        assert tol.rank_eps == 1e-9
-        assert tol.geom_eps == 1e-9
+        assert Tolerance().eps == 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Tolerance(rank_eps=0.0)
+            Tolerance(eps=0.0)
         with pytest.raises(ValueError):
-            Tolerance(geom_eps=1.0)
+            Tolerance(eps=1.0)
 
 
 class TestRandomStream:

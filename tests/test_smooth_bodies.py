@@ -45,6 +45,14 @@ def degenerate_ellipsoid():
     return ellipsoid(2, np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
+def rotated_degenerate_ellipsoid():
+    # R diag(1, 1, 1, 0) R^T, R a rotation by 0.3 in the (x_2, y_2) plane: the kink is off-axis.
+    c, s = math.cos(0.3), math.sin(0.3)
+    r = np.eye(4)
+    r[2:, 2:] = [[c, -s], [s, c]]
+    return ellipsoid(2, r @ np.diag([1.0, 1.0, 1.0, 0.0]) @ r.T)
+
+
 def sphere_points(n, count, seed=0):
     pts = sphere_sample(2 * n, RandomStream(seed), count)
     return pts[:, ::2] + 1j * pts[:, 1::2]
@@ -197,7 +205,7 @@ class TestSphereRule:
         (6, 7, 0), (6, 7, 5),
     ])
     def test_monomials_exact_up_to_degree(self, dim, degree, axis):
-        rule = SphereRule(dim, degree, axis)
+        rule = SphereRule(dim, degree, np.eye(dim)[axis])
         points, weights = rule.nodes(0, rule.size)
         area = _monomial_integral((0,) * dim)
         assert weights.sum() == pytest.approx(area, rel=1e-14)
@@ -211,7 +219,7 @@ class TestSphereRule:
         assert worst <= 1e-14 * area
 
     def test_chunks_tile_the_rule(self):
-        rule = SphereRule(4, 11, 2)
+        rule = SphereRule(4, 11, np.eye(4)[2])
         whole = rule.nodes(0, rule.size)
         parts = [rule.nodes(a, min(a + 500, rule.size)) for a in range(0, rule.size, 500)]
         np.testing.assert_array_equal(np.vstack([p for p, _ in parts]), whole[0])
@@ -232,6 +240,7 @@ class TestCubature:
         ("Q2(B4,B3) boundary", [ball(2), lower_ball(2)], True, 16 / 3),
         ("Q2(B3,B4) boundary", [lower_ball(2), ball(2)], True, 16 / 3),
         ("ellipsoid diag(1,1,1,0)", [degenerate_ellipsoid()], False, 4 * math.pi / 3),
+        ("rotated diag(1,1,1,0)", [rotated_degenerate_ellipsoid()], False, 4 * math.pi / 3),
     ])
     def test_closed_forms(self, name, bodies, boundary, expected):
         res = smooth_quadrature(bodies, boundary=boundary)
@@ -259,7 +268,7 @@ class TestCubature:
     @pytest.mark.parametrize("case", ["different axes", "custom body", "too few samples",
                                       "boundary without gradient", "n = 4"])
     def test_fallback_to_monte_carlo(self, case):
-        rotated = dataclasses.replace(lower_ball(2), singular_axis=1)
+        rotated = dataclasses.replace(lower_ball(2), singular_axis=np.eye(4)[1])
         no_gradient = dataclasses.replace(ball(2), gradient=None)
         bodies, boundary, samples, oracle = {
             "different axes": ([lower_ball(2), rotated], False, 4_000, mc_mixed_pseudovolume),
@@ -280,8 +289,9 @@ class TestCubature:
         assert smooth_quadrature([no_gradient, lower_ball(2)]).method == "cubature"
 
     def test_singular_line_in_c1_rejected(self):
-        with pytest.raises(ValueError, match="singular line"):
-            smooth_quadrature([lower_ball(1)])
+        for body in (lower_ball(1), ellipsoid(1, np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="singular line"):
+                smooth_quadrature([body])
 
 
 class TestMixedQuadrature:
@@ -327,8 +337,13 @@ class TestErrorHandling:
 
     def test_singular_axis_from_q(self):
         assert ball(2).singular_axis is None
-        assert lower_ball(2).singular_axis == 0
-        assert degenerate_ellipsoid().singular_axis == 3
+        np.testing.assert_array_equal(lower_ball(2).singular_axis, np.eye(4)[0])
+        np.testing.assert_array_equal(degenerate_ellipsoid().singular_axis, np.eye(4)[3])
+        np.testing.assert_allclose(rotated_degenerate_ellipsoid().singular_axis,
+                                   [0.0, 0.0, -math.sin(0.3), math.cos(0.3)], atol=1e-15)
+        np.testing.assert_allclose(ellipsoid(1, np.ones((2, 2))).singular_axis,
+                                   [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
+        # A two-dimensional kernel has no single axis.
         assert ellipsoid(2, np.diag([0.0, 1.0, 1.0, 0.0])).singular_axis is None
 
 

@@ -12,7 +12,6 @@ from kazvol import (
     SizeMismatch,
     alexandroff_gap,
     batch_mixed_discriminant,
-    face_volume,
     hull,
     intrinsic_volume,
     minkowski_sum,
@@ -57,20 +56,18 @@ class TestMixedVolume:
             mixed_volume([b.vertices, a.vertices]), rel=1e-9)
 
     def test_translation_invariance(self):
-        from kazvol import translate
         rng = np.random.default_rng(1)
         a = random_polygon_real(rng)
         b = random_polygon_real(rng)
-        shifted = translate(a, np.array([2.0, 0.0, -1.0, 0.0]))
+        shifted = hull(a.vertices + np.array([2.0, 0.0, -1.0, 0.0]))
         assert mixed_volume([shifted.vertices, b.vertices]) == pytest.approx(
             mixed_volume([a.vertices, b.vertices]), rel=1e-9)
 
     def test_scaling_linearity(self):
-        from kazvol import scale
         rng = np.random.default_rng(2)
         a = random_polygon_real(rng)
         b = random_polygon_real(rng)
-        assert mixed_volume([scale(a, 3.0).vertices, b.vertices]) == pytest.approx(
+        assert mixed_volume([hull(a.vertices * 3.0).vertices, b.vertices]) == pytest.approx(
             3.0 * mixed_volume([a.vertices, b.vertices]), rel=1e-9)
 
     def test_monotone_in_summand(self):
@@ -136,7 +133,7 @@ class TestIntrinsicVolume:
 
     def test_face_volume_lookup(self, cube4):
         f = cube4.faces[1][0]
-        assert face_volume(cube4, f.id) == pytest.approx(2.0, rel=1e-12)
+        assert cube4.face_by_ids(f.id).volume_k == pytest.approx(2.0, rel=1e-12)
 
 
 class TestMixedDiscriminant:
