@@ -229,6 +229,8 @@ class TestSerialization:
     def test_rational_parsing(self):
         P = load_polytope({"n": 1, "vertices": [["1/2", 0], ["-1/2", 0], [0, "1/3"]]})
         assert P.n_vertices == 3
+
+    def test_exact_dedup(self):
         # "1/3" and "2/6" parse to the same float, which the hull drops as a duplicate.
         P = load_polytope({"n": 1, "vertices": [["1/3", 0], ["2/6", 0], [1, 0], [0, 1]]})
         assert P.n_vertices == 3
