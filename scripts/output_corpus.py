@@ -10,7 +10,8 @@ A refactor that must leave every output unchanged should give byte-identical
 files.  The corpus, at --samples 30000 --seed 5: the CLI commands
 pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
 polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball; plain on
-cube4 + cube4 and theta4 + theta4), smooth
+cube4 + cube4 and theta4 + theta4; plain and --oracle on three inline
+polytopes in C^3, the k = 3 parallelepiped faces of the direct path), smooth
 (balls, an ellipsoid, a degenerate ellipsoid, an indefinite Q, --mixed
 --boundary, --oracle; the bodies in C^3 at --samples 70000, where two
 cubature rules fit) and verify -- report values,
@@ -152,6 +153,15 @@ for name in ("cube4", "theta4"):
     run(f"mixed {name} {name}", ["mixed", str(DATA / f"{name}.json"), str(DATA / f"{name}.json")])
 run("mixed-ball segment theta3", ["mixed", str(DATA / "segment.json"),
                                   str(DATA / "theta3.json"), "--ball"])
+# Three summands in C^3, whose nonzero terms are all parallelepiped 3-faces.
+c3_triple = [json.dumps({"n": 3, "vertices": v}) for v in (
+    [[0, 0, 0, 0, 0, 0], [1, 0.5, -0.25, 0, 0.75, 0], [0.25, 1, 0, -0.5, 0, 1]],
+    [[0, 0, 0, 0, 0, 0], [0.5, -1, 0.25, 0.75, 0, 0.5], [-0.75, 0.25, 1, 0, 0.5, -0.25],
+     [0, 0.5, -0.5, 1, 0.25, 0.75]],
+    [[1, 0, 0, 0.5, -0.5, 0], [0, 1, 0.5, 0, 0.25, -0.5], [-0.5, 0, 1, 0.25, 0, 0.75],
+     [0.25, -0.75, 0, 0.5, 1, 0.25]])]
+run("mixed c3 triple", ["mixed", *c3_triple])
+run("mixed-oracle c3 triple", ["mixed", *c3_triple, "--oracle"])
 for body in ("ball2", "lower_ball2"):
     run(f"smooth {body}", ["smooth", str(DATA / f"{body}.json")])
 run("smooth ellipsoid", ["smooth", ellipsoid])

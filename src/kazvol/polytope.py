@@ -256,16 +256,17 @@ def _frame_rho(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.where(equi, np.clip(np.prod(s * s, axis=1), 0.0, 1.0), 0.0)
 
 
-def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """vol_k and rho of F k-simplices from their edge vectors (F, k, 2n).
+def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|det R| / k!, rho and orthonormal frames (F, 2n, k) of F sets of k edges (F, k, 2n).
 
-    One batched QR of the edges gives an orthonormal frame of each span and
-    vol_k = |det R| / k!.
+    One batched QR of the edges gives an orthonormal frame of each span.  For
+    the edges of a k-simplex from one vertex, |det R| / k! is its vol_k; for
+    the k edges of a k-parallelotope, the mixed volume V_k of the k segments.
     """
     k = edges.shape[1]
     q, r = np.linalg.qr(np.swapaxes(edges, 1, 2))
     vol = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
-    return vol, _frame_rho(q, tol)
+    return vol, _frame_rho(q, tol), q
 
 
 def _faces(
@@ -289,7 +290,7 @@ def _faces(
         data = [(1.0, 1.0)] * len(simplices)
         if k > 0 and simplices:
             idx = np.array([f.vertex_ids for f in simplices])
-            vol, rho = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
+            vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
             data = zip(vol.tolist(), rho.tolist())
         for f, (vol, rho) in zip(simplices, data):
             f.__dict__.update(volume_k=vol, rho=rho)
@@ -387,10 +388,45 @@ def minkowski_sum(parts: list[Polytope], tol: Tolerance = DEFAULT_TOLERANCE) -> 
     total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
+    return hull(_sum_points(parts), tol)
+
+
+def _sum_points(parts: list[Polytope]) -> np.ndarray:
+    """The sums of one vertex of each summand, row i1 * V2 * ... * Vm + ... + im for the
+    vertices i1, ..., im: the rows from which ``minkowski_sum`` takes its hull."""
     acc = parts[0].vertices
     for p in parts[1:]:
-        acc = (acc[:, None, :] + p.vertices[None, :, :]).reshape(-1, 2 * n)
-    return hull(acc, tol)
+        acc = (acc[:, None, :] + p.vertices[None, :, :]).reshape(-1, acc.shape[1])
+    return acc
+
+
+def _sum_labels(S: Polytope, parts: list[Polytope]) -> np.ndarray:
+    """(V, m) array whose row i holds the vertex of each summand that sums to vertex i of
+    S = ``minkowski_sum(parts)``.
+
+    Every vertex of a sum is the sum of exactly one vertex of each summand, and
+    ``hull`` copies its vertices bit for bit from the rows of ``_sum_points``,
+    so an exact row lookup (on the rows' bytes, the first of equal rows, as
+    ``_dedupe`` keeps) finds them.
+    """
+    acc = np.ascontiguousarray(_sum_points(parts))
+    row = np.dtype((np.void, acc.itemsize * acc.shape[1]))
+    keys, first = np.unique(acc.view(row).ravel(), return_index=True)
+    wanted = np.ascontiguousarray(S.vertices).view(row).ravel()
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    if np.any(keys[pos] != wanted):
+        raise RuntimeError("a vertex of the sum is not a sum of summand vertices")
+    return np.stack(np.unravel_index(first[pos], [p.n_vertices for p in parts]), axis=1)
+
+
+def _labelled_summand_faces(parts: list[Polytope], labels: np.ndarray,
+                            face: Face) -> tuple[Face, ...] | None:
+    """The summand faces of a face of the sum, read from its vertex labels: the face
+    of summand l is the set of the l-th labels of the face's vertices.  None if one
+    of those sets is not a face of its summand (a tolerance artefact)."""
+    rows = labels[list(face.vertex_ids)]
+    faces = tuple(p._index().get(frozenset(rows[:, l].tolist())) for l, p in enumerate(parts))
+    return None if None in faces else faces
 
 
 def summand_faces(

@@ -16,7 +16,11 @@ of one polytope (P_n, v_k^phi, the eps-expansion coefficients and each term of
 the polarization) goes through the single face sum ``_face_sum``, which
 returns an :class:`numerics.Estimate` with the per-face rows as its terms.
 The direct path to Q_n is that sum over the Minkowski sum with the mixed
-volume of the summand faces, read from their vertices, in place of vol_k.
+volume of the summand faces in place of vol_k.  The summand faces are read
+from the sum's vertex labels (each vertex of a sum is the sum of exactly one
+vertex of each summand); the mixed volume is 0 where one of them is a vertex
+and |det(e_1, ..., e_k)| / k! where all are edges, so ``mixed_volume`` runs
+only on the other faces.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
@@ -33,10 +37,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import complex_linalg as cl
 from .cone_geometry import DEFAULT_ANGLE_SAMPLES, AnglePass
 from .numerics import DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
-from .polytope import Face, Polytope, hull, minkowski_sum, split, summand_faces  # noqa: F401
+from .polytope import (Face, Polytope, _labelled_summand_faces, _simplex_data,  # noqa: F401
+                       _sum_labels, hull, minkowski_sum, split, summand_faces)
 from .volumes import mixed_volume
 
 __all__ = [
@@ -107,6 +113,46 @@ def pseudovolume(
     return _face_sum(P, P.ambient_n, RHO, angles or AnglePass(P, samples, stream, tol))
 
 
+def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
+                          tol: Tolerance) -> Callable[[Face], float]:
+    """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S.
+
+    The summand faces are read from the vertex labels of S (``summand_faces``,
+    the support-function route, only where a label set is not a face).  If one
+    of them is a vertex, V_k = 0.  If all are edges, Delta is a parallelotope:
+    V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and ``hull_basis`` come
+    from the same batched QR of the edges.  Every other face gets
+    ``mixed_volume`` on first read.
+    """
+    labels = _sum_labels(S, parts)
+    known: dict[Face, float] = {}
+    others: dict[Face, tuple[Face, ...]] = {}
+    edges = []
+    for f in S.faces.get(k, []):
+        faces = _labelled_summand_faces(parts, labels, f) or summand_faces(S, parts, f, tol)
+        sizes = {len(s.vertex_ids) for s in faces}
+        if 1 in sizes:
+            known[f] = 0.0
+        elif sizes == {2}:
+            edges.append((f, [p.vertices[s.vertex_ids[1]] - p.vertices[s.vertex_ids[0]]
+                              for p, s in zip(parts, faces)]))
+        else:
+            others[f] = faces
+    if edges:
+        vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), tol)
+        for (f, _), v, r, q in zip(edges, vol.tolist(), rho.tolist(), frames):
+            f.__dict__.update(hull_basis=cl.SubspaceBasis(S.ambient_n, q.T), rho=r)
+            known[f] = v
+
+    def mixed(f: Face) -> float:
+        if f in known:
+            return known[f]
+        return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, others[f])],
+                            f.hull_basis, tol)
+
+    return mixed
+
+
 def mixed_phi_volume(
     parts: list[Polytope],
     phi: Callable[[Face], float],
@@ -119,19 +165,14 @@ def mixed_phi_volume(
 
     Direct path: sum over k-faces Delta of the Minkowski sum of
     phi(E_Delta) * V_k(Delta_1, ..., Delta_k) * psi(Delta) with the unique
-    summand faces Delta_l.  Polarization path:
+    summand faces Delta_l (``_summand_mixed_volume``).  Polarization path:
     (1/k!) sum_{I nonempty} (-1)^{k-|I|} v_k^phi(sum_I Gamma_l).
     """
     k = len(parts)
     if method == "direct":
         S = minkowski_sum(parts, tol)
-
-        def mixed(f: Face) -> float:
-            faces = summand_faces(S, parts, f, tol)
-            return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, faces)],
-                                f.hull_basis, tol)
-
-        return _face_sum(S, k, phi, AnglePass(S, samples, stream, tol), mixed)
+        return _face_sum(S, k, phi, AnglePass(S, samples, stream, tol),
+                         _summand_mixed_volume(S, parts, k, tol))
     if method == "polarization":
         pairs = []
         for mask in range(1, 1 << k):

@@ -120,7 +120,10 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     g = Qx / h, dh/dz = conj(u), and the real Hessian (Q - g g^T) / h has the
     complex Hessian (A - conj(u) u^T) / h with A = ``_complex_hessian_of(Q)``.
     When ker Q is one line, h has its kink there, and the singular axis is
-    its unit null vector, signed so that its largest entry is positive.
+    its unit null vector, signed so that its largest entry is positive.  A
+    kernel of dimension 2 or more is rejected: the body then lies in a
+    subspace of codimension >= 2, and its Monge-Ampere mass sits on the
+    kernel, which no sphere average of det Hess_C h sees.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -128,6 +131,10 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     floor = 1e-12 * math.sqrt(np.max(np.abs(q)))
     eigenvalues, eigenvectors = np.linalg.eigh(q)
     null = eigenvectors[:, eigenvalues <= 1e-12 * eigenvalues[-1]]
+    if null.shape[1] >= 2:
+        raise ValueError(f"ker Q has dimension {null.shape[1]}; a support body sqrt(x^T Q x) "
+                         "needs a kernel of dimension 0 or 1, since the sphere average of "
+                         "det Hess_C h misses the mass on a larger kernel")
 
     def h_and_qx(z):
         x = cl.complex_to_real(z)
@@ -151,7 +158,7 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
         return np.conj(h_and_u(z)[1])
 
     axis = None
-    if null.shape[1] == 1:
+    if null.shape[1]:
         axis = null[:, 0] * np.sign(null[np.argmax(np.abs(null[:, 0])), 0])
     return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, singular_axis=axis)
 

@@ -339,6 +339,15 @@ class TestExitCodes:
             assert code == EXIT_INPUT
             assert "input error" in err and "singular line" in err
 
+    @pytest.mark.parametrize("diagonal", [[0, 1, 1, 0], [1, 0, 1, 0]])
+    def test_smooth_kernel_of_dimension_two(self, diagonal, capsys):
+        # The disks of the totally real plane span{i e_1, e_2} (P_2 = pi) and of R^2.
+        body = {"kind": "ellipsoid", "n": 2, "Q": np.diag(diagonal).tolist()}
+        code = main(["smooth", json.dumps(body), "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "ker Q has dimension 2" in err
+
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",
                          "--samples", "50000"], capsys)

@@ -22,8 +22,11 @@ from kazvol import (
     pseudovolume,
     valuation_check,
 )
-from kazvol.complex_linalg import random_unitary, realify
-from kazvol.numerics import Tolerance, kappa, weighted_sum
+from kazvol.complex_linalg import SubspaceBasis, random_unitary, realify
+from kazvol.complex_linalg import rho as cl_rho
+from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance, kappa, weighted_sum
+from kazvol.polytope import _labelled_summand_faces, _sum_labels, summand_faces
+from kazvol.pseudovolume import _summand_mixed_volume
 from kazvol.smooth_bodies import ball_pseudovolume
 
 from conftest import SAMPLES, random_polygon_real, random_polytope
@@ -242,10 +245,20 @@ class TestMixedPseudovolume:
             calls.append(args)
             return real_hull(*args, **kwargs)
 
+        real_support = polytope_mod.support
+        support_calls = []
+
+        def counting_support(*args, **kwargs):
+            support_calls.append(args)
+            return real_support(*args, **kwargs)
+
         monkeypatch.setattr(polytope_mod, "hull", counting_hull)
         monkeypatch.setattr(pseudovolume_mod, "hull", counting_hull)
+        # Summand faces come from the sum's vertex labels, not from support scans.
+        monkeypatch.setattr(polytope_mod, "support", counting_support)
         mixed_phi_volume([theta4, cube4], RHO, samples=10, method="direct")
         assert len(calls) == 1
+        assert support_calls == []
 
     def test_segment_degeneracy(self, stream):
         # Segments with C-dependent directions: Q_2 = 0; independent: > 0.
@@ -256,6 +269,76 @@ class TestMixedPseudovolume:
         assert abs(zero.value) < 1e-9
         pos = mixed_pseudovolume([e1, e2], samples=SAMPLES, stream=stream)
         assert pos.value > 0.1
+
+
+def c3_triple():
+    """Gaussian clouds of 3, 4 and 4 points in C^3."""
+    rng = np.random.default_rng(33)
+    return [random_polytope(rng, m, 3) for m in (3, 4, 4)]
+
+
+class TestSummandLabels:
+    """The direct path reads summand faces from the sum's vertex labels; the
+    support-function route ``summand_faces`` is the oracle."""
+
+    @pytest.fixture(params=["c2_pair", "c3_triple"])
+    def parts(self, request, theta4, cube4):
+        return [theta4, cube4] if request.param == "c2_pair" else c3_triple()
+
+    def test_labels_match_support_route(self, parts):
+        S = minkowski_sum(parts)
+        labels = _sum_labels(S, parts)
+        np.testing.assert_array_equal(
+            sum(p.vertices[labels[:, l]] for l, p in enumerate(parts)), S.vertices)
+        for f in S.all_faces():
+            got = _labelled_summand_faces(parts, labels, f)
+            want = summand_faces(S, parts, f)
+            assert [g.id for g in got] == [w.id for w in want], f.vertex_ids
+
+    def test_parallelotope_data_match_per_face_routes(self, parts):
+        S = minkowski_sum(parts)
+        k = len(parts)
+        n = S.ambient_n
+        labels = _sum_labels(S, parts)
+        measure = _summand_mixed_volume(S, parts, k, DEFAULT_TOLERANCE)
+        counts = {"parallelotope": 0, "point": 0}
+        for f in S.faces[k]:
+            faces = _labelled_summand_faces(parts, labels, f)
+            sizes = {len(s.vertex_ids) for s in faces}
+            if 1 in sizes:
+                counts["point"] += 1
+                assert measure(f) == 0.0
+                continue
+            if sizes != {2}:
+                continue
+            counts["parallelotope"] += 1
+            pts = S.vertices[list(f.vertex_ids)]
+            basis = SubspaceBasis.from_span(n, pts - pts[0])
+            segments = [p.vertices[list(s.vertex_ids)] for p, s in zip(parts, faces)]
+            assert measure(f) == pytest.approx(mixed_volume(segments, basis), rel=1e-12)
+            assert f.rho == pytest.approx(cl_rho(basis).rho, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(f.hull_basis.vectors.T @ f.hull_basis.vectors,
+                                       basis.vectors.T @ basis.vectors, atol=1e-12)
+        if k == 3:
+            assert counts["parallelotope"] == 70 and counts["point"] == 227
+        assert counts["parallelotope"] > 0
+
+    def test_support_fallback_gives_the_same_value(self, parts, stream, monkeypatch):
+        labelled = mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
+        # Every label set rejected: each summand face comes from `summand_faces`.
+        monkeypatch.setattr(importlib.import_module("kazvol.pseudovolume"),
+                            "_labelled_summand_faces", lambda *args: None)
+        fallback = mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
+        assert fallback.value == pytest.approx(labelled.value, rel=1e-12)
+
+    def test_direct_matches_polarization_in_c3(self, stream):
+        # Both paths are exact here (normal cones of dimension <= 3).
+        parts = c3_triple()
+        d = mixed_pseudovolume(parts, samples=SAMPLES, stream=stream)
+        p = mixed_pseudovolume(parts, samples=SAMPLES, stream=stream.substream(1),
+                               method="polarization")
+        assert d.value == pytest.approx(9.0557017343842, rel=1e-12)
+        assert abs(d.value - p.value) <= d.bound + p.bound
 
 
 class TestMixedWithBall:

@@ -343,8 +343,9 @@ class TestErrorHandling:
                                    [0.0, 0.0, -math.sin(0.3), math.cos(0.3)], atol=1e-15)
         np.testing.assert_allclose(ellipsoid(1, np.ones((2, 2))).singular_axis,
                                    [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
-        # A two-dimensional kernel has no single axis.
-        assert ellipsoid(2, np.diag([0.0, 1.0, 1.0, 0.0])).singular_axis is None
+        # A two-dimensional kernel has no single axis, and its mass escapes the sphere average.
+        with pytest.raises(ValueError, match="ker Q has dimension 2"):
+            ellipsoid(2, np.diag([0.0, 1.0, 1.0, 0.0]))
 
 
 class TestLoadBody:
