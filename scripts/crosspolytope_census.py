@@ -14,7 +14,6 @@ independent cross-check for one face per orbit.
 
 import argparse
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,7 @@ from kazvol.complex_linalg import SubspaceBasis, multiply_i
 from kazvol.numerics import kappa
 
 
-@dataclass
-class Config:
-    samples: int = 500_000
-    seed: int = 42
-    oracle_samples: int = 400_000
+ORACLE_SAMPLES = 400_000
 
 
 def cylinder_rho(basis: SubspaceBasis, rng, samples: int) -> float:
@@ -42,9 +37,8 @@ def cylinder_rho(basis: SubspaceBasis, rng, samples: int) -> float:
     return inside.mean() * 4.0 ** frame.shape[0] / kappa(basis.d) ** 2
 
 
-def census(P, name: str, cfg: Config) -> None:
-    stream = RandomStream(cfg.seed)
-    ap = AnglePass(P, cfg.samples, stream)
+def census(P, name: str, samples: int, seed: int) -> None:
+    ap = AnglePass(P, samples, RandomStream(seed))
     print(f"\n=== {name}: {P.n_vertices} vertices, face vector {P.face_vector()} ===")
     rhos = []
     for f in P.faces[2]:
@@ -64,24 +58,23 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=500_000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
-    cfg = Config(samples=args.samples, seed=args.seed)
 
     theta4 = hull(np.vstack([np.eye(4), -np.eye(4)]))
-    census(theta4, "Theta_4", cfg)
+    census(theta4, "Theta_4", args.samples, args.seed)
     print(f"  reference: 16 sqrt3/9 = {16 * math.sqrt(3) / 9:.9f}")
 
     # Independent oracle on one representative face span, conv{e1, ie1, e2}.
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     basis = SubspaceBasis.from_span(2, np.array(
         [[-1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0]]))
-    est = cylinder_rho(basis, rng, cfg.oracle_samples)
+    est = cylinder_rho(basis, rng, ORACLE_SAMPLES)
     print(f"  cylinder-volume oracle for a representative face: "
           f"rho ~ {est:.4f} (exact 2/3 = {2 / 3:.4f})")
 
     theta3 = hull(np.array([
         [1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0],
         [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 0]], dtype=float))
-    census(theta3, "Theta_3", cfg)
+    census(theta3, "Theta_3", args.samples, args.seed)
     print(f"  reference: 4 sqrt3/3 = {4 * math.sqrt(3) / 3:.9f} (exact, facet "
           f"angles are 1/2)")
 

@@ -9,19 +9,13 @@ pseudovolume order for l < 1/sqrt(15) ~ 0.258.
 
 import argparse
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from kazvol import RandomStream, hull, pseudovolume
 
 
-@dataclass
-class Config:
-    lambdas: tuple = (0.05, 0.1, 0.15, 0.2, 0.25, 1 / math.sqrt(15), 0.3, 0.5, 1.0)
-    samples: int = 200_000
-    seed: int = 42
-    csv: str | None = None
+LAMBDAS = (0.05, 0.1, 0.15, 0.2, 0.25, 1 / math.sqrt(15), 0.3, 0.5, 1.0)
 
 
 def k_body(lam: float):
@@ -41,15 +35,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
-    cfg = Config(samples=args.samples, seed=args.seed, csv=args.csv)
-    stream = RandomStream(cfg.seed)
+    stream = RandomStream(args.seed)
 
     rows = []
     print(f"{'lambda':>8}  {'P2(K)':>10}  {'2l':>10}  {'P2(Gamma)':>10}  "
           f"{'8l^2/sqrt(1+l^2)':>17}  order")
-    for i, lam in enumerate(cfg.lambdas):
-        k = pseudovolume(k_body(lam), samples=cfg.samples, stream=stream.substream(2 * i))
-        g = pseudovolume(gamma_body(lam), samples=cfg.samples,
+    for i, lam in enumerate(LAMBDAS):
+        k = pseudovolume(k_body(lam), samples=args.samples, stream=stream.substream(2 * i))
+        g = pseudovolume(gamma_body(lam), samples=args.samples,
                          stream=stream.substream(2 * i + 1))
         exact_g = 8 * lam**2 / math.sqrt(1 + lam**2)
         order = "K > Gamma (reversed)" if k.value > g.value else "K <= Gamma"
@@ -57,12 +50,12 @@ def main() -> None:
               f"{g.value:>10.6f}  {exact_g:>17.6f}  {order}")
         rows.append((lam, k.value, g.value))
 
-    if cfg.csv:
-        with open(cfg.csv, "w") as fh:
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write("lambda,p2_k,p2_gamma\n")
             for lam, kv, gv in rows:
                 fh.write(f"{lam},{kv},{gv}\n")
-        print(f"wrote {cfg.csv}")
+        print(f"wrote {args.csv}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ errors.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from kazvol import (
     RandomStream,
@@ -20,34 +19,26 @@ from kazvol import (
 )
 
 
-@dataclass
-class Config:
-    n_max: int = 3
-    samples: int = 500_000
-    seed: int = 42
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=3)
     parser.add_argument("--samples", type=int, default=500_000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
-    cfg = Config(n_max=args.n_max, samples=args.samples, seed=args.seed)
-    stream = RandomStream(cfg.seed)
+    stream = RandomStream(args.seed)
 
     print(f"{'n':>2}  {'P_n(B_2n)':>14}  {'quadrature':>14}  {'sigma':>9}  {'bound':>9}   "
           f"{'P_n(B_2n-1)':>14}  {'quadrature':>14}  {'sigma':>9}  {'bound':>9}")
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         full = ball_pseudovolume(n)
         low = lower_ball_pseudovolume(n)
-        full_q = smooth_quadrature([ball(n)], cfg.samples, stream.substream(2 * n))
+        full_q = smooth_quadrature([ball(n)], args.samples, stream.substream(2 * n))
         if n == 1:
             # B_1 is a segment: its whole density lies on the singular line,
             # which no sphere quadrature sees.
             low_cols = f"{'(segment)':>14}  {'--':>9}  {'--':>9}"
         else:
-            low_q = smooth_quadrature([lower_ball(n)], cfg.samples,
+            low_q = smooth_quadrature([lower_ball(n)], args.samples,
                                        stream.substream(2 * n + 1))
             low_cols = f"{low_q.value:>14.9f}  {low_q.std_error:>9.2e}  {low_q.bound:>9.2e}"
         print(f"{n:>2}  {full:>14.9f}  {full_q.value:>14.9f}  "

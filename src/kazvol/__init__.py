@@ -1,9 +1,11 @@
 """Kazarnovskii pseudovolume of convex bodies in C^n.
 
-Combinatorial face-lattice computation for polytopes, Monte Carlo quadrature
-for smooth support-function bodies, plus the supporting geometry: volume
-distortion rho, dual cones and outer angles, mixed volumes and mixed
-discriminants, rho-weighted intrinsic and mixed volumes.
+Combinatorial face-lattice computation for polytopes; sphere quadrature of
+det Hess_C h for smooth support-function bodies, by cubature where it applies
+and by Monte Carlo otherwise; plus the supporting geometry: volume
+distortion rho, outer angles (closed form for normal cones of dimension up
+to 3, Monte Carlo above), mixed volumes and mixed discriminants,
+rho-weighted intrinsic and mixed volumes.
 """
 
 from .complex_linalg import (

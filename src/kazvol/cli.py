@@ -6,7 +6,13 @@ inline JSON): polytopes as {"n": int, "vertices": [[re, im, ...], ...]} with
 optional exact "p/q" coordinate strings, smooth bodies as {"kind": ..., "n":
 ...}, matrices as {"matrices": [[[re or [re, im], ...]]]}.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
+Each handler ``cmd_x(args, tol, stream, samples)`` computes, prints its
+lines and returns the parts of the report it has: ``values``, and ``flags``
+and ``per_face`` where there are any.  :func:`main` parses the options into
+the tolerance, stream and sample count, writes the ``--json`` report
+(command, inputs, seed, samples, flags, values, per_face, wall_time) and
+turns exceptions into exit codes: 0 success, 1 a ``verify`` check failed
+(after the report is written), 2 input error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,8 +39,8 @@ from .pseudovolume import (
     pseudovolume,
 )
 from .cone_geometry import AnglePass, outer_angle
-from .numerics import RandomStream, Tolerance, read_field, read_json
-from .volumes import SizeMismatch, mixed_discriminant
+from .numerics import DEFAULT_SAMPLES, RandomStream, Tolerance, read_field, read_json
+from .volumes import mixed_discriminant
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -43,33 +48,10 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: list[str]
-    seed: int
-    samples: int
-    flags: dict
-    values: dict = field(default_factory=dict)
-    per_face: list = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def emit(self, args) -> None:
-        self.wall_time = time.perf_counter() - args.started
-        if args.json is not None:
-            text = json.dumps(asdict(self), indent=2)
-            if args.json == "-":
-                print(text, file=args.stdout)
-            else:
-                with open(args.json, "w") as fh:
-                    fh.write(text)
-
-
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=float, default=2e6, help="Monte Carlo samples")
+    sub.add_argument("--samples", type=float, default=DEFAULT_SAMPLES, help="Monte Carlo samples")
     sub.add_argument("--seed", type=int, default=42, help="random seed")
     sub.add_argument("--tol", type=float, default=1e-9, help="rank and geometric tolerance")
-    sub.add_argument("--oracle", action="store_true", help="run independent cross-check paths")
     sub.add_argument("--json", nargs="?", const="-", default=None,
                      help="write a JSON report (with no argument: to stdout, "
                           "with every other line moved to stderr)")
@@ -78,14 +60,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 def _context(args):
     if not 1 <= args.samples < float("inf"):
         raise ValueError(f"--samples must be a finite number >= 1, got {args.samples:g}")
-    tol = Tolerance(args.tol)
-    stream = RandomStream(seed=args.seed)
-    return tol, stream, int(args.samples)
-
-
-def _report(args, command, inputs, **flags) -> RunReport:
-    return RunReport(command=command, inputs=list(inputs), seed=args.seed,
-                     samples=int(args.samples), flags=flags)
+    return Tolerance(args.tol), RandomStream(seed=args.seed), int(args.samples)
 
 
 def _parse_matrix(rows) -> np.ndarray:
@@ -119,8 +94,7 @@ def _estimate_values(est, **values) -> dict:
 # Command handlers
 
 
-def cmd_rho(args) -> int:
-    tol, _, _ = _context(args)
+def cmd_rho(args, tol, stream, samples) -> dict:
     data = read_json(args.file)
     n = read_field(data, "n", int)
     vectors = read_field(data, "vectors", _finite_array)
@@ -130,16 +104,12 @@ def cmd_rho(args) -> int:
           f"CR dimension = {report.cr_dim}")
     print(f"equidimensional: {report.equidimensional}")
     print(f"rho = {report.rho:.12g}")
-    rep = _report(args, "rho", [args.file])
-    rep.values = {"rho": report.rho, "cr_dim": report.cr_dim,
-                  "complex_dim": report.complex_dim,
-                  "equidimensional": report.equidimensional}
-    rep.emit(args)
-    return EXIT_OK
+    return {"values": {"rho": report.rho, "cr_dim": report.cr_dim,
+                       "complex_dim": report.complex_dim,
+                       "equidimensional": report.equidimensional}}
 
 
-def cmd_faces(args) -> int:
-    tol, _, _ = _context(args)
+def cmd_faces(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
@@ -149,50 +119,34 @@ def cmd_faces(args) -> int:
             tag = " (improper)" if f.id == P.improper_face.id else ""
             print(f"  k={k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
                   f"rho={f.rho:.9g}{tag}")
-    rep = _report(args, "faces", [args.file])
-    rep.values = {"face_vector": P.face_vector(), "dim_real": P.dim_real}
-    rep.emit(args)
-    return EXIT_OK
+    return {"values": {"face_vector": P.face_vector(), "dim_real": P.dim_real}}
 
 
-def cmd_angle(args) -> int:
-    tol, stream, samples = _context(args)
+def cmd_angle(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     ids = [int(x) for x in args.face.split(",")]
     est = outer_angle(P, ids, samples, stream, tol)
     print(f"outer angle of face {ids}: {est.value:.9g} {_pm(est)} ({est.method})")
-    rep = _report(args, "angle", [args.file], face=ids)
-    rep.values = _estimate_values(est, angle=est.value)
-    rep.emit(args)
-    return EXIT_OK
+    return {"flags": {"face": ids}, "values": _estimate_values(est, angle=est.value)}
 
 
-def cmd_volume(args) -> int:
-    tol, _, _ = _context(args)
+def cmd_volume(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     vol = P.improper_face.volume_k
     print(f"vol_{P.dim_real} = {vol:.12g}")
-    rep = _report(args, "volume", [args.file])
-    rep.values = {"dim": P.dim_real, "volume": vol}
-    rep.emit(args)
-    return EXIT_OK
+    return {"values": {"dim": P.dim_real, "volume": vol}}
 
 
-def cmd_intrinsic(args) -> int:
+def cmd_intrinsic(args, tol, stream, samples) -> dict:
     """v_k for ``intrinsic``, v_k^rho for ``phi-volume``."""
-    tol, stream, samples = _context(args)
     P = pt.load_polytope(args.file, tol)
     phi, label = (RHO, "^rho") if args.command == "phi-volume" else (UNIT, "")
     est = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream, tol))
     print(f"v_{args.k}{label} = {est.value:.9g} {_pm(est)}")
-    rep = _report(args, args.command, [args.file], k=args.k)
-    rep.values = _estimate_values(est, k=args.k, value=est.value)
-    rep.emit(args)
-    return EXIT_OK
+    return {"flags": {"k": args.k}, "values": _estimate_values(est, k=args.k, value=est.value)}
 
 
-def cmd_pseudovolume(args) -> int:
-    tol, stream, samples = _context(args)
+def cmd_pseudovolume(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     report = pseudovolume(P, samples=samples, stream=stream, tol=tol)
     print(f"P_{P.ambient_n} = {report.value:.9g} {_pm(report)}")
@@ -201,16 +155,12 @@ def cmd_pseudovolume(args) -> int:
         for ids, rho_, vol, angle, term in report.terms:
             print(f"  {str(list(ids)):24s} {rho_:<10.6g} {vol:<10.6g} "
                   f"{angle:<10.6g} {term:.6g}")
-    rep = _report(args, "pseudovolume", [args.file])
-    rep.values = _estimate_values(report, value=report.value)
-    rep.per_face = [list(map(float, (rho_, vol, angle, term))) + [list(ids)]
-                    for ids, rho_, vol, angle, term in report.terms]
-    rep.emit(args)
-    return EXIT_OK
+    return {"values": _estimate_values(report, value=report.value),
+            "per_face": [list(map(float, (rho_, vol, angle, term))) + [list(ids)]
+                         for ids, rho_, vol, angle, term in report.terms]}
 
 
-def cmd_mixed(args) -> int:
-    tol, stream, samples = _context(args)
+def cmd_mixed(args, tol, stream, samples) -> dict:
     parts = [pt.load_polytope(f, tol) for f in args.files]
     n = parts[0].ambient_n
     if args.ball:
@@ -223,18 +173,14 @@ def cmd_mixed(args) -> int:
     values = _estimate_values(est, value=est.value)
     if args.oracle and not args.ball:
         oracle = mixed_pseudovolume(parts, samples, stream.substream(99), tol,
-                                       method="polarization")
+                                    method="polarization")
         print(f"polarization cross-check: {oracle.value:.9g} {_pm(oracle)}")
         values.update(oracle_value=oracle.value, oracle_std_error=oracle.std_error,
                       oracle_bound=oracle.bound)
-    rep = _report(args, "mixed", args.files, ball=bool(args.ball))
-    rep.values = values
-    rep.emit(args)
-    return EXIT_OK
+    return {"flags": {"ball": bool(args.ball)}, "values": values}
 
 
-def cmd_eps_expand(args) -> int:
-    tol, stream, samples = _context(args)
+def cmd_eps_expand(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream, tol=tol)
     n = P.ambient_n
@@ -248,14 +194,11 @@ def cmd_eps_expand(args) -> int:
             for e in np.linspace(0.0, max(args.eps, 1.0), 101):
                 val = sum(c * e ** (n - k) for k, c in enumerate(coefficients))
                 fh.write(f"{e},{val}\n")
-    rep = _report(args, "eps-expand", [args.file], eps=args.eps)
-    rep.values = _estimate_values(exp, coefficients=coefficients, value=exp.value)
-    rep.emit(args)
-    return EXIT_OK
+    return {"flags": {"eps": args.eps},
+            "values": _estimate_values(exp, coefficients=coefficients, value=exp.value)}
 
 
-def cmd_smooth(args) -> int:
-    _, stream, samples = _context(args)
+def cmd_smooth(args, tol, stream, samples) -> dict:
     bodies = [sb.load_body(f) for f in [args.file] + (args.mixed or [])]
     n = bodies[0].ambient_n
 
@@ -287,14 +230,10 @@ def cmd_smooth(args) -> int:
               else sb.mc_mixed_pseudovolume(bodies, samples, stream.substream(2)))
         print(f"Monte Carlo cross-check: {mc.value:.9g} {_pm(mc)}")
         values.update(mc_value=mc.value, mc_std_error=mc.std_error, mc_bound=mc.bound)
-    rep = _report(args, "smooth", [args.file] + (args.mixed or []))
-    rep.values = values
-    rep.emit(args)
-    return EXIT_OK
+    return {"values": values}
 
 
-def cmd_discriminant(args) -> int:
-    _context(args)  # only to reject a bad --samples, which the report records
+def cmd_discriminant(args, tol, stream, samples) -> dict:
     data = read_json(args.file)
     mats = read_field(data, "matrices", lambda ms: [_parse_matrix(m) for m in ms])
     value = mixed_discriminant(mats, method=args.method)
@@ -302,14 +241,11 @@ def cmd_discriminant(args) -> int:
         print(f"D_{len(mats)} = {value.real:.12g}")
     else:
         print(f"D_{len(mats)} = {value:.12g}")
-    rep = _report(args, "discriminant", [args.file], method=args.method)
-    rep.values = {"real": value.real, "imag": value.imag}
-    rep.emit(args)
-    return EXIT_OK
+    return {"flags": {"method": args.method}, "values": {"real": value.real, "imag": value.imag}}
 
 
-def cmd_verify(args) -> int:
-    _, stream, samples = _context(args)
+def cmd_verify(args, tol, stream, samples) -> dict:
+    """The report's ``failures`` count makes :func:`main` exit 1."""
     suites = [args.suite] if args.suite else list(verification.SUITES)
     failures = 0
     all_checks = []
@@ -324,10 +260,8 @@ def cmd_verify(args) -> int:
             all_checks.append({"suite": name, "name": c.name, "passed": c.passed,
                                "detail": c.detail})
     print(f"{len(all_checks) - failures}/{len(all_checks)} checks passed")
-    rep = _report(args, "verify", [], suite=args.suite or "all")
-    rep.values = {"checks": all_checks, "failures": failures}
-    rep.emit(args)
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    return {"flags": {"suite": args.suite or "all"},
+            "values": {"checks": all_checks, "failures": failures}}
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("files", nargs="+")
     s.add_argument("--ball", action="store_true",
                    help="fill the remaining slots with unit balls")
+    s.add_argument("--oracle", action="store_true", help="also run the polarization cross-check")
     s = add("eps-expand", cmd_eps_expand, help="pseudovolume of the eps-neighborhood")
     s.add_argument("file")
     s.add_argument("--eps", type=float, default=0.0)
@@ -375,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--mixed", nargs="*", default=None, help="additional body files")
     s.add_argument("--boundary", action="store_true", help="also run the boundary formula")
+    s.add_argument("--oracle", action="store_true",
+                   help="also run the Monte Carlo cross-check (and, for Q_n, the boundary formula)")
     s = add("discriminant", cmd_discriminant, help="mixed discriminant of matrices")
     s.add_argument("file", help='JSON {"matrices": [...]} file or inline JSON')
     s.add_argument("--method", default="auto",
@@ -385,31 +322,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.started = time.perf_counter()
-    # With `--json -` the report is the only thing on stdout.
-    args.stdout = sys.stdout
-    quiet = args.json == "-"
-    with contextlib.redirect_stdout(sys.stderr) if quiet else contextlib.nullcontext():
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    stdout = sys.stdout  # with `--json -` the report is the only thing on stdout
+    opts = vars(args)
+    with contextlib.redirect_stdout(sys.stderr) if args.json == "-" else contextlib.nullcontext():
         try:
-            code = args.fn(args)
-        except (pt.DimensionCapExceeded,) as exc:
+            parts = args.fn(args, *_context(args))
+            report = {
+                "command": args.command,
+                "inputs": ([opts["file"]] if "file" in opts else opts.get("files", []))
+                + (opts.get("mixed") or []),
+                "seed": args.seed,
+                "samples": int(args.samples),
+                "flags": parts.get("flags", {}),
+                "values": parts["values"],
+                "per_face": parts.get("per_face", []),
+                "wall_time": time.perf_counter() - started,
+            }
+            if args.json == "-":
+                print(json.dumps(report, indent=2), file=stdout)
+            elif args.json is not None:
+                with open(args.json, "w") as fh:
+                    fh.write(json.dumps(report, indent=2))
+        except pt.DimensionCapExceeded as exc:
             print(f"resource cap: {exc}", file=sys.stderr)
             return EXIT_CAP
-        except SizeMismatch as exc:
-            if "permutation path" in str(exc):
-                print(f"resource cap: {exc}", file=sys.stderr)
-                return EXIT_CAP
+        except (OSError, KeyError, ValueError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        elapsed = time.perf_counter() - args.started
-        if code == EXIT_OK:
-            print(f"done in {elapsed:.2f}s (seed {args.seed})")
-    return code
+        if report["values"].get("failures"):
+            return EXIT_VERIFY
+        print(f"done in {time.perf_counter() - started:.2f}s (seed {args.seed})")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,17 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import complex_linalg as cl
-from .numerics import (DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, sampled_mean,
-                       sphere_sample)
+from .numerics import (DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance,
+                       sampled_mean, sphere_sample)
 from .polytope import Face, Polytope
 
 __all__ = [
     "outer_angle",
     "AnglePass",
-    "DEFAULT_ANGLE_SAMPLES",
 ]
 
-DEFAULT_ANGLE_SAMPLES = 2_000_000
 _CHUNK = 250_000
 _EPS = float(np.finfo(float).eps)
 
@@ -103,7 +101,7 @@ def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> Estimate |
 def outer_angle(
     P: Polytope,
     face_id,
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
@@ -127,7 +125,7 @@ class AnglePass:
     def __init__(
         self,
         P: Polytope,
-        samples: int = DEFAULT_ANGLE_SAMPLES,
+        samples: int = DEFAULT_SAMPLES,
         stream: RandomStream = RandomStream(),
         tol: Tolerance = DEFAULT_TOLERANCE,
     ) -> None:

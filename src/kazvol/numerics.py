@@ -35,7 +35,10 @@ __all__ = [
     "read_json",
     "read_field",
     "DEFAULT_TOLERANCE",
+    "DEFAULT_SAMPLES",
 ]
+
+DEFAULT_SAMPLES = 2_000_000  # draws per Monte Carlo estimate or cubature nodes; --samples
 
 
 @dataclass(frozen=True)

@@ -90,11 +90,10 @@ class Face:
 
     @cached_property
     def hull_basis(self) -> cl.SubspaceBasis:
-        n = self._points.shape[1] // 2
-        if len(self.vertex_ids) == 1:
-            return cl.SubspaceBasis(n, np.zeros((0, 2 * n)))
+        # The lattice has decided k: a face bent within the tolerance keeps rank k.
         pts = self._points[list(self.vertex_ids)]
-        return cl.SubspaceBasis.from_span(n, pts - pts[0], self._tol)
+        _, _, vt = np.linalg.svd(pts - pts[0], full_matrices=False)
+        return cl.SubspaceBasis(self._points.shape[1] // 2, vt[:self.k])
 
     @cached_property
     def volume_k(self) -> float:
@@ -191,7 +190,12 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, eps: float) -> dict[froze
 
     Qhull triangulates non-simplicial facets, so one facet can come as many
     equations; each vertex set keeps the normal of its first equation.
-    Equations are taken in chunks of about 2**20 point-equation pairs.
+    Equations are taken in chunks of about 2**20 point-equation pairs.  A
+    facet bent within eps can also come with sliver facets along its ridges;
+    their vertex sets lie inside a real facet's set, so only the
+    inclusion-maximal sets are kept.  A set that lies strictly inside another
+    has at least d vertices, so it is only compared with the sets of more
+    than d.
     """
     out: dict[frozenset[int], np.ndarray] = {}
     scale_ = max(1.0, float(np.abs(coords).max()))
@@ -203,7 +207,8 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, eps: float) -> dict[froze
         for j in np.sort(first):
             members = frozenset(np.flatnonzero(on_plane[:, j]).tolist())
             out.setdefault(members, eqs[j, :-1] / np.linalg.norm(eqs[j, :-1]))
-    return out
+    big = [s for s in out if len(s) > coords.shape[1]]
+    return {s: normal for s, normal in out.items() if not any(s < t for t in big)}
 
 
 def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int, ...]]]:
@@ -297,15 +302,17 @@ def _faces(
     top = Face(tuple(range(len(vertices))), d, vertices, tol)
     top.__dict__.update(volume_k=volume, rho=float(_frame_rho(frame.T[None], tol)[0]))
     faces.setdefault(d, []).append(top)
-    _euler_check(faces, d)
+    _euler_check(faces, tol)
     return faces
 
 
-def _euler_check(faces: dict[int, list[Face]], d: int) -> None:
+def _euler_check(faces: dict[int, list[Face]], tol: Tolerance) -> None:
     total = sum((-1) ** k * len(fs) for k, fs in faces.items())
     # sum_{k=0}^{d-1} (-1)^k f_k = 1 - (-1)^d, so including f_d = 1 the sum is 1.
     if total != 1:
-        raise RuntimeError(f"face lattice violates the Euler relation: {total} != 1")
+        raise ValueError(f"face lattice violates the Euler relation ({total} != 1) at "
+                         f"tolerance {tol.eps:g}: the points lie within the tolerance of a "
+                         f"degenerate position; try another tolerance")
 
 
 def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:

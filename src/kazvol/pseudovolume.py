@@ -38,8 +38,9 @@ from typing import Callable
 import numpy as np
 
 from . import complex_linalg as cl
-from .cone_geometry import DEFAULT_ANGLE_SAMPLES, AnglePass
-from .numerics import DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance, kappa, weighted_sum
+from .cone_geometry import AnglePass
+from .numerics import (DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance,
+                       kappa, weighted_sum)
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
 from .polytope import (Face, Polytope, _labelled_summand_faces, _simplex_data,  # noqa: F401
                        _sum_labels, hull, minkowski_sum, split, summand_faces)
@@ -83,11 +84,13 @@ def _face_sum(
     pairs = []
     rows = []
     for f in P.faces.get(k, []):
-        w = phi(f)
-        if w == 0.0:
-            continue
+        # The measure first: on the direct Q_n path a face with a vertex summand has
+        # V_k = 0, and its rho is never needed.
         m = measure(f)
         if m == 0.0:
+            continue
+        w = phi(f)
+        if w == 0.0:
             continue
         a = angles.angle(f)
         pairs.append((w * m, a))
@@ -105,7 +108,7 @@ def intrinsic_phi_volume(P: Polytope, k: int, phi: Callable[[Face], float],
 def pseudovolume(
     P: Polytope,
     angles: AnglePass | None = None,
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
@@ -156,7 +159,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
 def mixed_phi_volume(
     parts: list[Polytope],
     phi: Callable[[Face], float],
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
     method: str = "direct",
@@ -186,7 +189,7 @@ def mixed_phi_volume(
 
 def mixed_pseudovolume(
     parts: list[Polytope],
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
     method: str = "direct",
@@ -206,7 +209,7 @@ def mixed_pseudovolume(
 
 def mixed_with_ball(
     parts: list[Polytope],
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
@@ -225,7 +228,7 @@ def eps_neighborhood_pseudovolume(
     P: Polytope,
     eps: float,
     angles: AnglePass | None = None,
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
@@ -250,7 +253,7 @@ def valuation_check(
     P: Polytope,
     normal: np.ndarray,
     offset: float,
-    samples: int = DEFAULT_ANGLE_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:

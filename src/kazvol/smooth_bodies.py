@@ -40,8 +40,8 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import complex_linalg as cl
-from .numerics import (Estimate, RandomStream, kappa, read_field, read_json, sampled_mean,
-                       sphere_sample)
+from .numerics import (DEFAULT_SAMPLES, Estimate, RandomStream, kappa, read_field, read_json,
+                       sampled_mean, sphere_sample)
 from .volumes import batch_mixed_discriminant
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "DEFAULT_SAMPLES",
 ]
 
-DEFAULT_SAMPLES = 2_000_000
 _CHUNK = 100_000
 _FD_STEP = 1e-5
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import complex_linalg as cl
 from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .polytope import Polytope, convex_volume
+from .polytope import DimensionCapExceeded, Polytope, convex_volume
 
 __all__ = [
     "SizeMismatch",
@@ -153,15 +153,15 @@ def mixed_discriminant(mats: list[np.ndarray], method: str = "auto") -> complex:
     """Mixed discriminant D_n(M_1, ..., M_n).
 
     Normalized so that D_n(M, ..., M) = det M.  Methods: "permutation"
-    (n <= 6), "subset", "laplace", or "auto" (permutation when allowed,
-    subset otherwise).
+    (n <= 6; DimensionCapExceeded above), "subset", "laplace", or "auto"
+    (permutation when allowed, subset otherwise).
     """
     n, arrs = _check_square(mats)
     if method == "auto":
         method = "permutation" if n <= MIXED_DISCRIMINANT_PERMUTATION_CAP else "subset"
     if method == "permutation":
         if n > MIXED_DISCRIMINANT_PERMUTATION_CAP:
-            raise SizeMismatch(
+            raise DimensionCapExceeded(
                 f"permutation path limited to n <= {MIXED_DISCRIMINANT_PERMUTATION_CAP}"
             )
         return _mixed_discriminant_permutation(arrs)

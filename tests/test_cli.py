@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kazvol.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
+from kazvol.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 
 @pytest.fixture
@@ -197,6 +198,67 @@ class TestJsonReports:
         assert report["values"]["volume"] == pytest.approx(2.0)
 
 
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+THETA4 = os.path.join(DATA, "theta4.json")
+BALL2 = os.path.join(DATA, "ball2.json")
+RHO_DOC = json.dumps({"n": 2, "vectors": [[1, 0, 0, 0], [0, 0, 1, 0]]})
+MATRICES = json.dumps({"matrices": [[[1, 0], [0, 1]], [[2, 0], [0, 1]]]})
+
+
+class TestReportSchema:
+    KEYS = ["command", "inputs", "seed", "samples", "flags", "values", "per_face", "wall_time"]
+
+    @pytest.mark.parametrize("argv,inputs,flags", [
+        (["rho", RHO_DOC], [RHO_DOC], {}),
+        (["faces", THETA4], [THETA4], {}),
+        (["angle", THETA4, "--face", "0,1"], [THETA4], {"face": [0, 1]}),
+        (["volume", THETA4], [THETA4], {}),
+        (["intrinsic", THETA4, "--k", "2"], [THETA4], {"k": 2}),
+        (["phi-volume", THETA4, "--k", "3"], [THETA4], {"k": 3}),
+        (["pseudovolume", THETA4], [THETA4], {}),
+        (["mixed", THETA4, THETA4], [THETA4, THETA4], {"ball": False}),
+        (["mixed", THETA4, "--ball"], [THETA4], {"ball": True}),
+        (["eps-expand", THETA4, "--eps", "0.5"], [THETA4], {"eps": 0.5}),
+        (["smooth", BALL2, "--mixed", BALL2], [BALL2, BALL2], {}),
+        (["discriminant", MATRICES], [MATRICES], {"method": "auto"}),
+        (["verify", "--suite", "tables"], [], {"suite": "tables"}),
+    ])
+    def test_keys_inputs_and_flags(self, argv, inputs, flags, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code = main(argv + ["--samples", "3000", "--seed", "7", "--json", str(path)])
+        report = json.loads(path.read_text())
+        assert code == EXIT_OK
+        assert list(report) == self.KEYS
+        assert report["command"] == argv[0]
+        assert report["inputs"] == inputs and report["flags"] == flags
+        assert report["seed"] == 7 and report["samples"] == 3000
+        assert (report["per_face"] != []) == (argv[0] == "pseudovolume")
+
+    def test_failed_check_writes_report_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        from kazvol import verification
+
+        monkeypatch.setattr(verification, "run_suite", lambda name, samples, stream: [
+            verification.Check("planted", False, "always fails")])
+        path = tmp_path / "report.json"
+        code = main(["verify", "--suite", "tables", "--json", str(path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert json.loads(path.read_text())["values"]["failures"] == 1
+        assert "[FAIL] tables: planted" in out and "done in" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", RHO_DOC], ["faces", THETA4], ["angle", THETA4, "--face", "0"],
+        ["volume", THETA4], ["intrinsic", THETA4, "--k", "1"],
+        ["phi-volume", THETA4, "--k", "1"], ["pseudovolume", THETA4],
+        ["eps-expand", THETA4], ["discriminant", MATRICES], ["verify"],
+    ])
+    def test_oracle_only_on_mixed_and_smooth(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
+
 class TestDeterminism:
     # A vertex of Theta_4 has a 4-dimensional normal cone, so its angle is
     # still sampled (P_2 of Theta_4 is exact and the same for every seed).
@@ -347,6 +409,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "input error" in err and "ker Q has dimension 2" in err
+
+    def test_permutation_cap(self, capsys):
+        mats = json.dumps({"matrices": [np.eye(7).tolist()] * 7})
+        code = main(["discriminant", mats, "--method", "permutation"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CAP
+        assert "resource cap" in err and "permutation path limited to n <= 6" in err
+
+    def test_degenerate_position(self, tmp_path, capsys):
+        """The 4-cube moved by 1e-8: within the default --tol of a degenerate position the
+        lattice fails the Euler relation and the run exits 2 naming the tolerance; at
+        --tol 1e-7 the points are the cube."""
+        cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+        points = cube + np.random.default_rng(0).normal(size=(16, 4)) * 1e-8
+        doc = json.dumps({"n": 2, "vertices": points.tolist()})
+        code = main(["faces", doc])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "Euler relation" in err and "tolerance 1e-09" in err
+        path = tmp_path / "report.json"
+        assert main(["faces", doc, "--tol", "1e-7", "--json", str(path)]) == EXIT_OK
+        assert json.loads(path.read_text())["values"]["face_vector"] == [16, 32, 24, 8, 1]
 
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",

@@ -12,9 +12,13 @@ from kazvol import (
     DimensionCapExceeded,
     EmptyInput,
     FaceNotFound,
+    RandomStream,
     hull,
     load_polytope,
     minkowski_sum,
+    pseudovolume,
+    random_unitary,
+    realify,
     split,
     summand_faces,
     support,
@@ -23,7 +27,7 @@ from kazvol import complex_linalg as cl
 from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance
 from kazvol.polytope import _dedupe, convex_volume
 
-from conftest import random_polytope
+from conftest import SAMPLES, random_polytope
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -367,7 +371,8 @@ def test_lattice_oracle_under_loose_tolerance():
 
 def test_hull_basis_is_lazy_and_unchanged(theta4, cube4):
     """Faces, simplicial (a triangle of Theta_4) or not (a square of the cube),
-    build their basis on first access, from the same call as before."""
+    build their basis on first access, bit for bit the ``from_span`` basis of a
+    face that is not bent."""
     for P in (theta4, cube4):
         f = P.faces[2][0]
         assert "hull_basis" not in f.__dict__
@@ -448,3 +453,32 @@ def test_dedupe_matches_greedy_oracle(case):
 def test_dedupe_chain_keeps_both_ends():
     points = DEDUPE_CASES["chain a-b-c"]()
     assert np.array_equal(_dedupe(points, EPS), points[[0, 2]])
+
+
+def _pyramid(bend):
+    """The square pyramid over (±1, 0, ±1, 0) with apex (0, 1, 0, 0), the base's y_2
+    set to ±bend."""
+    base = [[a, 0.0, b, a * b * bend] for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+    return hull(np.array(base + [[0.0, 1.0, 0.0, 0.0]]))
+
+
+def test_face_bent_within_tolerance_keeps_its_rank():
+    """The base bent by 3e-9 is a 2-face of the lattice, so its basis has rank 2 and
+    it counts in P_2; a basis of rank 3 once gave it rho = 0 and P_2 = 2.1213."""
+    flat, bent = _pyramid(0.0), _pyramid(3e-9)
+    assert bent.face_vector() == [5, 8, 5, 1]
+    assert [f.hull_basis.d for f in bent.faces[2]] == [2] * 5
+    p_flat = pseudovolume(flat, samples=SAMPLES).value
+    assert p_flat == pytest.approx(4.121320344, abs=1e-9)
+    assert pseudovolume(bent, samples=SAMPLES).value == pytest.approx(p_flat, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rounded_rotated_cube(seed):
+    """[-1, 1]^4 under a random unitary, rounded to 10 significant digits: Qhull's
+    sliver facets along the bent facets' ridges are dropped, as sets inside a facet's."""
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+    rotated = cube @ realify(random_unitary(2, RandomStream(seed))).T
+    P = hull(np.array([[float(f"{x:.10g}") for x in row] for row in rotated]))
+    assert P.face_vector() == [16, 32, 24, 8, 1]
+    assert pseudovolume(P, samples=SAMPLES).value == pytest.approx(16.0, abs=1e-8)

@@ -260,6 +260,17 @@ class TestMixedPseudovolume:
         assert len(calls) == 1
         assert support_calls == []
 
+    def test_direct_path_skips_rho_where_the_mixed_volume_is_zero(self, theta4, cube4,
+                                                                   monkeypatch):
+        # 48 of the sum's 2-faces have a vertex summand, so V_2 = 0 and rho is never read;
+        # every other term is a simplex or a parallelogram with rho from the batched pass.
+        calls = []
+        monkeypatch.setattr(importlib.import_module("kazvol.complex_linalg"), "rho",
+                            lambda *a, **k: calls.append(a) or cl_rho(*a, **k))
+        est = mixed_phi_volume([theta4, cube4], RHO, samples=10, method="direct")
+        assert est.value == pytest.approx(8.866022783673, abs=1e-11)
+        assert calls == []
+
     def test_segment_degeneracy(self, stream):
         # Segments with C-dependent directions: Q_2 = 0; independent: > 0.
         e1 = segment([2, 0, 0, 0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kazvol import (
     AnglePass,
+    DimensionCapExceeded,
     RandomStream,
     SizeMismatch,
     alexandroff_gap,
@@ -184,7 +185,7 @@ class TestMixedDiscriminant:
 
     def test_permutation_cap(self):
         mats = [np.eye(7)] * 7
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DimensionCapExceeded):
             mixed_discriminant(mats, method="permutation")
         assert mixed_discriminant(mats, method="subset").real == pytest.approx(1.0)
 
