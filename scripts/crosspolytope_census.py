@@ -42,7 +42,7 @@ def census(P, name: str, samples: int, seed: int) -> None:
     print(f"\n=== {name}: {P.n_vertices} vertices, face vector {P.face_vector()} ===")
     rhos = []
     for f in P.faces[2]:
-        if f.id == P.improper_face.id:
+        if f.k == P.dim_real:
             continue
         a = ap.angle(f)
         rhos.append(f.rho)

@@ -12,9 +12,10 @@ pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
 polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball; plain on
 cube4 + cube4 and theta4 + theta4; plain and --oracle on three inline
 polytopes in C^3, the k = 3 parallelepiped faces of the direct path), smooth
-(balls, an ellipsoid, a degenerate ellipsoid, an indefinite Q, --mixed
---boundary, --oracle; the bodies in C^3 at --samples 70000, where two
-cubature rules fit) and verify -- report values,
+(balls, an ellipsoid, a degenerate ellipsoid and its rotation with the kink
+off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
+--samples 70000, where two cubature rules fit; lower_ball in C^4, which has
+only the Monte Carlo fallback) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
@@ -167,6 +168,12 @@ for body in ("ball2", "lower_ball2"):
 run("smooth ellipsoid", ["smooth", ellipsoid])
 run("smooth degenerate ellipsoid", ["smooth", json.dumps({
     "kind": "ellipsoid", "n": 2, "Q": np.diag([1.0, 1.0, 1.0, 0.0]).tolist()})])
+# R diag(1, 1, 1, 0) R^T, R a rotation by 0.3 in the (x_2, y_2) plane: the kink is off-axis.
+rotation = np.eye(4)
+rotation[2:, 2:] = [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]
+run("smooth rotated degenerate ellipsoid", ["smooth", json.dumps({
+    "kind": "ellipsoid", "n": 2,
+    "Q": (rotation @ np.diag([1.0, 1.0, 1.0, 0.0]) @ rotation.T).tolist()})])
 run("smooth indefinite ellipsoid", ["smooth", json.dumps({
     "kind": "ellipsoid", "n": 1, "Q": [[1, 0], [0, -1]]})])
 run("smooth mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
@@ -176,6 +183,7 @@ run("smooth mixed ellipsoid", ["smooth", ellipsoid, "--mixed", str(DATA / "ball2
 for kind in ("ball", "lower_ball"):
     run(f"smooth {kind}3", ["smooth", json.dumps({"kind": kind, "n": 3})],
         tail=["--samples", "70000"])
+run("smooth lower_ball4", ["smooth", json.dumps({"kind": "lower_ball", "n": 4})])
 run("smooth oracle lower_ball2", ["smooth", str(DATA / "lower_ball2.json"), "--oracle"])
 run("smooth oracle mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
                             str(DATA / "lower_ball2.json"), "--oracle"])

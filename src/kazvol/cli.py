@@ -116,7 +116,7 @@ def cmd_faces(args, tol, stream, samples) -> dict:
     print(f"face vector: {P.face_vector()}")
     for k in sorted(P.faces):
         for f in P.faces[k]:
-            tag = " (improper)" if f.id == P.improper_face.id else ""
+            tag = " (improper)" if k == P.dim_real else ""
             print(f"  k={k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
                   f"rho={f.rho:.9g}{tag}")
     return {"values": {"face_vector": P.face_vector(), "dim_real": P.dim_real}}

@@ -152,8 +152,9 @@ class Polytope:
     def witness_direction(self, face: Face) -> np.ndarray:
         """A direction in the relative interior of the dual cone of the face.
 
-        Zero for the improper face (whose dual cone is E_Gamma^perp)."""
-        if face.id == self.improper_face.id:
+        Zero for the improper face (whose dual cone is E_Gamma^perp), the one
+        face of dimension ``dim_real``."""
+        if face.k == self.dim_real:
             return np.zeros(2 * self.ambient_n)
         normals = self.facets_containing(face)
         if not normals:

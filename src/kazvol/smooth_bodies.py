@@ -14,9 +14,11 @@ writes each of the three integrands once.
 
 The built-in bodies -- ``ball`` (Q = I), ``lower_ball`` (Q = diag(0, 1, ...,
 1)) and ``ellipsoid`` (any positive semidefinite Q) -- share the support
-function h(x) = sqrt(x^T Q x) and its one closed-form complex Hessian and
-gradient (``_quadratic_body``); a ``custom_body`` is differentiated by finite
-differences.
+function h(x) = sqrt(x^T Q x) and its one closed-form complex Hessian,
+gradient and Hessian determinant (``_quadratic_body``): the Hessian is a
+rank-one update of one constant matrix, so the determinant lemma gives
+det Hess_C h without a per-point matrix or factorization.  A ``custom_body``
+is differentiated by finite differences, and its determinant is taken by LU.
 
 ``smooth_quadrature`` averages them with a deterministic product rule
 (:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise by
@@ -85,6 +87,11 @@ class SupportBody:
     ``h`` maps complex points of shape (N, n) to values of shape (N,);
     ``hessian``/``gradient`` are optional analytic maps (finite differences
     are used when absent; the built-in bodies take both from their Q).
+    ``det_hessian`` is an optional analytic map to det Hess_C h, shape (N,),
+    which the one-body density then reads instead of a determinant of
+    ``hessian``.  It must describe the same h as ``hessian``: a
+    ``dataclasses.replace`` that swaps ``h`` or ``hessian`` must also pass
+    ``det_hessian=None``.
     ``singular_axis`` is a unit vector (in the interleaved real layout) along
     a line on which the support function has a kink, or None: cubature puts its
     polar axis there.  A built-in body has one when ker Q is one line.
@@ -95,6 +102,7 @@ class SupportBody:
     h: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    det_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     singular_axis: np.ndarray | None = None
 
 
@@ -118,6 +126,9 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     With u = (g_x + i g_y) / 2 half the complex form of the real gradient
     g = Qx / h, dh/dz = conj(u), and the real Hessian (Q - g g^T) / h has the
     complex Hessian (A - conj(u) u^T) / h with A = ``_complex_hessian_of(Q)``.
+    Its determinant is (det A - u^T adj(A) conj(u)) / h^n by the matrix
+    determinant lemma (Harville 1997, 18.1), with the adjugate taken by
+    cofactors, since A may be singular.
     When ker Q is one line, h has its kink there, and the singular axis is
     its unit null vector, signed so that its largest entry is positive.  A
     kernel of dimension 2 or more is rejected: the body then lies in a
@@ -156,10 +167,29 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     def gradient(z):
         return np.conj(h_and_u(z)[1])
 
+    det_a, adj = np.linalg.det(a), _adjugate(a)
+
+    def det_hessian(z):
+        hv, u = h_and_u(z)
+        return (det_a - ((u @ adj) * np.conj(u)).sum(1)) / hv**n
+
     axis = None
     if null.shape[1]:
         axis = null[:, 0] * np.sign(null[np.argmax(np.abs(null[:, 0])), 0])
-    return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, singular_axis=axis)
+    return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, det_hessian,
+                       singular_axis=axis)
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """adj(A)_{jk} = (-1)^{j+k} det(A without row k and column j), for singular A too.
+
+    A 1 x 1 A has the empty minor, whose determinant is 1.
+    """
+    adj = np.empty_like(a)
+    for j, k in itertools.product(range(a.shape[0]), repeat=2):
+        minor = np.delete(np.delete(a, k, axis=0), j, axis=1)
+        adj[j, k] = (-1) ** (j + k) * np.linalg.det(minor)
+    return adj
 
 
 def ball(n: int) -> SupportBody:
@@ -314,9 +344,11 @@ def _real_values(values: np.ndarray) -> np.ndarray:
 def _density(bodies: list[SupportBody], boundary: bool = False):
     """(constant, integrand): P_n or Q_n is constant times the sphere average of the integrand.
 
-    One body gives det Hess_C h, n bodies the mixed discriminant of their
-    Hessians.  With ``boundary`` the first body enters through
-    M_{jk} = z_j * dh/dz_k as the Hermitian matrix conj(M) + transpose(M):
+    One body gives det Hess_C h, read from the body's closed-form
+    ``det_hessian`` when it has one (the built-in bodies do) and otherwise
+    the determinant of its complex Hessian; n bodies give the mixed
+    discriminant of their Hessians.  With ``boundary`` the first body enters
+    through M_{jk} = z_j * dh/dz_k as the Hermitian matrix conj(M) + transpose(M):
 
         Q_n = (4^{n-1} / kappa_n) * integral over the unit sphere of
               D_n(conj(M) + M^T, Hess_C h_{A_2}, ...).
@@ -335,6 +367,8 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
 
         return 4 ** (n - 1) * 2 * n * kappa(2 * n) / kappa(n), integrand
     constant = 4**n * 2 * kappa(2 * n) / kappa(n)
+    if len(bodies) == 1 and bodies[0].det_hessian is not None:
+        return constant, lambda z: bodies[0].det_hessian(_as_points(z, n))
     if len(bodies) == 1:
         return constant, lambda z: np.linalg.det(complex_hessian(bodies[0], z))
     return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in bodies])

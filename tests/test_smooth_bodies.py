@@ -9,6 +9,7 @@ import pytest
 from kazvol import (
     NonFiniteIntegrand,
     RandomStream,
+    SingularPoint,
     SphereRule,
     ball,
     ball_pseudovolume,
@@ -26,6 +27,7 @@ from kazvol import (
     mc_pseudovolume,
     smooth_quadrature,
 )
+from kazvol import smooth_bodies
 from kazvol.numerics import kappa, sphere_sample
 
 MC = 200_000
@@ -33,6 +35,9 @@ MC = 200_000
 ANISO_SEED = 7  # Q = A A^T + 4I with A from default_rng(7)
 ANISO_MC_STREAM = RandomStream(7)
 FALLBACK_STREAM = RandomStream(30)
+# Seed of the closed-form determinant tests (points, random Q and rotations), fixed before
+# their first run.
+DET_SEED = 11
 
 
 def anisotropic_ellipsoid():
@@ -143,6 +148,86 @@ class TestDerivatives:
             g = complex_gradient(body, z)
             recon = 2 * np.sum(g * z, axis=1).real
             np.testing.assert_allclose(recon, body.h(z), atol=1e-8)
+
+
+def determinant_bodies(n):
+    """(body, Q) for ball, lower_ball, a random PSD ellipsoid and a rotated
+    one-line-kernel ellipsoid in C^n."""
+    rng = np.random.default_rng(DET_SEED + n)
+    a = rng.normal(size=(2 * n, 2 * n))
+    r, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    kernel_line = r @ np.diag([1.0] * (2 * n - 1) + [0.0]) @ r.T
+    random_q, kernel_q = a @ a.T, (kernel_line + kernel_line.T) / 2
+    return [(ball(n), np.eye(2 * n)), (lower_ball(n), np.diag([0.0] + [1.0] * (2 * n - 1))),
+            (ellipsoid(n, random_q), random_q), (ellipsoid(n, kernel_q), kernel_q)]
+
+
+def mp_det_hessian(q, z):
+    """det Hess_C h of h = sqrt(x^T Q x) at each point, at 40 digits, from the real Hessian."""
+    mpmath = pytest.importorskip("mpmath")
+    dim = q.shape[0]
+    out = []
+    with mpmath.workdps(40):
+        qm = mpmath.matrix(q.tolist())
+        for row in z:
+            x = mpmath.matrix([c for v in row for c in (v.real, v.imag)])
+            qx = qm * x
+            h = mpmath.sqrt((x.T * qx)[0])
+            hr = (qm - qx * qx.T / h**2) / h  # real Hessian (Q - g g^T) / h, g = Qx / h
+            hc = mpmath.matrix(dim // 2, dim // 2)
+            for l, k in itertools.product(range(dim // 2), repeat=2):
+                hc[l, k] = (hr[2 * l, 2 * k] + hr[2 * l + 1, 2 * k + 1]
+                            + 1j * (hr[2 * l, 2 * k + 1] - hr[2 * l + 1, 2 * k])) / 4
+            out.append(complex(mpmath.det(hc)))
+    return np.array(out)
+
+
+class TestClosedFormDeterminant:
+    # Gate values fixed before the first run.  The determinant lemma and LU each lose
+    # about cond * eps: at each point the two routes agree to 1e-10 of (||Q||_2 / h)^n,
+    # which bounds both terms that cancel in det A - u^T adj(A) conj(u) (det is
+    # identically 0 on the segment that a one-line kernel gives in C^1), and on the
+    # stiff ellipsoid diag(1e6, 1, ...) both routes must be within 1e-8 relative of the
+    # 40-digit reference (100 * 1e6 * eps is 2.2e-8).
+    AGREE = 1e-10
+    STIFF = 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lu(self, n):
+        z = sphere_points(n, 200, seed=DET_SEED)
+        for body, q in determinant_bodies(n):
+            scale = (np.linalg.norm(q, ord=2) / body.h(z)) ** n
+            err = np.abs(body.det_hessian(z) - np.linalg.det(complex_hessian(body, z)))
+            assert np.all(err <= self.AGREE * scale), body.kind
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stiff_ellipsoid_against_mpmath(self, n):
+        q = np.diag([1e6] + [1.0] * (2 * n - 1))
+        body = ellipsoid(n, q)
+        z = sphere_points(n, 40, seed=DET_SEED)
+        ref = mp_det_hessian(q, z)
+        for got in (body.det_hessian(z), np.linalg.det(complex_hessian(body, z))):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= self.STIFF
+
+    def test_one_body_density_needs_no_hessian(self, monkeypatch):
+        def refuse(body, z):
+            raise AssertionError("the one-body density built a Hessian")
+
+        monkeypatch.setattr(smooth_bodies, "complex_hessian", refuse)
+        for body, expected in ((ball(3), math.pi**2), (lower_ball(2), 4 * math.pi / 3)):
+            res = smooth_quadrature([body])
+            assert res.method == "cubature"
+            assert abs(res.value - expected) <= res.bound
+        res = smooth_quadrature([lower_ball(4)], 20_000, FALLBACK_STREAM)
+        assert res.method == "monte_carlo"
+        assert res.value == pytest.approx(lower_ball_pseudovolume(4), abs=4 * res.std_error)
+
+    def test_singular_points_still_raise(self):
+        _, integrand = smooth_bodies._density([ball(2)])
+        with pytest.raises(SingularPoint, match="origin"):
+            integrand(np.zeros((1, 2)))
+        with pytest.raises(SingularPoint, match="singular line"):
+            lower_ball(2).det_hessian(np.array([[1.0, 0.0]]))
 
 
 class TestQuadrature:
