@@ -14,8 +14,8 @@ cube4 + cube4 and theta4 + theta4; plain and --oracle on three inline
 polytopes in C^3, the k = 3 parallelepiped faces of the direct path), smooth
 (balls, an ellipsoid, a degenerate ellipsoid and its rotation with the kink
 off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
---samples 70000, where two cubature rules fit; lower_ball in C^4, which has
-only the Monte Carlo fallback) and verify -- report values,
+--samples 70000 and lower_ball in C^4, all on the one-dimensional integral
+since it reads no --samples) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.

@@ -1,8 +1,9 @@
 """Kazarnovskii pseudovolume of convex bodies in C^n.
 
 Combinatorial face-lattice computation for polytopes; sphere quadrature of
-det Hess_C h for smooth support-function bodies, by cubature where it applies
-and by Monte Carlo otherwise; plus the supporting geometry: volume
+det Hess_C h for smooth support-function bodies (one integral in one
+variable for the quadratic bodies, cubature where it applies and Monte Carlo
+otherwise); plus the supporting geometry: volume
 distortion rho, outer angles (closed form for normal cones of dimension up
 to 3, Monte Carlo above), mixed volumes and mixed discriminants,
 rho-weighted intrinsic and mixed volumes.

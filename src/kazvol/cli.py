@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -203,7 +204,8 @@ def cmd_smooth(args, tol, stream, samples) -> dict:
     n = bodies[0].ambient_n
 
     def show(label, res):
-        how = f"cubature, {res.samples} nodes" if res.method == "cubature" else "Monte Carlo"
+        how = {"cubature": f"cubature, {res.samples} nodes",
+               "integral": f"1-D integral, {res.samples} nodes"}.get(res.method, "Monte Carlo")
         print(f"{label} ({how}) = {res.value:.9g} {_pm(res)}")
 
     if len(bodies) == 1:
@@ -267,7 +269,9 @@ def cmd_verify(args, tol, stream, samples) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, which costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="kazvol",
         description="Kazarnovskii pseudovolume of convex bodies in C^n",

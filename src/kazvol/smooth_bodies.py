@@ -20,19 +20,27 @@ rank-one update of one constant matrix, so the determinant lemma gives
 det Hess_C h without a per-point matrix or factorization.  A ``custom_body``
 is differentiated by finite differences, and its determinant is taken by LU.
 
-``smooth_quadrature`` averages them with a deterministic product rule
-(:class:`SphereRule`) for n <= 3 and analytic derivatives, and otherwise by
-Monte Carlo.  ``_sphere_mc`` is the one Monte Carlo path: it feeds the
-integrand at uniform sphere directions (or, for the solid-ball cross-check of
-the sphere reduction, uniform ball points) to :func:`numerics.sampled_mean`,
-and serves the fallback and the ``mc_*`` functions (the oracle) alike.  Both
-return an :class:`numerics.Estimate`: cubature puts its ladder and rounding
-error into ``bound`` and counts the nodes it evaluated, Monte Carlo reports a
-standard error and counts the draws it kept.
+``smooth_quadrature`` takes P_n of one built-in body in any C^n from one
+integral in one variable (``_schwinger_mean``): det Hess_C h is rational in
+x^T Q x and one more quadratic form, and the Gamma-function identity
+a^{-s} = Gamma(s)^{-1} * integral_0^inf t^{s-1} e^{-ta} dt turns its sphere
+mean into Gaussian means.  Other integrands it averages with a deterministic
+product rule (:class:`SphereRule`) for n <= 3 and analytic derivatives, and
+otherwise by Monte Carlo.  ``_sphere_mc`` is the one Monte Carlo path: it
+feeds the integrand at uniform sphere directions (or, for the solid-ball
+cross-check of the sphere reduction, uniform ball points) to
+:func:`numerics.sampled_mean`, and serves the fallback and the ``mc_*``
+functions (the oracle) alike.  All return an :class:`numerics.Estimate`: the
+integral and cubature put their ladder and rounding error into ``bound`` and
+count the nodes they evaluated, Monte Carlo reports a standard error and
+counts the draws it kept.  The one-body cubature, ``det_hessian`` and
+``mc_pseudovolume`` stay as the integral's oracles, reached through a body
+whose ``q`` is None.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,6 +103,10 @@ class SupportBody:
     ``singular_axis`` is a unit vector (in the interleaved real layout) along
     a line on which the support function has a kink, or None: cubature puts its
     polar axis there.  A built-in body has one when ker Q is one line.
+    ``q`` is the matrix Q of h = sqrt(x^T Q x) for a built-in body, or None;
+    ``smooth_quadrature`` then takes P_n from Q alone.  It must describe the
+    same h: a ``dataclasses.replace`` that swaps ``h`` or ``hessian`` must
+    also pass ``q=None``.
     """
 
     ambient_n: int
@@ -104,6 +116,7 @@ class SupportBody:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     det_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     singular_axis: np.ndarray | None = None
+    q: np.ndarray | None = None
 
 
 def _as_points(z: np.ndarray, n: int) -> np.ndarray:
@@ -139,8 +152,8 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
         raise ValueError("n must be >= 1")
     a = _complex_hessian_of(q)
     floor = 1e-12 * math.sqrt(np.max(np.abs(q)))
-    eigenvalues, eigenvectors = np.linalg.eigh(q)
-    null = eigenvectors[:, eigenvalues <= 1e-12 * eigenvalues[-1]]
+    eigenvalues, eigenvectors = _eigh_with_kernel(q)
+    null = eigenvectors[:, eigenvalues == 0]
     if null.shape[1] >= 2:
         raise ValueError(f"ker Q has dimension {null.shape[1]}; a support body sqrt(x^T Q x) "
                          "needs a kernel of dimension 0 or 1, since the sphere average of "
@@ -177,7 +190,14 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     if null.shape[1]:
         axis = null[:, 0] * np.sign(null[np.argmax(np.abs(null[:, 0])), 0])
     return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, det_hessian,
-                       singular_axis=axis)
+                       singular_axis=axis, q=q)
+
+
+def _eigh_with_kernel(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh(Q)`` with the eigenvalues below 1e-12 of the largest set to exactly 0 (ker Q)."""
+    eigenvalues, eigenvectors = np.linalg.eigh(q)
+    eigenvalues[eigenvalues <= 1e-12 * eigenvalues[-1]] = 0.0
+    return eigenvalues, eigenvectors
 
 
 def _adjugate(a: np.ndarray) -> np.ndarray:
@@ -510,6 +530,84 @@ def _cubature(integrand, dim: int, samples: int,
     return values[-1] / area, err / area, nodes
 
 
+_INTEGRAL_FIRST_RULE, _INTEGRAL_LAST_RULE = 64, 2048
+
+
+@functools.cache
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of m points on [-1, 1].
+
+    scipy's nodes take one Newton step on the three-term recurrence, whose
+    P_m' gives the weights 2 / ((1 - x^2) P_m'(x)^2): scipy's own weights
+    carry a common bias of about 2e-14 relative at m = 128.
+    """
+    x = roots_legendre(m)[0]
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, m + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    dp = m * (x * p - p_prev) / (x**2 - 1)
+    x = x - p / dp
+    weights = 2 / ((1 - x**2) * dp**2)
+    x.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return x, weights
+
+
+def _schwinger_mean(q: np.ndarray) -> tuple[float, float, int]:
+    """Sphere mean of det Hess_C h for h = sqrt(x^T Q x), by one integral in t.
+
+    With A, u and adj(A) as in ``_quadratic_body`` and M the real form of
+    w^T adj(A) conj(w) (w the complex form of x), the density is
+    det A / h^n - x^T B x / h^{n+2} with B = Q M Q / 4, homogeneous of degree
+    -n.  So its sphere mean is E[f(x)] / E[|x|^{-n}] for x ~ N(0, I_2n), with
+    E[|x|^{-n}] = 2^{-n/2} Gamma(n/2) / Gamma(n), and the Gamma-function
+    identity turns E[f] into det A * I_0 - I_1, where, in the eigenbasis of Q
+    (eigenvalues lambda_i, b_i the diagonal of B there),
+
+        I_0 = Gamma(n/2)^{-1} int_0^inf t^{n/2-1} prod_i (1 + 2 t lambda_i)^{-1/2} dt,
+        I_1 = Gamma(n/2+1)^{-1} int_0^inf t^{n/2} prod_i (1 + 2 t lambda_i)^{-1/2}
+              sum_i b_i / (1 + 2 t lambda_i) dt.
+
+    Both converge unless n = 1 and ker Q is a line.  The substitution
+    t = c (s / (1 - s))^2, with c = 1 / sqrt(lambda_min lambda_max) over the
+    nonzero eigenvalues so that both ends see the spread alike, makes the
+    I_0 integrand c^{n/2} (s (1-s))^{n-1} / prod_i sqrt(D_i) ds with
+    D_i = (1-s)^2 + 2 c lambda_i s^2, and the I_1 integrand that times
+    c s^2 sum_i b_i / D_i: smooth on [0, 1] and free of large powers of t.
+    Gauss-Legendre rules in s (1 - s taken as (1 - x) / 2, not 1 - s) double
+    from 64 nodes until two agree to 1e-13 of sum |terms|, or up to 2048.
+    Returns (mean, bound, nodes evaluated): the finer rule's value, and the
+    last difference plus the rounding bound N * eps * sum |terms| of its N
+    nodes, as in ``_cubature``.
+    """
+    n = q.shape[0] // 2
+    a = _complex_hessian_of(q)
+    w = cl.real_to_complex(np.eye(2 * n))
+    m = (w @ _adjugate(a) @ w.conj().T).real  # x^T M x = w^T adj(A) conj(w)
+    lam, v = _eigh_with_kernel(q)
+    b = lam**2 * np.einsum("ij,ik,kj->j", v, m, v) / 4  # diag(V^T Q M Q V) / 4
+    c = 1 / math.sqrt(lam[lam > 0][0] * lam[-1])
+    scale0 = np.linalg.det(a).real * c ** (n / 2) / math.gamma(n / 2)
+    scale1 = c ** (n / 2 + 1) / math.gamma(n / 2 + 1)
+    values, nodes, size = [], 0, _INTEGRAL_FIRST_RULE
+    while True:
+        x, weights = _legendre_rule(size)
+        s, r = (1 + x) / 2, (1 - x) / 2
+        d = r[:, None] ** 2 + 2 * c * lam * (s**2)[:, None]
+        base = weights * (s * r) ** (n - 1) / np.prod(np.sqrt(d), axis=1)
+        terms0, terms1 = scale0 * base, scale1 * s**2 * base * (b / d).sum(axis=1)
+        total = float(terms0.sum() - terms1.sum())
+        total_abs = float(np.abs(terms0).sum() + np.abs(terms1).sum())
+        nodes += size
+        values.append(total)
+        if len(values) > 1 and (abs(total - values[-2]) <= 1e-13 * total_abs
+                                or size >= _INTEGRAL_LAST_RULE):
+            break
+        size *= 2
+    err = abs(values[-1] - values[-2]) + size * math.ulp(1.0) * total_abs
+    gauss = 2 ** (-n / 2) * math.gamma(n / 2) / math.gamma(n)
+    return values[-1] / gauss, err / gauss, nodes
+
+
 def smooth_quadrature(
     bodies: list[SupportBody],
     samples: int = DEFAULT_SAMPLES,
@@ -518,7 +616,8 @@ def smooth_quadrature(
 ) -> Estimate:
     """P_n of one body, or Q_n of n bodies (by the boundary formula with ``boundary``).
 
-    Cubature runs when n <= 3, every body has an analytic Hessian (with
+    One body with a ``q`` takes ``_schwinger_mean`` in any n.  Otherwise
+    cubature runs when n <= 3, every body has an analytic Hessian (with
     ``boundary``, the first body an analytic gradient too), the bodies'
     singular axes lie on one line and two rules of the ladder fit in ``samples``
     nodes.  Otherwise ``_sphere_mc`` runs at ``samples`` draws from
@@ -531,10 +630,13 @@ def smooth_quadrature(
         raise ValueError(
             "in C^1 a body with a singular line carries all of its density on that line, "
             "which no sphere quadrature sees (the segment lower_ball(1) has P_1 = 2)")
+    constant, integrand = _density(bodies, boundary)
+    if len(bodies) == 1 and bodies[0].q is not None and not boundary:
+        mean, err, nodes = _schwinger_mean(bodies[0].q)
+        return Estimate(constant * mean, bound=constant * err, method="integral", samples=nodes)
     analytic = all(b.hessian is not None for b in bodies) and (
         not boundary or bodies[0].gradient is not None)
     if n <= 3 and analytic and all(abs(a @ axes[0]) >= 1 - 1e-12 for a in axes):
-        constant, integrand = _density(bodies, boundary)
         res = _cubature(integrand, 2 * n, samples, axes[0] if axes else None)
         if res is not None:
             mean, err, nodes = res

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -135,7 +136,7 @@ class TestBasicCommands:
         code, out = run(["smooth", str(body), "--json", str(report)], capsys)
         values = json.loads(report.read_text())["values"]
         assert code == EXIT_OK
-        assert values["method"] == "cubature" and values["nodes"] > 0
+        assert values["method"] == "integral" and values["nodes"] > 0
         assert abs(values["value"] - 32 * np.pi / 15) <= values["std_error"] + values["bound"]
         assert calls == []
 
@@ -147,10 +148,24 @@ class TestBasicCommands:
                          "--json", str(report)], capsys)
         values = json.loads(report.read_text())["values"]
         assert code == EXIT_OK
-        assert values["method"] == "cubature"
+        assert values["method"] == "integral"
         assert values["mc_value"] == pytest.approx(values["value"], rel=1e-12)
         assert values["mc_std_error"] < 1e-8
         assert "Monte Carlo cross-check" in out
+
+    def test_verify_tables_exact_at_few_samples(self, capsys):
+        # At 30,000 samples no second C^3 cubature rule fits; the one-dimensional
+        # integral needs no samples, so P3(B_5) and P3(B_6) come out exact anyway.
+        code, out = run(["verify", "--suite", "tables", "--samples", "30000", "--json", "-"],
+                        capsys)
+        checks = {c["name"]: c for c in json.loads(out)["values"]["checks"]}
+        assert code == EXIT_OK
+        for name, expected in (("P3(B_5) sphere quadrature", 32 * np.pi / 15),
+                               ("P3(B_6) sphere quadrature", np.pi**2)):
+            detail = checks[name]["detail"]
+            sigma, bound = re.match(r"\S+ ± (\S+) \+ (\S+) vs", detail).groups()
+            assert checks[name]["passed"] and detail.endswith("(integral)")
+            assert float(sigma) == 0.0 and float(bound) < 1e-12 * expected
 
     @pytest.mark.parametrize("command", ["intrinsic", "phi-volume"])
     def test_k0_exact_without_sampling(self, command, theta4_file, tmp_path, capsys,

@@ -38,6 +38,16 @@ FALLBACK_STREAM = RandomStream(30)
 # Seed of the closed-form determinant tests (points, random Q and rotations), fixed before
 # their first run.
 DET_SEED = 11
+# Seeds of the one-dimensional integral's oracle tests (random Q and the Monte Carlo
+# draws), fixed before their first run.
+INTEGRAL_SEED = 29
+INTEGRAL_MC_STREAM = RandomStream(29)
+
+
+def without_q(body):
+    """A built-in body without its Q: smooth_quadrature then takes the oracle paths
+    (cubature over det_hessian for n <= 3, Monte Carlo above)."""
+    return dataclasses.replace(body, q=None)
 
 
 def anisotropic_ellipsoid():
@@ -215,10 +225,10 @@ class TestClosedFormDeterminant:
 
         monkeypatch.setattr(smooth_bodies, "complex_hessian", refuse)
         for body, expected in ((ball(3), math.pi**2), (lower_ball(2), 4 * math.pi / 3)):
-            res = smooth_quadrature([body])
+            res = smooth_quadrature([without_q(body)])
             assert res.method == "cubature"
             assert abs(res.value - expected) <= res.bound
-        res = smooth_quadrature([lower_ball(4)], 20_000, FALLBACK_STREAM)
+        res = smooth_quadrature([without_q(lower_ball(4))], 20_000, FALLBACK_STREAM)
         assert res.method == "monte_carlo"
         assert res.value == pytest.approx(lower_ball_pseudovolume(4), abs=4 * res.std_error)
 
@@ -328,13 +338,13 @@ class TestCubature:
         ("rotated diag(1,1,1,0)", [rotated_degenerate_ellipsoid()], False, 4 * math.pi / 3),
     ])
     def test_closed_forms(self, name, bodies, boundary, expected):
-        res = smooth_quadrature(bodies, boundary=boundary)
+        res = smooth_quadrature([without_q(b) for b in bodies], boundary=boundary)
         assert res.method == "cubature"
         assert abs(res.value - expected) <= res.std_error + res.bound, name
         assert res.std_error == 0.0 and res.bound <= 1e-9 * expected
 
     def test_anisotropic_ellipsoid_matches_monte_carlo(self):
-        body = anisotropic_ellipsoid()
+        body = without_q(anisotropic_ellipsoid())
         cub = smooth_quadrature([body])
         mc = mc_pseudovolume(body, 2_000_000, ANISO_MC_STREAM)
         assert cub.method == "cubature"
@@ -343,7 +353,7 @@ class TestCubature:
 
     def test_ladder_respects_samples(self):
         # More nodes allowed, finer rules: the coarse answer's error bar covers the fine one.
-        body = anisotropic_ellipsoid()
+        body = without_q(anisotropic_ellipsoid())
         coarse = smooth_quadrature([body], 3_000)
         fine = smooth_quadrature([body], 300_000)
         assert coarse.method == fine.method == "cubature"
@@ -358,10 +368,10 @@ class TestCubature:
         bodies, boundary, samples, oracle = {
             "different axes": ([lower_ball(2), rotated], False, 4_000, mc_mixed_pseudovolume),
             "custom body": ([custom_body(2, ball(2).h)], False, 4_000, mc_pseudovolume),
-            "too few samples": ([ball(3)], False, 20_000, mc_pseudovolume),
+            "too few samples": ([without_q(ball(3))], False, 20_000, mc_pseudovolume),
             "boundary without gradient": ([no_gradient, lower_ball(2)], True, 4_000,
                                           boundary_mixed_pseudovolume),
-            "n = 4": ([ball(4)], False, 4_000, mc_pseudovolume),
+            "n = 4": ([without_q(ball(4))], False, 4_000, mc_pseudovolume),
         }[case]
         res = smooth_quadrature(bodies, samples, FALLBACK_STREAM, boundary=boundary)
         want = oracle(bodies[0] if oracle is mc_pseudovolume else bodies, samples,
@@ -377,6 +387,81 @@ class TestCubature:
         for body in (lower_ball(1), ellipsoid(1, np.ones((2, 2)))):
             with pytest.raises(ValueError, match="singular line"):
                 smooth_quadrature([body])
+
+
+def random_q(n, kernel):
+    """G G^T with G a 2n x (2n - kernel) normal matrix: full rank, or one kernel line."""
+    g = np.random.default_rng(INTEGRAL_SEED + 10 * n + kernel).normal(size=(2 * n, 2 * n - kernel))
+    return g @ g.T
+
+
+def mp_schwinger(diagonal):
+    """P_n of h = sqrt(x^T diag(d) x) from I_0 and I_1 by 30-digit quadrature (mpmath).
+
+    For a diagonal Q, A = diag((d_2l + d_2l+1) / 4), adj(A) = det A / A, and B is
+    diagonal with b_i = d_i^2 adj(A)_{ii//2} / 4.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        d = [mpmath.mpf(x) for x in diagonal]
+        n = len(d) // 2
+        half = mpmath.mpf(n) / 2
+        a = [(d[2 * k] + d[2 * k + 1]) / 4 for k in range(n)]
+        det_a = mpmath.fprod(a)
+        b = [x**2 * det_a / a[i // 2] / 4 for i, x in enumerate(d)]
+
+        def gauss_factor(t):
+            return mpmath.fprod(1 / mpmath.sqrt(1 + 2 * t * x) for x in d)
+
+        cuts = [0, mpmath.mpf("1e-6"), mpmath.mpf("1e-3"), 1, mpmath.inf]
+        i0 = mpmath.quad(lambda t: t ** (half - 1) * gauss_factor(t), cuts) / mpmath.gamma(half)
+        i1 = mpmath.quad(lambda t: t**half * gauss_factor(t)
+                         * mpmath.fsum(bi / (1 + 2 * t * x) for bi, x in zip(b, d)),
+                         cuts) / mpmath.gamma(half + 1)
+        gauss = 2 ** (-half) * mpmath.gamma(half) / mpmath.gamma(n)
+
+        def kap(k):
+            return mpmath.pi ** (mpmath.mpf(k) / 2) / mpmath.gamma(mpmath.mpf(k) / 2 + 1)
+
+        return float(4**n * 2 * kap(2 * n) / kap(n) * (det_a * i0 - i1) / gauss)
+
+
+class TestSchwingerIntegral:
+    # Gates fixed before the first run: 1e-13 relative on the closed forms, the
+    # oracle's own bound or 4 sigma plus the integral's bound elsewhere.
+    @pytest.mark.parametrize("body,expected", [
+        *[(ball(n), ball_pseudovolume(n)) for n in range(1, 11)],
+        *[(lower_ball(n), lower_ball_pseudovolume(n)) for n in range(2, 11)],
+    ], ids=[f"ball{n}" for n in range(1, 11)] + [f"lower_ball{n}" for n in range(2, 11)])
+    def test_closed_forms(self, body, expected):
+        res = smooth_quadrature([body])
+        assert res.method == "integral" and res.std_error == 0.0 and res.samples > 0
+        assert abs(res.value - expected) <= 1e-13 * expected
+        assert abs(res.value - expected) <= res.bound
+
+    @pytest.mark.parametrize("n,kernel", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_random_q_matches_cubature(self, n, kernel):
+        body = ellipsoid(n, random_q(n, kernel))
+        res = smooth_quadrature([body])
+        cub = smooth_quadrature([without_q(body)])
+        assert (res.method, cub.method) == ("integral", "cubature")
+        assert abs(res.value - cub.value) <= res.bound + cub.bound
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_q_matches_monte_carlo(self, n):
+        body = ellipsoid(n, random_q(n, 0))
+        res = smooth_quadrature([body])
+        mc = mc_pseudovolume(body, 400_000, INTEGRAL_MC_STREAM)
+        assert res.method == "integral"
+        assert abs(res.value - mc.value) <= 4 * mc.std_error + res.bound
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stiff_ellipsoid_against_mpmath(self, n):
+        diagonal = [1e6] + [1.0] * (2 * n - 1)
+        res = smooth_quadrature([ellipsoid(n, np.diag(diagonal))])
+        ref = mp_schwinger(diagonal)
+        assert abs(res.value - ref) <= res.bound
+        assert res.bound <= 1e-12 * ref
 
 
 class TestMixedQuadrature:
