@@ -17,7 +17,8 @@ off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
 --samples 70000 and lower_ball in C^4, all on the one-dimensional integral
 since it reads no --samples) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
-CLI does not reach.  Every value is stored as repr or exact JSON, so equality
+CLI does not reach, among them the cubature and Monte Carlo of one built-in
+body without its Q.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
 
 A change that may move floats by rounding only is checked with --compare:
@@ -28,6 +29,7 @@ and exits 1 if there is one.
 """
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -171,9 +173,9 @@ run("smooth degenerate ellipsoid", ["smooth", json.dumps({
 # R diag(1, 1, 1, 0) R^T, R a rotation by 0.3 in the (x_2, y_2) plane: the kink is off-axis.
 rotation = np.eye(4)
 rotation[2:, 2:] = [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]
-run("smooth rotated degenerate ellipsoid", ["smooth", json.dumps({
-    "kind": "ellipsoid", "n": 2,
-    "Q": (rotation @ np.diag([1.0, 1.0, 1.0, 0.0]) @ rotation.T).tolist()})])
+rotated = json.dumps({"kind": "ellipsoid", "n": 2,
+                      "Q": (rotation @ np.diag([1.0, 1.0, 1.0, 0.0]) @ rotation.T).tolist()})
+run("smooth rotated degenerate ellipsoid", ["smooth", rotated])
 run("smooth indefinite ellipsoid", ["smooth", json.dumps({
     "kind": "ellipsoid", "n": 1, "Q": [[1, 0], [0, -1]]})])
 run("smooth mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
@@ -234,6 +236,14 @@ point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
 lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, phi, kazvol.AnglePass(point, 10, S)).value
                     for phi in (pv.RHO, pv.UNIT)]
 lib["point eps"] = pv.eps_neighborhood_pseudovolume(point, 0.3, samples=1000, stream=S).value
+# One built-in body without its Q: the cubature of the ball and lower ball in C^3,
+# the rotated degenerate ellipsoid (the one rule axis that takes the reflection)
+# and the Monte Carlo fallback in C^4.
+for name, body, samples in (("ball3", sb.ball(3), 70000), ("lower_ball3", sb.lower_ball(3), 70000),
+                            ("rotated degenerate ellipsoid", sb.load_body(rotated), 30000),
+                            ("lower_ball4", sb.lower_ball(4), 30000)):
+    r = sb.smooth_quadrature([dataclasses.replace(body, q=None)], samples, S.substream(6))
+    lib[f"quadrature {name} without q"] = [r.value, r.std_error, r.bound, r.method, r.samples]
 result["library"] = {k: repr(v) for k, v in lib.items()}
 Path(out_path).write_text(json.dumps(result, indent=1, sort_keys=True))
 print(len(result) - 1, "CLI reports,", len(lib), "library values")

@@ -23,6 +23,7 @@ __all__ = [
     "complex_to_real",
     "multiply_i",
     "rho",
+    "batch_rho",
     "cr_decomposition",
     "realify",
     "random_unitary",
@@ -149,29 +150,35 @@ def cr_decomposition(
     return ec_basis, prime
 
 
-def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionReport:
-    """Volume-distortion coefficient of the subspace spanned by the basis.
+def batch_rho(frames: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """rho and complex rank of the spans of orthonormal frames (F, 2n, k), batched.
 
-    rho is the determinant of the Hermitian Gram matrix z z^*, taken as the
-    product of the squared singular values of z, the same ones that give the
-    complex rank.  The t-vector route, the Gram determinant of the t-vectors
-    spanning E', gives the same value and is checked against it in the tests
-    rather than on every call.
+    rho is the Hermitian Gram determinant of the complexified frame z, the
+    product of its squared singular values; the complex rank counts those
+    above ``tol.eps * max(1, max|z|)``, and rho is exactly 0 where it falls
+    short of k.
+    """
+    count, _, k = frames.shape
+    if k == 0:
+        return np.ones(count), np.zeros(count, dtype=int)
+    z = frames[:, 0::2, :] + 1j * frames[:, 1::2, :]
+    s = np.linalg.svd(z, compute_uv=False)
+    rank = (s > tol.eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))[:, None]).sum(axis=1)
+    return np.where(rank == k, np.minimum((s * s).prod(axis=1), 1.0), 0.0), rank
+
+
+def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionReport:
+    """Volume-distortion coefficient of the subspace spanned by the basis, by ``batch_rho``.
+
+    The t-vector route, the Gram determinant of the t-vectors spanning E',
+    gives the same value and is checked against it in the tests rather than
+    on every call.
     """
     basis.check(tol)
-    d = basis.d
-    n = basis.ambient_n
-    if d == 0:
-        return DistortionReport(rho=1.0, cr_dim=0, complex_dim=0, equidimensional=True)
-    z = real_to_complex(basis.vectors)
-    s = np.linalg.svd(z, compute_uv=False)
-    complex_dim = int(np.sum(s > tol.eps * max(1.0, float(np.abs(z).max()))))
-    cr_dim = 2 * (d - complex_dim)
-    equi = cr_dim == 0
-    value = 0.0 if d > n else min(max(float(np.prod(s**2)), 0.0), 1.0)
-    if not equi:
-        value = 0.0
-    return DistortionReport(rho=value, cr_dim=cr_dim, complex_dim=complex_dim, equidimensional=equi)
+    value, rank = batch_rho(basis.vectors.T[None], tol)
+    cr_dim = 2 * (basis.d - int(rank[0]))
+    return DistortionReport(rho=float(value[0]), cr_dim=cr_dim, complex_dim=int(rank[0]),
+                            equidimensional=cr_dim == 0)
 
 
 def realify(m: np.ndarray) -> np.ndarray:

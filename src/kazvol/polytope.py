@@ -130,17 +130,14 @@ class Polytope:
 
     def face_by_ids(self, ids) -> Face:
         key = frozenset(ids)
-        face = self._index().get(key)
+        face = self._index.get(key)
         if face is None:
             raise FaceNotFound(sorted(key))
         return face
 
+    @cached_property
     def _index(self) -> dict[frozenset[int], Face]:
-        cache = getattr(self, "_face_index", None)
-        if cache is None:
-            cache = {f.id: f for f in self.all_faces()}
-            object.__setattr__(self, "_face_index", cache)
-        return cache
+        return {f.id: f for f in self.all_faces()}
 
     def face_vector(self) -> list[int]:
         return [len(self.faces.get(k, [])) for k in range(self.dim_real + 1)]
@@ -243,25 +240,6 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int,
     return {k: sorted(faces.values()) for k, faces in out.items()}
 
 
-def _frame_rho(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """``cl.rho`` of the spans of orthonormal frames (F, 2n, k), batched.
-
-    rho is the Gram determinant of the complexified frame, the product of its
-    squared singular values; it is exactly 0 for k > n and wherever the
-    complex rank under ``tol`` falls short of k, as in ``cl.rho``.
-    """
-    count, n2, k = frames.shape
-    if k == 0:
-        return np.ones(count)
-    if k > n2 // 2:
-        return np.zeros(count)
-    z = frames[:, 0::2, :] + 1j * frames[:, 1::2, :]
-    s = np.linalg.svd(z, compute_uv=False)
-    cutoff = tol.eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
-    equi = np.all(s > cutoff[:, None], axis=1)
-    return np.where(equi, np.clip(np.prod(s * s, axis=1), 0.0, 1.0), 0.0)
-
-
 def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|det R| / k!, rho and orthonormal frames (F, 2n, k) of F sets of k edges (F, k, 2n).
 
@@ -269,10 +247,12 @@ def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     the edges of a k-simplex from one vertex, |det R| / k! is its vol_k; for
     the k edges of a k-parallelotope, the mixed volume V_k of the k segments.
     """
-    k = edges.shape[1]
+    count, k, n2 = edges.shape
     q, r = np.linalg.qr(np.swapaxes(edges, 1, 2))
     vol = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
-    return vol, _frame_rho(q, tol), q
+    # k > n real directions never span a complex-equidimensional space: rho = 0 with no
+    # SVD, here and for the improper face.  ``cl.rho`` still reports their complex rank.
+    return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
 
 
 def _faces(
@@ -301,7 +281,8 @@ def _faces(
         for f, (vol, rho) in zip(simplices, data):
             f.__dict__.update(volume_k=vol, rho=rho)
     top = Face(tuple(range(len(vertices))), d, vertices, tol)
-    top.__dict__.update(volume_k=volume, rho=float(_frame_rho(frame.T[None], tol)[0]))
+    rho = 0.0 if 2 * d > frame.shape[1] else float(cl.batch_rho(frame.T[None], tol)[0][0])
+    top.__dict__.update(volume_k=volume, rho=rho)
     faces.setdefault(d, []).append(top)
     _euler_check(faces, tol)
     return faces
@@ -378,7 +359,7 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     members = frozenset(int(i) for i in np.nonzero(vals >= h - tol.eps * norm * scale_)[0])
-    face = P._index().get(members)
+    face = P._index.get(members)
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
         # the intersection of the facets through it (P itself if there are none).
@@ -433,7 +414,7 @@ def _labelled_summand_faces(parts: list[Polytope], labels: np.ndarray,
     of summand l is the set of the l-th labels of the face's vertices.  None if one
     of those sets is not a face of its summand (a tolerance artefact)."""
     rows = labels[list(face.vertex_ids)]
-    faces = tuple(p._index().get(frozenset(rows[:, l].tolist())) for l, p in enumerate(parts))
+    faces = tuple(p._index.get(frozenset(rows[:, l].tolist())) for l, p in enumerate(parts))
     return None if None in faces else faces
 
 

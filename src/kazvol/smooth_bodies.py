@@ -442,11 +442,6 @@ def _polar_count(dim: int, degree: int) -> int:
     return math.ceil(math.pi * (degree + dim - 2) / 4) + 12
 
 
-def _rule_size(dim: int, degree: int) -> int:
-    m = (degree + 1) // 2
-    return _polar_count(dim, degree) * (2 if dim == 2 else 2 * m ** (dim - 2))
-
-
 class SphereRule:
     """Product cubature on the unit sphere S^{dim-1} of R^dim (Stroud 1971, 2.6 and 3).
 
@@ -471,10 +466,10 @@ class SphereRule:
         x, w = roots_legendre(_polar_count(dim, degree))
         t = np.pi * (x + 1) / 2
         self.dim = dim
-        self.size = _rule_size(dim, degree)
         self._cos, self._sin = np.cos(t), np.sin(t)
         self._polar_w = np.pi / 2 * w * self._sin ** (dim - 2)
         self._sub, self._sub_w = _polynomial_rule(dim - 1, (degree + 1) // 2)
+        self.size = len(t) * len(self._sub_w)
 
     def nodes(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Points (stop - start, dim) and weights of the nodes with flat indices [start, stop)."""
@@ -487,50 +482,63 @@ class SphereRule:
         return points, self._polar_w[i] * self._sub_w[j]
 
 
-def _ladder(dim: int):
-    """(degree, node count) of the ladder's rules, coarsest first."""
-    m = 4
-    while True:
-        yield 2 * m - 1, _rule_size(dim, 2 * m - 1)
-        m += max(2, m // 3)
+def _ladder_sum(rungs, total_of, rel: float) -> tuple[float, float, int] | None:
+    """Sum of the finest rule a quadrature ladder needs, and its bound.
+
+    ``total_of(rung)`` evaluates one rule, coarsest first, to (sum of its
+    terms, sum of their absolute values, N terms).  The ladder stops when two
+    successive sums agree to ``rel`` of the finer one's sum |terms|, or when
+    ``rungs`` runs out; None when it has fewer than two rules, before any is
+    evaluated.  Returns (sum, bound, nodes evaluated): the last rule's sum,
+    and the last difference plus the rounding bound N * eps * sum |terms| of
+    that rule's N terms.
+    """
+    rungs = iter(rungs)
+    first = list(itertools.islice(rungs, 2))
+    if len(first) < 2:
+        return None
+    values, nodes = [], 0
+    for rung in itertools.chain(first, rungs):
+        total, total_abs, size = total_of(rung)
+        nodes += size
+        values.append(total)
+        if len(values) > 1 and abs(total - values[-2]) <= rel * total_abs:
+            break
+    return values[-1], abs(values[-1] - values[-2]) + size * math.ulp(1.0) * total_abs, nodes
 
 
 def _cubature(integrand, dim: int, samples: int,
               axis: np.ndarray | None) -> tuple[float, float, int] | None:
     """Sphere average of the integrand over a ladder of ``SphereRule``s.
 
-    Stops when two successive rules agree to 1e-12 of sum |w f|, or before a
-    rule with more than ``samples`` nodes; None when fewer than two rules
-    fit.  Returns (mean, bound, nodes evaluated): the finer rule's value, and
-    the last difference plus the rounding bound N * eps * sum |w f| of its N
-    terms.
+    The rules run from degree 7 upward, with no more than ``samples`` nodes
+    each, through ``_ladder_sum`` at 1e-12; None when fewer than two fit.
+    Returns (mean, bound, nodes evaluated).
     """
-    ladder = _ladder(dim)
-    rungs = [next(ladder), next(ladder)]
-    if rungs[1][1] > samples:
-        return None
-    values = []
-    nodes = 0
-    for degree, size in itertools.chain(rungs, ladder):
-        if size > samples:
-            break
-        rule = SphereRule(dim, degree, axis)
+    def rules():
+        m = 4
+        while True:
+            yield SphereRule(dim, 2 * m - 1, axis)
+            m += max(2, m // 3)
+
+    def total_of(rule: SphereRule) -> tuple[float, float, int]:
         total = total_abs = 0.0
-        for start in range(0, size, _CHUNK):
-            points, weights = rule.nodes(start, min(start + _CHUNK, size))
+        for start in range(0, rule.size, _CHUNK):
+            points, weights = rule.nodes(start, min(start + _CHUNK, rule.size))
             wf = weights * _real_values(integrand(cl.real_to_complex(points)))
             total += float(np.sum(wf))
             total_abs += float(np.sum(np.abs(wf)))
-        nodes += size
-        values.append(total)
-        if len(values) > 1 and abs(total - values[-2]) <= 1e-12 * total_abs:
-            break
-    err = abs(values[-1] - values[-2]) + size * math.ulp(1.0) * total_abs
+        return total, total_abs, rule.size
+
+    res = _ladder_sum(itertools.takewhile(lambda rule: rule.size <= samples, rules()),
+                      total_of, 1e-12)
+    if res is None:
+        return None
     area = 2 * math.pi ** (dim / 2) / math.gamma(dim / 2)
-    return values[-1] / area, err / area, nodes
+    return res[0] / area, res[1] / area, res[2]
 
 
-_INTEGRAL_FIRST_RULE, _INTEGRAL_LAST_RULE = 64, 2048
+_INTEGRAL_RULES = tuple(64 << j for j in range(6))  # 64, 128, ..., 2048 nodes
 
 
 @functools.cache
@@ -574,10 +582,8 @@ def _schwinger_mean(q: np.ndarray) -> tuple[float, float, int]:
     D_i = (1-s)^2 + 2 c lambda_i s^2, and the I_1 integrand that times
     c s^2 sum_i b_i / D_i: smooth on [0, 1] and free of large powers of t.
     Gauss-Legendre rules in s (1 - s taken as (1 - x) / 2, not 1 - s) double
-    from 64 nodes until two agree to 1e-13 of sum |terms|, or up to 2048.
-    Returns (mean, bound, nodes evaluated): the finer rule's value, and the
-    last difference plus the rounding bound N * eps * sum |terms| of its N
-    nodes, as in ``_cubature``.
+    from 64 nodes up to 2048, through ``_ladder_sum`` at 1e-13.
+    Returns (mean, bound, nodes evaluated).
     """
     n = q.shape[0] // 2
     a = _complex_hessian_of(q)
@@ -588,24 +594,19 @@ def _schwinger_mean(q: np.ndarray) -> tuple[float, float, int]:
     c = 1 / math.sqrt(lam[lam > 0][0] * lam[-1])
     scale0 = np.linalg.det(a).real * c ** (n / 2) / math.gamma(n / 2)
     scale1 = c ** (n / 2 + 1) / math.gamma(n / 2 + 1)
-    values, nodes, size = [], 0, _INTEGRAL_FIRST_RULE
-    while True:
+
+    def total_of(size: int) -> tuple[float, float, int]:
         x, weights = _legendre_rule(size)
         s, r = (1 + x) / 2, (1 - x) / 2
         d = r[:, None] ** 2 + 2 * c * lam * (s**2)[:, None]
         base = weights * (s * r) ** (n - 1) / np.prod(np.sqrt(d), axis=1)
         terms0, terms1 = scale0 * base, scale1 * s**2 * base * (b / d).sum(axis=1)
-        total = float(terms0.sum() - terms1.sum())
-        total_abs = float(np.abs(terms0).sum() + np.abs(terms1).sum())
-        nodes += size
-        values.append(total)
-        if len(values) > 1 and (abs(total - values[-2]) <= 1e-13 * total_abs
-                                or size >= _INTEGRAL_LAST_RULE):
-            break
-        size *= 2
-    err = abs(values[-1] - values[-2]) + size * math.ulp(1.0) * total_abs
+        return (float(terms0.sum() - terms1.sum()),
+                float(np.abs(terms0).sum() + np.abs(terms1).sum()), size)
+
+    mean, err, nodes = _ladder_sum(_INTEGRAL_RULES, total_of, 1e-13)
     gauss = 2 ** (-n / 2) * math.gamma(n / 2) / math.gamma(n)
-    return values[-1] / gauss, err / gauss, nodes
+    return mean / gauss, err / gauss, nodes
 
 
 def smooth_quadrature(

@@ -75,6 +75,11 @@ class TestRho:
         r = rho(basis_of(1, [[1, 0], [0, 1]]))
         assert r.complex_dim == 1
 
+    def test_over_dimension_keeps_complex_rank(self):
+        # span{e1, ie1, e2, ie2} in C^3: four real directions of complex rank 2.
+        r = rho(basis_of(3, np.eye(6)[:4]))
+        assert (r.rho, r.complex_dim, r.cr_dim, r.equidimensional) == (0.0, 2, 4, False)
+
     def test_halfway_plane(self):
         # span{e1, (ie1 + e2)/sqrt2}: Hermitian Gram det = 1 - 1/2.
         b = SubspaceBasis(2, np.array(

@@ -153,7 +153,7 @@ class TestSupport:
         P = hull(pts)
         ids = {tuple(p): i for i, p in enumerate(P.vertices.tolist())}
         a, b, c = (ids[tuple(p)] for p in pts[:3].tolist())
-        assert frozenset({b}) not in P._index()
+        assert frozenset({b}) not in P._index
         h, f = support(P, np.array([0.0, 1.0]))
         assert h == pytest.approx(2e-9, rel=1e-12)
         assert f.vertex_ids == tuple(sorted((a, b, c)))
@@ -349,9 +349,10 @@ def test_lattice_matches_frozenset_oracle(case):
         assert f.volume_k == pytest.approx(vol, rel=1e-12, abs=0), (case, ids)
         assert (f.rho == 0.0) == (rho == 0.0), (case, ids, f.rho, rho)
         if f.rho != pytest.approx(rho, rel=1e-12, abs=0):
-            # cl.rho's LU determinant carries an absolute error near 1e-16, so a
-            # small rho can miss by more than 1e-12 relative: then the batched
-            # value must match 40-digit arithmetic at 1e-12 and beat cl.rho.
+            # cl.rho's singular values of the oracle's from_span basis carry an
+            # absolute error near 1e-16, so a small rho can miss by more than 1e-12
+            # relative: then the face's value, from its QR frame, must match 40-digit
+            # arithmetic at 1e-12 and beat the oracle's.
             exact = _exact_rho(P.vertices, ids)
             assert f.rho == pytest.approx(exact, rel=1e-12, abs=0), (case, ids)
             assert abs(f.rho - exact) < abs(rho - exact), (case, ids)

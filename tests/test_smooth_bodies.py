@@ -360,6 +360,36 @@ class TestCubature:
         assert coarse.samples < fine.samples
         assert abs(coarse.value - fine.value) <= coarse.std_error + coarse.bound
 
+    def test_capped_ladder_bound_counts_the_reported_rule(self, monkeypatch):
+        # At 30,000 nodes the cap stops the ladder before two rules agree.  The bound is
+        # the last difference plus N * eps * sum |w f| of the rule reported, whose N and
+        # sums are recorded here from the nodes the ladder asks for.
+        bodies = [ellipsoid(2, np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1), ball(2)]
+        constant, integrand = smooth_bodies._density(bodies)
+        rules = []  # [sum w f, sum |w f|, N] of each rule evaluated
+
+        class RecordingRule(SphereRule):
+            def nodes(self, start, stop):
+                points, weights = super().nodes(start, stop)
+                if start == 0:
+                    rules.append([0.0, 0.0, self.size])
+                wf = weights * smooth_bodies._real_values(
+                    integrand(points[:, 0::2] + 1j * points[:, 1::2]))
+                rules[-1][0] += float(np.sum(wf))
+                rules[-1][1] += float(np.sum(np.abs(wf)))
+                return points, weights
+
+        monkeypatch.setattr(smooth_bodies, "SphereRule", RecordingRule)
+        res = smooth_quadrature(bodies, 30_000)
+        (previous, _, _), (total, total_abs, size) = rules[-2:]
+        assert res.method == "cubature" and res.samples == sum(r[2] for r in rules)
+        assert abs(total - previous) > 1e-12 * total_abs
+        area = 2 * math.pi**2  # |S^3|
+        assert res.value == pytest.approx(constant * total / area, rel=1e-14, abs=0)
+        assert res.bound == pytest.approx(
+            constant * (abs(total - previous) + size * math.ulp(1.0) * total_abs) / area,
+            rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("case", ["different axes", "custom body", "too few samples",
                                       "boundary without gradient", "n = 4"])
     def test_fallback_to_monte_carlo(self, case):
