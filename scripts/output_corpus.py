@@ -18,7 +18,9 @@ off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
 since it reads no --samples) and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach, among them the cubature and Monte Carlo of one built-in
-body without its Q.  Every value is stored as repr or exact JSON, so equality
+body without its Q.  A polytope keeps the tolerance it was loaded under, so
+the library rows load each polytope at the default tolerance and, for the
+"eps tol" rows, once more at 1e-6.  Every value is stored as repr or exact JSON, so equality
 of the files is equality of the floats.
 
 A change that may move floats by rounding only is checked with --compare:
@@ -229,8 +231,9 @@ for name in ("theta4", "cube4", "theta3"):
                          [list(map(repr, t[1:])) + [list(t[0])] for t in rep.terms]]
     x = pv.eps_neighborhood_pseudovolume(P, 0.7, ap)
     lib[f"eps {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
-    x = pv.eps_neighborhood_pseudovolume(P, 0.7, samples=30000, stream=S.substream(4),
-                                         tol=Tolerance(1e-6))
+    x = pv.eps_neighborhood_pseudovolume(
+        kazvol.load_polytope(str(DATA / f"{name}.json"), Tolerance(1e-6)), 0.7, samples=30000,
+        stream=S.substream(4))
     lib[f"eps tol {name}"] = [[c.value for c in x.terms], x.value, x.std_error, x.bound]
 point = kazvol.hull(np.array([[1.0, 2.0, 0.0, 0.0]]))
 lib["point phi"] = [pv.intrinsic_phi_volume(point, 0, phi, kazvol.AnglePass(point, 10, S)).value

@@ -126,7 +126,7 @@ def cmd_faces(args, tol, stream, samples) -> dict:
 def cmd_angle(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
     ids = [int(x) for x in args.face.split(",")]
-    est = outer_angle(P, ids, samples, stream, tol)
+    est = outer_angle(P, ids, samples, stream)
     print(f"outer angle of face {ids}: {est.value:.9g} {_pm(est)} ({est.method})")
     return {"flags": {"face": ids}, "values": _estimate_values(est, angle=est.value)}
 
@@ -142,14 +142,14 @@ def cmd_intrinsic(args, tol, stream, samples) -> dict:
     """v_k for ``intrinsic``, v_k^rho for ``phi-volume``."""
     P = pt.load_polytope(args.file, tol)
     phi, label = (RHO, "^rho") if args.command == "phi-volume" else (UNIT, "")
-    est = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream, tol))
+    est = intrinsic_phi_volume(P, args.k, phi, AnglePass(P, samples, stream))
     print(f"v_{args.k}{label} = {est.value:.9g} {_pm(est)}")
     return {"flags": {"k": args.k}, "values": _estimate_values(est, k=args.k, value=est.value)}
 
 
 def cmd_pseudovolume(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
-    report = pseudovolume(P, samples=samples, stream=stream, tol=tol)
+    report = pseudovolume(P, samples=samples, stream=stream)
     print(f"P_{P.ambient_n} = {report.value:.9g} {_pm(report)}")
     if report.terms:
         print("  face                     rho        vol_n      angle      term")
@@ -166,15 +166,14 @@ def cmd_mixed(args, tol, stream, samples) -> dict:
     n = parts[0].ambient_n
     if args.ball:
         k = len(parts)
-        est = mixed_with_ball(parts, samples, stream, tol)
+        est = mixed_with_ball(parts, samples, stream)
         print(f"Q_{n}({k} bodies, B[{n - k}]) = {est.value:.9g} {_pm(est)}")
     else:
-        est = mixed_pseudovolume(parts, samples, stream, tol)
+        est = mixed_pseudovolume(parts, samples, stream)
         print(f"Q_{n} = {est.value:.9g} {_pm(est)}")
     values = _estimate_values(est, value=est.value)
     if args.oracle and not args.ball:
-        oracle = mixed_pseudovolume(parts, samples, stream.substream(99), tol,
-                                    method="polarization")
+        oracle = mixed_pseudovolume(parts, samples, stream.substream(99), method="polarization")
         print(f"polarization cross-check: {oracle.value:.9g} {_pm(oracle)}")
         values.update(oracle_value=oracle.value, oracle_std_error=oracle.std_error,
                       oracle_bound=oracle.bound)
@@ -183,7 +182,7 @@ def cmd_mixed(args, tol, stream, samples) -> dict:
 
 def cmd_eps_expand(args, tol, stream, samples) -> dict:
     P = pt.load_polytope(args.file, tol)
-    exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream, tol=tol)
+    exp = eps_neighborhood_pseudovolume(P, args.eps, samples=samples, stream=stream)
     n = P.ambient_n
     coefficients = [c.value for c in exp.terms]
     terms = " + ".join(f"{c:.9g}*eps^{n - k}" for k, c in enumerate(coefficients))

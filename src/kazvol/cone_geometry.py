@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import complex_linalg as cl
-from .numerics import (DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance,
-                       sampled_mean, sphere_sample)
+from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, sampled_mean, sphere_sample
 from .polytope import Face, Polytope
 
 __all__ = [
@@ -32,24 +31,18 @@ _CHUNK = 250_000
 _EPS = float(np.finfo(float).eps)
 
 
-def _normal_space(P: Polytope, face: Face, tol: Tolerance) -> cl.SubspaceBasis:
+def _normal_space(P: Polytope, face: Face) -> cl.SubspaceBasis:
     """Orthonormal basis of E_Delta^perp ∩ E_Gamma."""
     span = P.span_basis.vectors
     if face.k == 0:
         return cl.SubspaceBasis(P.ambient_n, span)
     fb = face.hull_basis.vectors
     residual = span - (span @ fb.T) @ fb
-    return cl.SubspaceBasis.from_span(P.ambient_n, residual, tol)
+    return cl.SubspaceBasis.from_span(P.ambient_n, residual, P.tol)
 
 
-def _classify(
-    P: Polytope,
-    face: Face,
-    basis: cl.SubspaceBasis,
-    samples: int,
-    stream: RandomStream,
-    tol: Tolerance,
-) -> Estimate:
+def _classify(P: Polytope, face: Face, basis: cl.SubspaceBasis, samples: int,
+              stream: RandomStream) -> Estimate:
     """Fraction of directions in the cone's span whose support face equals the face.
 
     Directions whose gap between the face and the best other vertex is within
@@ -58,7 +51,7 @@ def _classify(
     member = np.array(sorted(face.id))
     other = np.array(sorted(frozenset(range(P.n_vertices)) - face.id))
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    delta = tol.eps * scale_ * 10
+    delta = P.tol.eps * scale_ * 10
 
     def hits(sub: RandomStream, m: int) -> np.ndarray:
         dirs = sphere_sample(basis.d, sub, m) @ basis.vectors
@@ -103,7 +96,6 @@ def outer_angle(
     face_id,
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     face = P.face_by_ids(face_id)
     d = P.dim_real
@@ -111,8 +103,8 @@ def outer_angle(
         return Estimate(1.0)
     if face.k == d - 1:
         return Estimate(0.5)
-    basis = _normal_space(P, face, tol)
-    return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream, tol)
+    basis = _normal_space(P, face)
+    return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream)
 
 
 class AnglePass:
@@ -122,17 +114,11 @@ class AnglePass:
     in the lattice, so results are deterministic in (seed, stream_id, samples).
     """
 
-    def __init__(
-        self,
-        P: Polytope,
-        samples: int = DEFAULT_SAMPLES,
-        stream: RandomStream = RandomStream(),
-        tol: Tolerance = DEFAULT_TOLERANCE,
-    ) -> None:
+    def __init__(self, P: Polytope, samples: int = DEFAULT_SAMPLES,
+                 stream: RandomStream = RandomStream()) -> None:
         self.polytope = P
         self.samples = samples
         self.stream = stream
-        self.tol = tol
         self._cache: dict[frozenset[int], Estimate] = {}
         self._order = {f.id: i for i, f in enumerate(P.all_faces())}
 
@@ -140,5 +126,5 @@ class AnglePass:
         key = face.id
         if key not in self._cache:
             sub = self.stream.substream(self._order.get(key, len(self._order)))
-            self._cache[key] = outer_angle(self.polytope, key, self.samples, sub, self.tol)
+            self._cache[key] = outer_angle(self.polytope, key, self.samples, sub)
         return self._cache[key]

@@ -116,6 +116,7 @@ class Polytope:
     span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
     centroid: np.ndarray
     facet_data: tuple[tuple[frozenset[int], np.ndarray], ...]  # (ids, outer unit normal in R^2n)
+    tol: Tolerance  # set by ``hull``; everything computed on the polytope decides under it
 
     @property
     def n_vertices(self) -> int:
@@ -319,7 +320,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     if d == 0:
         vertices = pts[:1]
         return Polytope(n, vertices, _faces(vertices, {}, 0, 1.0, basis_rows, tol), 0,
-                        span, center, ())
+                        span, center, (), tol)
 
     coords = (pts - center) @ basis_rows.T
 
@@ -327,11 +328,10 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
         order = np.argsort(coords[:, 0])
         vertices = pts[[order[0], order[-1]]]
         length = float(coords[order[-1], 0] - coords[order[0], 0])
-        direction = basis_rows[0]
-        lo = -direction if coords[order[0], 0] < coords[order[-1], 0] else direction
-        facets = ((frozenset({0}), lo), (frozenset({1}), -lo))
+        # Rank 1 puts the first coordinate strictly below the last after the sort.
+        facets = ((frozenset({0}), -basis_rows[0]), (frozenset({1}), basis_rows[0]))
         faces = _faces(vertices, {0: [(0,), (1,)]}, 1, length, basis_rows, tol)
-        return Polytope(n, vertices, faces, 1, span, center, facets)
+        return Polytope(n, vertices, faces, 1, span, center, facets, tol)
 
     qh = ConvexHull(coords)
     keep = sorted(int(i) for i in qh.vertices)
@@ -346,10 +346,10 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     facet_data = tuple(
         (ids, normal @ basis_rows) for ids, normal in facet_sets.items()
     )
-    return Polytope(n, vertices, faces, d, span, center, facet_data)
+    return Polytope(n, vertices, faces, d, span, center, facet_data, tol)
 
 
-def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[float, Face]:
+def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     """Support value and exposed face in the direction u (u = 0 exposes P itself)."""
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
@@ -358,7 +358,7 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     vals = P.vertices @ u
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    members = frozenset(int(i) for i in np.nonzero(vals >= h - tol.eps * norm * scale_)[0])
+    members = frozenset(int(i) for i in np.nonzero(vals >= h - P.tol.eps * norm * scale_)[0])
     face = P._index.get(members)
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
@@ -368,12 +368,15 @@ def support(P: Polytope, u: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     return h, face
 
 
-def minkowski_sum(parts: list[Polytope], tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
+def minkowski_sum(parts: list[Polytope]) -> Polytope:
+    """The sum, built under the tolerance its summands share."""
     if not parts:
         raise EmptyInput("need at least one summand")
-    n = parts[0].ambient_n
+    n, tol = parts[0].ambient_n, parts[0].tol
     if any(p.ambient_n != n for p in parts):
         raise ValueError("summands must share the ambient space")
+    if any(p.tol != tol for p in parts):
+        raise ValueError("summands must share one tolerance")
     total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
@@ -418,27 +421,26 @@ def _labelled_summand_faces(parts: list[Polytope], labels: np.ndarray,
     return None if None in faces else faces
 
 
-def summand_faces(
-    S: Polytope, parts: list[Polytope], face: Face, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[Face, ...]:
+def summand_faces(S: Polytope, parts: list[Polytope], face: Face) -> tuple[Face, ...]:
     """The face F(A_l, u) of each summand, where F(S, u) = face and S = sum of the A_l:
     F(A_1 + ... + A_m, u) = F(A_1, u) + ... + F(A_m, u) for every direction u."""
     u = S.witness_direction(face)
-    return tuple(support(p, u, tol)[1] for p in parts)
+    return tuple(support(p, u)[1] for p in parts)
 
 
 def split(
-    P: Polytope, normal: np.ndarray, offset: float, tol: Tolerance = DEFAULT_TOLERANCE
+    P: Polytope, normal: np.ndarray, offset: float
 ) -> tuple[Polytope | None, Polytope | None, Polytope | None]:
     """Intersections of P with the halfspaces <u, .> >= c, <= c, and the plane = c.
 
-    Empty pieces are returned as None; downstream valuations treat them as 0.
+    The pieces are built under ``P.tol``.  Empty pieces are returned as None;
+    downstream valuations treat them as 0.
     """
     u = np.asarray(normal, dtype=float)
     u = u / np.linalg.norm(u)
     vals = P.vertices @ u - offset
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    eps = tol.eps * scale_ * 10
+    eps = P.tol.eps * scale_ * 10
     crossings = []
     for edge in P.faces.get(1, []):
         i, j = edge.vertex_ids
@@ -454,7 +456,7 @@ def split(
             pts.append(extra)
         if not pts:
             return None
-        return hull(np.vstack(pts), tol)
+        return hull(np.vstack(pts), P.tol)
 
     plus = piece(vals >= -eps, crossings)
     minus = piece(vals <= eps, crossings)

@@ -25,7 +25,8 @@ The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
 is an orthonormal basis of E_Delta); ``RHO`` reads the ``Face.rho`` that ``hull``
-computed under the caller's tolerance.
+computed under the polytope's tolerance, ``P.tol``, under which its angles,
+sums and splits are decided too.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import numpy as np
 
 from . import complex_linalg as cl
 from .cone_geometry import AnglePass
-from .numerics import (DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Estimate, RandomStream, Tolerance,
-                       kappa, weighted_sum)
+from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
 from .polytope import (Face, Polytope, _labelled_summand_faces, _simplex_data,  # noqa: F401
                        _sum_labels, hull, minkowski_sum, split, summand_faces)
@@ -110,14 +110,12 @@ def pseudovolume(
     angles: AnglePass | None = None,
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     """P_n(Gamma) = v_n^rho(Gamma) over the equidimensional n-faces, with per-face terms."""
-    return _face_sum(P, P.ambient_n, RHO, angles or AnglePass(P, samples, stream, tol))
+    return _face_sum(P, P.ambient_n, RHO, angles or AnglePass(P, samples, stream))
 
 
-def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
-                          tol: Tolerance) -> Callable[[Face], float]:
+def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callable[[Face], float]:
     """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S.
 
     The summand faces are read from the vertex labels of S (``summand_faces``,
@@ -132,7 +130,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
     others: dict[Face, tuple[Face, ...]] = {}
     edges = []
     for f in S.faces.get(k, []):
-        faces = _labelled_summand_faces(parts, labels, f) or summand_faces(S, parts, f, tol)
+        faces = _labelled_summand_faces(parts, labels, f) or summand_faces(S, parts, f)
         sizes = {len(s.vertex_ids) for s in faces}
         if 1 in sizes:
             known[f] = 0.0
@@ -142,7 +140,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
         else:
             others[f] = faces
     if edges:
-        vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), tol)
+        vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), S.tol)
         for (f, _), v, r, q in zip(edges, vol.tolist(), rho.tolist(), frames):
             f.__dict__.update(hull_basis=cl.SubspaceBasis(S.ambient_n, q.T), rho=r)
             known[f] = v
@@ -151,7 +149,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int,
         if f in known:
             return known[f]
         return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, others[f])],
-                            f.hull_basis, tol)
+                            f.hull_basis, S.tol)
 
     return mixed
 
@@ -161,7 +159,6 @@ def mixed_phi_volume(
     phi: Callable[[Face], float],
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
     method: str = "direct",
 ) -> Estimate:
     """Mixed phi-volume V_k^phi(Gamma_1, ..., Gamma_k).
@@ -173,15 +170,15 @@ def mixed_phi_volume(
     """
     k = len(parts)
     if method == "direct":
-        S = minkowski_sum(parts, tol)
-        return _face_sum(S, k, phi, AnglePass(S, samples, stream, tol),
-                         _summand_mixed_volume(S, parts, k, tol))
+        S = minkowski_sum(parts)
+        return _face_sum(S, k, phi, AnglePass(S, samples, stream),
+                         _summand_mixed_volume(S, parts, k))
     if method == "polarization":
         pairs = []
         for mask in range(1, 1 << k):
             members = [parts[i] for i in range(k) if mask >> i & 1]
-            s = minkowski_sum(members, tol)
-            ap = AnglePass(s, samples, stream.substream(mask), tol)
+            s = minkowski_sum(members)
+            ap = AnglePass(s, samples, stream.substream(mask))
             pairs.append(((-1) ** (k - len(members)) / math.factorial(k), _face_sum(s, k, phi, ap)))
         return weighted_sum(pairs)
     raise ValueError(f"unknown method {method!r}")
@@ -191,7 +188,6 @@ def mixed_pseudovolume(
     parts: list[Polytope],
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
     method: str = "direct",
 ) -> Estimate:
     """Q_n(Gamma_1, ..., Gamma_n), the polarization of P_n.
@@ -204,14 +200,13 @@ def mixed_pseudovolume(
     n = parts[0].ambient_n
     if len(parts) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
-    return mixed_phi_volume(parts, RHO, samples, stream, tol, method)
+    return mixed_phi_volume(parts, RHO, samples, stream, method)
 
 
 def mixed_with_ball(
     parts: list[Polytope],
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     """Q_n(A_1, ..., A_k, B_2n[n-k]) = 2^{n-k} kappa_{2n-k} V_k^rho / (kappa_n C(n,k))."""
     k = len(parts)
@@ -219,8 +214,8 @@ def mixed_with_ball(
     if not 1 <= k <= n:
         raise ValueError(f"need between 1 and {n} polytope arguments")
     if k == n:
-        return mixed_pseudovolume(parts, samples, stream, tol)
-    vk = mixed_phi_volume(parts, RHO, samples, stream, tol)
+        return mixed_pseudovolume(parts, samples, stream)
+    vk = mixed_phi_volume(parts, RHO, samples, stream)
     return weighted_sum([(2 ** (n - k) * kappa(2 * n - k) / (kappa(n) * math.comb(n, k)), vk)])
 
 
@@ -230,7 +225,6 @@ def eps_neighborhood_pseudovolume(
     angles: AnglePass | None = None,
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     """P_n of the eps-neighborhood (Gamma)_eps = Gamma + eps*B_2n.
 
@@ -243,7 +237,7 @@ def eps_neighborhood_pseudovolume(
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
     n = P.ambient_n
-    ap = angles or AnglePass(P, samples, stream, tol)
+    ap = angles or AnglePass(P, samples, stream)
     coeffs = [weighted_sum([(2 ** (n - k) * kappa(2 * n - k) / kappa(n), _face_sum(P, k, RHO, ap))])
               for k in range(n + 1)]
     return weighted_sum([(eps ** (n - k), c) for k, c in enumerate(coeffs)], coeffs)
@@ -255,12 +249,11 @@ def valuation_check(
     offset: float,
     samples: int = DEFAULT_SAMPLES,
     stream: RandomStream = RandomStream(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     """|P_n(P+) + P_n(P-) - P_n(P) - P_n(P0)| for the split along <u,.> = c."""
-    plus, minus, on_plane = split(P, normal, offset, tol)
+    plus, minus, on_plane = split(P, normal, offset)
     residual = weighted_sum(
-        (sign, pseudovolume(piece, None, samples, stream.substream(idx), tol))
+        (sign, pseudovolume(piece, None, samples, stream.substream(idx)))
         for piece, sign, idx in ((plus, 1, 1), (minus, 1, 2), (P, -1, 3), (on_plane, -1, 4))
         if piece is not None)
     return replace(residual, value=abs(residual.value))

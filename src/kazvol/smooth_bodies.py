@@ -180,7 +180,8 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     def gradient(z):
         return np.conj(h_and_u(z)[1])
 
-    det_a, adj = np.linalg.det(a), _adjugate(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # a large Q: see ``_density``
+        det_a, adj = np.linalg.det(a), _adjugate(a)
 
     def det_hessian(z):
         hv, u = h_and_u(z)
@@ -232,7 +233,7 @@ def ellipsoid(n: int, q: np.ndarray) -> SupportBody:
         raise ValueError(f"Q must be {2 * n}x{2 * n}")
     if not np.all(np.isfinite(q)):
         raise ValueError("Q must be finite")
-    if np.max(np.abs(q - q.T)) > 1e-12:
+    if np.max(np.abs(q - q.T)) > 1e-12 * np.max(np.abs(q)):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(q)[0] < -1e-12 * np.max(np.abs(q)):
         raise ValueError("Q must be positive semidefinite")
@@ -372,26 +373,41 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
 
         Q_n = (4^{n-1} / kappa_n) * integral over the unit sphere of
               D_n(conj(M) + M^T, Hess_C h_{A_2}, ...).
+
+    Q_n is 1-homogeneous in each body, and h = sqrt(x^T Q x) scales as sqrt(s)
+    with Q: each built-in body enters at max|Q| = 1 and its sqrt(s) goes into
+    the constant (sqrt(s)^n for one body), so no scale of Q under- or overflows.
     """
     n = bodies[0].ambient_n
     if (boundary or len(bodies) > 1) and len(bodies) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
+    scales = [1.0 if b.q is None else float(np.max(np.abs(b.q))) for b in bodies]
+    with np.errstate(over="ignore"):
+        scale = float(np.prod(np.sqrt(scales)) ** (n if len(bodies) == 1 else 1))
+    if not math.isfinite(scale):
+        raise ValueError(f"P_{n} or Q_{n} of these bodies overflows a float")
+
+    @functools.cache
+    def unit() -> list[SupportBody]:  # on the first integrand call: the 1-D integral needs none
+        return [b if s == 1.0 else _quadratic_body(n, b.q / s, b.kind)
+                for b, s in zip(bodies, scales)]
+
     if boundary:
 
         def integrand(z):
-            grad = complex_gradient(bodies[0], z)
+            grad = complex_gradient(unit()[0], z)
             m = z[:, :, None] * grad[:, None, :]
             first = np.conj(m) + np.swapaxes(m, 1, 2)
-            mats = [first] + [complex_hessian(b, z) for b in bodies[1:]]
+            mats = [first] + [complex_hessian(b, z) for b in unit()[1:]]
             return batch_mixed_discriminant(mats)
 
-        return 4 ** (n - 1) * 2 * n * kappa(2 * n) / kappa(n), integrand
-    constant = 4**n * 2 * kappa(2 * n) / kappa(n)
+        return scale * 4 ** (n - 1) * 2 * n * kappa(2 * n) / kappa(n), integrand
+    constant = scale * 4**n * 2 * kappa(2 * n) / kappa(n)
     if len(bodies) == 1 and bodies[0].det_hessian is not None:
-        return constant, lambda z: bodies[0].det_hessian(_as_points(z, n))
+        return constant, lambda z: unit()[0].det_hessian(_as_points(z, n))
     if len(bodies) == 1:
-        return constant, lambda z: np.linalg.det(complex_hessian(bodies[0], z))
-    return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in bodies])
+        return constant, lambda z: np.linalg.det(complex_hessian(unit()[0], z))
+    return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in unit()])
 
 
 def _sphere_mc(bodies: list[SupportBody], samples: int, stream: RandomStream,
@@ -561,7 +577,8 @@ def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _schwinger_mean(q: np.ndarray) -> tuple[float, float, int]:
-    """Sphere mean of det Hess_C h for h = sqrt(x^T Q x), by one integral in t.
+    """Sphere mean of det Hess_C h for h = sqrt(x^T Q x), Q scaled to max|Q| = 1 as in
+    ``_density``, by one integral in t.
 
     With A, u and adj(A) as in ``_quadratic_body`` and M the real form of
     w^T adj(A) conj(w) (w the complex form of x), the density is
@@ -586,6 +603,7 @@ def _schwinger_mean(q: np.ndarray) -> tuple[float, float, int]:
     Returns (mean, bound, nodes evaluated).
     """
     n = q.shape[0] // 2
+    q = q / np.max(np.abs(q))
     a = _complex_hessian_of(q)
     w = cl.real_to_complex(np.eye(2 * n))
     m = (w @ _adjugate(a) @ w.conj().T).real  # x^T M x = w^T adj(A) conj(w)

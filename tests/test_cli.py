@@ -425,6 +425,22 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "input error" in err and "ker Q has dimension 2" in err
 
+    @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e120, 1e150, 1e200])
+    def test_smooth_at_extreme_scales(self, s, tmp_path, capsys):
+        # P_2 of the ellipsoid with Q = s I is 2 pi s; the report holds that finite number.
+        body = {"kind": "ellipsoid", "n": 2, "Q": (s * np.eye(4)).tolist()}
+        path = tmp_path / "report.json"
+        assert main(["smooth", json.dumps(body), "--json", str(path)]) == EXIT_OK
+        values = json.loads(path.read_text(),
+                            parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))["values"]
+        assert values["value"] == pytest.approx(2 * np.pi * s, rel=1e-13, abs=0)
+
+    def test_smooth_value_beyond_float_range(self, capsys):
+        # P_3 of Q = 1e250 I is pi^2 * 1e375.
+        body = {"kind": "ellipsoid", "n": 3, "Q": (1e250 * np.eye(6)).tolist()}
+        assert main(["smooth", json.dumps(body)]) == EXIT_INPUT
+        assert "P_3 or Q_3 of these bodies overflows a float" in capsys.readouterr().err
+
     def test_permutation_cap(self, capsys):
         mats = json.dumps({"matrices": [np.eye(7).tolist()] * 7})
         code = main(["discriminant", mats, "--method", "permutation"])

@@ -6,7 +6,7 @@ import pytest
 from kazvol import AnglePass, RandomStream, hull, outer_angle
 from kazvol import cone_geometry
 from kazvol.cone_geometry import _classify, _normal_space
-from kazvol.numerics import DEFAULT_TOLERANCE, weighted_sum
+from kazvol.numerics import weighted_sum
 
 from conftest import SAMPLES, random_polytope
 
@@ -66,7 +66,6 @@ class TestClosedFormCones:
         self.assert_all(square_c1, 0, 1 / 4)
 
     def test_agrees_with_sampling_on_random_hulls(self, stream):
-        tol = DEFAULT_TOLERANCE
         checked = 0
         for seed in self.SEEDS:
             P = random_polytope(np.random.default_rng(seed), 6)
@@ -74,8 +73,8 @@ class TestClosedFormCones:
                 for i, f in enumerate(P.faces[k]):
                     exact = outer_angle(P, f.id)
                     assert exact.method == "exact"
-                    mc = _classify(P, f, _normal_space(P, f, tol), self.MC_SAMPLES,
-                                   stream.substream(seed).substream(100 * k + i), tol)
+                    mc = _classify(P, f, _normal_space(P, f), self.MC_SAMPLES,
+                                   stream.substream(seed).substream(100 * k + i))
                     assert abs(exact.value - mc.value) <= 4 * mc.std_error, (seed, f.id)
                     checked += 1
         assert checked >= 50

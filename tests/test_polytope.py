@@ -99,6 +99,10 @@ class TestHull:
         assert P.dim_real == 1
         assert P.improper_face.volume_k == pytest.approx(2.0)
         assert P.face_vector() == [2, 1]
+        for Q in (P, hull(np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 1 / 3]]))):
+            for ids, normal in Q.facet_data:  # each end's facet normal points away from the other
+                (i,) = ids
+                assert normal @ (Q.vertices[i] - Q.vertices[1 - i]) > 0
 
     def test_idempotent(self, theta4):
         again = hull(theta4.vertices)
@@ -183,6 +187,18 @@ class TestMinkowskiSum:
             for g in got:
                 assert min(np.linalg.norm(pts - g, axis=1)) < 1e-8
 
+    def test_sum_keeps_the_summands_tolerance(self):
+        # Under 1e-6 the sum's four points lie within 1e-5 of a line; under 1e-9 they do not.
+        tol = Tolerance(1e-6)
+        segments = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 5e-7]])]
+        s = minkowski_sum([hull(p, tol) for p in segments])
+        assert s.tol == tol and s.dim_real == 1
+        assert minkowski_sum([hull(p) for p in segments]).dim_real == 2
+
+    def test_summands_under_two_tolerances_rejected(self, square_c1):
+        with pytest.raises(ValueError, match="one tolerance"):
+            minkowski_sum([square_c1, hull(square_c1.vertices, Tolerance(1e-6))])
+
     def test_volume_superadditive(self):
         rng = np.random.default_rng(4)
         a = random_polytope(rng, 6)
@@ -214,6 +230,12 @@ class TestTransforms:
             assert vol == pytest.approx(P.improper_face.volume_k, rel=1e-7)
             if zero is not None:
                 assert zero.dim_real < P.dim_real
+
+    def test_split_pieces_keep_the_tolerance(self, cube4):
+        tol = Tolerance(1e-6)
+        P = hull(cube4.vertices, tol)
+        pieces = split(P, np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        assert all(p.tol == tol for p in pieces)
 
     def test_split_miss(self, square_c1):
         plus, minus, zero = split(square_c1, np.array([1.0, 0.0]), 5.0)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 import math
 import statistics
@@ -24,7 +25,7 @@ from kazvol import (
 )
 from kazvol.complex_linalg import SubspaceBasis, random_unitary, realify
 from kazvol.complex_linalg import rho as cl_rho
-from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance, kappa, weighted_sum
+from kazvol.numerics import Tolerance, kappa, weighted_sum
 from kazvol.polytope import _labelled_summand_faces, _sum_labels, summand_faces
 from kazvol.pseudovolume import _summand_mixed_volume
 from kazvol.smooth_bodies import ball_pseudovolume
@@ -183,10 +184,24 @@ class TestPhiVolumes:
         # so its rho is 0; rho under the default 1e-9 would be about 5e-15.
         tol = Tolerance(1e-6)
         P = hull(np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1e-7, 0]]), tol)
-        ap = AnglePass(P, SAMPLES, stream, tol)
-        rep = pseudovolume(P, angles=ap, tol=tol)
+        ap = AnglePass(P, SAMPLES, stream)
+        rep = pseudovolume(P, angles=ap)
         assert rep.value == 0.0
         assert intrinsic_phi_volume(P, 2, RHO, ap).value == rep.value
+
+    def test_no_function_of_a_polytope_takes_a_tolerance(self):
+        # A polytope keeps the tolerance ``hull`` built it under; only ``hull`` and
+        # ``load_polytope`` take one.
+        pv = importlib.import_module("kazvol.pseudovolume")
+        cg = importlib.import_module("kazvol.cone_geometry")
+        pt = importlib.import_module("kazvol.polytope")
+        functions = [pt.support, pt.minkowski_sum, pt.summand_faces, pt.split, cg.outer_angle,
+                     cg.AnglePass, cg._normal_space, cg._classify, pv.pseudovolume,
+                     pv.mixed_phi_volume, pv.mixed_pseudovolume, pv.mixed_with_ball,
+                     pv.eps_neighborhood_pseudovolume, pv.valuation_check,
+                     pv._summand_mixed_volume]
+        assert [f.__name__ for f in functions if "tol" in inspect.signature(f).parameters] == []
+        assert not hasattr(AnglePass(hull(np.eye(4)), SAMPLES), "tol")
 
 
 class TestMixedPseudovolume:
@@ -311,7 +326,7 @@ class TestSummandLabels:
         k = len(parts)
         n = S.ambient_n
         labels = _sum_labels(S, parts)
-        measure = _summand_mixed_volume(S, parts, k, DEFAULT_TOLERANCE)
+        measure = _summand_mixed_volume(S, parts, k)
         counts = {"parallelotope": 0, "point": 0}
         for f in S.faces[k]:
             faces = _labelled_summand_faces(parts, labels, f)

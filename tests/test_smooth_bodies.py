@@ -494,6 +494,51 @@ class TestSchwingerIntegral:
         assert res.bound <= 1e-12 * ref
 
 
+class TestScaleFree:
+    """s Q gives P_n(s Q) = s^{n/2} P_n(Q) and Q_n(s Q, B, ...) = sqrt(s) Q_n(Q, B, ...) at
+    every scale a float holds.  Gates fixed before the first run: 1e-13 relative for the
+    integral against the closed form of a ball, 1e-12 relative against the unit-scale run,
+    the reported bound for the cubature."""
+
+    SCALES = [1e-200, 1e-160, 1e-20, 1e20, 1e32, 1e40, 1e120, 1e150, 1e200]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", SCALES)
+    def test_integral(self, n, s):
+        expected = ball_pseudovolume(n) * s ** (n / 2)
+        res = smooth_quadrature([ellipsoid(n, s * np.eye(2 * n))])
+        assert res.method == "integral"
+        assert abs(res.value - expected) <= 1e-13 * expected
+        assert abs(res.value - expected) <= res.bound <= 1e-12 * expected
+        q = random_q(n, 1)
+        unit = smooth_quadrature([ellipsoid(n, q)])
+        assert smooth_quadrature([ellipsoid(n, s * q)]).value == pytest.approx(
+            unit.value * s ** (n / 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    @pytest.mark.parametrize("s", SCALES)
+    def test_mixed_cubature(self, s, boundary):
+        expected = 2 * math.pi * math.sqrt(s)
+        res = smooth_quadrature([ellipsoid(2, s * np.eye(4)), ball(2)], 20_000,
+                                boundary=boundary)
+        assert res.method == "cubature"
+        assert abs(res.value - expected) <= res.bound <= 1e-12 * expected
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_monte_carlo(self, s):
+        # det Hess_C h is constant on the sphere for s I: every draw is exact.
+        res = mc_pseudovolume(ellipsoid(2, s * np.eye(4)), 1000, RandomStream(1))
+        assert res.value == pytest.approx(2 * math.pi * s, rel=1e-12, abs=0)
+
+    def test_symmetry_test_is_relative(self):
+        r = np.linalg.qr(np.random.default_rng(INTEGRAL_SEED).normal(size=(8, 8)))[0]
+        q = 1e20 * r @ np.diag([1.0, 2, 3, 4, 5, 6, 7, 8]) @ r.T
+        assert np.max(np.abs(q - q.T)) > 1.0  # rounding in the last bits of 1e20
+        assert ellipsoid(4, q).q is not None
+        with pytest.raises(ValueError, match="symmetric"):
+            ellipsoid(1, 1e-13 * np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
 class TestMixedQuadrature:
     def test_diagonal(self):
         res = mc_mixed_pseudovolume([ball(2), ball(2)], MC, RandomStream(9))
