@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Time ``kazvol.hull`` on fixed inputs for one kazvol source tree.
+
+    python3 scripts/bench_hull.py OLD/src BENCH.json --label parent
+    python3 scripts/bench_hull.py src BENCH.json --label change
+    python3 scripts/bench_hull.py src bench.json --smoke      # Theta_4 only
+
+The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
+30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
+2n))``) and the cube [-1, 1]^8.  For each case the run records the median
+wall time of ``hull`` over ``REPS`` calls after one warm-up call, the
+f-vector and, from one more call under cProfile, the cumulative seconds in
+Qhull (``ConvexHull``), ``_facet_sets``, ``_lattice``, ``_faces`` and its
+per-face data ``_simplex_data``.  The profile is read from the functions of
+the given tree, so nothing of ``hull`` is copied here; Qhull is timed by a
+pass-through wrapper around the ``ConvexHull`` name that ``polytope`` calls.
+Profiled times carry cProfile's overhead and are for the split, not for the
+totals.  The run also records the machine, the package versions and a hash
+of the tree's sources; it stops if ``kazvol`` is imported from outside SRC
+(an installed copy, say), so the hash always names the code that ran.
+
+Each run is appended to the ``runs`` list of OUT.json (created if missing),
+so runs on two trees, alternated, sit side by side in one file.  BLAS runs
+on one thread.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Single-threaded BLAS; must be set before numpy is first imported.
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(THREAD_ENV)
+
+import argparse  # noqa: E402
+import cProfile  # noqa: E402
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import pstats  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+CLOUD_SEED = 2026
+REPS = 5  # timed ``hull`` calls per case
+LAYERS = ("_facet_sets", "_lattice", "_faces", "_simplex_data")
+
+
+def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
+    theta4 = np.vstack([np.eye(4), -np.eye(4)])  # the cross-polytope of R^4 = C^2
+    out = [("theta4", theta4)]
+    if not smoke:
+        out += [("cloud 40 in C^3", np.random.default_rng(CLOUD_SEED).normal(size=(40, 6))),
+                ("cloud 30 in C^4", np.random.default_rng(CLOUD_SEED).normal(size=(30, 8))),
+                ("cube [-1,1]^8", np.array(list(itertools.product([-1.0, 1.0], repeat=8))))]
+    return out
+
+
+def profile(polytope, points: np.ndarray) -> dict[str, float]:
+    """Cumulative seconds of one ``hull`` call and of its layers, under cProfile."""
+    qhull = polytope.ConvexHull
+
+    def ConvexHull(*args, **kwargs):  # noqa: N802 -- stands in for the name it wraps
+        return qhull(*args, **kwargs)
+
+    functions = {"hull": polytope.hull, "ConvexHull": ConvexHull}
+    functions.update({name: getattr(polytope, name) for name in LAYERS})
+    polytope.ConvexHull = ConvexHull
+    profiler = cProfile.Profile()
+    try:
+        profiler.runcall(polytope.hull, points)
+    finally:
+        polytope.ConvexHull = qhull
+    stats = pstats.Stats(profiler).stats
+    out = {}
+    for name, fn in functions.items():
+        code = fn.__code__
+        row = stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        out[name] = row[3] if row else 0.0  # cumulative time; 0 if never called
+    return out
+
+
+def run_case(polytope, points: np.ndarray) -> dict:
+    polytope.hull(points)  # warm-up
+    times = []
+    for _ in range(REPS):
+        start = time.perf_counter()
+        P = polytope.hull(points)
+        times.append(time.perf_counter() - start)
+    f_vector = P.face_vector()
+    return {"points": len(points), "n": points.shape[1] // 2, "median_s": statistics.median(times),
+            "times_s": times, "f_vector": f_vector, "faces": sum(f_vector),
+            "profile_s": profile(polytope, points)}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "machine": platform.machine(), "cpu": cpu,
+            "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(), "blas_threads": THREAD_ENV["OPENBLAS_NUM_THREADS"]}
+
+
+def sources_hash(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "kazvol").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="the source tree (the directory that holds kazvol/)")
+    parser.add_argument("out", help="JSON file the run is appended to")
+    parser.add_argument("--smoke", action="store_true", help="Theta_4 only")
+    parser.add_argument("--label", default="", help="name of the run, e.g. parent or change")
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from kazvol import polytope
+
+    if not Path(polytope.__file__).resolve().is_relative_to(src):
+        sys.exit(f"kazvol was imported from {polytope.__file__}, not from {src}")
+
+    rows = []
+    for name, points in cases(args.smoke):
+        row = {"case": name, **run_case(polytope, points)}
+        rows.append(row)
+        print(f"{name}: median {row['median_s']:.4f} s over {REPS}, "
+              f"f-vector {row['f_vector']}, profile "
+              + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))
+    run = {"label": args.label, "sources_sha256": sources_hash(src), "smoke": args.smoke,
+           "reps": REPS, "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+           "machine": machine(),
+           "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__},
+           "rows": rows}
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    doc["runs"].append(run)
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

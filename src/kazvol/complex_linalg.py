@@ -24,6 +24,7 @@ __all__ = [
     "multiply_i",
     "rho",
     "batch_rho",
+    "gram_schmidt",
     "cr_decomposition",
     "realify",
     "random_unitary",
@@ -150,21 +151,44 @@ def cr_decomposition(
     return ec_basis, prime
 
 
+def gram_schmidt(a: np.ndarray, cutoff: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Residual norms r (F, k) and orthonormal rows q (F, k, m) of F sets of k rows a (F, k, m).
+
+    Classical Gram-Schmidt, batched over the F sets by ``matmul``: row j is projected
+    off the rows of q before it twice, which keeps q orthonormal to rounding ("twice
+    is enough", Giraud, Langou and Rozloznik, Comput. Math. Appl. 2005), and r_j is
+    the norm of what is left, so prod r is the k-volume of the rows (|det R| of their
+    QR).  Real or complex a; a complex q is orthonormal in the Hermitian product.  A
+    row whose r is at most ``cutoff`` gets a zero row in q, so the rows after it are
+    not projected on noise.
+    """
+    q = np.array(a)
+    k = q.shape[1]
+    r = np.empty(q.shape[:2])
+    for j in range(k):
+        v, done = q[:, j:j + 1], q[:, :j]  # (F, 1, m) and (F, j, m), views into q
+        done_h = np.swapaxes(done.conj() if np.iscomplexobj(q) else done, 1, 2)
+        for _ in range(2 if j else 0):
+            v -= (v @ done_h) @ done
+        r[:, j] = np.linalg.norm(v[:, 0], axis=1)
+        v *= np.divide(1.0, r[:, j], out=np.zeros(len(r)), where=r[:, j] > cutoff)[:, None, None]
+    return r, q
+
+
 def batch_rho(frames: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
-    """rho and complex rank of the spans of orthonormal frames (F, 2n, k), batched.
+    """rho and complex rank of the spans of F orthonormal frames of k rows (F, k, 2n).
 
     rho is the Hermitian Gram determinant of the complexified frame z, the
-    product of its squared singular values; the complex rank counts those
-    above ``tol.eps * max(1, max|z|)``, and rho is exactly 0 where it falls
-    short of k.
+    product of the squared residual norms r of its ``gram_schmidt``; the complex
+    rank counts the r above ``tol.eps`` (``eps * max(1, max|z|)``, as |z| <= 1),
+    and rho is exactly 0 where it falls short of k.
     """
-    count, _, k = frames.shape
+    count, k, _ = frames.shape
     if k == 0:
         return np.ones(count), np.zeros(count, dtype=int)
-    z = frames[:, 0::2, :] + 1j * frames[:, 1::2, :]
-    s = np.linalg.svd(z, compute_uv=False)
-    rank = (s > tol.eps * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))[:, None]).sum(axis=1)
-    return np.where(rank == k, np.minimum((s * s).prod(axis=1), 1.0), 0.0), rank
+    r, _ = gram_schmidt(frames[:, :, 0::2] + 1j * frames[:, :, 1::2], tol.eps)
+    rank = (r > tol.eps).sum(axis=1)
+    return np.where(rank == k, np.minimum((r * r).prod(axis=1), 1.0), 0.0), rank
 
 
 def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionReport:
@@ -175,7 +199,7 @@ def rho(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOLERANCE) -> DistortionR
     on every call.
     """
     basis.check(tol)
-    value, rank = batch_rho(basis.vectors.T[None], tol)
+    value, rank = batch_rho(basis.vectors[None], tol)
     cr_dim = 2 * (basis.d - int(rank[0]))
     return DistortionReport(rho=float(value[0]), cr_dim=cr_dim, complex_dim=int(rank[0]),
                             equidimensional=cr_dim == 0)

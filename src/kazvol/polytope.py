@@ -202,10 +202,10 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, eps: float) -> dict[froze
     for start in range(0, len(qhull.equations), step):
         eqs = qhull.equations[start:start + step]
         on_plane = np.abs(coords @ eqs[:, :-1].T + eqs[:, -1]) <= eps * scale_ * 10
+        normals = eqs[:, :-1] / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
         _, first = np.unique(np.packbits(on_plane, axis=0).T, axis=0, return_index=True)
         for j in np.sort(first):
-            members = frozenset(np.flatnonzero(on_plane[:, j]).tolist())
-            out.setdefault(members, eqs[j, :-1] / np.linalg.norm(eqs[j, :-1]))
+            out.setdefault(frozenset(np.flatnonzero(on_plane[:, j]).tolist()), normals[j])
     big = [s for s in out if len(s) > coords.shape[1]]
     return {s: normal for s, normal in out.items() if not any(s < t for t in big)}
 
@@ -242,17 +242,19 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int,
 
 
 def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|det R| / k!, rho and orthonormal frames (F, 2n, k) of F sets of k edges (F, k, 2n).
+    """prod r / k!, rho and orthonormal row frames (F, k, 2n) of F sets of k edges (F, k, 2n).
 
-    One batched QR of the edges gives an orthonormal frame of each span.  For
-    the edges of a k-simplex from one vertex, |det R| / k! is its vol_k; for
-    the k edges of a k-parallelotope, the mixed volume V_k of the k segments.
+    One ``cl.gram_schmidt`` pass over the edges, scaled by a power of two so that
+    no squared norm over- or underflows, gives the residual norms r and a frame of
+    each span.  For the edges of a k-simplex from one vertex, prod r / k! is its
+    vol_k; for the k edges of a k-parallelotope, the mixed volume V_k.
     """
     count, k, n2 = edges.shape
-    q, r = np.linalg.qr(np.swapaxes(edges, 1, 2))
-    vol = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
+    exponent = int(np.frexp(max(edges.max(), -edges.min()))[1])
+    r, q = cl.gram_schmidt(np.ldexp(edges, -exponent))
+    vol = np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k)
     # k > n real directions never span a complex-equidimensional space: rho = 0 with no
-    # SVD, here and for the improper face.  ``cl.rho`` still reports their complex rank.
+    # Gram-Schmidt, here and for the improper face.  ``cl.rho`` still reports their complex rank.
     return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
 
 
@@ -266,23 +268,25 @@ def _faces(
 ) -> dict[int, list[Face]]:
     """Faces with their data: proper faces from the lattice, then the improper face.
 
-    Simplicial k-faces get vol_k and rho from one batched pass per dimension;
-    the improper face takes the given volume and the rho of the orthonormal
-    frame (rows) of E_Gamma.  Other faces compute theirs on first access.
+    Simplicial k-faces are built with vol_k and rho from one batched pass per
+    dimension; the improper face with the given volume and the rho of the
+    orthonormal frame (rows) of E_Gamma.  Other faces compute theirs on first access.
     """
     faces: dict[int, list[Face]] = {}
     for k, ids_list in sorted(lattice.items()):
-        faces[k] = [Face(ids, k, vertices, tol) for ids in ids_list]
-        simplices = [f for f in faces[k] if len(f.vertex_ids) == k + 1]
-        data = [(1.0, 1.0)] * len(simplices)
+        simplices = [ids for ids in ids_list if len(ids) == k + 1]
+        data = iter([{"volume_k": 1.0, "rho": 1.0}] * len(simplices))
         if k > 0 and simplices:
-            idx = np.array([f.vertex_ids for f in simplices])
+            idx = np.array(simplices)
             vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
-            data = zip(vol.tolist(), rho.tolist())
-        for f, (vol, rho) in zip(simplices, data):
-            f.__dict__.update(volume_k=vol, rho=rho)
+            data = ({"volume_k": v, "rho": r} for v, r in zip(vol.tolist(), rho.tolist()))
+        # One ``__init__`` per dimension; each face takes a copy of its state, a simplex its data.
+        base = Face(ids_list[0], k, vertices, tol).__dict__
+        faces[k] = [object.__new__(Face) for _ in ids_list]
+        for f, ids in zip(faces[k], ids_list):
+            f.__dict__.update(base, vertex_ids=ids, **(next(data) if len(ids) == k + 1 else {}))
     top = Face(tuple(range(len(vertices))), d, vertices, tol)
-    rho = 0.0 if 2 * d > frame.shape[1] else float(cl.batch_rho(frame.T[None], tol)[0][0])
+    rho = 0.0 if 2 * d > frame.shape[1] else float(cl.batch_rho(frame[None], tol)[0][0])
     top.__dict__.update(volume_k=volume, rho=rho)
     faces.setdefault(d, []).append(top)
     _euler_check(faces, tol)
@@ -343,9 +347,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
 
     lattice = _lattice([tuple(sorted(ids)) for ids in facet_sets], d)
     faces = _faces(vertices, lattice, d, float(qh.volume), basis_rows, tol)
-    facet_data = tuple(
-        (ids, normal @ basis_rows) for ids, normal in facet_sets.items()
-    )
+    facet_data = tuple(zip(facet_sets, np.array(list(facet_sets.values())) @ basis_rows))
     return Polytope(n, vertices, faces, d, span, center, facet_data, tol)
 
 

@@ -122,8 +122,8 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     the support-function route, only where a label set is not a face).  If one
     of them is a vertex, V_k = 0.  If all are edges, Delta is a parallelotope:
     V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and ``hull_basis`` come
-    from the same batched QR of the edges.  Every other face gets
-    ``mixed_volume`` on first read.
+    from the same batched Gram-Schmidt pass over the edges (``_simplex_data``).
+    Every other face gets ``mixed_volume`` on first read.
     """
     labels = _sum_labels(S, parts)
     known: dict[Face, float] = {}
@@ -142,7 +142,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     if edges:
         vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), S.tol)
         for (f, _), v, r, q in zip(edges, vol.tolist(), rho.tolist(), frames):
-            f.__dict__.update(hull_basis=cl.SubspaceBasis(S.ambient_n, q.T), rho=r)
+            f.__dict__.update(hull_basis=cl.SubspaceBasis(S.ambient_n, q), rho=r)
             known[f] = v
 
     def mixed(f: Face) -> float:

@@ -142,6 +142,8 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     Its determinant is (det A - u^T adj(A) conj(u)) / h^n by the matrix
     determinant lemma (Harville 1997, 18.1), with the adjugate taken by
     cofactors, since A may be singular.
+    The callables work on Q / max|Q| and scale h, its gradient and Hessian back
+    by sqrt(max|Q|), so det A and adj(A) never under- or overflow.
     When ker Q is one line, h has its kink there, and the singular axis is
     its unit null vector, signed so that its largest entry is positive.  A
     kernel of dimension 2 or more is rejected: the body then lies in a
@@ -150,23 +152,25 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = _complex_hessian_of(q)
-    floor = 1e-12 * math.sqrt(np.max(np.abs(q)))
     eigenvalues, eigenvectors = _eigh_with_kernel(q)
     null = eigenvectors[:, eigenvalues == 0]
     if null.shape[1] >= 2:
         raise ValueError(f"ker Q has dimension {null.shape[1]}; a support body sqrt(x^T Q x) "
                          "needs a kernel of dimension 0 or 1, since the sphere average of "
                          "det Hess_C h misses the mass on a larger kernel")
+    scale = float(np.max(np.abs(q)))
+    root, unit = math.sqrt(scale), q / scale
+    a = _complex_hessian_of(unit)
+    det_a, adj = np.linalg.det(a), _adjugate(a)
 
     def h_and_qx(z):
         x = cl.complex_to_real(z)
-        qx = x @ q
+        qx = x @ unit
         return np.sqrt(np.einsum("...i,...i->...", qx, x)), qx
 
     def h_and_u(z):
         hv, qx = h_and_qx(z)
-        if not np.all(hv > floor):
+        if not np.all(hv > 1e-12):
             raise SingularPoint("support value underflows on the singular line")
         return hv, cl.real_to_complex(qx / (2 * hv)[:, None])
 
@@ -174,23 +178,20 @@ def _quadratic_body(n: int, q: np.ndarray, kind: str) -> SupportBody:
         hv, u = h_and_u(z)
         out = np.conj(u)[:, :, None] * u[:, None, :]
         np.subtract(a, out, out=out)
-        out /= hv[:, None, None]
+        out /= (hv / root)[:, None, None]
         return out
 
     def gradient(z):
-        return np.conj(h_and_u(z)[1])
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a large Q: see ``_density``
-        det_a, adj = np.linalg.det(a), _adjugate(a)
+        return root * np.conj(h_and_u(z)[1])
 
     def det_hessian(z):
         hv, u = h_and_u(z)
-        return (det_a - ((u @ adj) * np.conj(u)).sum(1)) / hv**n
+        return (det_a - ((u @ adj) * np.conj(u)).sum(1)) / (hv / root)**n
 
     axis = None
     if null.shape[1]:
         axis = null[:, 0] * np.sign(null[np.argmax(np.abs(null[:, 0])), 0])
-    return SupportBody(n, kind, lambda z: h_and_qx(z)[0], hessian, gradient, det_hessian,
+    return SupportBody(n, kind, lambda z: root * h_and_qx(z)[0], hessian, gradient, det_hessian,
                        singular_axis=axis, q=q)
 
 

@@ -15,8 +15,13 @@ from kazvol import (
     realify,
     rho,
 )
-from kazvol.complex_linalg import _t_vectors, complex_to_real, multiply_i, real_to_complex
-from kazvol.numerics import kappa
+from kazvol.complex_linalg import (_t_vectors, batch_rho, complex_to_real, gram_schmidt,
+                                   multiply_i, real_to_complex)
+from kazvol.numerics import DEFAULT_TOLERANCE, kappa
+from kazvol.polytope import _simplex_data
+
+GS_SEED = 1905  # random rows and frames for the Gram-Schmidt kernel tests
+SLIVER_SEED = 1910  # the sliver simplices
 
 
 def basis_of(n, rows):
@@ -153,6 +158,88 @@ class TestRho:
         assert rho(b).rho == pytest.approx(1.0, abs=1e-12)
         swapped = b.vectors[:, [0, 2, 1, 3]]
         assert rho(SubspaceBasis.from_span(2, swapped)).rho == pytest.approx(0.0, abs=1e-12)
+
+
+class TestGramSchmidt:
+    """``gram_schmidt`` against LAPACK's QR and ``batch_rho`` against the SVD (test oracles
+    only), and both against 40-digit arithmetic on slivers."""
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k, m", [(1, 4), (3, 6), (4, 8), (3, 3)])
+    def test_against_qr(self, k, m, complex_rows):
+        rng = np.random.default_rng(GS_SEED)
+        a = rng.normal(size=(50, k, m))
+        if complex_rows:
+            a = a + 1j * rng.normal(size=(50, k, m))
+        r, q = gram_schmidt(a)
+        qr_q, qr_r = np.linalg.qr(np.swapaxes(a, 1, 2))
+        np.testing.assert_allclose(r, np.abs(np.diagonal(qr_r, axis1=1, axis2=2)), rtol=1e-12)
+        # The same rows up to a phase each, orthonormal in the Hermitian product.
+        overlap = np.abs((q.conj() * np.swapaxes(qr_q, 1, 2)).sum(axis=2))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+        np.testing.assert_allclose(q @ np.swapaxes(q.conj(), 1, 2),
+                                   np.broadcast_to(np.eye(k), (50, k, k)), atol=1e-14)
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_dependent_row_gets_a_zero_row(self, complex_rows):
+        rng = np.random.default_rng(GS_SEED)
+        a = rng.normal(size=(20, 4, 8))
+        if complex_rows:
+            a = a + 1j * rng.normal(size=(20, 4, 8))
+        a[:, 1] = (2 - 3j if complex_rows else 2.0) * a[:, 0]  # inside the span of row 0
+        r, q = gram_schmidt(a, cutoff=1e-9)
+        assert np.all(r[:, 1] <= 1e-14 * r[:, 0])
+        assert np.all(q[:, 1] == 0)
+        assert np.all((r > 1e-9).sum(axis=1) == 3)
+        # The rows after it are projected on rows 0, 2 and 3 only, and stay orthonormal.
+        kept = q[:, [0, 2, 3]]
+        np.testing.assert_allclose(kept @ np.swapaxes(kept.conj(), 1, 2),
+                                   np.broadcast_to(np.eye(3), (20, 3, 3)), atol=1e-14)
+        want = gram_schmidt(a[:, [0, 2, 3]])[0]
+        np.testing.assert_allclose(r[:, [0, 2, 3]], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_batch_rho_against_svd(self, k, n):
+        rng = np.random.default_rng(GS_SEED)
+        frames = np.linalg.qr(rng.normal(size=(40, 2 * n, k)))[0].swapaxes(1, 2)
+        value, rank = batch_rho(frames, DEFAULT_TOLERANCE)
+        s = np.linalg.svd(frames[:, :, 0::2] + 1j * frames[:, :, 1::2], compute_uv=False)
+        np.testing.assert_allclose(value, (s * s).prod(axis=1), rtol=1e-12, atol=1e-15)
+        assert np.all(rank == k)
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (4, 3), (4, 4)])
+    def test_batch_rho_zero_on_a_complex_line(self, k, n):
+        """Frames whose span holds v and iv: rho exactly 0 and complex rank k - 1."""
+        rng = np.random.default_rng(GS_SEED)
+        rows = rng.normal(size=(30, k, 2 * n))
+        rows[:, 1] = multiply_i(rows[:, 0])
+        frames = np.stack([SubspaceBasis.from_span(n, r).vectors for r in rows])
+        value, rank = batch_rho(frames, DEFAULT_TOLERANCE)
+        assert np.all(value == 0.0)
+        assert np.all(rank == k - 1)
+
+    @pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (4, 4)])
+    def test_sliver_simplices_against_40_digits(self, k, n, offset):
+        """One edge ``offset`` off the span of the others, condition number kappa:
+        vol_k within kappa * 1e-15 relative and rho within kappa * 1e-15 of 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng([SLIVER_SEED, k])
+        edges = rng.normal(size=(k, 2 * n))
+        off = rng.normal(size=2 * n)
+        off -= np.linalg.lstsq(edges[:-1].T, off, rcond=None)[0] @ edges[:-1]
+        edges[-1] = rng.normal(size=k - 1) @ edges[:-1] + offset * off / np.linalg.norm(off)
+        bound = np.linalg.cond(edges) * 1e-15
+        vol, rho_, _ = _simplex_data(edges[None], DEFAULT_TOLERANCE)
+        with mpmath.workdps(40):
+            w = mpmath.matrix(edges.tolist())
+            z = mpmath.matrix([[mpmath.mpc(row[2 * j], row[2 * j + 1]) for j in range(n)]
+                               for row in edges.tolist()])
+            gram = mpmath.det(w * w.T)
+            exact_vol = float(mpmath.sqrt(gram) / math.factorial(k))
+            exact_rho = float(mpmath.re(mpmath.det(z * z.H)) / gram)
+        assert abs(vol[0] - exact_vol) <= bound * exact_vol
+        assert abs(rho_[0] - exact_rho) <= bound
 
 
 class TestCrDecomposition:

@@ -530,6 +530,17 @@ class TestScaleFree:
         res = mc_pseudovolume(ellipsoid(2, s * np.eye(4)), 1000, RandomStream(1))
         assert res.value == pytest.approx(2 * math.pi * s, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e200])
+    def test_oracle_route(self, s):
+        """A body's own callables are scale-free too: with ``q=None`` the cubature reads
+        the body's ``det_hessian``, not a unit-scale copy, and det A and adj(A) taken at
+        the body's scale would overflow (1e200) or lose digits (1e-160, 1e-200)."""
+        res = smooth_quadrature([dataclasses.replace(ellipsoid(2, s * np.eye(4)), q=None)],
+                                70_000, RandomStream(1))
+        expected = 2 * math.pi * s
+        assert res.method == "cubature"
+        assert abs(res.value - expected) <= res.bound <= 1e-12 * expected
+
     def test_symmetry_test_is_relative(self):
         r = np.linalg.qr(np.random.default_rng(INTEGRAL_SEED).normal(size=(8, 8)))[0]
         q = 1e20 * r @ np.diag([1.0, 2, 3, 4, 5, 6, 7, 8]) @ r.T
