@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time ``kazvol.hull`` on fixed inputs for one kazvol source tree.
+"""Time ``kazvol.hull`` and the closed-form outer angles on fixed inputs for one
+kazvol source tree.
 
     python3 scripts/bench_hull.py OLD/src BENCH.json --label parent
     python3 scripts/bench_hull.py src BENCH.json --label change
@@ -15,9 +16,12 @@ per-face data ``_simplex_data``.  The profile is read from the functions of
 the given tree, so nothing of ``hull`` is copied here; Qhull is timed by a
 pass-through wrapper around the ``ConvexHull`` name that ``polytope`` calls.
 Profiled times carry cProfile's overhead and are for the split, not for the
-totals.  The run also records the machine, the package versions and a hash
-of the tree's sources; it stops if ``kazvol`` is imported from outside SRC
-(an installed copy, say), so the hash always names the code that ran.
+totals.  Each timed ``hull`` call is followed by one timed pass of a new
+``AnglePass(P).angle`` over every face whose normal cone has dimension 2 or 3
+(the closed forms), and the run records the median of those passes too.  The
+run also records the machine, the package versions and a hash of the tree's
+sources; it stops if ``kazvol`` is imported from outside SRC (an installed
+copy, say), so the hash always names the code that ran.
 
 Each run is appended to the ``runs`` list of OUT.json (created if missing),
 so runs on two trees, alternated, sit side by side in one file.  BLAS runs
@@ -86,17 +90,31 @@ def profile(polytope, points: np.ndarray) -> dict[str, float]:
     return out
 
 
-def run_case(polytope, points: np.ndarray) -> dict:
+def angle_pass(angle_pass_cls, P) -> tuple[float, int]:
+    """Seconds of one new ``AnglePass`` over the faces with normal cones of dimension 2 or 3,
+    and the number of those faces."""
+    faces = [f for f in P.all_faces() if P.dim_real - f.k in (2, 3)]
+    start = time.perf_counter()
+    angles = angle_pass_cls(P)
+    for f in faces:
+        angles.angle(f)
+    return time.perf_counter() - start, len(faces)
+
+
+def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
     polytope.hull(points)  # warm-up
-    times = []
+    times, angle_times = [], []
     for _ in range(REPS):
         start = time.perf_counter()
         P = polytope.hull(points)
         times.append(time.perf_counter() - start)
+        seconds, angle_faces = angle_pass(angle_pass_cls, P)
+        angle_times.append(seconds)
     f_vector = P.face_vector()
     return {"points": len(points), "n": points.shape[1] // 2, "median_s": statistics.median(times),
             "times_s": times, "f_vector": f_vector, "faces": sum(f_vector),
-            "profile_s": profile(polytope, points)}
+            "angle_faces": angle_faces, "angles_median_s": statistics.median(angle_times),
+            "angles_times_s": angle_times, "profile_s": profile(polytope, points)}
 
 
 def machine() -> dict:
@@ -129,17 +147,18 @@ def main() -> None:
     args = parser.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    from kazvol import polytope
+    from kazvol import AnglePass, polytope
 
     if not Path(polytope.__file__).resolve().is_relative_to(src):
         sys.exit(f"kazvol was imported from {polytope.__file__}, not from {src}")
 
     rows = []
     for name, points in cases(args.smoke):
-        row = {"case": name, **run_case(polytope, points)}
+        row = {"case": name, **run_case(polytope, AnglePass, points)}
         rows.append(row)
         print(f"{name}: median {row['median_s']:.4f} s over {REPS}, "
-              f"f-vector {row['f_vector']}, profile "
+              f"f-vector {row['f_vector']}, angles of {row['angle_faces']} faces: median "
+              f"{row['angles_median_s']:.4f} s, profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))
     run = {"label": args.label, "sources_sha256": sources_hash(src), "smoke": args.smoke,
            "reps": REPS, "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

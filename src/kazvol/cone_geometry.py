@@ -2,13 +2,14 @@
 
 The outer angle of a k-face of a d-polytope is the solid-angle fraction of
 its dual cone inside the (d-k)-dimensional space E_Delta^perp ∩ E_Gamma.
-Improper faces and facets have exact angles (1 and 1/2).  Normal cones of
-dimension 2 and 3 are measured in closed form from the facet normals that
-span them: the angle between the two rays, or a fan of spherical triangles
-(Van Oosterom & Strackee, IEEE TBME 1983).  Only cones of dimension 4 and up
-are estimated by Monte Carlo classification of uniform directions sampled in
-the normal space, a vertex like any other face; the hit fraction is the
-package's one estimator :func:`numerics.sampled_mean`.  Every angle is a
+Improper faces and facets have exact angles (1 and 1/2).  Cones of dimension
+2 and 3 are spanned by the outer normals of the facets through the face (one
+product with the facet incidence finds them for a batch): two rays make the
+angle 2 atan2(|a - b|, |a + b|) (Kahan), m rays in a Gram-Schmidt 3-frame a
+fan of spherical triangles (Van Oosterom & Strackee, IEEE TBME 1983).  Cones
+of dimension 4 and up, a vertex's too, are estimated one face at a time by
+Monte Carlo classification of uniform directions in the normal space with
+the package's one estimator :func:`numerics.sampled_mean`.  Every angle is a
 :class:`numerics.Estimate`: a closed form carries its rounding in ``bound``
 and method "exact", a sampled angle its standard error, the number of
 unambiguous draws it kept and method "monte_carlo".
@@ -63,32 +64,43 @@ def _classify(P: Polytope, face: Face, basis: cl.SubspaceBasis, samples: int,
     return Estimate(value, err, method="monte_carlo", samples=used)
 
 
-def _exact_angle(P: Polytope, face: Face, basis: cl.SubspaceBasis) -> Estimate | None:
-    """Closed-form angle of a normal cone of dimension 2 or 3, else None.
+def _exact_angles(P: Polytope, faces: list[Face]) -> list[Estimate | None]:
+    """Closed-form angles of faces of one dimension whose normal cones have dimension 2 or 3.
 
-    Each facet through the face contributes its outer normal, an extreme ray
-    of the cone.  Its ``bound`` is a floating-point error bound, so that gates
-    on exact values still tolerate the last-ulp rounding.
+    ``bound`` is a rounding bound, so that gates on exact values tolerate the
+    last ulp.  Any other face, or one whose rays do not span its cone, gets None.
     """
-    if basis.d > 3:
-        return None
-    rays = np.array(P.facets_containing(face)) @ basis.vectors.T
-    rays /= np.linalg.norm(rays, axis=1)[:, None]
-    if basis.d == 2 and len(rays) == 2:
-        a, b = rays
-        theta = np.arctan2(abs(a[0] * b[1] - a[1] * b[0]), a @ b)
-        return Estimate(float(theta / (2 * np.pi)), bound=16 * _EPS)
-    if basis.d == 3 and len(rays) >= 3:
-        # Cyclic order around the interior direction, then a fan from rays[0].
-        w = rays.sum(axis=0)
-        e1 = np.cross(w, rays[0])
-        e2 = np.cross(w, e1)
-        rays = rays[np.argsort(np.arctan2(rays @ e2, rays @ e1))]
-        a, b, c = rays[0], rays[1:-1], rays[2:]
-        triple = np.abs(np.cross(b, c) @ a)
-        omega = 2 * np.arctan2(triple, 1 + b @ a + np.sum(b * c, axis=1) + c @ a)
-        return Estimate(float(omega.sum() / (4 * np.pi)), bound=16 * _EPS * len(rays))
-    return None
+    out: list[Estimate | None] = [None] * len(faces)
+    c = P.dim_real - faces[0].k
+    if c not in (2, 3):
+        return out
+    face_idx, facet_idx = P._facet_pairs([f.vertex_ids for f in faces])
+    count = np.bincount(face_idx, minlength=len(faces))
+    for m in [2] if c == 2 else np.unique(count[count >= 3]).tolist():
+        group = np.flatnonzero(count == m)
+        rays = P._facets[1][facet_idx[np.searchsorted(face_idx, group)[:, None] + np.arange(m)]]
+        if c == 2:
+            a, b = rays[:, 0], rays[:, 1]
+            value = np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1)) / np.pi
+        else:
+            r, q = cl.gram_schmidt(rays, P.tol.eps)
+            spans = (r > P.tol.eps).sum(axis=1) == 3
+            frame = np.argsort(r <= P.tol.eps, axis=1, kind="stable")[:, None, :3]
+            rays = np.take_along_axis(rays @ np.swapaxes(q, 1, 2), frame, axis=2)
+            rays /= np.linalg.norm(rays, axis=2)[..., None]
+            # Cyclic order around the interior direction, then a fan from the first ray.
+            w = rays.sum(axis=1)
+            e1 = np.cross(w, rays[:, 0])[:, None]
+            turn = np.arctan2(np.sum(rays * np.cross(w[:, None], e1), axis=2),
+                              np.sum(rays * e1, axis=2))
+            rays = np.take_along_axis(rays, np.argsort(turn, axis=1)[..., None], axis=1)
+            a, b, b2 = rays[:, :1], rays[:, 1:-1], rays[:, 2:]
+            omega = 2 * np.arctan2(np.abs(np.sum(np.cross(b, b2) * a, axis=2)),
+                                   1 + np.sum(b * a + b * b2 + b2 * a, axis=2))
+            group, value = group[spans], omega.sum(axis=1)[spans] / (4 * np.pi)
+        for i, v in zip(group.tolist(), value.tolist()):
+            out[i] = Estimate(v, bound=16 * _EPS * (m if c == 3 else 1))
+    return out
 
 
 def outer_angle(
@@ -103,14 +115,15 @@ def outer_angle(
         return Estimate(1.0)
     if face.k == d - 1:
         return Estimate(0.5)
-    basis = _normal_space(P, face)
-    return _exact_angle(P, face, basis) or _classify(P, face, basis, samples, stream)
+    return (_exact_angles(P, [face])[0]
+            or _classify(P, face, _normal_space(P, face), samples, stream))
 
 
 class AnglePass:
     """Shared, cached angle computation for all faces of one polytope.
 
-    Per-face Monte Carlo runs use substreams derived from the face's position
+    The first face asked of a dimension brings the closed forms of all its
+    faces in one batch.  A sampled face draws on the substream of its position
     in the lattice, so results are deterministic in (seed, stream_id, samples).
     """
 
@@ -121,9 +134,15 @@ class AnglePass:
         self.stream = stream
         self._cache: dict[frozenset[int], Estimate] = {}
         self._order = {f.id: i for i, f in enumerate(P.all_faces())}
+        self._swept: set[int] = set()
 
     def angle(self, face: Face) -> Estimate:
         key = face.id
+        if face.k not in self._swept:
+            self._swept.add(face.k)
+            faces = self.polytope.faces[face.k]
+            exact = zip(faces, _exact_angles(self.polytope, faces))
+            self._cache.update((f.id, est) for f, est in exact if est is not None)
         if key not in self._cache:
             sub = self.stream.substream(self._order.get(key, len(self._order)))
             self._cache[key] = outer_angle(self.polytope, key, self.samples, sub)

@@ -143,9 +143,27 @@ class Polytope:
     def face_vector(self) -> list[int]:
         return [len(self.faces.get(k, [])) for k in range(self.dim_real + 1)]
 
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (facets, V) vertex incidence and the (facets, 2n) outer unit normals."""
+        return (_membership([ids for ids, _ in self.facet_data], self.n_vertices),
+                np.reshape([normal for _, normal in self.facet_data], (-1, 2 * self.ambient_n)))
+
+    def _facet_pairs(self, id_sets: list) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i, j), in row-major order, of the vertex sets i that lie in facet j:
+        a set's membership row times the incidence equals its size.  One matmul per chunk
+        of about 2**20 set-facet pairs."""
+        incidence, member = self._facets[0], _membership(id_sets, self.n_vertices)
+        size, step = member.sum(axis=1)[:, None], max(1, 2**20 // max(1, len(incidence)))
+        sets, facets = [], []
+        for start in range(0, len(member), step):
+            i, j = np.nonzero(member[start:start + step] @ incidence.T == size[start:start + step])
+            sets.append(i + start)
+            facets.append(j)
+        return np.concatenate(sets), np.concatenate(facets)
+
     def facets_containing(self, face: Face) -> list[np.ndarray]:
-        ids = face.id
-        return [normal for fids, normal in self.facet_data if ids <= fids]
+        return list(self._facets[1][self._facet_pairs([face.vertex_ids])[1]])
 
     def witness_direction(self, face: Face) -> np.ndarray:
         """A direction in the relative interior of the dual cone of the face.
@@ -158,6 +176,14 @@ class Polytope:
         if not normals:
             raise FaceNotFound(sorted(face.id))
         return np.sum(normals, axis=0)
+
+
+def _membership(id_sets: list, count: int) -> np.ndarray:
+    """(len(id_sets), count) float32 0/1 rows, row i marking the ids of set i."""
+    sizes = [len(ids) for ids in id_sets]
+    out = np.zeros((len(sizes), count), dtype=np.float32)
+    out[np.repeat(np.arange(len(sizes)), sizes), [v for ids in id_sets for v in ids]] = 1
+    return out
 
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
@@ -365,7 +391,7 @@ def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
         # the intersection of the facets through it (P itself if there are none).
-        through = [ids for ids, _ in P.facet_data if members <= ids]
+        through = [P.facet_data[j][0] for j in P._facet_pairs([members])[1]]
         face = P.face_by_ids(frozenset.intersection(*through)) if through else P.improper_face
     return h, face
 

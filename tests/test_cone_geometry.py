@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from kazvol import AnglePass, RandomStream, hull, outer_angle
+from kazvol import AnglePass, RandomStream, hull, minkowski_sum, outer_angle, pseudovolume
 from kazvol import cone_geometry
-from kazvol.cone_geometry import _classify, _normal_space
+from kazvol.cone_geometry import _classify, _exact_angles, _normal_space
 from kazvol.numerics import weighted_sum
 
 from conftest import SAMPLES, random_polytope
@@ -197,3 +198,82 @@ class TestAnglePass:
         # Lower-dimensional cones are exact and sample nothing more.
         ap.angle(cube4.faces[1][0])
         assert sum(calls) == 6 * SAMPLES
+
+
+class TestBatchedAngles:
+    """``AnglePass`` takes the closed forms of a whole dimension in one batch."""
+
+    # Hull seeds and the sample count were fixed before the first run.
+    SEED_C2, SEED_C3, SEED_MIXED = 2031, 2032, 2033
+    MC_SAMPLES = 100_000
+
+    @staticmethod
+    def closed_form_faces(P):
+        return [f for f in P.all_faces() if P.dim_real - f.k <= 3]
+
+    def test_pass_equals_one_face_bit_for_bit(self, theta4, cube4, theta3):
+        polytopes = [theta4, cube4, theta3, minkowski_sum([theta4, cube4]),
+                     random_polytope(np.random.default_rng(self.SEED_C2), 10),
+                     random_polytope(np.random.default_rng(self.SEED_C3), 12, ambient=3)]
+        checked = 0
+        for P in polytopes:
+            ap = AnglePass(P, SAMPLES)
+            for f in self.closed_form_faces(P):
+                got, want = ap.angle(f), outer_angle(P, f.id, SAMPLES)
+                assert got.method == "exact"
+                assert (got.value, got.std_error, got.bound) == (
+                    want.value, want.std_error, want.bound), f.id
+                checked += 1
+        assert checked > 1000
+
+    def test_mixed_ray_counts_match_sampling(self, theta4, cube4, stream):
+        # Edges of a 4-polytope have 3-dimensional normal cones; Theta_4's have
+        # 4 rays, the cube's 3, and a random hull's edges mix counts in one batch.
+        assert {len(theta4.facets_containing(f)) for f in theta4.faces[1]} == {4}
+        assert {len(cube4.facets_containing(f)) for f in cube4.faces[1]} == {3}
+        P = random_polytope(np.random.default_rng(self.SEED_MIXED), 10)
+        edges = P.faces[1]
+        assert len({len(P.facets_containing(f)) for f in edges}) >= 2
+        for i, (f, est) in enumerate(zip(edges, _exact_angles(P, edges))):
+            assert est.method == "exact"
+            mc = _classify(P, f, _normal_space(P, f), self.MC_SAMPLES, stream.substream(i))
+            assert abs(est.value - mc.value) <= 4 * mc.std_error, f.id
+
+    def test_closed_forms_build_no_face_basis(self, theta4, cube4):
+        # P_2 of Theta_4 reads simplices only, whose data hull builds; the cube's
+        # square 2-faces take a basis for their vol_2, so there only the angles run.
+        pseudovolume(theta4)
+        for P in (theta4, cube4):
+            ap = AnglePass(P, SAMPLES)
+            faces = self.closed_form_faces(P)
+            for f in faces:
+                ap.angle(f)
+            assert not [f.id for f in faces if "hull_basis" in f.__dict__]
+
+    def test_sampled_angle_keeps_its_draws(self, cube4, stream):
+        order = [f.id for f in cube4.all_faces()]
+        for v in cube4.faces[0][:2]:
+            got = AnglePass(cube4, SAMPLES, stream).angle(v)
+            want = outer_angle(cube4, v.id, SAMPLES, stream.substream(order.index(v.id)))
+            assert got.method == "monte_carlo"
+            assert (got.value, got.std_error, got.samples) == (
+                want.value, want.std_error, want.samples)
+
+    def test_nearly_parallel_normals(self):
+        # The vertex (0, 1) turns by delta.  The hexagon is symmetric in both
+        # axes, so the frame of E_Gamma is a signed permutation and the two
+        # normals carry Qhull's rounding only; atan2(sqrt(1 - (a.b)^2), a.b)
+        # would keep about half the digits of the angle.
+        delta = 1e-6
+        e = math.tan(delta / 2)
+        pts = np.array([[-1, 1 - e], [0, 1], [1, 1 - e], [1, e - 1], [0, -1], [-1, e - 1]])
+        P = hull(pts)
+        vertex = next(i for i, v in enumerate(P.vertices) if (v == pts[1]).all())
+        a, b, c = (mpmath.matrix([mpmath.mpf(float(x)) for x in p]) for p in pts[:3])
+        u, w = b - a, c - b
+        with mpmath.workdps(40):
+            turn = mpmath.atan2(abs(u[0] * w[1] - u[1] * w[0]), u[0] * w[0] + u[1] * w[1])
+            want = turn / (2 * mpmath.pi)
+        est = outer_angle(P, [vertex])
+        assert est.method == "exact"
+        assert abs(est.value - want) <= 1e-12 * want
