@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time ``kazvol.hull`` and the closed-form outer angles on fixed inputs for one
-kazvol source tree.
+"""Time ``kazvol.hull`` with the face reads of its callers and the closed-form outer
+angles on fixed inputs for one kazvol source tree.
 
     python3 scripts/bench_hull.py OLD/src BENCH.json --label parent
     python3 scripts/bench_hull.py src BENCH.json --label change
@@ -8,20 +8,31 @@ kazvol source tree.
 
 The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
-2n))``) and the cube [-1, 1]^8.  For each case the run records the median
-wall time of ``hull`` over ``REPS`` calls after one warm-up call, the
-f-vector and, from one more call under cProfile, the cumulative seconds in
-Qhull (``ConvexHull``), ``_facet_sets``, ``_lattice``, ``_faces`` and its
-per-face data ``_simplex_data``.  The profile is read from the functions of
-the given tree, so nothing of ``hull`` is copied here; Qhull is timed by a
-pass-through wrapper around the ``ConvexHull`` name that ``polytope`` calls.
-Profiled times carry cProfile's overhead and are for the split, not for the
-totals.  Each timed ``hull`` call is followed by one timed pass of a new
-``AnglePass(P).angle`` over every face whose normal cone has dimension 2 or 3
-(the closed forms), and the run records the median of those passes too.  The
-run also records the machine, the package versions and a hash of the tree's
-sources; it stops if ``kazvol`` is imported from outside SRC (an installed
-copy, say), so the hash always names the code that ran.
+2n))``) and the cube [-1, 1]^8.  ``hull`` builds each dimension's faces on
+first read, so ``hull`` alone leaves out work; each case times two paths
+instead, each as the median wall time over ``REPS`` calls after one warm-up
+call:
+
+- eager: ``hull`` plus a read of every dimension of ``P.faces``, the work of
+  a caller that reads every face (``kazvol faces``);
+- volume: ``hull``, ``face_vector()`` and ``improper_face.volume_k``, the
+  work of ``kazvol volume``.
+
+It also records the f-vector and, from one more eager call under cProfile,
+the cumulative seconds of the whole call, of ``hull``, of Qhull
+(``ConvexHull``), ``_facet_sets``, ``_lattice``, the per-dimension face
+builder ``_build_faces`` and its per-face data ``_simplex_data``; a name the
+tree does not define is left out of the record.  The profile is read from
+the functions of the given tree, so nothing of ``hull`` is copied here;
+Qhull is timed by a pass-through wrapper around the ``ConvexHull`` name that
+``polytope`` calls.  Profiled times carry cProfile's overhead and are for
+the split, not for the totals.  Each timed eager call is followed by one
+timed pass of a new ``AnglePass(P).angle`` over every face whose normal cone
+has dimension 2 or 3 (the closed forms), and the run records the median of
+those passes too.  The run also records the machine, the package versions
+and a hash of the tree's sources; it stops if ``kazvol`` is imported from
+outside SRC (an installed copy, say), so the hash always names the code
+that ran.
 
 Each run is appended to the ``runs`` list of OUT.json (created if missing),
 so runs on two trees, alternated, sit side by side in one file.  BLAS runs
@@ -52,8 +63,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 CLOUD_SEED = 2026
-REPS = 5  # timed ``hull`` calls per case
-LAYERS = ("_facet_sets", "_lattice", "_faces", "_simplex_data")
+REPS = 5  # timed calls of each path per case
+LAYERS = ("_facet_sets", "_lattice", "_build_faces", "_simplex_data")
 
 
 def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
@@ -66,19 +77,34 @@ def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def eager(polytope, points: np.ndarray):
+    """``hull`` and every dimension of its faces."""
+    P = polytope.hull(points)
+    for k in P.faces:
+        P.faces[k]
+    return P
+
+
+def volume(polytope, points: np.ndarray) -> float:
+    """``hull``, its f-vector and its volume, as ``kazvol volume`` reads them."""
+    P = polytope.hull(points)
+    P.face_vector()
+    return P.improper_face.volume_k
+
+
 def profile(polytope, points: np.ndarray) -> dict[str, float]:
-    """Cumulative seconds of one ``hull`` call and of its layers, under cProfile."""
+    """Cumulative seconds of one eager call and of its layers, under cProfile."""
     qhull = polytope.ConvexHull
 
     def ConvexHull(*args, **kwargs):  # noqa: N802 -- stands in for the name it wraps
         return qhull(*args, **kwargs)
 
-    functions = {"hull": polytope.hull, "ConvexHull": ConvexHull}
-    functions.update({name: getattr(polytope, name) for name in LAYERS})
+    functions = {"eager": eager, "hull": polytope.hull, "ConvexHull": ConvexHull}
+    functions.update({name: getattr(polytope, name) for name in LAYERS if hasattr(polytope, name)})
     polytope.ConvexHull = ConvexHull
     profiler = cProfile.Profile()
     try:
-        profiler.runcall(polytope.hull, points)
+        profiler.runcall(eager, polytope, points)
     finally:
         polytope.ConvexHull = qhull
     stats = pstats.Stats(profiler).stats
@@ -101,18 +127,27 @@ def angle_pass(angle_pass_cls, P) -> tuple[float, int]:
     return time.perf_counter() - start, len(faces)
 
 
+def timed(path, polytope, points: np.ndarray) -> tuple[float, object]:
+    start = time.perf_counter()
+    result = path(polytope, points)
+    return time.perf_counter() - start, result
+
+
 def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
-    polytope.hull(points)  # warm-up
-    times, angle_times = [], []
+    eager(polytope, points)  # warm-up
+    volume(polytope, points)
+    times, volume_times, angle_times = [], [], []
     for _ in range(REPS):
-        start = time.perf_counter()
-        P = polytope.hull(points)
-        times.append(time.perf_counter() - start)
+        seconds, P = timed(eager, polytope, points)
+        times.append(seconds)
         seconds, angle_faces = angle_pass(angle_pass_cls, P)
         angle_times.append(seconds)
+        volume_times.append(timed(volume, polytope, points)[0])
     f_vector = P.face_vector()
-    return {"points": len(points), "n": points.shape[1] // 2, "median_s": statistics.median(times),
-            "times_s": times, "f_vector": f_vector, "faces": sum(f_vector),
+    return {"points": len(points), "n": points.shape[1] // 2,
+            "eager_median_s": statistics.median(times), "eager_times_s": times,
+            "volume_median_s": statistics.median(volume_times), "volume_times_s": volume_times,
+            "f_vector": f_vector, "faces": sum(f_vector),
             "angle_faces": angle_faces, "angles_median_s": statistics.median(angle_times),
             "angles_times_s": angle_times, "profile_s": profile(polytope, points)}
 
@@ -156,7 +191,8 @@ def main() -> None:
     for name, points in cases(args.smoke):
         row = {"case": name, **run_case(polytope, AnglePass, points)}
         rows.append(row)
-        print(f"{name}: median {row['median_s']:.4f} s over {REPS}, "
+        print(f"{name}: median over {REPS}: eager {row['eager_median_s']:.4f} s, "
+              f"volume {row['volume_median_s']:.4f} s, "
               f"f-vector {row['f_vector']}, angles of {row['angle_faces']} faces: median "
               f"{row['angles_median_s']:.4f} s, profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))

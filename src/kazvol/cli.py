@@ -115,11 +115,9 @@ def cmd_faces(args, tol, stream, samples) -> dict:
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
     print(f"face vector: {P.face_vector()}")
-    for k in sorted(P.faces):
-        for f in P.faces[k]:
-            tag = " (improper)" if k == P.dim_real else ""
-            print(f"  k={k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
-                  f"rho={f.rho:.9g}{tag}")
+    print("\n".join(f"  k={f.k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
+                    f"rho={f.rho:.9g}{' (improper)' if f.k == P.dim_real else ''}"
+                    for f in P.all_faces()))
     return {"values": {"face_vector": P.face_vector(), "dim_real": P.dim_real}}
 
 

@@ -133,7 +133,6 @@ class AnglePass:
         self.samples = samples
         self.stream = stream
         self._cache: dict[frozenset[int], Estimate] = {}
-        self._order = {f.id: i for i, f in enumerate(P.all_faces())}
         self._swept: set[int] = set()
 
     def angle(self, face: Face) -> Estimate:
@@ -144,6 +143,8 @@ class AnglePass:
             exact = zip(faces, _exact_angles(self.polytope, faces))
             self._cache.update((f.id, est) for f, est in exact if est is not None)
         if key not in self._cache:
-            sub = self.stream.substream(self._order.get(key, len(self._order)))
+            # Its position in ``all_faces()`` (the face count if it is none), from the lattice.
+            counts, at = self.polytope.face_vector(), self.polytope._index.get(key)
+            sub = self.stream.substream(sum(counts) if at is None else sum(counts[:at[0]]) + at[1])
             self._cache[key] = outer_angle(self.polytope, key, self.samples, sub)
         return self._cache[key]

@@ -9,6 +9,7 @@ affine hull of the input points.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -75,8 +76,9 @@ class Face:
     """A face of a polytope, with its affine-hull data.
 
     ``hull_basis`` (an orthonormal basis of E_Delta), ``volume_k`` and ``rho``
-    are computed on first access.  ``hull`` fills in volume and rho up front
-    for vertices, simplices and the improper face.
+    are computed on first access.  Vertices, simplices and the improper face
+    come with volume and rho filled in when their dimension is built (see
+    ``Polytope.faces``).
     """
 
     vertex_ids: tuple[int, ...]
@@ -111,7 +113,7 @@ class Polytope:
 
     ambient_n: int
     vertices: np.ndarray  # (V, 2n), extreme points only
-    faces: dict[int, list[Face]]  # dimension -> faces
+    faces: _FaceLattice  # read-only mapping dimension -> faces, each dimension built on first read
     dim_real: int
     span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
     centroid: np.ndarray
@@ -131,17 +133,24 @@ class Polytope:
 
     def face_by_ids(self, ids) -> Face:
         key = frozenset(ids)
-        face = self._index.get(key)
+        face = self._find(key)
         if face is None:
             raise FaceNotFound(sorted(key))
         return face
 
+    def _find(self, ids) -> Face | None:
+        """The face with these vertex ids, None if there is none; builds only its dimension."""
+        at = self._index.get(frozenset(ids))
+        return None if at is None else self.faces[at[0]][at[1]]
+
     @cached_property
-    def _index(self) -> dict[frozenset[int], Face]:
-        return {f.id: f for f in self.all_faces()}
+    def _index(self) -> dict[frozenset[int], tuple[int, int]]:
+        """Vertex-id set -> (k, i): the face is ``faces[k][i]``."""
+        return {frozenset(ids): (k, i) for k, ids_list in self.faces.ids.items()
+                for i, ids in enumerate(ids_list)}
 
     def face_vector(self) -> list[int]:
-        return [len(self.faces.get(k, [])) for k in range(self.dim_real + 1)]
+        return [len(ids) for ids in self.faces.ids.values()]
 
     @cached_property
     def _facets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +195,14 @@ def _membership(id_sets: list, count: int) -> np.ndarray:
     return out
 
 
+def _members(mask: np.ndarray) -> list[list[int]]:
+    """Row i of a 0/1 matrix as the sorted list of its nonzero columns (the inverse of
+    ``_membership``), from one ``nonzero`` over the whole matrix."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    flat = np.nonzero(mask)[1].tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
     """The points in input order, less each one within Chebyshev distance
     eps * scale of an earlier kept point (one k-d-tree pair query, then a
@@ -210,30 +227,36 @@ def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nd
     return center, vt[:rank]
 
 
-def _facet_sets(coords: np.ndarray, qhull: ConvexHull, eps: float) -> dict[frozenset[int], np.ndarray]:
-    """Map facet vertex set -> outer unit normal (in the projected coordinates).
+def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
+                eps: float) -> dict[tuple[int, ...], np.ndarray]:
+    """Map facet vertex ids -> outer unit normal (in the projected coordinates).
 
-    Qhull triangulates non-simplicial facets, so one facet can come as many
-    equations; each vertex set keeps the normal of its first equation.
-    Equations are taken in chunks of about 2**20 point-equation pairs.  A
-    facet bent within eps can also come with sliver facets along its ridges;
-    their vertex sets lie inside a real facet's set, so only the
-    inclusion-maximal sets are kept.  A set that lies strictly inside another
-    has at least d vertices, so it is only compared with the sets of more
-    than d.
+    Vertex ids number Qhull's vertices in index order; a facet's ids, sorted,
+    are read from those vertices' entries of its point-plane incidence, so
+    points on a facet's plane that are not vertices drop out.  Qhull triangulates non-simplicial facets,
+    so one facet can come as many equations; each point set keeps the normal
+    of its first equation.  Equations are taken in chunks of about 2**20
+    point-equation pairs.  A facet bent within eps can also come with sliver
+    facets along its ridges; their point sets lie inside a real facet's set,
+    so only the inclusion-maximal sets are kept.  A set that lies strictly
+    inside another has at least d points, so it is only compared with the
+    sets of more than d.
     """
-    out: dict[frozenset[int], np.ndarray] = {}
+    sets: dict[frozenset[int], tuple[tuple[int, ...], np.ndarray]] = {}  # points -> (ids, normal)
     scale_ = max(1.0, float(np.abs(coords).max()))
     step = max(1, 2**20 // len(coords))
+    keep = np.sort(qhull.vertices)
     for start in range(0, len(qhull.equations), step):
         eqs = qhull.equations[start:start + step]
         on_plane = np.abs(coords @ eqs[:, :-1].T + eqs[:, -1]) <= eps * scale_ * 10
         normals = eqs[:, :-1] / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
         _, first = np.unique(np.packbits(on_plane, axis=0).T, axis=0, return_index=True)
-        for j in np.sort(first):
-            out.setdefault(frozenset(np.flatnonzero(on_plane[:, j]).tolist()), normals[j])
-    big = [s for s in out if len(s) > coords.shape[1]]
-    return {s: normal for s, normal in out.items() if not any(s < t for t in big)}
+        cols = np.sort(first)
+        rows = on_plane[:, cols].T
+        for points, ids, normal in zip(_members(rows), _members(rows[:, keep]), normals[cols]):
+            sets.setdefault(frozenset(points), (tuple(ids), normal))
+    big = [s for s in sets if len(s) > coords.shape[1]]
+    return {ids: normal for s, (ids, normal) in sets.items() if not any(s < t for t in big)}
 
 
 def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int, ...]]]:
@@ -284,42 +307,72 @@ def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
 
 
-def _faces(
-    vertices: np.ndarray,
-    lattice: dict[int, list[tuple[int, ...]]],
-    d: int,
-    volume: float,
-    frame: np.ndarray,
-    tol: Tolerance,
-) -> dict[int, list[Face]]:
-    """Faces with their data: proper faces from the lattice, then the improper face.
-
-    Simplicial k-faces are built with vol_k and rho from one batched pass per
-    dimension; the improper face with the given volume and the rho of the
-    orthonormal frame (rows) of E_Gamma.  Other faces compute theirs on first access.
-    """
-    faces: dict[int, list[Face]] = {}
-    for k, ids_list in sorted(lattice.items()):
-        simplices = [ids for ids in ids_list if len(ids) == k + 1]
-        data = iter([{"volume_k": 1.0, "rho": 1.0}] * len(simplices))
-        if k > 0 and simplices:
-            idx = np.array(simplices)
-            vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
-            data = ({"volume_k": v, "rho": r} for v, r in zip(vol.tolist(), rho.tolist()))
-        # One ``__init__`` per dimension; each face takes a copy of its state, a simplex its data.
-        base = Face(ids_list[0], k, vertices, tol).__dict__
-        faces[k] = [object.__new__(Face) for _ in ids_list]
-        for f, ids in zip(faces[k], ids_list):
-            f.__dict__.update(base, vertex_ids=ids, **(next(data) if len(ids) == k + 1 else {}))
-    top = Face(tuple(range(len(vertices))), d, vertices, tol)
-    rho = 0.0 if 2 * d > frame.shape[1] else float(cl.batch_rho(frame[None], tol)[0][0])
-    top.__dict__.update(volume_k=volume, rho=rho)
-    faces.setdefault(d, []).append(top)
-    _euler_check(faces, tol)
+def _build_faces(vertices: np.ndarray, ids_list: list[tuple[int, ...]], k: int,
+                 tol: Tolerance) -> list[Face]:
+    """The proper k-faces with the given vertex ids.  Simplices come with vol_k and rho
+    from one batched pass (vertices with 1 and 1); other faces compute theirs on first access."""
+    # One ``__init__``; each face takes a copy of its state.
+    base = Face((), k, vertices, tol).__dict__
+    faces = [object.__new__(Face) for _ in ids_list]
+    for f, ids in zip(faces, ids_list):
+        state = f.__dict__
+        state.update(base)
+        state["vertex_ids"] = ids
+    simplices = [f for f, ids in zip(faces, ids_list) if len(ids) == k + 1]
+    vol = rho = [1.0] * len(simplices)
+    if k > 0 and simplices:
+        idx = np.array([f.vertex_ids for f in simplices])
+        vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
+        vol, rho = vol.tolist(), rho.tolist()
+    for f, v, r in zip(simplices, vol, rho):
+        state = f.__dict__
+        state["volume_k"] = v
+        state["rho"] = r
     return faces
 
 
-def _euler_check(faces: dict[int, list[Face]], tol: Tolerance) -> None:
+class _FaceLattice(Mapping):
+    """Read-only map dimension -> faces over the vertex-id tuples ``ids`` of every face.
+
+    The lattice is checked against the Euler relation on construction.  The
+    first read of a dimension builds its faces (``_build_faces``); the improper
+    face, of dimension d, with the given volume and the rho of the orthonormal
+    frame (rows) of E_Gamma.
+    """
+
+    def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]], d: int,
+                 volume: float, frame: np.ndarray, tol: Tolerance) -> None:
+        self.ids = {**dict(sorted(lattice.items())), d: [tuple(range(len(vertices)))]}
+        _euler_check(self.ids, tol)
+        self._vertices, self._d, self._volume = vertices, d, volume
+        self._frame, self._tol = frame, tol
+        self._built: dict[int, list[Face]] = {}
+
+    def __getitem__(self, k: int) -> list[Face]:
+        faces = self._built.get(k)
+        if faces is None:
+            if k == self._d:
+                top = Face(self.ids[k][0], k, self._vertices, self._tol)
+                rho = (0.0 if 2 * k > self._frame.shape[1]
+                       else float(cl.batch_rho(self._frame[None], self._tol)[0][0]))
+                top.__dict__.update(volume_k=self._volume, rho=rho)
+                faces = [top]
+            else:
+                faces = _build_faces(self._vertices, self.ids[k], k, self._tol)
+            self._built[k] = faces
+        return faces
+
+    def __contains__(self, k) -> bool:
+        return k in self.ids
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _euler_check(faces: dict[int, list], tol: Tolerance) -> None:
     total = sum((-1) ** k * len(fs) for k, fs in faces.items())
     # sum_{k=0}^{d-1} (-1)^k f_k = 1 - (-1)^d, so including f_d = 1 the sum is 1.
     if total != 1:
@@ -329,7 +382,8 @@ def _euler_check(faces: dict[int, list[Face]], tol: Tolerance) -> None:
 
 
 def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
-    """Convex hull with full face lattice.  Ambient real dimension capped at 8."""
+    """Convex hull with full face lattice, checked against the Euler relation; each
+    dimension's faces are built on first read.  Ambient real dimension capped at 8."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInput("no input points")
@@ -348,32 +402,24 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
-        vertices = pts[:1]
-        return Polytope(n, vertices, _faces(vertices, {}, 0, 1.0, basis_rows, tol), 0,
-                        span, center, (), tol)
-
-    coords = (pts - center) @ basis_rows.T
-
-    if d == 1:
-        order = np.argsort(coords[:, 0])
-        vertices = pts[[order[0], order[-1]]]
-        length = float(coords[order[-1], 0] - coords[order[0], 0])
-        # Rank 1 puts the first coordinate strictly below the last after the sort.
-        facets = ((frozenset({0}), -basis_rows[0]), (frozenset({1}), basis_rows[0]))
-        faces = _faces(vertices, {0: [(0,), (1,)]}, 1, length, basis_rows, tol)
-        return Polytope(n, vertices, faces, 1, span, center, facets, tol)
-
-    qh = ConvexHull(coords)
-    keep = sorted(int(i) for i in qh.vertices)
-    vertices = pts[keep]
-    remap = {old: new for new, old in enumerate(keep)}
-    facet_sets = {}
-    for members, normal in _facet_sets(coords, qh, tol.eps).items():
-        facet_sets[frozenset(remap[i] for i in members if i in remap)] = normal
-
-    lattice = _lattice([tuple(sorted(ids)) for ids in facet_sets], d)
-    faces = _faces(vertices, lattice, d, float(qh.volume), basis_rows, tol)
-    facet_data = tuple(zip(facet_sets, np.array(list(facet_sets.values())) @ basis_rows))
+        vertices, lattice, volume, facet_data = pts[:1], {}, 1.0, ()
+    else:
+        coords = (pts - center) @ basis_rows.T
+        if d == 1:
+            order = np.argsort(coords[:, 0])
+            vertices = pts[[order[0], order[-1]]]
+            volume = float(coords[order[-1], 0] - coords[order[0], 0])
+            # Rank 1 puts the first coordinate strictly below the last after the sort.
+            lattice = {0: [(0,), (1,)]}
+            facet_data = ((frozenset({0}), -basis_rows[0]), (frozenset({1}), basis_rows[0]))
+        else:
+            qh = ConvexHull(coords)
+            vertices, volume = pts[np.sort(qh.vertices)], float(qh.volume)
+            facet_sets = _facet_sets(coords, qh, tol.eps)
+            lattice = _lattice(list(facet_sets), d)
+            facet_data = tuple(zip(map(frozenset, facet_sets),
+                                   np.array(list(facet_sets.values())) @ basis_rows))
+    faces = _FaceLattice(vertices, lattice, d, volume, basis_rows, tol)
     return Polytope(n, vertices, faces, d, span, center, facet_data, tol)
 
 
@@ -387,7 +433,7 @@ def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     members = frozenset(int(i) for i in np.nonzero(vals >= h - P.tol.eps * norm * scale_)[0])
-    face = P._index.get(members)
+    face = P._find(members)
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
         # the intersection of the facets through it (P itself if there are none).
@@ -445,7 +491,7 @@ def _labelled_summand_faces(parts: list[Polytope], labels: np.ndarray,
     of summand l is the set of the l-th labels of the face's vertices.  None if one
     of those sets is not a face of its summand (a tolerance artefact)."""
     rows = labels[list(face.vertex_ids)]
-    faces = tuple(p._index.get(frozenset(rows[:, l].tolist())) for l, p in enumerate(parts))
+    faces = tuple(p._find(rows[:, l].tolist()) for l, p in enumerate(parts))
     return None if None in faces else faces
 
 

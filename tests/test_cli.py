@@ -463,6 +463,17 @@ class TestExitCodes:
         assert main(["faces", doc, "--tol", "1e-7", "--json", str(path)]) == EXIT_OK
         assert json.loads(path.read_text())["values"]["face_vector"] == [16, 32, 24, 8, 1]
 
+    def test_degenerate_position_volume(self, capsys):
+        """``volume`` reads only the improper face, and ``hull`` still checks the whole
+        lattice: the moved 4-cube exits 2 naming the Euler relation, as ``faces`` does."""
+        cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+        points = cube + np.random.default_rng(0).normal(size=(16, 4)) * 1e-8
+        doc = json.dumps({"n": 2, "vertices": points.tolist()})
+        code = main(["volume", doc, "--tol", "1e-9"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "Euler relation" in err and "tolerance 1e-09" in err
+
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",
                          "--samples", "50000"], capsys)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kazvol import (
+    AnglePass,
     DimensionCapExceeded,
     EmptyInput,
     FaceNotFound,
@@ -16,6 +17,7 @@ from kazvol import (
     hull,
     load_polytope,
     minkowski_sum,
+    outer_angle,
     pseudovolume,
     random_unitary,
     realify,
@@ -25,6 +27,7 @@ from kazvol import (
 )
 from kazvol import complex_linalg as cl
 from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance
+from kazvol import polytope as pt
 from kazvol.polytope import _dedupe, convex_volume
 
 from conftest import SAMPLES, random_polytope
@@ -419,6 +422,63 @@ def test_sum_face_data_is_lazy_and_unchanged(theta4, cube4):
         basis = cl.SubspaceBasis.from_span(2, pts - pts[0])
         assert f.volume_k == convex_volume((pts - pts[0]) @ basis.vectors.T)
         assert f.rho == cl.rho(basis).rho
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The dimensions of the proper faces built from here on, one entry per build."""
+    dims = []
+    build = pt._build_faces
+
+    def record(vertices, ids_list, k, tol):
+        dims.append(k)
+        return build(vertices, ids_list, k, tol)
+
+    monkeypatch.setattr(pt, "_build_faces", record)
+    return dims
+
+
+def test_volume_path_builds_no_face_data(monkeypatch, built):
+    """``hull``, the f-vector and the improper face's volume (``kazvol volume``) make no
+    ``_simplex_data`` pass and build no proper face."""
+    calls = []
+    simplex_data = pt._simplex_data
+    monkeypatch.setattr(pt, "_simplex_data", lambda *a: calls.append(a) or simplex_data(*a))
+    P = hull(np.random.default_rng(301).normal(size=(16, 6)))
+    assert sum(P.face_vector()) > 100
+    assert P.improper_face.volume_k > 0
+    assert calls == [] and built == []
+
+
+def test_hull_itself_checks_the_euler_relation(built):
+    """The 4-cube moved by 1e-8 fails the Euler relation at eps = 1e-9: ``hull`` raises
+    before any face is read or built."""
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+    points = cube + np.random.default_rng(0).normal(size=(16, 4)) * 1e-8
+    with pytest.raises(ValueError, match="Euler relation"):
+        hull(points, Tolerance(1e-9))
+    assert built == []
+
+
+def test_pseudovolume_builds_one_dimension(built):
+    """P_2 of a cloud in C^2 sums over the 2-faces, whose normal cones (dimension 2)
+    have closed-form angles: no other dimension is built."""
+    P = hull(np.random.default_rng(302).normal(size=(12, 4)))
+    assert pseudovolume(P, samples=SAMPLES).value > 0
+    assert built == [2]
+
+
+def test_sampled_angle_keeps_its_lattice_substream(built):
+    """An edge of a cloud in C^3 (normal cone of dimension 5, sampled) draws on the
+    substream of its position in ``all_faces()``, bit for bit, although its pass
+    builds only the edges."""
+    P = hull(np.random.default_rng(303).normal(size=(12, 6)))
+    stream = RandomStream(7)
+    edge = P.faces[1][5]
+    got = AnglePass(P, 2000, stream).angle(edge)
+    assert got.method == "monte_carlo" and built == [1]
+    want = outer_angle(P, edge.id, 2000, stream.substream(P.all_faces().index(edge)))
+    assert (got.value, got.std_error, got.samples) == (want.value, want.std_error, want.samples)
 
 
 def greedy_dedupe(points, eps):
