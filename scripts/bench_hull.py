@@ -9,14 +9,17 @@ angles on fixed inputs for one kazvol source tree.
 The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
 2n))``) and the cube [-1, 1]^8.  ``hull`` builds each dimension's faces on
-first read, so ``hull`` alone leaves out work; each case times two paths
+first read, so ``hull`` alone leaves out work; each case times three paths
 instead, each as the median wall time over ``REPS`` calls after one warm-up
 call:
 
 - eager: ``hull`` plus a read of every dimension of ``P.faces``, the work of
   a caller that reads every face (``kazvol faces``);
 - volume: ``hull``, ``face_vector()`` and ``improper_face.volume_k``, the
-  work of ``kazvol volume``.
+  work of ``kazvol volume``;
+- lookup: ``hull`` and one ``face_by_ids`` of the middle face (in
+  ``P.faces.ids`` order) of dimension floor(d/2), the work of ``kazvol
+  angle`` on one face before its angle.
 
 It also records the f-vector and, from one more eager call under cProfile,
 the cumulative seconds of the whole call, of ``hull``, of Qhull
@@ -92,6 +95,13 @@ def volume(polytope, points: np.ndarray) -> float:
     return P.improper_face.volume_k
 
 
+def lookup(polytope, points: np.ndarray):
+    """``hull`` and one ``face_by_ids`` of the middle face of dimension floor(d/2)."""
+    P = polytope.hull(points)
+    ids = P.faces.ids[P.dim_real // 2]
+    return P.face_by_ids(ids[len(ids) // 2])
+
+
 def profile(polytope, points: np.ndarray) -> dict[str, float]:
     """Cumulative seconds of one eager call and of its layers, under cProfile."""
     qhull = polytope.ConvexHull
@@ -136,17 +146,20 @@ def timed(path, polytope, points: np.ndarray) -> tuple[float, object]:
 def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
     eager(polytope, points)  # warm-up
     volume(polytope, points)
-    times, volume_times, angle_times = [], [], []
+    lookup(polytope, points)
+    times, volume_times, lookup_times, angle_times = [], [], [], []
     for _ in range(REPS):
         seconds, P = timed(eager, polytope, points)
         times.append(seconds)
         seconds, angle_faces = angle_pass(angle_pass_cls, P)
         angle_times.append(seconds)
         volume_times.append(timed(volume, polytope, points)[0])
+        lookup_times.append(timed(lookup, polytope, points)[0])
     f_vector = P.face_vector()
     return {"points": len(points), "n": points.shape[1] // 2,
             "eager_median_s": statistics.median(times), "eager_times_s": times,
             "volume_median_s": statistics.median(volume_times), "volume_times_s": volume_times,
+            "lookup_median_s": statistics.median(lookup_times), "lookup_times_s": lookup_times,
             "f_vector": f_vector, "faces": sum(f_vector),
             "angle_faces": angle_faces, "angles_median_s": statistics.median(angle_times),
             "angles_times_s": angle_times, "profile_s": profile(polytope, points)}
@@ -192,7 +205,7 @@ def main() -> None:
         row = {"case": name, **run_case(polytope, AnglePass, points)}
         rows.append(row)
         print(f"{name}: median over {REPS}: eager {row['eager_median_s']:.4f} s, "
-              f"volume {row['volume_median_s']:.4f} s, "
+              f"volume {row['volume_median_s']:.4f} s, lookup {row['lookup_median_s']:.4f} s, "
               f"f-vector {row['f_vector']}, angles of {row['angle_faces']} faces: median "
               f"{row['angles_median_s']:.4f} s, profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))

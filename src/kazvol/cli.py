@@ -66,9 +66,11 @@ def _context(args):
 
 def _parse_matrix(rows) -> np.ndarray:
     def num(x):
-        if isinstance(x, list):
-            return complex(x[0], x[1])
-        return complex(x)
+        if not isinstance(x, list):
+            return complex(x)
+        if len(x) != 2:
+            raise ValueError(f"matrix entry {x!r} is neither a number nor an [re, im] pair")
+        return complex(x[0], x[1])
 
     return np.array([[num(x) for x in row] for row in rows])
 

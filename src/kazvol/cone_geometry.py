@@ -49,8 +49,8 @@ def _classify(P: Polytope, face: Face, basis: cl.SubspaceBasis, samples: int,
     Directions whose gap between the face and the best other vertex is within
     the tolerance are ambiguous and dropped.
     """
-    member = np.array(sorted(face.id))
-    other = np.array(sorted(frozenset(range(P.n_vertices)) - face.id))
+    member = np.array(face.vertex_ids)
+    other = np.setdiff1d(np.arange(P.n_vertices), face.vertex_ids)
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     delta = P.tol.eps * scale_ * 10
 
@@ -78,7 +78,7 @@ def _exact_angles(P: Polytope, faces: list[Face]) -> list[Estimate | None]:
     count = np.bincount(face_idx, minlength=len(faces))
     for m in [2] if c == 2 else np.unique(count[count >= 3]).tolist():
         group = np.flatnonzero(count == m)
-        rays = P._facets[1][facet_idx[np.searchsorted(face_idx, group)[:, None] + np.arange(m)]]
+        rays = P.facet_normals[facet_idx[np.searchsorted(face_idx, group)[:, None] + np.arange(m)]]
         if c == 2:
             a, b = rays[:, 0], rays[:, 1]
             value = np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1)) / np.pi
@@ -132,19 +132,19 @@ class AnglePass:
         self.polytope = P
         self.samples = samples
         self.stream = stream
-        self._cache: dict[frozenset[int], Estimate] = {}
+        self._cache: dict[tuple[int, ...], Estimate] = {}
         self._swept: set[int] = set()
 
     def angle(self, face: Face) -> Estimate:
-        key = face.id
+        key = face.vertex_ids
         if face.k not in self._swept:
             self._swept.add(face.k)
             faces = self.polytope.faces[face.k]
             exact = zip(faces, _exact_angles(self.polytope, faces))
-            self._cache.update((f.id, est) for f, est in exact if est is not None)
+            self._cache.update((f.vertex_ids, est) for f, est in exact if est is not None)
         if key not in self._cache:
             # Its position in ``all_faces()`` (the face count if it is none), from the lattice.
-            counts, at = self.polytope.face_vector(), self.polytope._index.get(key)
+            counts, at = self.polytope.face_vector(), self.polytope._locate(key)
             sub = self.stream.substream(sum(counts) if at is None else sum(counts[:at[0]]) + at[1])
             self._cache[key] = outer_angle(self.polytope, key, self.samples, sub)
         return self._cache[key]

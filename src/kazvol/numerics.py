@@ -189,5 +189,5 @@ def read_field(data: dict, name: str, parse: Callable):
     value = data[name]
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:  # "1/0" is a ZeroDivisionError
         raise ValueError(f"field {name!r}: {exc}") from None

@@ -9,6 +9,7 @@ affine hull of the input points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,17 +72,17 @@ def convex_volume(points: np.ndarray) -> float:
         return 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Face:
-    """A face of a polytope, with its affine-hull data.
+    """A face of a polytope, with its affine-hull data; hashed by identity.
 
     ``hull_basis`` (an orthonormal basis of E_Delta), ``volume_k`` and ``rho``
-    are computed on first access.  Vertices, simplices and the improper face
-    come with volume and rho filled in when their dimension is built (see
-    ``Polytope.faces``).
+    are computed on first access unless a builder has assigned them (a
+    ``cached_property`` has no setter): vertices, simplices and the improper
+    face get volume and rho when their dimension is built.
     """
 
-    vertex_ids: tuple[int, ...]
+    vertex_ids: tuple[int, ...]  # sorted: the face's key in the lattice
     k: int
     _points: np.ndarray = field(repr=False)  # the polytope's vertex array
     _tol: Tolerance = field(repr=False)
@@ -109,7 +110,8 @@ class Face:
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Immutable polytope: extreme points plus the computed face lattice."""
+    """Immutable polytope: extreme points plus the computed face lattice, every face
+    and facet keyed by its sorted vertex-id tuple (``faces.ids[k]`` is sorted)."""
 
     ambient_n: int
     vertices: np.ndarray  # (V, 2n), extreme points only
@@ -117,7 +119,8 @@ class Polytope:
     dim_real: int
     span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
     centroid: np.ndarray
-    facet_data: tuple[tuple[frozenset[int], np.ndarray], ...]  # (ids, outer unit normal in R^2n)
+    facet_ids: tuple[tuple[int, ...], ...]  # sorted vertex ids of each facet
+    facet_normals: np.ndarray  # (facets, 2n) outer unit normals in R^2n, in facet_ids order
     tol: Tolerance  # set by ``hull``; everything computed on the polytope decides under it
 
     @property
@@ -132,37 +135,39 @@ class Polytope:
         return self.faces[self.dim_real][-1]
 
     def face_by_ids(self, ids) -> Face:
-        key = frozenset(ids)
-        face = self._find(key)
-        if face is None:
-            raise FaceNotFound(sorted(key))
+        key = sorted({int(i) for i in ids})
+        if (face := self._find(key)) is None:
+            raise FaceNotFound(key)
         return face
 
     def _find(self, ids) -> Face | None:
-        """The face with these vertex ids, None if there is none; builds only its dimension."""
-        at = self._index.get(frozenset(ids))
-        return None if at is None else self.faces[at[0]][at[1]]
+        """The face with these vertex ids, None if none; builds only its dimension."""
+        return None if (at := self._locate(ids)) is None else self.faces[at[0]][at[1]]
 
-    @cached_property
-    def _index(self) -> dict[frozenset[int], tuple[int, int]]:
-        """Vertex-id set -> (k, i): the face is ``faces[k][i]``."""
-        return {frozenset(ids): (k, i) for k, ids_list in self.faces.ids.items()
-                for i, ids in enumerate(ids_list)}
+    def _locate(self, ids) -> tuple[int, int] | None:
+        """(k, i) with ``faces.ids[k][i]`` the sorted ids, None if none: a bisection
+        of each dimension from min(len - 1, d) down (a k-face has k + 1 vertices or more)."""
+        key = tuple(sorted(set(ids)))
+        for k in range(min(len(key) - 1, self.dim_real), -1, -1):
+            level = self.faces.ids[k]
+            i = bisect_left(level, key)
+            if i < len(level) and level[i] == key:
+                return k, i
+        return None
 
     def face_vector(self) -> list[int]:
         return [len(ids) for ids in self.faces.ids.values()]
 
     @cached_property
-    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (facets, V) vertex incidence and the (facets, 2n) outer unit normals."""
-        return (_membership([ids for ids, _ in self.facet_data], self.n_vertices),
-                np.reshape([normal for _, normal in self.facet_data], (-1, 2 * self.ambient_n)))
+    def _incidence(self) -> np.ndarray:
+        """The (facets, V) 0/1 vertex incidence of ``facet_ids``."""
+        return _membership(self.facet_ids, self.n_vertices)
 
     def _facet_pairs(self, id_sets: list) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j), in row-major order, of the vertex sets i that lie in facet j:
         a set's membership row times the incidence equals its size.  One matmul per chunk
         of about 2**20 set-facet pairs."""
-        incidence, member = self._facets[0], _membership(id_sets, self.n_vertices)
+        incidence, member = self._incidence, _membership(id_sets, self.n_vertices)
         size, step = member.sum(axis=1)[:, None], max(1, 2**20 // max(1, len(incidence)))
         sets, facets = [], []
         for start in range(0, len(member), step):
@@ -172,7 +177,7 @@ class Polytope:
         return np.concatenate(sets), np.concatenate(facets)
 
     def facets_containing(self, face: Face) -> list[np.ndarray]:
-        return list(self._facets[1][self._facet_pairs([face.vertex_ids])[1]])
+        return list(self.facet_normals[self._facet_pairs([face.vertex_ids])[1]])
 
     def witness_direction(self, face: Face) -> np.ndarray:
         """A direction in the relative interior of the dual cone of the face.
@@ -183,7 +188,7 @@ class Polytope:
             return np.zeros(2 * self.ambient_n)
         normals = self.facets_containing(face)
         if not normals:
-            raise FaceNotFound(sorted(face.id))
+            raise FaceNotFound(list(face.vertex_ids))
         return np.sum(normals, axis=0)
 
 
@@ -233,14 +238,14 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
 
     Vertex ids number Qhull's vertices in index order; a facet's ids, sorted,
     are read from those vertices' entries of its point-plane incidence, so
-    points on a facet's plane that are not vertices drop out.  Qhull triangulates non-simplicial facets,
-    so one facet can come as many equations; each point set keeps the normal
-    of its first equation.  Equations are taken in chunks of about 2**20
-    point-equation pairs.  A facet bent within eps can also come with sliver
-    facets along its ridges; their point sets lie inside a real facet's set,
-    so only the inclusion-maximal sets are kept.  A set that lies strictly
-    inside another has at least d points, so it is only compared with the
-    sets of more than d.
+    points on a facet's plane that are not vertices drop out.  Qhull
+    triangulates non-simplicial facets, so one facet can come as many
+    equations; each point set keeps the normal of its first equation.
+    Equations are taken in chunks of about 2**20 point-equation pairs.  A facet
+    bent within eps can also come with sliver facets along its ridges; their
+    point sets lie inside a real facet's set, so only the inclusion-maximal
+    sets are kept.  A set that lies strictly inside another has at least d
+    points, so it is only compared with the sets of more than d.
     """
     sets: dict[frozenset[int], tuple[tuple[int, ...], np.ndarray]] = {}  # points -> (ids, normal)
     scale_ = max(1.0, float(np.abs(coords).max()))
@@ -311,23 +316,15 @@ def _build_faces(vertices: np.ndarray, ids_list: list[tuple[int, ...]], k: int,
                  tol: Tolerance) -> list[Face]:
     """The proper k-faces with the given vertex ids.  Simplices come with vol_k and rho
     from one batched pass (vertices with 1 and 1); other faces compute theirs on first access."""
-    # One ``__init__``; each face takes a copy of its state.
-    base = Face((), k, vertices, tol).__dict__
-    faces = [object.__new__(Face) for _ in ids_list]
-    for f, ids in zip(faces, ids_list):
-        state = f.__dict__
-        state.update(base)
-        state["vertex_ids"] = ids
-    simplices = [f for f, ids in zip(faces, ids_list) if len(ids) == k + 1]
+    faces = [Face(ids, k, vertices, tol) for ids in ids_list]
+    simplices = [f for f in faces if len(f.vertex_ids) == k + 1]
     vol = rho = [1.0] * len(simplices)
     if k > 0 and simplices:
         idx = np.array([f.vertex_ids for f in simplices])
         vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
         vol, rho = vol.tolist(), rho.tolist()
     for f, v, r in zip(simplices, vol, rho):
-        state = f.__dict__
-        state["volume_k"] = v
-        state["rho"] = r
+        f.volume_k, f.rho = v, r
     return faces
 
 
@@ -353,9 +350,9 @@ class _FaceLattice(Mapping):
         if faces is None:
             if k == self._d:
                 top = Face(self.ids[k][0], k, self._vertices, self._tol)
-                rho = (0.0 if 2 * k > self._frame.shape[1]
-                       else float(cl.batch_rho(self._frame[None], self._tol)[0][0]))
-                top.__dict__.update(volume_k=self._volume, rho=rho)
+                top.volume_k, top.rho = self._volume, (
+                    0.0 if 2 * k > self._frame.shape[1]
+                    else float(cl.batch_rho(self._frame[None], self._tol)[0][0]))
                 faces = [top]
             else:
                 faces = _build_faces(self._vertices, self.ids[k], k, self._tol)
@@ -402,7 +399,8 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
-        vertices, lattice, volume, facet_data = pts[:1], {}, 1.0, ()
+        vertices, lattice, volume = pts[:1], {}, 1.0
+        facet_ids, facet_normals = (), np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
         if d == 1:
@@ -411,34 +409,36 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
             lattice = {0: [(0,), (1,)]}
-            facet_data = ((frozenset({0}), -basis_rows[0]), (frozenset({1}), basis_rows[0]))
+            facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh = ConvexHull(coords)
             vertices, volume = pts[np.sort(qh.vertices)], float(qh.volume)
             facet_sets = _facet_sets(coords, qh, tol.eps)
             lattice = _lattice(list(facet_sets), d)
-            facet_data = tuple(zip(map(frozenset, facet_sets),
-                                   np.array(list(facet_sets.values())) @ basis_rows))
+            facet_ids = tuple(facet_sets)
+            facet_normals = np.array(list(facet_sets.values())) @ basis_rows
     faces = _FaceLattice(vertices, lattice, d, volume, basis_rows, tol)
-    return Polytope(n, vertices, faces, d, span, center, facet_data, tol)
+    return Polytope(n, vertices, faces, d, span, center, facet_ids, facet_normals, tol)
 
 
 def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     """Support value and exposed face in the direction u (u = 0 exposes P itself)."""
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
+    if not math.isfinite(norm):
+        raise ValueError(f"direction {u.tolist()} has no finite norm")
     if norm == 0.0:
         return 0.0, P.improper_face
     vals = P.vertices @ u
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
-    members = frozenset(int(i) for i in np.nonzero(vals >= h - P.tol.eps * norm * scale_)[0])
+    members = np.flatnonzero(vals >= h - P.tol.eps * norm * scale_).tolist()
     face = P._find(members)
     if face is None:
         # Tolerance artifact: fall back to the smallest face containing the set,
         # the intersection of the facets through it (P itself if there are none).
-        through = [P.facet_data[j][0] for j in P._facet_pairs([members])[1]]
-        face = P.face_by_ids(frozenset.intersection(*through)) if through else P.improper_face
+        rows = P._incidence[P._incidence[:, members].all(axis=1)]
+        face = P.face_by_ids(np.flatnonzero(rows.all(axis=0))) if len(rows) else P.improper_face
     return h, face
 
 
@@ -511,7 +511,9 @@ def split(
     downstream valuations treat them as 0.
     """
     u = np.asarray(normal, dtype=float)
-    u = u / np.linalg.norm(u)
+    if not 0.0 < (norm := float(np.linalg.norm(u))) < math.inf:
+        raise ValueError(f"normal {u.tolist()} is zero or has no finite norm")
+    u = u / norm
     vals = P.vertices @ u - offset
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     eps = P.tol.eps * scale_ * 10

@@ -24,9 +24,9 @@ only on the other faces.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
-is an orthonormal basis of E_Delta); ``RHO`` reads the ``Face.rho`` that ``hull``
-computed under the polytope's tolerance, ``P.tol``, under which its angles,
-sums and splits are decided too.
+is an orthonormal basis of E_Delta); ``RHO`` reads ``Face.rho`` (assigned by the
+face's builder or computed on first read) under the polytope's tolerance
+``P.tol``, under which its angles, sums and splits are decided too.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     The summand faces are read from the vertex labels of S (``summand_faces``,
     the support-function route, only where a label set is not a face).  If one
     of them is a vertex, V_k = 0.  If all are edges, Delta is a parallelotope:
-    V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and ``hull_basis`` come
+    V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and ``hull_basis`` are assigned
     from the same batched Gram-Schmidt pass over the edges (``_simplex_data``).
     Every other face gets ``mixed_volume`` on first read.
     """
@@ -142,7 +142,7 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     if edges:
         vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), S.tol)
         for (f, _), v, r, q in zip(edges, vol.tolist(), rho.tolist(), frames):
-            f.__dict__.update(hull_basis=cl.SubspaceBasis(S.ambient_n, q), rho=r)
+            f.hull_basis, f.rho = cl.SubspaceBasis(S.ambient_n, q), r
             known[f] = v
 
     def mixed(f: Face) -> float:

@@ -205,10 +205,8 @@ def alexandroff_gap(m: np.ndarray, other: np.ndarray, rest: list[np.ndarray] = (
 
 def facet_normal_sum(P: Polytope) -> np.ndarray:
     """sum over facets of vol_{d-1}(facet) * outer unit normal; zero for a polytope."""
-    total = np.zeros(2 * P.ambient_n)
-    for ids, normal in P.facet_data:
-        total += P.face_by_ids(ids).volume_k * normal
-    return total
+    return sum((P.face_by_ids(ids).volume_k * normal
+                for ids, normal in zip(P.facet_ids, P.facet_normals)), np.zeros(2 * P.ambient_n))
 
 
 def volume_via_facets(P: Polytope) -> float:
@@ -217,8 +215,5 @@ def volume_via_facets(P: Polytope) -> float:
     d = P.dim_real
     if d == 0:
         return 1.0
-    total = 0.0
-    for ids, normal in P.facet_data:
-        h = float(np.max((P.vertices - P.centroid) @ normal))
-        total += h * P.face_by_ids(ids).volume_k
-    return total / d
+    return sum(float(np.max((P.vertices - P.centroid) @ normal)) * P.face_by_ids(ids).volume_k
+               for ids, normal in zip(P.facet_ids, P.facet_normals)) / d

@@ -353,6 +353,9 @@ class TestExitCodes:
         ("smooth", '{"kind": "ball", "n": null}', "field 'n'"),
         ("rho", '{"n": 1, "vectors": null}', "field 'vectors'"),
         ("rho", '{"n": 1, "vectors": [[NaN, 0]]}', "field 'vectors'"),
+        ("volume", '{"n": 1, "vertices": [["1/0", 0], [1, 0]]}', "field 'vertices'"),
+        ("discriminant", '{"matrices": [[[[1]]]]}', "field 'matrices'"),
+        ("discriminant", '{"matrices": [[[[1, 2, 3]]]]}', "field 'matrices'"),
     ])
     def test_malformed_document(self, command, text, named, tmp_path, capsys):
         doc = tmp_path / "doc.json"

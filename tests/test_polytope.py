@@ -103,7 +103,7 @@ class TestHull:
         assert P.improper_face.volume_k == pytest.approx(2.0)
         assert P.face_vector() == [2, 1]
         for Q in (P, hull(np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 1 / 3]]))):
-            for ids, normal in Q.facet_data:  # each end's facet normal points away from the other
+            for ids, normal in zip(Q.facet_ids, Q.facet_normals):  # each end's facet normal points away from the other
                 (i,) = ids
                 assert normal @ (Q.vertices[i] - Q.vertices[1 - i]) > 0
 
@@ -160,11 +160,20 @@ class TestSupport:
         P = hull(pts)
         ids = {tuple(p): i for i, p in enumerate(P.vertices.tolist())}
         a, b, c = (ids[tuple(p)] for p in pts[:3].tolist())
-        assert frozenset({b}) not in P._index
+        assert P._find([b]) is None
         h, f = support(P, np.array([0.0, 1.0]))
         assert h == pytest.approx(2e-9, rel=1e-12)
         assert f.vertex_ids == tuple(sorted((a, b, c)))
         assert f.k == 1
+
+    def test_zero_direction_exposes_the_polytope(self, theta3):
+        h, f = support(theta3, np.zeros(4))
+        assert h == 0.0 and f is theta3.improper_face
+
+    @pytest.mark.parametrize("u", [[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]])
+    def test_non_finite_direction_is_named(self, square_c1, u):
+        with pytest.raises(ValueError, match="direction"):
+            support(square_c1, np.array(u))
 
 
 class TestMinkowskiSum:
@@ -245,6 +254,11 @@ class TestTransforms:
         assert plus is None
         assert minus.face_vector() == square_c1.face_vector()
 
+    @pytest.mark.parametrize("u", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_split_rejects_a_zero_or_non_finite_normal(self, square_c1, u):
+        with pytest.raises(ValueError, match="normal"):
+            split(square_c1, np.array(u), 0.0)
+
 
 class TestSerialization:
     def test_round_trip(self, theta4, tmp_path):
@@ -269,10 +283,42 @@ class TestSerialization:
         assert P.dim_real == 1
 
 
+# Inputs and seeds fixed before the lookup tests were first run.
+LOOKUP_CASES = {
+    "theta4": lambda: hull(np.vstack([np.eye(4), -np.eye(4)])),
+    "cube4": lambda: hull(np.array(list(itertools.product([-1.0, 1.0], repeat=4)))),
+    "gauss C3 seed 402": lambda: hull(np.random.default_rng(402).normal(size=(14, 6))),
+}
+
+
 class TestFaceLookup:
     def test_missing_face(self, square_c1):
         with pytest.raises(FaceNotFound):
             square_c1.face_by_ids([0, 2])
+
+    @pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+    def test_every_face_is_found_in_any_order(self, case):
+        """Each face's ids, shuffled and with some repeated, as a list or an array."""
+        P = LOOKUP_CASES[case]()
+        rng = np.random.default_rng(401)
+        for f in P.all_faces():
+            ids = list(f.vertex_ids)
+            mixed = rng.permutation(ids + ids[:int(rng.integers(1, len(ids) + 1))])
+            assert P._find(f.vertex_ids) is f
+            assert P._find(mixed.tolist()) is f and P._find(mixed) is f
+            assert P.face_by_ids(mixed) is f
+
+    def test_sets_that_are_no_faces(self, cube4, theta3):
+        """Two opposite vertices of the cube, the empty set, an id out of range and all
+        vertices of the lower-dimensional Theta_3 but one."""
+        first = cube4.vertices[0]
+        opposite = int(np.flatnonzero((cube4.vertices == -first).all(axis=1))[0])
+        for P, ids in ((cube4, [0, opposite]), (cube4, []), (cube4, [cube4.n_vertices]),
+                       (theta3, list(range(1, theta3.n_vertices)))):
+            assert P._find(ids) is None, ids
+            with pytest.raises(FaceNotFound):
+                P.face_by_ids(ids)
+        assert theta3.dim_real == 3 and theta3._find(range(6)) is theta3.improper_face
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -295,7 +341,7 @@ def frozenset_lattice(P, tol=DEFAULT_TOLERANCE):
     Returns {k: [(vertex ids, volume, rho), ...]} in the order ``hull`` must
     give: sorted by vertex ids within each dimension, improper face last.
     """
-    facets = [ids for ids, _ in P.facet_data]
+    facets = [frozenset(ids) for ids in P.facet_ids]
     all_ids = set(facets)
     frontier = set(facets)
     while frontier:
