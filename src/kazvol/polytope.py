@@ -77,9 +77,9 @@ class Face:
     """A face of a polytope, with its affine-hull data; hashed by identity.
 
     ``hull_basis`` (an orthonormal basis of E_Delta), ``volume_k`` and ``rho``
-    are computed on first access unless a builder has assigned them (a
-    ``cached_property`` has no setter): vertices, simplices and the improper
-    face get volume and rho when their dimension is built.
+    are computed on first access unless a builder assigned them (a
+    ``cached_property`` has no setter): a dimension's build does for vertices,
+    simplices and the improper face, the direct Q_n path for parallelotopes.
     """
 
     vertex_ids: tuple[int, ...]  # sorted: the face's key in the lattice

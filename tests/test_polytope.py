@@ -103,7 +103,8 @@ class TestHull:
         assert P.improper_face.volume_k == pytest.approx(2.0)
         assert P.face_vector() == [2, 1]
         for Q in (P, hull(np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 1 / 3]]))):
-            for ids, normal in zip(Q.facet_ids, Q.facet_normals):  # each end's facet normal points away from the other
+            # each end's facet normal points away from the other
+            for ids, normal in zip(Q.facet_ids, Q.facet_normals):
                 (i,) = ids
                 assert normal @ (Q.vertices[i] - Q.vertices[1 - i]) > 0
 
