@@ -8,7 +8,9 @@ angles on fixed inputs for one kazvol source tree.
 
 The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
-2n))``) and the cube [-1, 1]^8.  ``hull`` builds each dimension's faces on
+2n))``), the cube [-1, 1]^8 and the Minkowski sum Theta_4 + [-1, 1]^4 (the hull
+of its 128 vertex sums, as ``minkowski_sum`` takes it): a non-simplicial hull
+whose squares and cubes take the lattice's bitmask path.  ``hull`` builds each dimension's faces on
 first read, so ``hull`` alone leaves out work; each case times three paths
 instead, each as the median wall time over ``REPS`` calls after one warm-up
 call:
@@ -74,9 +76,11 @@ def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
     theta4 = np.vstack([np.eye(4), -np.eye(4)])  # the cross-polytope of R^4 = C^2
     out = [("theta4", theta4)]
     if not smoke:
+        cube4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
         out += [("cloud 40 in C^3", np.random.default_rng(CLOUD_SEED).normal(size=(40, 6))),
                 ("cloud 30 in C^4", np.random.default_rng(CLOUD_SEED).normal(size=(30, 8))),
-                ("cube [-1,1]^8", np.array(list(itertools.product([-1.0, 1.0], repeat=8))))]
+                ("cube [-1,1]^8", np.array(list(itertools.product([-1.0, 1.0], repeat=8)))),
+                ("sum theta4 + [-1,1]^4", (theta4[:, None, :] + cube4[None, :, :]).reshape(-1, 4))]
     return out
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -265,34 +265,68 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
 
 
 def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int, ...]]]:
-    """Sorted vertex-id tuples of the proper faces, by dimension, from the facets down.
+    """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets down.
 
-    The (k-1)-faces of a k-face F are the inclusion-maximal nonempty proper
-    sets F & g over the facets g, with vertex sets as int bitmasks.  A k-face
-    with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
-    deletions, and no intersection is needed.
+    A k-face with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
+    deletions.  A dimension's simplices are one (m, k + 1) int array, and one fancy
+    index through the ``_deletions`` column table gives all their deletions, which
+    ``_unique_rows`` sorts and dedupes at once.  The (k-1)-faces of any other k-face
+    F are the inclusion-maximal proper sets F & g over the facets g, on int
+    bitmasks; a (k-1)-face has at least k vertices and a smaller set F & g lies in
+    one that has, so candidates of fewer than k vertices are dropped unscanned.
+    Those found with k vertices join the simplex array before it is deduped.
     """
-    facet_masks = [sum(1 << v for v in ids) for ids in facets]
-    level = dict(zip(facet_masks, facets))
-    out = {d - 1: level}
+    radix = 1 + max(v for ids in facets for v in ids)
+    out = {d - 1: sorted(set(facets))}
+    simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
+    others = {sum(1 << v for v in ids): ids for ids in out[d - 1] if len(ids) != d}
+    facet_masks = [sum(1 << v for v in ids) for ids in out[d - 1]] if others else []
     for k in range(d - 1, 0, -1):
         below: dict[int, tuple[int, ...]] = {}
-        for m, ids in level.items():
-            if len(ids) == k + 1:
-                for j, v in enumerate(ids):
-                    c = m ^ (1 << v)
-                    if c not in below:
-                        below[c] = ids[:j] + ids[j + 1:]
-                continue
+        for m, ids in others.items():
             maximal: list[int] = []
-            for c in sorted({m & g for g in facet_masks} - {0, m}, key=int.bit_count, reverse=True):
+            for c in sorted({m & g for g in facet_masks} - {m}, key=int.bit_count, reverse=True):
+                if c.bit_count() < k:
+                    break
                 if all(c & o != c for o in maximal):
                     maximal.append(c)
             for c in maximal:
                 if c not in below:
                     below[c] = tuple(v for v in ids if c >> v & 1)
-        out[k - 1] = level = below
-    return {k: sorted(faces.values()) for k, faces in out.items()}
+        found = np.array([ids for ids in below.values() if len(ids) == k], dtype=np.int64)
+        simplices = _unique_rows(np.concatenate(
+            [simplices[:, _deletions(k + 1)].reshape(-1, k), found.reshape(-1, k)]), radix)
+        faces = list(zip(*simplices.T.tolist()))
+        others = {c: ids for c, ids in below.items() if len(ids) > k}
+        out[k - 1] = sorted(faces + list(others.values())) if others else faces
+    return out
+
+
+@cache
+def _deletions(width: int) -> np.ndarray:
+    """(width, width - 1) read-only column table: row j lists the columns 0 .. width - 1 but j."""
+    table = np.array([[c for c in range(width) if c != j] for j in range(width)], dtype=np.intp)
+    table.flags.writeable = False  # one cached array serves every caller
+    return table
+
+
+def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
+    """The distinct rows of an int array with entries below ``radix``, in lexicographic
+    order.  Each row packs into one int64 key in mixed radix ``radix``, whose order is
+    the rows': one sort of the keys, a compare of neighbours and a decode of the digits.
+    Where radix**width reaches 2**63 a key would overflow, so the rows take one
+    ``np.lexsort`` and a compare of adjacent rows instead."""
+    width = rows.shape[1]
+    if radix**width < 2**63:
+        place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        key = np.sort(rows @ place)
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        return key[new, None] // place % radix
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new]
 
 
 def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -424,7 +458,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
 def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     """Support value and exposed face in the direction u (u = 0 exposes P itself)."""
     u = np.asarray(u, dtype=float)
-    norm = float(np.linalg.norm(u))
+    norm = _norm(u)
     if not math.isfinite(norm):
         raise ValueError(f"direction {u.tolist()} has no finite norm")
     if norm == 0.0:
@@ -440,6 +474,17 @@ def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
         rows = P._incidence[P._incidence[:, members].all(axis=1)]
         face = P.face_by_ids(np.flatnonzero(rows.all(axis=0))) if len(rows) else P.improper_face
     return h, face
+
+
+def _norm(u: np.ndarray) -> float:
+    """|u|, inf only if an entry of u is: ``np.linalg.norm``, taken of u / max|u| and
+    scaled back where the sum of squares overflows (|u| above about 1.3e154)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(u))
+    if norm == math.inf and np.isfinite(u).all():
+        top = float(np.abs(u).max())
+        norm = top * float(np.linalg.norm(u / top))
+    return norm
 
 
 def minkowski_sum(parts: list[Polytope]) -> Polytope:
@@ -511,20 +556,18 @@ def split(
     downstream valuations treat them as 0.
     """
     u = np.asarray(normal, dtype=float)
-    if not 0.0 < (norm := float(np.linalg.norm(u))) < math.inf:
+    if not 0.0 < (norm := _norm(u)) < math.inf:
         raise ValueError(f"normal {u.tolist()} is zero or has no finite norm")
     u = u / norm
     vals = P.vertices @ u - offset
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     eps = P.tol.eps * scale_ * 10
-    crossings = []
-    for edge in P.faces.get(1, []):
-        i, j = edge.vertex_ids
-        vi, vj = vals[i], vals[j]
-        if vi > eps and vj < -eps or vi < -eps and vj > eps:
-            t = vi / (vi - vj)
-            crossings.append(P.vertices[i] + t * (P.vertices[j] - P.vertices[i]))
-    crossings = np.array(crossings) if crossings else np.zeros((0, 2 * P.ambient_n))
+    # The edges as id pairs, so no edge Face is built; the crossings in edge order.
+    edges = np.array(P.faces.ids.get(1, []), dtype=np.intp).reshape(-1, 2)
+    vi, vj = vals[edges[:, 0]], vals[edges[:, 1]]
+    i, j = edges[(vi > eps) & (vj < -eps) | (vi < -eps) & (vj > eps)].T
+    t = vals[i] / (vals[i] - vals[j])
+    crossings = P.vertices[i] + t[:, None] * (P.vertices[j] - P.vertices[i])
 
     def piece(mask: np.ndarray, extra: np.ndarray) -> Polytope | None:
         pts = [P.vertices[mask]] if mask.any() else []

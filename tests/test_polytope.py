@@ -176,6 +176,12 @@ class TestSupport:
         with pytest.raises(ValueError, match="direction"):
             support(square_c1, np.array(u))
 
+    def test_huge_finite_direction_exposes_the_vertex(self, square_c1):
+        """|u| = 1e200 squares past the float range, but u is finite and exposes a vertex."""
+        h, f = support(square_c1, np.array([1e200, 0.0]))
+        assert h == 1e200
+        assert f.k == 0 and np.array_equal(square_c1.vertices[f.vertex_ids[0]], [1.0, 0.0])
+
 
 class TestMinkowskiSum:
     def test_square_sum(self):
@@ -259,6 +265,20 @@ class TestTransforms:
     def test_split_rejects_a_zero_or_non_finite_normal(self, square_c1, u):
         with pytest.raises(ValueError, match="normal"):
             split(square_c1, np.array(u), 0.0)
+
+    def test_split_by_a_huge_finite_normal(self, square_c1):
+        got = split(square_c1, np.array([1e200, 1e200]), 0.0)
+        want = split(square_c1, np.array([1.0, 1.0]), 0.0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.vertices, w.vertices)
+            assert g.faces.ids == w.faces.ids
+
+    def test_split_builds_no_edge(self, built):
+        """The crossings come from the edges' id tuples: ``split`` builds no ``Face``
+        of dimension 1 (nor of any other dimension) of the polytope it cuts."""
+        P = hull(np.random.default_rng(304).normal(size=(12, 6)))
+        plus, minus, _ = split(P, np.array([1.0, 2.0, 0.0, -1.0, 0.5, 0.0]), 0.1)
+        assert plus is not None and minus is not None and built == []
 
 
 class TestSerialization:
@@ -428,6 +448,57 @@ def test_lattice_matches_frozenset_oracle(case):
             exact = _exact_rho(P.vertices, ids)
             assert f.rho == pytest.approx(exact, rel=1e-12, abs=0), (case, ids)
             assert abs(f.rho - exact) < abs(rho - exact), (case, ids)
+
+
+def _assert_closure_matches_oracle(P):
+    """The lattice's vertex-id tuples, by dimension and in order, are the closure oracle's."""
+    want = frozenset_lattice(P)
+    assert P.face_vector() == [len(want.get(k, [])) for k in range(P.dim_real + 1)]
+    assert [ids for k in P.faces for ids in P.faces.ids[k]] == \
+        [row[0] for k in sorted(want) for row in want[k]]
+
+
+def test_batched_closure_matches_oracle_on_a_c3_cloud():
+    """32 Gaussian points in C^3 (6,681 faces): every proper face is a simplex, so the
+    whole lattice below the facets comes from the batched one-vertex deletions."""
+    P = hull(np.random.default_rng(402).normal(size=(32, 6)))
+    assert P.face_vector() == [32, 308, 1241, 2343, 2067, 689, 1]
+    _assert_closure_matches_oracle(P)
+
+
+def test_closure_matches_oracle_where_simplices_and_cube_faces_meet():
+    """[-1, 1]^4 plus three points beyond its facets: dimensions 2 and 3 hold simplices
+    (on the batched path) next to squares and cubes (on the bitmask path), and the
+    intersection path also finds triangles and edges that the deletions find."""
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+    rng = np.random.default_rng(403)
+    out = rng.uniform(-0.8, 0.8, size=(3, 4))
+    out[np.arange(3), rng.integers(0, 4, 3)] = rng.choice([-1.5, 1.5], 3)
+    P = hull(np.vstack([cube, out]))
+    for k in (2, 3):
+        assert {len(ids) == k + 1 for ids in P.faces.ids[k]} == {False, True}
+    _assert_closure_matches_oracle(P)
+
+
+def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
+    """The facets of 12 points in C^4 relabelled to ids above 2**10 (a permutation, so
+    the order changes): the closure is the relabelled closure of the original ids.
+    radix**k passes 2**63 for the 7-vertex deletions only, and exactly there the rows
+    are deduped by ``np.lexsort`` instead of a packed int64 key."""
+    P = hull(np.random.default_rng(401).normal(size=(12, 8)))
+    d, base = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
+    labels = (1025 + 3 * np.random.default_rng(405).permutation(P.n_vertices)).tolist()
+
+    def relabel(ids):
+        return tuple(sorted(labels[v] for v in ids))
+
+    widths = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: widths.append(len(keys)) or lexsort(keys))
+    got = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
+    assert widths == [k for k in range(d - 1, 0, -1) if (max(labels) + 1) ** k >= 2**63] == [7]
+    assert got == {k: sorted(relabel(ids) for ids in faces) for k, faces in base.items()}
+    assert list(got) == list(base)
 
 
 def test_lattice_oracle_under_loose_tolerance():
