@@ -182,6 +182,14 @@ class TestSupport:
         assert h == 1e200
         assert f.k == 0 and np.array_equal(square_c1.vertices[f.vertex_ids[0]], [1.0, 0.0])
 
+    @pytest.mark.parametrize("u", [[1e308, 0.0], [1.5e308, 1.5e308]])
+    def test_direction_past_the_float_range_is_rejected(self, u):
+        """<v, u> overflows for the first two vertices (exposed face: the vertex (2, 0),
+        not the edge that two infs would tie); |u| of the second overflows itself."""
+        P = hull(np.array([[2.0, 0.0], [1.9, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="direction"):
+            support(P, np.array(u))
+
 
 class TestMinkowskiSum:
     def test_square_sum(self):
