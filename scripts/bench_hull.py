@@ -11,33 +11,38 @@ The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 2n))``), the cube [-1, 1]^8 and the Minkowski sum Theta_4 + [-1, 1]^4 (the hull
 of its 128 vertex sums, as ``minkowski_sum`` takes it): a non-simplicial hull
 whose squares and cubes take the lattice's bitmask path.  ``hull`` builds each dimension's faces on
-first read, so ``hull`` alone leaves out work; each case times three paths
+first read, so ``hull`` alone leaves out work; each case times four paths
 instead, each as the median wall time over ``REPS`` calls after one warm-up
 call:
 
 - eager: ``hull`` plus a read of every dimension of ``P.faces``, the work of
-  a caller that reads every face (``kazvol faces``);
+  a caller that sums over ``Face`` objects;
+- faces: ``kazvol faces`` on the points (``cli.cmd_faces`` with its output
+  captured): ``hull``, the face data of every dimension and its rendering;
 - volume: ``hull``, ``face_vector()`` and ``improper_face.volume_k``, the
   work of ``kazvol volume``;
 - lookup: ``hull`` and one ``face_by_ids`` of the middle face (in
   ``P.faces.ids`` order) of dimension floor(d/2), the work of ``kazvol
   angle`` on one face before its angle.
 
-It also records the f-vector and, from one more eager call under cProfile,
-the cumulative seconds of the whole call, of ``hull``, of Qhull
-(``ConvexHull``), ``_facet_sets``, ``_lattice``, the per-dimension face
-builder ``_build_faces`` and its per-face data ``_simplex_data``; a name the
-tree does not define is left out of the record.  The profile is read from
-the functions of the given tree, so nothing of ``hull`` is copied here;
-Qhull is timed by a pass-through wrapper around the ``ConvexHull`` name that
-``polytope`` calls.  Profiled times carry cProfile's overhead and are for
-the split, not for the totals.  Each timed eager call is followed by one
-timed pass of a new ``AnglePass(P).angle`` over every face whose normal cone
-has dimension 2 or 3 (the closed forms), and the run records the median of
-those passes too.  The run also records the machine, the package versions
-and a hash of the tree's sources; it stops if ``kazvol`` is imported from
-outside SRC (an installed copy, say), so the hash always names the code
-that ran.
+It also records the f-vector, a hash of the faces path's output (equal hashes
+on two trees mean byte-identical ``kazvol faces`` output) and, from one more
+eager call and one more faces call under cProfile, the cumulative seconds of
+the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_facet_sets``,
+``_lattice``, the per-dimension face builder ``_build_faces`` of trees that
+have no column reader, the column reader ``_FaceLattice.data``, the
+per-dimension batch ``_simplex_columns`` and its per-face data
+``_simplex_data``; a name the tree does not define is left out of the record.
+The profile is read from the functions of the given tree, so nothing of
+``hull`` is copied here; Qhull is timed by a pass-through wrapper around the
+``ConvexHull`` name that ``polytope`` calls.  Profiled times carry cProfile's
+overhead and are for the split, not for the totals.  Each timed eager call is
+followed by one timed pass of a new ``AnglePass(P).angle`` over every face
+whose normal cone has dimension 2 or 3 (the closed forms), and the run
+records the median of those passes too.  The run also records the machine,
+the package versions and a hash of the tree's sources; it stops if
+``kazvol`` is imported from outside SRC (an installed copy, say), so the hash
+always names the code that ran.
 
 Each run is appended to the ``runs`` list of OUT.json (created if missing),
 so runs on two trees, alternated, sit side by side in one file.  BLAS runs
@@ -53,8 +58,11 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 os.environ.update(THREAD_ENV)
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import cProfile  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -69,7 +77,8 @@ import scipy  # noqa: E402
 
 CLOUD_SEED = 2026
 REPS = 5  # timed calls of each path per case
-LAYERS = ("_facet_sets", "_lattice", "_build_faces", "_simplex_data")
+LAYERS = ("_facet_sets", "_lattice", "_build_faces", "_FaceLattice.data", "_simplex_columns",
+          "_simplex_data")
 
 
 def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
@@ -92,6 +101,17 @@ def eager(polytope, points: np.ndarray):
     return P
 
 
+def faces(polytope, points: np.ndarray) -> str:
+    """``kazvol faces`` on the points, as its command handler runs it; returns its output."""
+    from kazvol import cli  # the tree of ``polytope``: ``main`` put it first on the path
+
+    doc = {"n": points.shape[1] // 2, "vertices": points.tolist()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.cmd_faces(argparse.Namespace(file=doc), polytope.DEFAULT_TOLERANCE, None, 0)
+    return out.getvalue()
+
+
 def volume(polytope, points: np.ndarray) -> float:
     """``hull``, its f-vector and its volume, as ``kazvol volume`` reads them."""
     P = polytope.hull(points)
@@ -106,19 +126,23 @@ def lookup(polytope, points: np.ndarray):
     return P.face_by_ids(ids[len(ids) // 2])
 
 
-def profile(polytope, points: np.ndarray) -> dict[str, float]:
-    """Cumulative seconds of one eager call and of its layers, under cProfile."""
+def profile(polytope, path, points: np.ndarray) -> dict[str, float]:
+    """Cumulative seconds of one call of a path and of its layers, under cProfile."""
     qhull = polytope.ConvexHull
 
     def ConvexHull(*args, **kwargs):  # noqa: N802 -- stands in for the name it wraps
         return qhull(*args, **kwargs)
 
-    functions = {"eager": eager, "hull": polytope.hull, "ConvexHull": ConvexHull}
-    functions.update({name: getattr(polytope, name) for name in LAYERS if hasattr(polytope, name)})
+    functions = {path.__name__: path, "hull": polytope.hull, "ConvexHull": ConvexHull}
+    for name in LAYERS:
+        fn = functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."),
+                              polytope)
+        if fn is not None:
+            functions[name] = fn
     polytope.ConvexHull = ConvexHull
     profiler = cProfile.Profile()
     try:
-        profiler.runcall(eager, polytope, points)
+        profiler.runcall(path, polytope, points)
     finally:
         polytope.ConvexHull = qhull
     stats = pstats.Stats(profiler).stats
@@ -149,24 +173,29 @@ def timed(path, polytope, points: np.ndarray) -> tuple[float, object]:
 
 def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
     eager(polytope, points)  # warm-up
+    output = faces(polytope, points)
     volume(polytope, points)
     lookup(polytope, points)
-    times, volume_times, lookup_times, angle_times = [], [], [], []
+    times, faces_times, volume_times, lookup_times, angle_times = [], [], [], [], []
     for _ in range(REPS):
         seconds, P = timed(eager, polytope, points)
         times.append(seconds)
         seconds, angle_faces = angle_pass(angle_pass_cls, P)
         angle_times.append(seconds)
+        faces_times.append(timed(faces, polytope, points)[0])
         volume_times.append(timed(volume, polytope, points)[0])
         lookup_times.append(timed(lookup, polytope, points)[0])
     f_vector = P.face_vector()
     return {"points": len(points), "n": points.shape[1] // 2,
             "eager_median_s": statistics.median(times), "eager_times_s": times,
+            "faces_median_s": statistics.median(faces_times), "faces_times_s": faces_times,
+            "faces_output_sha256": hashlib.sha256(output.encode()).hexdigest(),
             "volume_median_s": statistics.median(volume_times), "volume_times_s": volume_times,
             "lookup_median_s": statistics.median(lookup_times), "lookup_times_s": lookup_times,
             "f_vector": f_vector, "faces": sum(f_vector),
             "angle_faces": angle_faces, "angles_median_s": statistics.median(angle_times),
-            "angles_times_s": angle_times, "profile_s": profile(polytope, points)}
+            "angles_times_s": angle_times, "profile_s": profile(polytope, eager, points),
+            "faces_profile_s": profile(polytope, faces, points)}
 
 
 def machine() -> dict:
@@ -209,10 +238,13 @@ def main() -> None:
         row = {"case": name, **run_case(polytope, AnglePass, points)}
         rows.append(row)
         print(f"{name}: median over {REPS}: eager {row['eager_median_s']:.4f} s, "
-              f"volume {row['volume_median_s']:.4f} s, lookup {row['lookup_median_s']:.4f} s, "
+              f"faces {row['faces_median_s']:.4f} s, volume {row['volume_median_s']:.4f} s, "
+              f"lookup {row['lookup_median_s']:.4f} s, "
               f"f-vector {row['f_vector']}, angles of {row['angle_faces']} faces: median "
               f"{row['angles_median_s']:.4f} s, profile "
-              + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))
+              + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items())
+              + "; faces profile "
+              + ", ".join(f"{k} {v:.4f}" for k, v in row["faces_profile_s"].items()))
     run = {"label": args.label, "sources_sha256": sources_hash(src), "smoke": args.smoke,
            "reps": REPS, "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
            "machine": machine(),

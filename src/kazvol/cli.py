@@ -113,13 +113,25 @@ def cmd_rho(args, tol, stream, samples) -> dict:
 
 
 def cmd_faces(args, tol, stream, samples) -> dict:
+    """One line per face, a dimension at a time from the columns ``P.faces.data(k)``
+    through one ``%`` template, so a simplicial polytope builds no ``Face``.  A
+    dimension whose faces differ in vertex count joins each face's ids instead."""
     P = pt.load_polytope(args.file, tol)
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
     print(f"face vector: {P.face_vector()}")
-    print("\n".join(f"  k={f.k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
-                    f"rho={f.rho:.9g}{' (improper)' if f.k == P.dim_real else ''}"
-                    for f in P.all_faces()))
+    lines = []
+    for k, level in P.faces.ids.items():
+        vol, rho = P.faces.data(k)
+        tail = " vol=%.9g rho=%.9g" + (" (improper)" if k == P.dim_real else "")
+        if len(set(map(len, level))) == 1:
+            line = f"  k={k} vertices=[{', '.join(['%d'] * len(level[0]))}]{tail}"
+            lines += [line % (*ids, v, r) for ids, v, r in zip(level, vol, rho)]
+        else:
+            line = f"  k={k} vertices=[%s]{tail}"
+            lines += [line % (", ".join(map(str, ids)), v, r)
+                      for ids, v, r in zip(level, vol, rho)]
+    print("\n".join(lines))
     return {"values": {"face_vector": P.face_vector(), "dim_real": P.dim_real}}
 
 

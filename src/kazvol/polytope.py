@@ -116,7 +116,7 @@ class Polytope:
 
     ambient_n: int
     vertices: np.ndarray  # (V, 2n), extreme points only
-    faces: _FaceLattice  # read-only mapping dimension -> faces, each dimension built on first read
+    faces: _FaceLattice  # dimension -> faces, built on first read; ``faces.data(k)``: columns
     dim_real: int
     span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
     centroid: np.ndarray
@@ -265,8 +265,10 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
     return {ids: normal for s, (ids, normal) in sets.items() if not any(s < t for t in big)}
 
 
-def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int, ...]]]:
-    """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets down.
+def _lattice(facets: list[tuple[int, ...]], d: int
+             ) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, np.ndarray]]:
+    """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets
+    down; and each dimension k's simplices as one (m, k + 1) int array, in the same order.
 
     A k-face with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
     deletions.  A dimension's simplices are one (m, k + 1) int array, and one fancy
@@ -277,10 +279,11 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int,
     one that has, so candidates of fewer than k vertices are dropped unscanned.
     Those found with k vertices join the simplex array before it is deduped.
     """
-    radix = 1 + max(v for ids in facets for v in ids)
+    radix = 1 + max(ids[-1] for ids in facets)
     out = {d - 1: sorted(set(facets))}
     simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
     others = {sum(1 << v for v in ids): ids for ids in out[d - 1] if len(ids) != d}
+    arrays = {d - 1: simplices}
     facet_masks = [sum(1 << v for v in ids) for ids in out[d - 1]] if others else []
     for k in range(d - 1, 0, -1):
         below: dict[int, tuple[int, ...]] = {}
@@ -301,7 +304,8 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> dict[int, list[tuple[int,
         faces = list(zip(*simplices.T.tolist()))
         others = {c: ids for c, ids in below.items() if len(ids) > k}
         out[k - 1] = sorted(faces + list(others.values())) if others else faces
-    return out
+        arrays[k - 1] = simplices
+    return out, arrays
 
 
 def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -341,50 +345,72 @@ def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
 
 
-def _build_faces(vertices: np.ndarray, ids_list: list[tuple[int, ...]], k: int,
-                 tol: Tolerance) -> list[Face]:
-    """The proper k-faces with the given vertex ids.  Simplices come with vol_k and rho
-    from one batched pass (vertices with 1 and 1); other faces compute theirs on first access."""
-    faces = [Face(ids, k, vertices, tol) for ids in ids_list]
-    simplices = [f for f in faces if len(f.vertex_ids) == k + 1]
-    vol = rho = [1.0] * len(simplices)
-    if k > 0 and simplices:
-        idx = np.array([f.vertex_ids for f in simplices])
-        vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
-        vol, rho = vol.tolist(), rho.tolist()
-    for f, v, r in zip(simplices, vol, rho):
-        f.volume_k, f.rho = v, r
-    return faces
+def _simplex_columns(vertices: np.ndarray, idx: np.ndarray, k: int,
+                     tol: Tolerance) -> tuple[list[float], list[float]]:
+    """vol_k and rho of the k-simplices whose vertex ids are the rows of idx (m, k + 1),
+    as two lists: one ``_simplex_data`` pass (vertices have 1 and 1)."""
+    if k == 0 or not len(idx):
+        return [1.0] * len(idx), [1.0] * len(idx)
+    vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
+    return vol.tolist(), rho.tolist()
 
 
 class _FaceLattice(Mapping):
-    """Read-only map dimension -> faces over the vertex-id tuples ``ids`` of every face.
+    """Read-only map dimension -> faces over the vertex-id tuples ``ids`` of every face;
+    ``data(k)`` gives the k-faces' vol_k and rho as columns, with no ``Face`` built
+    where every k-face is a simplex.
 
-    The lattice is checked against the Euler relation on construction.  The
-    first read of a dimension builds its faces (``_build_faces``); the improper
-    face, of dimension d, with the given volume and the rho of the orthonormal
-    frame (rows) of E_Gamma.
+    The lattice is checked against the Euler relation on construction.  The first
+    read of a dimension, by ``data`` or by ``[]``, gives its simplices vol_k and rho
+    from one ``_simplex_columns`` pass over their (m, k + 1) id array from ``_lattice``;
+    ``[]`` builds the ``Face`` objects and assigns them those values.  Other faces
+    compute theirs on first access, where ``data`` reads them.  The improper face, of
+    dimension d, has the given volume and the rho of the orthonormal frame (rows) of
+    E_Gamma.
     """
 
-    def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]], d: int,
-                 volume: float, frame: np.ndarray, tol: Tolerance) -> None:
+    def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]],
+                 arrays: dict[int, np.ndarray], d: int, volume: float, frame: np.ndarray,
+                 tol: Tolerance) -> None:
         self.ids = {**dict(sorted(lattice.items())), d: [tuple(range(len(vertices)))]}
         _euler_check(self.ids, tol)
-        self._vertices, self._d, self._volume = vertices, d, volume
+        self._vertices, self._arrays, self._d, self._volume = vertices, arrays, d, volume
         self._frame, self._tol = frame, tol
+        self._columns: dict[int, tuple[list[float], list[float]]] = {}
         self._built: dict[int, list[Face]] = {}
+
+    def _batch(self, k: int) -> tuple[list[float], list[float]]:
+        """vol_k and rho of the k-simplices (the improper face for k = d), in ``ids[k]``
+        order; all k-faces' once ``data(k)`` has read them."""
+        columns = self._columns.get(k)
+        if columns is None:
+            if k == self._d:
+                columns = [self._volume], [
+                    0.0 if 2 * k > self._frame.shape[1]
+                    else float(cl.batch_rho(self._frame[None], self._tol)[0][0])]
+            else:
+                columns = _simplex_columns(self._vertices, self._arrays[k], k, self._tol)
+            self._columns[k] = columns
+        return columns
+
+    def data(self, k: int) -> tuple[list[float], list[float]]:
+        """vol_k and rho of every k-face, as two lists in ``ids[k]`` order (cached: every
+        read returns the same lists)."""
+        columns = self._batch(k)
+        if len(columns[0]) < len(self.ids[k]):
+            faces = self[k]
+            columns = self._columns[k] = [f.volume_k for f in faces], [f.rho for f in faces]
+        return columns
 
     def __getitem__(self, k: int) -> list[Face]:
         faces = self._built.get(k)
         if faces is None:
-            if k == self._d:
-                top = Face(self.ids[k][0], k, self._vertices, self._tol)
-                top.volume_k, top.rho = self._volume, (
-                    0.0 if 2 * k > self._frame.shape[1]
-                    else float(cl.batch_rho(self._frame[None], self._tol)[0][0]))
-                faces = [top]
-            else:
-                faces = _build_faces(self._vertices, self.ids[k], k, self._tol)
+            vol, rho = self._batch(k)
+            faces = [Face(ids, k, self._vertices, self._tol) for ids in self.ids[k]]
+            simplices = faces if len(vol) == len(faces) else [
+                f for f in faces if len(f.vertex_ids) == k + 1]
+            for f, v, r in zip(simplices, vol, rho):
+                f.volume_k, f.rho = v, r
             self._built[k] = faces
         return faces
 
@@ -428,7 +454,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
-        vertices, lattice, volume = pts[:1], {}, 1.0
+        vertices, lattice, arrays, volume = pts[:1], {}, {}, 1.0
         facet_ids, facet_normals = (), np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
@@ -437,16 +463,16 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             vertices = pts[[order[0], order[-1]]]
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
-            lattice = {0: [(0,), (1,)]}
+            lattice, arrays = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}
             facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh = ConvexHull(coords)
             vertices, volume = pts[np.sort(qh.vertices)], float(qh.volume)
             facet_sets = _facet_sets(coords, qh, tol.eps)
-            lattice = _lattice(list(facet_sets), d)
+            lattice, arrays = _lattice(list(facet_sets), d)
             facet_ids = tuple(facet_sets)
             facet_normals = np.array(list(facet_sets.values())) @ basis_rows
-    faces = _FaceLattice(vertices, lattice, d, volume, basis_rows, tol)
+    faces = _FaceLattice(vertices, lattice, arrays, d, volume, basis_rows, tol)
     return Polytope(n, vertices, faces, d, span, center, facet_ids, facet_normals, tol)
 
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from kazvol import load_polytope
 from kazvol.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -318,6 +319,45 @@ class TestDeterminism:
         assert report["command"] == "verify"
         assert "checks passed" in proc.stderr
         assert "done in" in proc.stderr
+
+
+def _faces_oracle(source) -> str:
+    """``kazvol faces`` stdout up to its timing line, rendered one ``Face`` at a time
+    from its attributes."""
+    P = load_polytope(source)
+    head = [f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, {P.n_vertices} vertices",
+            f"face vector: {P.face_vector()}"]
+    return "\n".join(head + [f"  k={f.k} vertices={list(f.vertex_ids)} vol={f.volume_k:.9g} "
+                             f"rho={f.rho:.9g}{' (improper)' if f.k == P.dim_real else ''}"
+                             for f in P.all_faces()]) + "\n"
+
+
+def _inline(points) -> str:
+    points = np.asarray(points, dtype=float)
+    return json.dumps({"n": points.shape[1] // 2, "vertices": points.tolist()})
+
+
+_THETA4 = np.vstack([np.eye(4), -np.eye(4)])
+_CUBE4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+FACES_CASES = {
+    "cloud in C^3": _inline(np.random.default_rng(501).normal(size=(14, 6))),
+    "cube4": os.path.join(DATA, "cube4.json"),
+    "theta4 + cube": _inline((_THETA4[:, None, :] + _CUBE4[None, :, :]).reshape(-1, 4)),
+    "segment": os.path.join(DATA, "segment.json"),
+    "point": _inline([[0.5, -1.0, 2.0, 0.25]]),
+    "flat triangle in C^2": _inline([[0, 0, 0, 0], [1, 0, 0.5, 0], [0, 1, 0, 0.25]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACES_CASES))
+def test_faces_output_matches_per_face_rendering(case, capsys):
+    """Every dimension printed from its columns reads as the rendering over ``Face``
+    objects: simplices only, squares and cubes, a sum's faces, d = 1, d = 0 and a flat
+    polygon."""
+    code, out = run(["faces", FACES_CASES[case]], capsys)
+    want = _faces_oracle(FACES_CASES[case])
+    assert code == EXIT_OK
+    assert out.startswith(want) and out[len(want):].startswith("done in")
 
 
 class TestExitCodes:

@@ -26,6 +26,7 @@ from kazvol import (
     support,
 )
 from kazvol import complex_linalg as cl
+from kazvol.cli import EXIT_OK, main
 from kazvol.numerics import DEFAULT_TOLERANCE, Tolerance
 from kazvol import polytope as pt
 from kazvol.polytope import _dedupe, convex_volume
@@ -437,14 +438,22 @@ ORACLE_CASES = {
 }
 
 
+def _assert_closure_matches_oracle(P):
+    """The lattice's vertex-id tuples, by dimension and in order, are the closure oracle's;
+    returns the oracle."""
+    want = frozenset_lattice(P)
+    assert P.face_vector() == [len(want.get(k, [])) for k in range(P.dim_real + 1)]
+    assert [ids for k in P.faces for ids in P.faces.ids[k]] == \
+        [row[0] for k in sorted(want) for row in want[k]]
+    return want
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_lattice_matches_frozenset_oracle(case):
     """Same faces in the same order as the closure oracle; vol and rho within 1e-12
     relative, and exact-zero rho on exactly the same faces."""
     P = ORACLE_CASES[case]()
-    want = frozenset_lattice(P)
-    assert P.face_vector() == [len(want.get(k, [])) for k in range(P.dim_real + 1)]
-    assert [f.vertex_ids for f in P.all_faces()] == [row[0] for k in sorted(want) for row in want[k]]
+    want = _assert_closure_matches_oracle(P)
     for f, (ids, vol, rho) in zip(P.all_faces(), [row for k in sorted(want) for row in want[k]]):
         assert f.volume_k == pytest.approx(vol, rel=1e-12, abs=0), (case, ids)
         assert (f.rho == 0.0) == (rho == 0.0), (case, ids, f.rho, rho)
@@ -456,14 +465,6 @@ def test_lattice_matches_frozenset_oracle(case):
             exact = _exact_rho(P.vertices, ids)
             assert f.rho == pytest.approx(exact, rel=1e-12, abs=0), (case, ids)
             assert abs(f.rho - exact) < abs(rho - exact), (case, ids)
-
-
-def _assert_closure_matches_oracle(P):
-    """The lattice's vertex-id tuples, by dimension and in order, are the closure oracle's."""
-    want = frozenset_lattice(P)
-    assert P.face_vector() == [len(want.get(k, [])) for k in range(P.dim_real + 1)]
-    assert [ids for k in P.faces for ids in P.faces.ids[k]] == \
-        [row[0] for k in sorted(want) for row in want[k]]
 
 
 def test_batched_closure_matches_oracle_on_a_c3_cloud():
@@ -494,7 +495,7 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     radix**k passes 2**63 for the 7-vertex deletions only, and exactly there the rows
     are deduped by ``np.lexsort`` instead of a packed int64 key."""
     P = hull(np.random.default_rng(401).normal(size=(12, 8)))
-    d, base = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
+    d, (base, _) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
     labels = (1025 + 3 * np.random.default_rng(405).permutation(P.n_vertices)).tolist()
 
     def relabel(ids):
@@ -503,7 +504,7 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     widths = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: widths.append(len(keys)) or lexsort(keys))
-    got = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
+    got, _ = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
     assert widths == [k for k in range(d - 1, 0, -1) if (max(labels) + 1) ** k >= 2**63] == [7]
     assert got == {k: sorted(relabel(ids) for ids in faces) for k, faces in base.items()}
     assert list(got) == list(base)
@@ -552,15 +553,16 @@ def test_sum_face_data_is_lazy_and_unchanged(theta4, cube4):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The dimensions of the proper faces built from here on, one entry per build."""
+    """The dimensions of the proper faces whose data batch runs from here on, one entry
+    per batch: a dimension's first read, of its columns or of its ``Face`` objects."""
     dims = []
-    build = pt._build_faces
+    batch = pt._simplex_columns
 
-    def record(vertices, ids_list, k, tol):
+    def record(vertices, idx, k, tol):
         dims.append(k)
-        return build(vertices, ids_list, k, tol)
+        return batch(vertices, idx, k, tol)
 
-    monkeypatch.setattr(pt, "_build_faces", record)
+    monkeypatch.setattr(pt, "_simplex_columns", record)
     return dims
 
 
@@ -574,6 +576,29 @@ def test_volume_path_builds_no_face_data(monkeypatch, built):
     assert sum(P.face_vector()) > 100
     assert P.improper_face.volume_k > 0
     assert calls == [] and built == []
+
+
+def test_faces_command_builds_no_face_on_a_simplicial_polytope(monkeypatch, built, capsys):
+    """``kazvol faces`` on a cloud in C^3, where every proper face is a simplex, prints
+    every dimension from its columns: one batch per proper dimension and no ``Face``."""
+    made = []
+    init = pt.Face.__init__
+    monkeypatch.setattr(pt.Face, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    points = np.random.default_rng(306).normal(size=(14, 6))
+    assert main(["faces", json.dumps({"n": 3, "vertices": points.tolist()})]) == EXIT_OK
+    assert "(improper)" in capsys.readouterr().out
+    assert made == [] and built == [0, 1, 2, 3, 4, 5]
+
+
+def test_columns_and_faces_share_one_batch(built):
+    """A dimension's columns and its ``Face`` objects, read in either order, come from
+    one batch and carry the same values bit for bit."""
+    P = hull(np.random.default_rng(307).normal(size=(12, 6)))
+    vol, rho = P.faces.data(2)
+    assert [f.volume_k for f in P.faces[2]] == vol and [f.rho for f in P.faces[2]] == rho
+    faces = P.faces[3]
+    assert P.faces.data(3) == ([f.volume_k for f in faces], [f.rho for f in faces])
+    assert built == [2, 3]
 
 
 def test_hull_itself_checks_the_euler_relation(built):
