@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Time ``kazvol.hull`` with the face reads of its callers and the closed-form outer
-angles on fixed inputs for one kazvol source tree.
+"""Time ``kazvol.hull`` with the face reads of its callers, the closed-form outer
+angles and the direct ``Q_2`` on fixed inputs for one kazvol source tree.
 
     python3 scripts/bench_hull.py OLD/src BENCH.json --label parent
     python3 scripts/bench_hull.py src BENCH.json --label change
-    python3 scripts/bench_hull.py src bench.json --smoke      # Theta_4 only
+    python3 scripts/bench_hull.py src bench.json --smoke      # Theta_4 and Theta_4 + cube
 
 The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
@@ -39,10 +39,22 @@ The profile is read from the functions of the given tree, so nothing of
 overhead and are for the split, not for the totals.  Each timed eager call is
 followed by one timed pass of a new ``AnglePass(P).angle`` over every face
 whose normal cone has dimension 2 or 3 (the closed forms), and the run
-records the median of those passes too.  The run also records the machine,
-the package versions and a hash of the tree's sources; it stops if
-``kazvol`` is imported from outside SRC (an installed copy, say), so the hash
-always names the code that ran.
+records the median of those passes too.
+
+The ``Q_n`` rows (``mixed_rows``) time the mixed path, ``mixed_pseudovolume`` (the
+direct route) on the hulls of two point sets, as ``kazvol mixed`` runs it: on
+Theta_4 + [-1, 1]^4 and on a seeded pair of 8 and 9 points in C^2
+(``np.random.default_rng(2026)``, one draw after the other; left out by --smoke).
+Each records the median of ``REPS`` calls after a warm-up call, the value with its
+std_error, bound and method, and a cProfile split into ``hull`` (the summands' and
+the sum's), Qhull and the layers of ``LAYERS["mixed"]``: ``minkowski_sum``, the
+summand labels, the label-set classification of a whole dimension
+``_summand_label_sets`` (or, on older trees, the per-face
+``_labelled_summand_faces``), ``mixed_volume`` and ``_simplex_data``.
+
+The run also records the machine, the package versions and a hash of the
+tree's sources; it stops if ``kazvol`` is imported from outside SRC (an
+installed copy, say), so the hash always names the code that ran.
 
 Each run is appended to the ``runs`` list of OUT.json (created if missing),
 so runs on two trees, alternated, sit side by side in one file.  BLAS runs
@@ -62,6 +74,7 @@ import contextlib  # noqa: E402
 import cProfile  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -77,8 +90,14 @@ import scipy  # noqa: E402
 
 CLOUD_SEED = 2026
 REPS = 5  # timed calls of each path per case
-LAYERS = ("_facet_sets", "_lattice", "_build_faces", "_FaceLattice.data", "_simplex_columns",
-          "_simplex_data")
+# Profiled functions, as "module.name" under ``kazvol``, recorded by the part after the module.
+LAYERS = {
+    "hull": ("polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
+             "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._simplex_data"),
+    "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_label_sets",
+              "polytope._labelled_summand_faces", "pseudovolume._summand_mixed_volume",
+              "volumes.mixed_volume", "polytope._simplex_data"),
+}
 
 
 def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
@@ -90,6 +109,17 @@ def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
                 ("cloud 30 in C^4", np.random.default_rng(CLOUD_SEED).normal(size=(30, 8))),
                 ("cube [-1,1]^8", np.array(list(itertools.product([-1.0, 1.0], repeat=8)))),
                 ("sum theta4 + [-1,1]^4", (theta4[:, None, :] + cube4[None, :, :]).reshape(-1, 4))]
+    return out
+
+
+def mixed_cases(smoke: bool) -> list[tuple[str, list[np.ndarray]]]:
+    theta4 = np.vstack([np.eye(4), -np.eye(4)])
+    out = [("theta4 + [-1,1]^4", [theta4, np.array(list(itertools.product([-1.0, 1.0],
+                                                                         repeat=4)))])]
+    if not smoke:
+        rng = np.random.default_rng(CLOUD_SEED)
+        out.append(("cloud 8 + cloud 9 in C^2", [rng.normal(size=(8, 4)),
+                                                 rng.normal(size=(9, 4))]))
     return out
 
 
@@ -126,7 +156,14 @@ def lookup(polytope, points: np.ndarray):
     return P.face_by_ids(ids[len(ids) // 2])
 
 
-def profile(polytope, path, points: np.ndarray) -> dict[str, float]:
+def mixed(polytope, pair: list[np.ndarray]):
+    """``kazvol mixed`` on two point sets: their hulls and the direct ``Q_2``."""
+    from kazvol import mixed_pseudovolume  # the tree of ``polytope``
+
+    return mixed_pseudovolume([polytope.hull(points) for points in pair])
+
+
+def profile(polytope, path, points, layers: tuple[str, ...]) -> dict[str, float]:
     """Cumulative seconds of one call of a path and of its layers, under cProfile."""
     qhull = polytope.ConvexHull
 
@@ -134,11 +171,12 @@ def profile(polytope, path, points: np.ndarray) -> dict[str, float]:
         return qhull(*args, **kwargs)
 
     functions = {path.__name__: path, "hull": polytope.hull, "ConvexHull": ConvexHull}
-    for name in LAYERS:
-        fn = functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."),
-                              polytope)
+    for name in layers:
+        module, attrs = name.split(".", 1)
+        fn = functools.reduce(lambda obj, attr: getattr(obj, attr, None), attrs.split("."),
+                              importlib.import_module(f"kazvol.{module}"))
         if fn is not None:
-            functions[name] = fn
+            functions[attrs] = fn
     polytope.ConvexHull = ConvexHull
     profiler = cProfile.Profile()
     try:
@@ -194,8 +232,21 @@ def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
             "lookup_median_s": statistics.median(lookup_times), "lookup_times_s": lookup_times,
             "f_vector": f_vector, "faces": sum(f_vector),
             "angle_faces": angle_faces, "angles_median_s": statistics.median(angle_times),
-            "angles_times_s": angle_times, "profile_s": profile(polytope, eager, points),
-            "faces_profile_s": profile(polytope, faces, points)}
+            "angles_times_s": angle_times,
+            "profile_s": profile(polytope, eager, points, LAYERS["hull"]),
+            "faces_profile_s": profile(polytope, faces, points, LAYERS["hull"])}
+
+
+def run_mixed_case(polytope, pair: list[np.ndarray]) -> dict:
+    mixed(polytope, pair)  # warm-up
+    times = []
+    for _ in range(REPS):
+        seconds, est = timed(mixed, polytope, pair)
+        times.append(seconds)
+    return {"points": [len(points) for points in pair], "n": pair[0].shape[1] // 2,
+            "mixed_median_s": statistics.median(times), "mixed_times_s": times,
+            "value": est.value, "std_error": est.std_error, "bound": est.bound,
+            "method": est.method, "profile_s": profile(polytope, mixed, pair, LAYERS["mixed"])}
 
 
 def machine() -> dict:
@@ -223,7 +274,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="the source tree (the directory that holds kazvol/)")
     parser.add_argument("out", help="JSON file the run is appended to")
-    parser.add_argument("--smoke", action="store_true", help="Theta_4 only")
+    parser.add_argument("--smoke", action="store_true",
+                        help="Theta_4 and the Q_2 of Theta_4 + [-1, 1]^4 only")
     parser.add_argument("--label", default="", help="name of the run, e.g. parent or change")
     args = parser.parse_args()
     src = Path(args.src).resolve()
@@ -245,12 +297,20 @@ def main() -> None:
               + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items())
               + "; faces profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["faces_profile_s"].items()))
+    mixed_rows = []
+    for name, pair in mixed_cases(args.smoke):
+        row = {"case": name, **run_mixed_case(polytope, pair)}
+        mixed_rows.append(row)
+        print(f"mixed {name}: median over {REPS}: {row['mixed_median_s']:.4f} s, "
+              f"Q_2 = {row['value']!r} ± {row['std_error']:g} (bound {row['bound']:.2g}, "
+              f"{row['method']}), profile "
+              + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))
     run = {"label": args.label, "sources_sha256": sources_hash(src), "smoke": args.smoke,
            "reps": REPS, "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
            "machine": machine(),
            "versions": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__},
-           "rows": rows}
+           "rows": rows, "mixed_rows": mixed_rows}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
     doc["runs"].append(run)

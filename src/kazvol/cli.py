@@ -366,6 +366,9 @@ def main(argv=None) -> int:
         except (OSError, KeyError, ValueError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        except pt.QhullError as exc:  # its first line names the error, the rest is a dump
+            print(f"input error: Qhull: {str(exc).splitlines()[0]}", file=sys.stderr)
+            return EXIT_INPUT
         if report["values"].get("failures"):
             return EXIT_VERIFY
         print(f"done in {time.perf_counter() - started:.2f}s (seed {args.seed})")

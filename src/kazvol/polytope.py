@@ -68,9 +68,21 @@ def convex_volume(points: np.ndarray) -> float:
     if k == 1:
         return float(points.max() - points.min())
     try:
-        return float(ConvexHull(points).volume)
+        return _qhull(points)[2]
     except QhullError:
         return 0.0
+
+
+def _qhull(points: np.ndarray) -> tuple[ConvexHull, int, float]:
+    """Qhull of the points times 2**-e, e and the volume (2**(e d) times Qhull's, inf past
+    the float range).  Qhull fails or crashes on coordinates far from 1 (a cloud in R^4
+    at 1e60 or 1e140), so e scales them into [1/2, 1) past 2**±64; nearer 1, e = 0, as
+    Qhull's volume is not always bit-equal under scaling."""
+    exponent = int(np.frexp(np.abs(points).max())[1])
+    exponent = exponent if abs(exponent) > 64 else 0
+    qhull = ConvexHull(np.ldexp(points, -exponent))
+    with np.errstate(over="ignore"):
+        return qhull, exponent, float(np.ldexp(qhull.volume, points.shape[1] * exponent))
 
 
 @dataclass(eq=False)
@@ -233,13 +245,13 @@ def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nd
     return center, vt[:rank]
 
 
-def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
+def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
                 eps: float) -> dict[tuple[int, ...], np.ndarray]:
     """Map facet vertex ids -> outer unit normal (in the projected coordinates).
 
-    Vertex ids number Qhull's vertices in index order; a facet's ids, sorted,
-    are read from those vertices' entries of its point-plane incidence, so
-    points on a facet's plane that are not vertices drop out.  Qhull
+    Qhull ran on coords times 2**-exponent.  Vertex ids number Qhull's vertices in
+    index order; a facet's ids, sorted, are read from those vertices' entries of its
+    point-plane incidence, so points on a facet's plane that are not vertices drop out.  Qhull
     triangulates non-simplicial facets, so one facet can come as many
     equations; each point set keeps the normal of its first equation.
     Equations are taken in chunks of about 2**20 point-equation pairs.  A facet
@@ -254,7 +266,8 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull,
     keep = np.sort(qhull.vertices)
     for start in range(0, len(qhull.equations), step):
         eqs = qhull.equations[start:start + step]
-        on_plane = np.abs(coords @ eqs[:, :-1].T + eqs[:, -1]) <= eps * scale_ * 10
+        offset = np.ldexp(eqs[:, -1], exponent)
+        on_plane = np.abs(coords @ eqs[:, :-1].T + offset) <= eps * scale_ * 10
         normals = eqs[:, :-1] / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
         _, first = np.unique(np.packbits(on_plane, axis=0).T, axis=0, return_index=True)
         cols = np.sort(first)
@@ -339,7 +352,8 @@ def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     count, k, n2 = edges.shape
     exponent = int(np.frexp(max(edges.max(), -edges.min()))[1])
     r, q = cl.gram_schmidt(np.ldexp(edges, -exponent))
-    vol = np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k)
+    with np.errstate(over="ignore"):  # inf past the float range, as ``_qhull``'s volume
+        vol = np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k)
     # k > n real directions never span a complex-equidimensional space: rho = 0 with no
     # Gram-Schmidt, here and for the improper face.  ``cl.rho`` still reports their complex rank.
     return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
@@ -466,9 +480,9 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             lattice, arrays = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}
             facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
         else:
-            qh = ConvexHull(coords)
-            vertices, volume = pts[np.sort(qh.vertices)], float(qh.volume)
-            facet_sets = _facet_sets(coords, qh, tol.eps)
+            qh, exponent, volume = _qhull(coords)
+            vertices = pts[np.sort(qh.vertices)]
+            facet_sets = _facet_sets(coords, qh, exponent, tol.eps)
             lattice, arrays = _lattice(list(facet_sets), d)
             facet_ids = tuple(facet_sets)
             facet_normals = np.array(list(facet_sets.values())) @ basis_rows
@@ -544,24 +558,47 @@ def _sum_labels(S: Polytope, parts: list[Polytope]) -> np.ndarray:
     so an exact row lookup (on the rows' bytes, the first of equal rows, as
     ``_dedupe`` keeps) finds them.
     """
-    acc = np.ascontiguousarray(_sum_points(parts))
-    row = np.dtype((np.void, acc.itemsize * acc.shape[1]))
-    keys, first = np.unique(acc.view(row).ravel(), return_index=True)
-    wanted = np.ascontiguousarray(S.vertices).view(row).ravel()
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    if np.any(keys[pos] != wanted):
+    first, found = _row_lookup(_sum_points(parts), S.vertices)
+    if not found.all():
         raise RuntimeError("a vertex of the sum is not a sum of summand vertices")
-    return np.stack(np.unravel_index(first[pos], [p.n_vertices for p in parts]), axis=1)
+    return np.stack(np.unravel_index(first, [p.n_vertices for p in parts]), axis=1)
 
 
-def _labelled_summand_faces(parts: list[Polytope], labels: np.ndarray,
-                            face: Face) -> tuple[Face, ...] | None:
-    """The summand faces of a face of the sum, read from its vertex labels: the face
-    of summand l is the set of the l-th labels of the face's vertices.  None if one
-    of those sets is not a face of its summand (a tolerance artefact)."""
-    rows = labels[list(face.vertex_ids)]
-    faces = tuple(p._find(rows[:, l].tolist()) for l, p in enumerate(parts))
-    return None if None in faces else faces
+def _row_lookup(table: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of wanted, the index of the first equal row of table and whether there
+    is one: one sort of the rows' bytes as void keys and a bisection."""
+    table, wanted = np.ascontiguousarray(table), np.ascontiguousarray(wanted)
+    row = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys, first = np.unique(table.view(row).ravel(), return_index=True)
+    pos = np.minimum(np.searchsorted(keys, want := wanted.view(row).ravel()), len(keys) - 1)
+    return first[pos], keys[pos] == want
+
+
+def _summand_label_sets(S: Polytope, parts: list[Polytope],
+                        k: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per summand l, the (faces, V_l) bool membership rows of the l-th ``_sum_labels`` of
+    each k-face's vertices, in ``S.faces.ids[k]`` order (one fancy assignment each, no
+    ``Face`` built); and whether every set of a face is a face of its summand, where it
+    is the summand face of ``summand_faces``."""
+    ids = S.faces.ids.get(k, [])
+    sizes = [len(t) for t in ids]
+    rows = np.repeat(np.arange(len(ids)), sizes)
+    labels = _sum_labels(S, parts)[np.fromiter(itertools.chain.from_iterable(ids), np.intp,
+                                                sum(sizes))]
+    members = [np.zeros((len(ids), p.n_vertices), dtype=bool) for p in parts]
+    for l, member in enumerate(members):
+        member[rows, labels[:, l]] = True
+    found = [_are_faces(p, member) for p, member in zip(parts, members)]
+    return members, np.logical_and.reduce(found, axis=0)
+
+
+def _are_faces(P: Polytope, member: np.ndarray) -> np.ndarray:
+    """Whether each (V,) bool membership row is the vertex set of a face of P (of any
+    dimension, as ``_find`` accepts it): its ``np.packbits`` key among those of every
+    tuple in ``P.faces.ids``."""
+    every = [ids for level in P.faces.ids.values() for ids in level]
+    faces = np.packbits(_membership(every, P.n_vertices) != 0, axis=1)
+    return _row_lookup(faces, np.packbits(member, axis=1))[1]
 
 
 def summand_faces(S: Polytope, parts: list[Polytope], face: Face) -> tuple[Face, ...]:

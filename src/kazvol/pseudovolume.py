@@ -18,9 +18,9 @@ returns an :class:`numerics.Estimate` with the per-face rows as its terms.
 The direct path to Q_n is that sum over the Minkowski sum with the mixed
 volume of the summand faces in place of vol_k.  The summand faces are read
 from the sum's vertex labels (each vertex of a sum is the sum of exactly one
-vertex of each summand); the mixed volume is 0 where one of them is a vertex
-and |det(e_1, ..., e_k)| / k! where all are edges, so ``mixed_volume`` runs
-only on the other faces.
+vertex of each summand) in one array pass, with no summand ``Face`` built; the
+mixed volume is 0 where one of them is a vertex and |det(e_1, ..., e_k)| / k!
+where all are edges, so ``mixed_volume`` runs only on the other faces.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
@@ -42,8 +42,8 @@ from . import complex_linalg as cl
 from .cone_geometry import AnglePass
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
-from .polytope import (Face, Polytope, _labelled_summand_faces, _simplex_data,  # noqa: F401
-                       _sum_labels, hull, minkowski_sum, split, summand_faces)
+from .polytope import (Face, Polytope, _simplex_data, _summand_label_sets,  # noqa: F401
+                       hull, minkowski_sum, split, summand_faces)
 from .volumes import mixed_volume
 
 __all__ = [
@@ -118,37 +118,36 @@ def pseudovolume(
 def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callable[[Face], float]:
     """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S.
 
-    The summand faces are read from the vertex labels of S (``summand_faces``,
-    the support-function route, only where a label set is not a face).  If one
-    of them is a vertex, V_k = 0.  If all are edges, Delta is a parallelotope:
-    V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and ``hull_basis`` are assigned
-    from the same batched Gram-Schmidt pass over the edges (``_simplex_data``).
-    Every other face gets ``mixed_volume`` on first read.
+    The summand faces are the label sets of ``_summand_label_sets``, classified in one
+    array pass (``summand_faces``, the support-function route, only for a face with a
+    set that is not a face).  If one has one vertex, V_k = 0.  If all have two, Delta
+    is a parallelotope: V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and
+    ``hull_basis`` are assigned from the same batched Gram-Schmidt pass over the edges
+    (``_simplex_data``).  Every other face gets ``mixed_volume`` on first read.
     """
-    labels = _sum_labels(S, parts)
-    known: dict[Face, float] = {}
-    others: dict[Face, tuple[Face, ...]] = {}
-    edges = []
-    for f in S.faces.get(k, []):
-        faces = _labelled_summand_faces(parts, labels, f) or summand_faces(S, parts, f)
-        sizes = {len(s.vertex_ids) for s in faces}
-        if 1 in sizes:
-            known[f] = 0.0
-        elif sizes == {2}:
-            edges.append((f, [p.vertices[s.vertex_ids[1]] - p.vertices[s.vertex_ids[0]]
-                              for p, s in zip(parts, faces)]))
-        else:
-            others[f] = faces
-    if edges:
-        vol, rho, frames = _simplex_data(np.array([e for _, e in edges]), S.tol)
-        for (f, _), v, r, q in zip(edges, vol.tolist(), rho.tolist(), frames):
-            f.hull_basis, f.rho = cl.SubspaceBasis(S.ambient_n, q), r
-            known[f] = v
+    faces = S.faces.get(k, [])
+    members, found = _summand_label_sets(S, parts, k)
+    for i in np.flatnonzero(~found).tolist():
+        for member, s in zip(members, summand_faces(S, parts, faces[i])):
+            member[i] = False
+            member[i, list(s.vertex_ids)] = True
+    counts = np.stack([member.sum(axis=1) for member in members], axis=1)
+    known = dict.fromkeys(np.flatnonzero((counts == 1).any(axis=1)).tolist(), 0.0)
+    edges = np.flatnonzero((counts == 2).all(axis=1))
+    if len(edges):
+        ends = [p.vertices[np.nonzero(member[edges])[1].reshape(-1, 2)]
+                for p, member in zip(parts, members)]
+        vol, rho, frames = _simplex_data(np.concatenate(np.diff(ends, axis=2), axis=1), S.tol)
+        for i, v, r, q in zip(edges.tolist(), vol.tolist(), rho.tolist(), frames):
+            faces[i].hull_basis, faces[i].rho = cl.SubspaceBasis(S.ambient_n, q), r
+            known[i] = v
+    index = {f: i for i, f in enumerate(faces)}
 
     def mixed(f: Face) -> float:
-        if f in known:
-            return known[f]
-        return mixed_volume([p.vertices[list(s.vertex_ids)] for p, s in zip(parts, others[f])],
+        i = index[f]
+        if i in known:
+            return known[i]
+        return mixed_volume([p.vertices[member[i]] for p, member in zip(parts, members)],
                             f.hull_basis, S.tol)
 
     return mixed

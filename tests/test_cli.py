@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kazvol import load_polytope
+from kazvol import polytope as pt
 from kazvol.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -516,6 +517,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "input error" in err and "Euler relation" in err and "tolerance 1e-09" in err
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100])
+    def test_huge_coordinates_are_a_hull(self, scale, capsys):
+        """A ℂ² cloud at 1e80 or 1e100 once raised Qhull's "flat initial simplex" error
+        with a traceback; Qhull now gets it scaled by a power of two."""
+        points = np.random.default_rng(8).normal(size=(10, 4)) * scale
+        code, out = run(["faces", json.dumps({"n": 2, "vertices": points.tolist()})], capsys)
+        assert code == EXIT_OK
+        assert "vol=inf rho=0 (improper)" in out  # vol_4 past the float range
+
+    def test_huge_coordinates_in_their_own_process(self, tmp_path):
+        """At 1e140 Qhull once crashed the process (a segfault)."""
+        path = tmp_path / "cloud.json"
+        points = np.random.default_rng(8).normal(size=(10, 4)) * 1e140
+        path.write_text(json.dumps({"n": 2, "vertices": points.tolist()}))
+        proc = subprocess.run([sys.executable, "-m", "kazvol.cli", "volume", str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "vol_4 = inf" in proc.stdout
+
+    def test_qhull_error_is_an_input_error(self, monkeypatch, capsys):
+        def failing(points):
+            raise pt.QhullError("QH6154 Qhull precision error: Initial simplex is flat\nmore")
+
+        monkeypatch.setattr(pt, "ConvexHull", failing)
+        code = main(["faces", json.dumps({"n": 2, "vertices": np.eye(4).tolist() + [[0] * 4]})])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error: Qhull: QH6154" in err
+        assert "more" not in err and "Traceback" not in err
 
     def test_verify_subset(self, capsys):
         code, out = run(["verify", "--suite", "invariants",

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,27 @@ class TestConvexVolume:
     def test_degenerate(self):
         pts = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
         assert convex_volume(pts) == 0.0
+
+
+class TestHugeCoordinates:
+    """Coordinates past 2**±64 reach Qhull scaled by a power of two, in ``hull`` and in
+    ``convex_volume``; a ℂ² cloud at 1e60 to 1e100 once raised Qhull's "flat initial
+    simplex" error (and ``convex_volume`` read it as volume 0)."""
+
+    CLOUD = np.random.default_rng(8).normal(size=(10, 4))
+
+    @pytest.mark.parametrize("scale", [1e60, 1e70, 1e80, 1e100])
+    def test_scaled_cloud_keeps_its_lattice_and_volume(self, scale):
+        P0, P = hull(self.CLOUD), hull(self.CLOUD * scale)
+        assert P.face_vector() == P0.face_vector()
+        assert P.faces.ids == P0.faces.ids
+        want = Fraction(P0.improper_face.volume_k) * Fraction(scale) ** 4
+        if want < Fraction(sys.float_info.max):
+            assert P.improper_face.volume_k == pytest.approx(float(want), rel=1e-12)
+        else:
+            assert P.improper_face.volume_k == math.inf
+        assert convex_volume(self.CLOUD * 1e60) == pytest.approx(
+            convex_volume(self.CLOUD) * 1e240, rel=1e-12)
 
 
 class TestHull:

@@ -26,7 +26,7 @@ from kazvol import (
 from kazvol.complex_linalg import SubspaceBasis, random_unitary, realify
 from kazvol.complex_linalg import rho as cl_rho
 from kazvol.numerics import Tolerance, kappa, weighted_sum
-from kazvol.polytope import _labelled_summand_faces, _sum_labels, summand_faces
+from kazvol.polytope import Face, _summand_label_sets, _sum_labels, summand_faces
 from kazvol.pseudovolume import _summand_mixed_volume
 from kazvol.smooth_bodies import ball_pseudovolume
 
@@ -304,33 +304,42 @@ def c3_triple():
 
 
 class TestSummandLabels:
-    """The direct path reads summand faces from the sum's vertex labels; the
+    """The direct path reads summand faces from the sum's vertex labels, as one
+    membership row per face and summand (``_summand_label_sets``); the
     support-function route ``summand_faces`` is the oracle."""
 
-    @pytest.fixture(params=["c2_pair", "c3_triple"])
+    @pytest.fixture(params=["c2_pair", "c3_triple", "c2_clouds"])
     def parts(self, request, theta4, cube4):
-        return [theta4, cube4] if request.param == "c2_pair" else c3_triple()
+        if request.param == "c2_pair":
+            return [theta4, cube4]
+        if request.param == "c3_triple":
+            return c3_triple()
+        rng = np.random.default_rng(35)
+        return [random_polytope(rng, m, 2) for m in (6, 7)]
 
     def test_labels_match_support_route(self, parts):
         S = minkowski_sum(parts)
         labels = _sum_labels(S, parts)
         np.testing.assert_array_equal(
             sum(p.vertices[labels[:, l]] for l, p in enumerate(parts)), S.vertices)
-        for f in S.all_faces():
-            got = _labelled_summand_faces(parts, labels, f)
-            want = summand_faces(S, parts, f)
-            assert [g.id for g in got] == [w.id for w in want], f.vertex_ids
+        for k in S.faces:
+            members, found = _summand_label_sets(S, parts, k)
+            assert found.all(), k
+            for i, f in enumerate(S.faces[k]):
+                got = [frozenset(np.flatnonzero(m[i]).tolist()) for m in members]
+                want = summand_faces(S, parts, f)
+                assert got == [w.id for w in want], f.vertex_ids
 
     def test_parallelotope_data_match_per_face_routes(self, parts):
         S = minkowski_sum(parts)
         k = len(parts)
         n = S.ambient_n
-        labels = _sum_labels(S, parts)
+        members, _ = _summand_label_sets(S, parts, k)
         measure = _summand_mixed_volume(S, parts, k)
         counts = {"parallelotope": 0, "point": 0}
-        for f in S.faces[k]:
-            faces = _labelled_summand_faces(parts, labels, f)
-            sizes = {len(s.vertex_ids) for s in faces}
+        for i, f in enumerate(S.faces[k]):
+            sets = [np.flatnonzero(m[i]) for m in members]
+            sizes = {len(s) for s in sets}
             if 1 in sizes:
                 counts["point"] += 1
                 assert measure(f) == 0.0
@@ -340,7 +349,7 @@ class TestSummandLabels:
             counts["parallelotope"] += 1
             pts = S.vertices[list(f.vertex_ids)]
             basis = SubspaceBasis.from_span(n, pts - pts[0])
-            segments = [p.vertices[list(s.vertex_ids)] for p, s in zip(parts, faces)]
+            segments = [p.vertices[s] for p, s in zip(parts, sets)]
             assert measure(f) == pytest.approx(mixed_volume(segments, basis), rel=1e-12)
             assert f.rho == pytest.approx(cl_rho(basis).rho, rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(f.hull_basis.vectors.T @ f.hull_basis.vectors,
@@ -352,10 +361,28 @@ class TestSummandLabels:
     def test_support_fallback_gives_the_same_value(self, parts, stream, monkeypatch):
         labelled = mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
         # Every label set rejected: each summand face comes from `summand_faces`.
-        monkeypatch.setattr(importlib.import_module("kazvol.pseudovolume"),
-                            "_labelled_summand_faces", lambda *args: None)
+        pv = importlib.import_module("kazvol.pseudovolume")
+        calls = []
+        monkeypatch.setattr(importlib.import_module("kazvol.polytope"), "_are_faces",
+                            lambda P, member: np.zeros(len(member), dtype=bool))
+        monkeypatch.setattr(pv, "summand_faces",
+                            lambda S, ps, f: calls.append(f) or summand_faces(S, ps, f))
         fallback = mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
+        assert len(calls) == len(minkowski_sum(parts).faces.ids[len(parts)])
         assert fallback.value == pytest.approx(labelled.value, rel=1e-12)
+
+    def test_direct_path_builds_no_summand_face(self, parts, stream, monkeypatch):
+        built = []
+        init = Face.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self._points)
+
+        monkeypatch.setattr(Face, "__init__", counting)
+        mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
+        assert built  # the faces of the sum
+        assert not [pts for pts in built if any(pts is p.vertices for p in parts)]
 
     def test_direct_matches_polarization_in_c3(self, stream):
         # Both paths are exact here (normal cones of dimension <= 3).
@@ -365,6 +392,32 @@ class TestSummandLabels:
                                method="polarization")
         assert d.value == pytest.approx(9.0557017343842, rel=1e-12)
         assert abs(d.value - p.value) <= d.bound + p.bound
+
+
+class TestMinkowskiInequality:
+    """Minkowski's inequality Q_2(A, B)^2 >= P_2(A) P_2(B), the n = 2 case of
+    Alexandrov-Fenchel, fails for the pseudovolume: a witness with integer vertices,
+    both bodies full-dimensional, every value exact on both routes to Q_2."""
+
+    A = [[1, 0, -1, -1], [-1, 0, 0, -1], [0, 1, 3, 1], [-1, -1, -3, -2], [2, 1, 1, 0],
+         [0, -1, 0, 0]]
+    B = [[0, -1, 0, 0], [-1, 1, -3, 0], [-2, 1, -5, 3], [0, 0, -1, -1], [2, -1, -1, 0],
+         [2, -1, 1, -4]]
+
+    def test_witness(self, stream):
+        a, b = hull(np.array(self.A, dtype=float)), hull(np.array(self.B, dtype=float))
+        assert a.face_vector() == b.face_vector() == [6, 14, 16, 8, 1]
+        pa = pseudovolume(a, samples=SAMPLES, stream=stream.substream(1))
+        pb = pseudovolume(b, samples=SAMPLES, stream=stream.substream(2))
+        direct = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream.substream(3))
+        oracle = mixed_pseudovolume([a, b], samples=SAMPLES, stream=stream.substream(4),
+                                    method="polarization")
+        for est, want in ((pa, 12.6412249), (pb, 17.5180793), (direct, 12.3753922),
+                          (oracle, 12.3753922)):
+            assert est.method == "exact" and est.bound < 1e-11
+            assert est.value == pytest.approx(want, abs=5e-8)
+        assert abs(direct.value - oracle.value) <= direct.bound + oracle.bound
+        assert direct.value ** 2 / (pa.value * pb.value) < 0.7
 
 
 class TestMixedWithBall:
