@@ -31,8 +31,10 @@ eager call and one more faces call under cProfile, the cumulative seconds of
 the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_facet_sets``,
 ``_lattice``, the per-dimension face builder ``_build_faces`` of trees that
 have no column reader, the column reader ``_FaceLattice.data``, the
-per-dimension batch ``_simplex_columns`` and its per-face data
-``_simplex_data``; a name the tree does not define is left out of the record.
+per-dimension batch (``_simplex_columns`` on trees whose non-simplicial faces
+compute their own data, ``_face_data`` with its pyramid step on later ones) and
+its simplex pass ``_simplex_data``; a name the tree does not define is left out
+of the record.
 The profile is read from the functions of the given tree, so nothing of
 ``hull`` is copied here; Qhull is timed by a pass-through wrapper around the
 ``ConvexHull`` name that ``polytope`` calls.  Profiled times carry cProfile's
@@ -93,7 +95,8 @@ REPS = 5  # timed calls of each path per case
 # Profiled functions, as "module.name" under ``kazvol``, recorded by the part after the module.
 LAYERS = {
     "hull": ("polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
-             "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._simplex_data"),
+             "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._face_data",
+             "polytope._simplex_data"),
     "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_label_sets",
               "polytope._labelled_summand_faces", "pseudovolume._summand_mixed_volume",
               "volumes.mixed_volume", "polytope._simplex_data"),

@@ -12,7 +12,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -78,7 +78,7 @@ def _qhull(points: np.ndarray) -> tuple[ConvexHull, int, float]:
     the float range).  Qhull fails or crashes on coordinates far from 1 (a cloud in R^4
     at 1e60 or 1e140), so e scales them into [1/2, 1) past 2**±64; nearer 1, e = 0, as
     Qhull's volume is not always bit-equal under scaling."""
-    exponent = int(np.frexp(np.abs(points).max())[1])
+    exponent = _exponent(points)
     exponent = exponent if abs(exponent) > 64 else 0
     qhull = ConvexHull(np.ldexp(points, -exponent))
     with np.errstate(over="ignore"):
@@ -87,38 +87,18 @@ def _qhull(points: np.ndarray) -> tuple[ConvexHull, int, float]:
 
 @dataclass(eq=False)
 class Face:
-    """A face of a polytope, with its affine-hull data; hashed by identity.
-
-    ``hull_basis`` (an orthonormal basis of E_Delta), ``volume_k`` and ``rho``
-    are computed on first access unless a builder assigned them (a
-    ``cached_property`` has no setter): a dimension's build does for vertices,
-    simplices and the improper face, the direct Q_n path for parallelotopes.
-    """
+    """A face of a polytope and its data, hashed by identity: vol_k, rho and an
+    orthonormal basis of E_Delta, all from its dimension's batch (``_face_data``)."""
 
     vertex_ids: tuple[int, ...]  # sorted: the face's key in the lattice
     k: int
-    _points: np.ndarray = field(repr=False)  # the polytope's vertex array
-    _tol: Tolerance = field(repr=False)
+    volume_k: float
+    rho: float
+    hull_basis: cl.SubspaceBasis
 
     @property
     def id(self) -> frozenset[int]:
         return frozenset(self.vertex_ids)
-
-    @cached_property
-    def hull_basis(self) -> cl.SubspaceBasis:
-        # The lattice has decided k: a face bent within the tolerance keeps rank k.
-        pts = self._points[list(self.vertex_ids)]
-        _, _, vt = np.linalg.svd(pts - pts[0], full_matrices=False)
-        return cl.SubspaceBasis(self._points.shape[1] // 2, vt[:self.k])
-
-    @cached_property
-    def volume_k(self) -> float:
-        pts = self._points[list(self.vertex_ids)]
-        return convex_volume((pts - pts[0]) @ self.hull_basis.vectors.T)
-
-    @cached_property
-    def rho(self) -> float:
-        return cl.rho(self.hull_basis, self._tol).rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +258,11 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
     return {ids: normal for s, (ids, normal) in sets.items() if not any(s < t for t in big)}
 
 
-def _lattice(facets: list[tuple[int, ...]], d: int
-             ) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, np.ndarray]]:
+def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
+        dict[int, list[tuple[int, ...]]], dict[int, np.ndarray], dict[int, dict]]:
     """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets
-    down; and each dimension k's simplices as one (m, k + 1) int array, in the same order.
+    down; each dimension k's simplices as one (m, k + 1) int array, in the same order;
+    and by dimension, each other face's pyramid bases (``_face_data``).
 
     A k-face with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
     deletions.  A dimension's simplices are one (m, k + 1) int array, and one fancy
@@ -290,16 +271,18 @@ def _lattice(facets: list[tuple[int, ...]], d: int
     F are the inclusion-maximal proper sets F & g over the facets g, on int
     bitmasks; a (k-1)-face has at least k vertices and a smaller set F & g lies in
     one that has, so candidates of fewer than k vertices are dropped unscanned.
-    Those found with k vertices join the simplex array before it is deduped.
+    Those found with k vertices join the simplex array before it is deduped, and
+    those that miss F's first vertex are its pyramid bases.
     """
     radix = 1 + max(ids[-1] for ids in facets)
     out = {d - 1: sorted(set(facets))}
     simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
     others = {sum(1 << v for v in ids): ids for ids in out[d - 1] if len(ids) != d}
-    arrays = {d - 1: simplices}
+    arrays, pyramids = {d - 1: simplices}, {}
     facet_masks = [sum(1 << v for v in ids) for ids in out[d - 1]] if others else []
     for k in range(d - 1, 0, -1):
         below: dict[int, tuple[int, ...]] = {}
+        bases = pyramids[k] = {}
         for m, ids in others.items():
             maximal: list[int] = []
             for c in sorted({m & g for g in facet_masks} - {m}, key=int.bit_count, reverse=True):
@@ -310,6 +293,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int
             for c in maximal:
                 if c not in below:
                     below[c] = tuple(v for v in ids if c >> v & 1)
+            bases[ids] = [below[c] for c in maximal if not c >> ids[0] & 1]
         found = np.array([ids for ids in below.values() if len(ids) == k], dtype=np.int64)
         simplices = _unique_rows(np.concatenate(
             [simplices[:, list(itertools.combinations(range(k + 1), k))].reshape(-1, k),
@@ -318,7 +302,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int
         others = {c: ids for c, ids in below.items() if len(ids) > k}
         out[k - 1] = sorted(faces + list(others.values())) if others else faces
         arrays[k - 1] = simplices
-    return out, arrays
+    return out, arrays, pyramids
 
 
 def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -341,91 +325,114 @@ def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
     return rows[new]
 
 
-def _simplex_data(edges: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """prod r / k!, rho and orthonormal row frames (F, k, 2n) of F sets of k edges (F, k, 2n).
+def _exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2**(e - 1), 2**e), 0 for zeros or none."""
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
+def _simplex_data(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prod r / k! and orthonormal row frames (F, k, 2n) of F sets of k edges (F, k, 2n).
 
     One ``cl.gram_schmidt`` pass over the edges, scaled by a power of two so that
     no squared norm over- or underflows, gives the residual norms r and a frame of
     each span.  For the edges of a k-simplex from one vertex, prod r / k! is its
     vol_k; for the k edges of a k-parallelotope, the mixed volume V_k.
     """
-    count, k, n2 = edges.shape
-    exponent = int(np.frexp(max(edges.max(), -edges.min()))[1])
+    k, exponent = edges.shape[1], _exponent(edges)
     r, q = cl.gram_schmidt(np.ldexp(edges, -exponent))
     with np.errstate(over="ignore"):  # inf past the float range, as ``_qhull``'s volume
-        vol = np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k)
-    # k > n real directions never span a complex-equidimensional space: rho = 0 with no
-    # Gram-Schmidt, here and for the improper face.  ``cl.rho`` still reports their complex rank.
-    return vol, (np.zeros(count) if 2 * k > n2 else cl.batch_rho(q, tol)[0]), q
+        return np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k), q
 
 
-def _simplex_columns(vertices: np.ndarray, idx: np.ndarray, k: int,
-                     tol: Tolerance) -> tuple[list[float], list[float]]:
-    """vol_k and rho of the k-simplices whose vertex ids are the rows of idx (m, k + 1),
-    as two lists: one ``_simplex_data`` pass (vertices have 1 and 1)."""
-    if k == 0 or not len(idx):
-        return [1.0] * len(idx), [1.0] * len(idx)
-    vol, rho, _ = _simplex_data(vertices[idx[:, 1:]] - vertices[idx[:, :1]], tol)
-    return vol.tolist(), rho.tolist()
+def _face_data(vertices: np.ndarray, level: list[tuple[int, ...]], simplices: np.ndarray,
+               bases: dict, below: tuple | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """vol_k and orthonormal row frames (f, k, 2n) of the f proper k-faces ``level``.
+
+    Vertices have 1 and an empty frame, the simplices (rows of ``simplices``) one
+    ``_simplex_data`` pass.  Any other face F is the union of the pyramids with apex v,
+    its first vertex, over its (k-1)-faces G that miss v (``bases[F]``; Lasserre, J.
+    Optim. Theory Appl. 39, 1983): vol_k(F) = sum h(v, G) vol_{k-1}(G) / k, from the
+    ids, vol_{k-1} and frames ``below``.  h is the norm of v - g_0 off G's frame,
+    projected twice and scaled as in ``_simplex_data``; F's frame is its first G's
+    frame plus the unit residual.
+    """
+    count, n2 = len(level), vertices.shape[1]
+    if k == 0:
+        return np.ones(count), np.zeros((count, 0, n2))
+    edges = vertices[simplices[:, 1:]] - vertices[simplices[:, :1]]
+    if len(simplices) == count:
+        return _simplex_data(edges)
+    vol, frames = np.empty(count), np.empty((count, k, n2))
+    pyramid = np.array([len(ids) > k + 1 for ids in level])
+    if len(simplices):
+        vol[~pyramid], frames[~pyramid] = _simplex_data(edges)
+    level_below, vol_below, frames_below = below
+    index = {ids: i for i, ids in enumerate(level_below)}
+    tops = [level[i] for i in np.flatnonzero(pyramid)]
+    face, base, apex, g0 = np.array([(f, index[g], top[0], g[0])
+                                     for f, top in enumerate(tops) for g in bases[top]]).T
+    edges, q = vertices[apex] - vertices[g0], frames_below[base]
+    exponent = _exponent(edges)
+    residual = np.ldexp(edges, -exponent)[:, None]
+    for _ in range(2):
+        residual -= (residual @ np.swapaxes(q, 1, 2)) @ q
+    h = np.linalg.norm(residual[:, 0], axis=1)
+    with np.errstate(over="ignore"):
+        vol[pyramid] = np.ldexp(np.bincount(face, h * np.array(vol_below)[base], len(tops)),
+                                exponent) / k
+    first = np.flatnonzero(np.diff(face, prepend=-1))
+    frames[pyramid] = np.concatenate([q[first], residual[first] / h[first, None, None]], axis=1)
+    return vol, frames
 
 
 class _FaceLattice(Mapping):
     """Read-only map dimension -> faces over the vertex-id tuples ``ids`` of every face;
-    ``data(k)`` gives the k-faces' vol_k and rho as columns, with no ``Face`` built
-    where every k-face is a simplex.
+    ``data(k)`` gives the k-faces' vol_k and rho as columns, with no ``Face`` built.
 
     The lattice is checked against the Euler relation on construction.  The first
-    read of a dimension, by ``data`` or by ``[]``, gives its simplices vol_k and rho
-    from one ``_simplex_columns`` pass over their (m, k + 1) id array from ``_lattice``;
-    ``[]`` builds the ``Face`` objects and assigns them those values.  Other faces
-    compute theirs on first access, where ``data`` reads them.  The improper face, of
-    dimension d, has the given volume and the rho of the orthonormal frame (rows) of
-    E_Gamma.
+    read of a dimension k, by ``data`` or by ``[]``, runs its batch: vol_k and frames
+    from ``_face_data`` (which needs the batch of dimension k - 1 where a k-face is not
+    a simplex), or for the improper face (k = d) the given volume and the frame (rows)
+    of E_Gamma; then rho of every frame from one ``cl.batch_rho``.  ``[]`` builds the
+    ``Face`` objects from the batch.
     """
 
     def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]],
-                 arrays: dict[int, np.ndarray], d: int, volume: float, frame: np.ndarray,
-                 tol: Tolerance) -> None:
+                 arrays: dict[int, np.ndarray], pyramids: dict[int, dict], d: int,
+                 volume: float, frame: np.ndarray, tol: Tolerance) -> None:
         self.ids = {**dict(sorted(lattice.items())), d: [tuple(range(len(vertices)))]}
         _euler_check(self.ids, tol)
-        self._vertices, self._arrays, self._d, self._volume = vertices, arrays, d, volume
-        self._frame, self._tol = frame, tol
-        self._columns: dict[int, tuple[list[float], list[float]]] = {}
+        self._vertices, self._arrays, self._pyramids = vertices, arrays, pyramids
+        self._d, self._volume, self._frame, self._tol = d, volume, frame, tol
+        self._data: dict[int, tuple[list[float], list[float], np.ndarray]] = {}
         self._built: dict[int, list[Face]] = {}
 
-    def _batch(self, k: int) -> tuple[list[float], list[float]]:
-        """vol_k and rho of the k-simplices (the improper face for k = d), in ``ids[k]``
-        order; all k-faces' once ``data(k)`` has read them."""
-        columns = self._columns.get(k)
-        if columns is None:
+    def _batch(self, k: int) -> tuple[list[float], list[float], np.ndarray]:
+        """vol_k and rho (lists) and frames (f_k, k, 2n) of the k-faces, in ``ids[k]`` order."""
+        if k not in self._data:
             if k == self._d:
-                columns = [self._volume], [
-                    0.0 if 2 * k > self._frame.shape[1]
-                    else float(cl.batch_rho(self._frame[None], self._tol)[0][0])]
+                vol, frames = np.array([self._volume]), self._frame[None]
             else:
-                columns = _simplex_columns(self._vertices, self._arrays[k], k, self._tol)
-            self._columns[k] = columns
-        return columns
+                bases = self._pyramids.get(k)
+                below = (self.ids[k - 1], *self._batch(k - 1)[::2]) if bases else None
+                vol, frames = _face_data(self._vertices, self.ids[k], self._arrays[k], bases,
+                                         below, k)
+            # k > n real directions never span a complex-equidimensional space: rho = 0.
+            rho = np.zeros(len(vol)) if 2 * k > frames.shape[2] else cl.batch_rho(frames, self._tol)[0]
+            self._data[k] = vol.tolist(), rho.tolist(), frames
+        return self._data[k]
 
     def data(self, k: int) -> tuple[list[float], list[float]]:
         """vol_k and rho of every k-face, as two lists in ``ids[k]`` order (cached: every
         read returns the same lists)."""
-        columns = self._batch(k)
-        if len(columns[0]) < len(self.ids[k]):
-            faces = self[k]
-            columns = self._columns[k] = [f.volume_k for f in faces], [f.rho for f in faces]
-        return columns
+        return self._batch(k)[:2]
 
     def __getitem__(self, k: int) -> list[Face]:
         faces = self._built.get(k)
         if faces is None:
-            vol, rho = self._batch(k)
-            faces = [Face(ids, k, self._vertices, self._tol) for ids in self.ids[k]]
-            simplices = faces if len(vol) == len(faces) else [
-                f for f in faces if len(f.vertex_ids) == k + 1]
-            for f, v, r in zip(simplices, vol, rho):
-                f.volume_k, f.rho = v, r
-            self._built[k] = faces
+            n = self._vertices.shape[1] // 2
+            faces = self._built[k] = [Face(ids, k, v, r, cl.SubspaceBasis(n, q))
+                                      for ids, v, r, q in zip(self.ids[k], *self._batch(k))]
         return faces
 
     def __contains__(self, k) -> bool:
@@ -468,7 +475,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
-        vertices, lattice, arrays, volume = pts[:1], {}, {}, 1.0
+        vertices, lattice, arrays, pyramids, volume = pts[:1], {}, {}, {}, 1.0
         facet_ids, facet_normals = (), np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
@@ -477,16 +484,16 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             vertices = pts[[order[0], order[-1]]]
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
-            lattice, arrays = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}
+            lattice, arrays, pyramids = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}, {}
             facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh, exponent, volume = _qhull(coords)
             vertices = pts[np.sort(qh.vertices)]
             facet_sets = _facet_sets(coords, qh, exponent, tol.eps)
-            lattice, arrays = _lattice(list(facet_sets), d)
+            lattice, arrays, pyramids = _lattice(list(facet_sets), d)
             facet_ids = tuple(facet_sets)
             facet_normals = np.array(list(facet_sets.values())) @ basis_rows
-    faces = _FaceLattice(vertices, lattice, arrays, d, volume, basis_rows, tol)
+    faces = _FaceLattice(vertices, lattice, arrays, pyramids, d, volume, basis_rows, tol)
     return Polytope(n, vertices, faces, d, span, center, facet_ids, facet_normals, tol)
 
 
@@ -498,7 +505,8 @@ def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
         raise ValueError(f"direction {u.tolist()} has no finite norm")
     if norm == 0.0:
         return 0.0, P.improper_face
-    vals = P.vertices @ u
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = P.vertices @ u
     if not np.isfinite(vals).all():
         raise ValueError(f"direction {u.tolist()} has support values past the float range")
     h = float(vals.max())

@@ -24,9 +24,9 @@ where all are edges, so ``mixed_volume`` runs only on the other faces.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
-is an orthonormal basis of E_Delta); ``RHO`` reads ``Face.rho`` (assigned by the
-face's builder or computed on first read) under the polytope's tolerance
-``P.tol``, under which its angles, sums and splits are decided too.
+is an orthonormal basis of E_Delta); ``RHO`` reads ``Face.rho``, which the batch
+of the face's dimension computed under the polytope's tolerance ``P.tol``, under
+which its angles, sums and splits are decided too.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import complex_linalg as cl
 from .cone_geometry import AnglePass
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
@@ -84,13 +83,7 @@ def _face_sum(
     pairs = []
     rows = []
     for f in P.faces.get(k, []):
-        # The measure first: on the direct Q_n path a face with a vertex summand has
-        # V_k = 0, and its rho is never needed.
-        m = measure(f)
-        if m == 0.0:
-            continue
-        w = phi(f)
-        if w == 0.0:
+        if (m := measure(f)) == 0.0 or (w := phi(f)) == 0.0:
             continue
         a = angles.angle(f)
         pairs.append((w * m, a))
@@ -121,9 +114,9 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     The summand faces are the label sets of ``_summand_label_sets``, classified in one
     array pass (``summand_faces``, the support-function route, only for a face with a
     set that is not a face).  If one has one vertex, V_k = 0.  If all have two, Delta
-    is a parallelotope: V_k = |det(e_1, ..., e_k)| / k!, and Delta's rho and
-    ``hull_basis`` are assigned from the same batched Gram-Schmidt pass over the edges
-    (``_simplex_data``).  Every other face gets ``mixed_volume`` on first read.
+    is a parallelotope: V_k = |det(e_1, ..., e_k)| / k!, from one batched Gram-Schmidt
+    pass over the edges (``_simplex_data``).  Every other face gets ``mixed_volume`` in
+    Delta's ``hull_basis`` on first read.
     """
     faces = S.faces.get(k, [])
     members, found = _summand_label_sets(S, parts, k)
@@ -137,18 +130,14 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callabl
     if len(edges):
         ends = [p.vertices[np.nonzero(member[edges])[1].reshape(-1, 2)]
                 for p, member in zip(parts, members)]
-        vol, rho, frames = _simplex_data(np.concatenate(np.diff(ends, axis=2), axis=1), S.tol)
-        for i, v, r, q in zip(edges.tolist(), vol.tolist(), rho.tolist(), frames):
-            faces[i].hull_basis, faces[i].rho = cl.SubspaceBasis(S.ambient_n, q), r
-            known[i] = v
+        vol, _ = _simplex_data(np.concatenate(np.diff(ends, axis=2), axis=1))
+        known.update(zip(edges.tolist(), vol.tolist()))
     index = {f: i for i, f in enumerate(faces)}
 
     def mixed(f: Face) -> float:
         i = index[f]
-        if i in known:
-            return known[i]
-        return mixed_volume([p.vertices[member[i]] for p, member in zip(parts, members)],
-                            f.hull_basis, S.tol)
+        return known[i] if i in known else mixed_volume(
+            [p.vertices[member[i]] for p, member in zip(parts, members)], f.hull_basis, S.tol)
 
     return mixed
 

@@ -406,8 +406,9 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
     constant = scale * 4**n * 2 * kappa(2 * n) / kappa(n)
     if len(bodies) == 1 and bodies[0].det_hessian is not None:
         return constant, lambda z: unit()[0].det_hessian(_as_points(z, n))
-    if len(bodies) == 1:
-        return constant, lambda z: np.linalg.det(complex_hessian(unit()[0], z))
+    if len(bodies) == 1:  # the det of a NaN Hessian is NaN, which ``_real_values`` rejects
+        return constant, np.errstate(invalid="ignore")(
+            lambda z: np.linalg.det(complex_hessian(unit()[0], z)))
     return constant, lambda z: batch_mixed_discriminant([complex_hessian(b, z) for b in unit()])
 
 

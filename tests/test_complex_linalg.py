@@ -230,7 +230,8 @@ class TestGramSchmidt:
         off -= np.linalg.lstsq(edges[:-1].T, off, rcond=None)[0] @ edges[:-1]
         edges[-1] = rng.normal(size=k - 1) @ edges[:-1] + offset * off / np.linalg.norm(off)
         bound = np.linalg.cond(edges) * 1e-15
-        vol, rho_, _ = _simplex_data(edges[None], DEFAULT_TOLERANCE)
+        vol, frames = _simplex_data(edges[None])
+        rho_ = batch_rho(frames, DEFAULT_TOLERANCE)[0]
         with mpmath.workdps(40):
             w = mpmath.matrix(edges.tolist())
             z = mpmath.matrix([[mpmath.mpc(row[2 * j], row[2 * j + 1]) for j in range(n)]

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kazvol import AnglePass, RandomStream, hull, minkowski_sum, outer_angle, pseudovolume
+from kazvol import AnglePass, RandomStream, hull, minkowski_sum, outer_angle
 from kazvol import cone_geometry
 from kazvol.cone_geometry import _classify, _exact_angles, _normal_space
 from kazvol.numerics import weighted_sum
@@ -238,17 +238,6 @@ class TestBatchedAngles:
             assert est.method == "exact"
             mc = _classify(P, f, _normal_space(P, f), self.MC_SAMPLES, stream.substream(i))
             assert abs(est.value - mc.value) <= 4 * mc.std_error, f.id
-
-    def test_closed_forms_build_no_face_basis(self, theta4, cube4):
-        # P_2 of Theta_4 reads simplices only, whose data hull builds; the cube's
-        # square 2-faces take a basis for their vol_2, so there only the angles run.
-        pseudovolume(theta4)
-        for P in (theta4, cube4):
-            ap = AnglePass(P, SAMPLES)
-            faces = self.closed_form_faces(P)
-            for f in faces:
-                ap.angle(f)
-            assert not [f.id for f in faces if "hull_basis" in f.__dict__]
 
     def test_sampled_angle_keeps_its_draws(self, cube4, stream):
         order = [f.id for f in cube4.all_faces()]

@@ -74,6 +74,24 @@ class TestHugeCoordinates:
         assert convex_volume(self.CLOUD * 1e60) == pytest.approx(
             convex_volume(self.CLOUD) * 1e240, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["cube4", "theta4 + cube4"])
+    @pytest.mark.parametrize("scale", [1e60, 1e100, 1e120, 1e160, 1e200])
+    def test_scaled_face_data(self, case, scale):
+        """vol_k of every face, squares and cubes from the pyramid step included, scales
+        by scale**k (inf past the float range) and rho stays."""
+        points = CUBE4 if case == "cube4" else _sum_points(THETA4, CUBE4)
+        P0, P = hull(points), hull(points * scale)
+        assert P.faces.ids == P0.faces.ids
+        for k in P0.faces:
+            (vol0, rho0), (vol, rho) = P0.faces.data(k), P.faces.data(k)
+            for v0, v in zip(vol0, vol):
+                want = Fraction(v0) * Fraction(scale) ** k
+                if want < Fraction(sys.float_info.max):
+                    assert v == pytest.approx(float(want), rel=1e-12), (k, v0)
+                else:
+                    assert v == math.inf, (k, v0)
+            assert rho == pytest.approx(rho0, rel=1e-12, abs=1e-12), k
+
 
 class TestHull:
     def test_square_face_vector(self, square_c1):
@@ -458,6 +476,9 @@ ORACLE_CASES = {
         [load_polytope(DATA / "cube4.json"), load_polytope(DATA / "theta4.json")]),
     "prism": lambda: hull(np.array([[a, b, c, 0.0] for a, b in ((0, 0), (1, 0), (0, 1))
                                     for c in (0.0, 1.0)])),
+    "cube [-1,1]^6": lambda: hull(CUBE6),
+    "C2 pair sum": lambda: minkowski_sum([hull(np.random.default_rng(35).normal(size=(8, 4))),
+                                          hull(np.random.default_rng(36).normal(size=(9, 4)))]),
 }
 
 
@@ -518,7 +539,7 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     radix**k passes 2**63 for the 7-vertex deletions only, and exactly there the rows
     are deduped by ``np.lexsort`` instead of a packed int64 key."""
     P = hull(np.random.default_rng(401).normal(size=(12, 8)))
-    d, (base, _) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
+    d, (base, _, _) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
     labels = (1025 + 3 * np.random.default_rng(405).permutation(P.n_vertices)).tolist()
 
     def relabel(ids):
@@ -527,7 +548,7 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     widths = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: widths.append(len(keys)) or lexsort(keys))
-    got, _ = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
+    got, _, _ = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
     assert widths == [k for k in range(d - 1, 0, -1) if (max(labels) + 1) ** k >= 2**63] == [7]
     assert got == {k: sorted(relabel(ids) for ids in faces) for k, faces in base.items()}
     assert list(got) == list(base)
@@ -545,33 +566,31 @@ def test_lattice_oracle_under_loose_tolerance():
     assert any(f.rho == 0.0 and f.k == 2 for f in got)
 
 
-def test_hull_basis_is_lazy_and_unchanged(theta4, cube4):
-    """Faces, simplicial (a triangle of Theta_4) or not (a square of the cube),
-    build their basis on first access, bit for bit the ``from_span`` basis of a
-    face that is not bent."""
-    for P in (theta4, cube4):
-        f = P.faces[2][0]
-        assert "hull_basis" not in f.__dict__
-        pts = P.vertices[list(f.vertex_ids)]
-        want = cl.SubspaceBasis.from_span(2, pts - pts[0])
-        assert np.array_equal(f.hull_basis.vectors, want.vectors)
-        assert f.hull_basis is f.hull_basis
+def test_face_data_makes_no_per_face_call(monkeypatch):
+    """Every dimension of [-1, 1]^4, [-1, 1]^6 and Theta_4 + [-1, 1]^4, squares and cubes
+    included, comes from the per-dimension batches: no Qhull volume and no ``cl.rho``."""
+    calls = []
+    for module, name in ((pt, "convex_volume"), (cl, "rho")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name:
+                            calls.append(name) or f(*a))
+    for points in (CUBE4, CUBE6, _sum_points(THETA4, CUBE4)):
+        assert len(hull(points).all_faces()) > 80
+    assert calls == []
 
 
-def test_sum_face_data_is_lazy_and_unchanged(theta4, cube4):
-    """A sum's non-simplicial proper faces compute vol_k and rho on first read,
-    bit for bit from the calls that once built them eagerly; every other face
-    has both filled in by ``hull``."""
-    S = minkowski_sum([theta4, cube4])
-    lazy = [f for f in S.all_faces() if 0 < f.k < S.dim_real and len(f.vertex_ids) > f.k + 1]
-    assert len(lazy) == 208
-    assert not any({"volume_k", "rho"} & f.__dict__.keys() for f in lazy)
-    assert all({"volume_k", "rho"} <= f.__dict__.keys() for f in S.all_faces() if f not in lazy)
-    for f in lazy:
-        pts = S.vertices[list(f.vertex_ids)]
-        basis = cl.SubspaceBasis.from_span(2, pts - pts[0])
-        assert f.volume_k == convex_volume((pts - pts[0]) @ basis.vectors.T)
-        assert f.rho == cl.rho(basis).rho
+@pytest.mark.parametrize("case", ["cube4", "cube6", "theta4 + cube4", "cloud in C^3"])
+def test_every_face_frame_is_orthonormal_and_spans_its_vertices(case):
+    """Each face's ``hull_basis``, from a Gram-Schmidt pass or a pyramid step, has k
+    orthonormal rows, and the face's edges from its first vertex lie in their span."""
+    P = hull({"cube4": CUBE4, "cube6": CUBE6, "theta4 + cube4": _sum_points(THETA4, CUBE4),
+              "cloud in C^3": np.random.default_rng(308).normal(size=(12, 6))}[case])
+    scale = max(1.0, float(np.abs(P.vertices).max()))
+    for f in P.all_faces():
+        q = f.hull_basis.vectors
+        assert q.shape == (f.k, 2 * P.ambient_n)
+        np.testing.assert_allclose(q @ q.T, np.eye(f.k), rtol=0, atol=1e-12)
+        edges = P.vertices[list(f.vertex_ids)] - P.vertices[f.vertex_ids[0]]
+        assert np.abs(edges - (edges @ q.T) @ q).max() <= 1e-12 * scale, f.vertex_ids
 
 
 @pytest.fixture
@@ -579,13 +598,13 @@ def built(monkeypatch):
     """The dimensions of the proper faces whose data batch runs from here on, one entry
     per batch: a dimension's first read, of its columns or of its ``Face`` objects."""
     dims = []
-    batch = pt._simplex_columns
+    batch = pt._face_data
 
-    def record(vertices, idx, k, tol):
+    def record(vertices, level, simplices, bases, below, k):
         dims.append(k)
-        return batch(vertices, idx, k, tol)
+        return batch(vertices, level, simplices, bases, below, k)
 
-    monkeypatch.setattr(pt, "_simplex_columns", record)
+    monkeypatch.setattr(pt, "_face_data", record)
     return dims
 
 
@@ -688,6 +707,7 @@ def _sum_points(a, b):
 
 EPS = DEFAULT_TOLERANCE.eps
 CUBE4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+CUBE6 = np.array(list(itertools.product([-1.0, 1.0], repeat=6)))
 THETA4 = np.vstack([np.eye(4), -np.eye(4)])
 # Inputs and seeds fixed before the oracle was first run against ``_dedupe``.
 DEDUPE_CASES = {

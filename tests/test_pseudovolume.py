@@ -377,12 +377,12 @@ class TestSummandLabels:
 
         def counting(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self._points)
+            built.append(self.vertex_ids)
 
         monkeypatch.setattr(Face, "__init__", counting)
         mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
-        assert built  # the faces of the sum
-        assert not [pts for pts in built if any(pts is p.vertices for p in parts)]
+        # The k-faces of the sum, each once, and no face of a summand.
+        assert built == minkowski_sum(parts).faces.ids[len(parts)]
 
     def test_direct_matches_polarization_in_c3(self, stream):
         # Both paths are exact here (normal cones of dimension <= 3).
