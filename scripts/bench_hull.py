@@ -44,15 +44,20 @@ whose normal cone has dimension 2 or 3 (the closed forms), and the run
 records the median of those passes too.
 
 The ``Q_n`` rows (``mixed_rows``) time the mixed path, ``mixed_pseudovolume`` (the
-direct route) on the hulls of two point sets, as ``kazvol mixed`` runs it: on
-Theta_4 + [-1, 1]^4 and on a seeded pair of 8 and 9 points in C^2
-(``np.random.default_rng(2026)``, one draw after the other; left out by --smoke).
+direct route) on the hulls of n point sets in C^n, as ``kazvol mixed`` runs it: on
+Theta_4 + [-1, 1]^4 and, left out by --smoke, on a seeded pair of 8 and 9 points
+in C^2 (``np.random.default_rng(2026)``, one draw after the other), Theta_4 +
+Theta_4, [-1, 1]^4 + [-1, 1]^4 and the C^3 triple [-1, 1]^6, [-1, 1]^6 and the
+unit square of the first complex line (its pair sums are partial-sum faces).
 Each records the median of ``REPS`` calls after a warm-up call, the value with its
-std_error, bound and method, and a cProfile split into ``hull`` (the summands' and
-the sum's), Qhull and the layers of ``LAYERS["mixed"]``: ``minkowski_sum``, the
-summand labels, the label-set classification of a whole dimension
-``_summand_label_sets`` (or, on older trees, the per-face
-``_labelled_summand_faces``), ``mixed_volume`` and ``_simplex_data``.
+std_error, bound and method, and a cProfile split into ``hull`` (the summands',
+the sum's and any partial sum's), Qhull and the layers of ``LAYERS["mixed"]``:
+``minkowski_sum``, the summand labels, the label-set classification of a whole
+dimension ``_summand_label_sets``, the summand mixed volumes
+``_summand_mixed_volume`` with their lattice reads ``_face_volumes`` and
+``_partial_sum_volumes``, ``mixed_volume`` (the fallback; on older trees every
+face that is neither a zero nor a parallelotope) and ``_simplex_data`` (the sum's
+simplex faces; on older trees also the parallelotope faces).
 
 The run also records the machine, the package versions and a hash of the
 tree's sources; it stops if ``kazvol`` is imported from outside SRC (an
@@ -98,8 +103,8 @@ LAYERS = {
              "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._face_data",
              "polytope._simplex_data"),
     "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_label_sets",
-              "polytope._labelled_summand_faces", "pseudovolume._summand_mixed_volume",
-              "volumes.mixed_volume", "polytope._simplex_data"),
+              "pseudovolume._summand_mixed_volume", "polytope._face_volumes",
+              "polytope._partial_sum_volumes", "volumes.mixed_volume", "polytope._simplex_data"),
 }
 
 
@@ -117,12 +122,17 @@ def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
 
 def mixed_cases(smoke: bool) -> list[tuple[str, list[np.ndarray]]]:
     theta4 = np.vstack([np.eye(4), -np.eye(4)])
-    out = [("theta4 + [-1,1]^4", [theta4, np.array(list(itertools.product([-1.0, 1.0],
-                                                                         repeat=4)))])]
+    cube4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+    out = [("theta4 + [-1,1]^4", [theta4, cube4])]
     if not smoke:
         rng = np.random.default_rng(CLOUD_SEED)
-        out.append(("cloud 8 + cloud 9 in C^2", [rng.normal(size=(8, 4)),
-                                                 rng.normal(size=(9, 4))]))
+        cube6 = np.array(list(itertools.product([-1.0, 1.0], repeat=6)))
+        square = np.zeros((4, 6))
+        square[1, 0] = square[2, 1] = square[3, 0] = square[3, 1] = 1
+        out += [("cloud 8 + cloud 9 in C^2", [rng.normal(size=(8, 4)), rng.normal(size=(9, 4))]),
+                ("theta4 + theta4", [theta4, theta4]),
+                ("[-1,1]^4 + [-1,1]^4", [cube4, cube4]),
+                ("[-1,1]^6 + [-1,1]^6 + square", [cube6, cube6, square])]
     return out
 
 
@@ -159,11 +169,11 @@ def lookup(polytope, points: np.ndarray):
     return P.face_by_ids(ids[len(ids) // 2])
 
 
-def mixed(polytope, pair: list[np.ndarray]):
-    """``kazvol mixed`` on two point sets: their hulls and the direct ``Q_2``."""
+def mixed(polytope, sets: list[np.ndarray]):
+    """``kazvol mixed`` on n point sets in C^n: their hulls and the direct ``Q_n``."""
     from kazvol import mixed_pseudovolume  # the tree of ``polytope``
 
-    return mixed_pseudovolume([polytope.hull(points) for points in pair])
+    return mixed_pseudovolume([polytope.hull(points) for points in sets])
 
 
 def profile(polytope, path, points, layers: tuple[str, ...]) -> dict[str, float]:
@@ -240,16 +250,16 @@ def run_case(polytope, angle_pass_cls, points: np.ndarray) -> dict:
             "faces_profile_s": profile(polytope, faces, points, LAYERS["hull"])}
 
 
-def run_mixed_case(polytope, pair: list[np.ndarray]) -> dict:
-    mixed(polytope, pair)  # warm-up
+def run_mixed_case(polytope, sets: list[np.ndarray]) -> dict:
+    mixed(polytope, sets)  # warm-up
     times = []
     for _ in range(REPS):
-        seconds, est = timed(mixed, polytope, pair)
+        seconds, est = timed(mixed, polytope, sets)
         times.append(seconds)
-    return {"points": [len(points) for points in pair], "n": pair[0].shape[1] // 2,
+    return {"points": [len(points) for points in sets], "n": sets[0].shape[1] // 2,
             "mixed_median_s": statistics.median(times), "mixed_times_s": times,
             "value": est.value, "std_error": est.std_error, "bound": est.bound,
-            "method": est.method, "profile_s": profile(polytope, mixed, pair, LAYERS["mixed"])}
+            "method": est.method, "profile_s": profile(polytope, mixed, sets, LAYERS["mixed"])}
 
 
 def machine() -> dict:
@@ -301,11 +311,11 @@ def main() -> None:
               + "; faces profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["faces_profile_s"].items()))
     mixed_rows = []
-    for name, pair in mixed_cases(args.smoke):
-        row = {"case": name, **run_mixed_case(polytope, pair)}
+    for name, sets in mixed_cases(args.smoke):
+        row = {"case": name, **run_mixed_case(polytope, sets)}
         mixed_rows.append(row)
         print(f"mixed {name}: median over {REPS}: {row['mixed_median_s']:.4f} s, "
-              f"Q_2 = {row['value']!r} ± {row['std_error']:g} (bound {row['bound']:.2g}, "
+              f"Q_n = {row['value']!r} ± {row['std_error']:g} (bound {row['bound']:.2g}, "
               f"{row['method']}), profile "
               + ", ".join(f"{k} {v:.4f}" for k, v in row["profile_s"].items()))
     run = {"label": args.label, "sources_sha256": sources_hash(src), "smoke": args.smoke,

@@ -17,10 +17,12 @@ the polarization) goes through the single face sum ``_face_sum``, which
 returns an :class:`numerics.Estimate` with the per-face rows as its terms.
 The direct path to Q_n is that sum over the Minkowski sum with the mixed
 volume of the summand faces in place of vol_k.  The summand faces are read
-from the sum's vertex labels (each vertex of a sum is the sum of exactly one
+from the sum's vertex labels (each 0-face of a sum is the sum of exactly one
 vertex of each summand) in one array pass, with no summand ``Face`` built; the
-mixed volume is 0 where one of them is a vertex and |det(e_1, ..., e_k)| / k!
-where all are edges, so ``mixed_volume`` runs only on the other faces.
+mixed volume is the polarization of vol_k over their subset sums, each a face
+of a lattice already built (the sum's, a summand's, or for k >= 3 that of a
+partial sum), so no Qhull runs per face and ``mixed_volume`` only on a face
+whose subset sum is not found.
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
@@ -31,6 +33,7 @@ which its angles, sums and splits are decided too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from operator import attrgetter
@@ -41,8 +44,8 @@ import numpy as np
 from .cone_geometry import AnglePass
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
-from .polytope import (Face, Polytope, _simplex_data, _summand_label_sets,  # noqa: F401
-                       hull, minkowski_sum, split, summand_faces)
+from .polytope import (Face, Polytope, _face_volumes, _partial_sum_volumes,  # noqa: F401
+                       _summand_label_sets, hull, minkowski_sum, split, summand_faces)
 from .volumes import mixed_volume
 
 __all__ = [
@@ -67,23 +70,24 @@ def _face_sum(
     k: int,
     phi: Callable[[Face], float],
     angles: AnglePass,
-    measure: Callable[[Face], float] = lambda f: f.volume_k,
+    measure: list[float] | None = None,
 ) -> Estimate:
     """Sum of phi * measure * psi over the k-faces where phi and the measure are nonzero.
 
-    The measure defaults to vol_k.  The weighted sum of the angles with weights
-    phi * measure, and the per-face rows (vertex ids, phi, measure, angle, term)
-    as its terms.  For k = 0 the vertex normal cones tile E_Gamma and every
-    vertex spans {0}, so the sum is phi({0}) * measure of a vertex, exact and
-    without angles or rows.
+    The measure is one value per k-face, in ``P.faces.ids[k]`` order, and defaults to
+    vol_k.  The weighted sum of the angles with weights phi * measure, and the per-face
+    rows (vertex ids, phi, measure, angle, term) as its terms.  For k = 0 the vertex
+    normal cones tile E_Gamma and every vertex spans {0}, so the sum is phi({0}) * vol_0
+    of a vertex, exact and without angles or rows.
     """
     if k == 0:
         f = P.faces[0][0]
-        return Estimate(float(phi(f) * measure(f)))
+        return Estimate(float(phi(f) * f.volume_k))
+    faces = P.faces.get(k, [])
     pairs = []
     rows = []
-    for f in P.faces.get(k, []):
-        if (m := measure(f)) == 0.0 or (w := phi(f)) == 0.0:
+    for f, m in zip(faces, [f.volume_k for f in faces] if measure is None else measure):
+        if m == 0.0 or (w := phi(f)) == 0.0:
             continue
         a = angles.angle(f)
         pairs.append((w * m, a))
@@ -108,38 +112,49 @@ def pseudovolume(
     return _face_sum(P, P.ambient_n, RHO, angles or AnglePass(P, samples, stream))
 
 
-def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> Callable[[Face], float]:
-    """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S.
+def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> list[float]:
+    """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S, in
+    ``S.faces.ids[k]`` order.
 
-    The summand faces are the label sets of ``_summand_label_sets``, classified in one
-    array pass (``summand_faces``, the support-function route, only for a face with a
-    set that is not a face).  If one has one vertex, V_k = 0.  If all have two, Delta
-    is a parallelotope: V_k = |det(e_1, ..., e_k)| / k!, from one batched Gram-Schmidt
-    pass over the edges (``_simplex_data``).  Every other face gets ``mixed_volume`` in
-    Delta's ``hull_basis`` on first read.
+    The summand faces are the label sets of ``_summand_label_sets`` (``summand_faces``,
+    the support-function route, only for a face with a set that is not a face).  V_k
+    is the polarization of vol_k over the subset sums Delta_I = sum_{l in I} Delta_l,
+    V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|} vol_k(Delta_I), each term read from a
+    lattice: Delta_[k] is Delta, Delta_l a face of Gamma_l (``_face_volumes``), and any
+    other Delta_I a face of the sum S_I of the Gamma_l in I, built once
+    (``_partial_sum_volumes``).  A face with a one-vertex summand keeps V_k = 0, and a
+    term is read only where the sizes allow dim Delta_I = k (sum over I of
+    |Delta_l| - 1 >= k), so k edges give vol_k(Delta) / k!.  A face with a Delta_I not
+    found gets ``mixed_volume`` in Delta's ``hull_basis``.
     """
-    faces = S.faces.get(k, [])
+    if k not in S.faces:
+        return []
     members, found = _summand_label_sets(S, parts, k)
     for i in np.flatnonzero(~found).tolist():
-        for member, s in zip(members, summand_faces(S, parts, faces[i])):
+        for member, s in zip(members, summand_faces(S, parts, S.faces[k][i])):
             member[i] = False
             member[i, list(s.vertex_ids)] = True
-    counts = np.stack([member.sum(axis=1) for member in members], axis=1)
-    known = dict.fromkeys(np.flatnonzero((counts == 1).any(axis=1)).tolist(), 0.0)
-    edges = np.flatnonzero((counts == 2).all(axis=1))
-    if len(edges):
-        ends = [p.vertices[np.nonzero(member[edges])[1].reshape(-1, 2)]
-                for p, member in zip(parts, members)]
-        vol, _ = _simplex_data(np.concatenate(np.diff(ends, axis=2), axis=1))
-        known.update(zip(edges.tolist(), vol.tolist()))
-    index = {f: i for i, f in enumerate(faces)}
-
-    def mixed(f: Face) -> float:
-        i = index[f]
-        return known[i] if i in known else mixed_volume(
-            [p.vertices[member[i]] for p, member in zip(parts, members)], f.hull_basis, S.tol)
-
-    return mixed
+    dims = np.stack([member.sum(axis=1) for member in members], axis=1) - 1
+    live = (dims > 0).all(axis=1)
+    total = np.where(live, S.faces.data(k)[0], 0.0)
+    lost = np.zeros(len(total), dtype=bool)
+    for size in range(1, k):
+        for I in itertools.combinations(range(k), size):
+            rows = np.flatnonzero(live & (dims[:, I].sum(axis=1) >= k))
+            if not len(rows):
+                continue
+            if size == 1:
+                vol, ok = _face_volumes(parts[I[0]], members[I[0]][rows], k)
+            else:
+                vol, ok = _partial_sum_volumes(S, parts, I, minkowski_sum([parts[l] for l in I]),
+                                               [S.faces.ids[k][i] for i in rows], k)
+            total[rows] += (-1) ** (k - size) * vol
+            lost[rows] |= ~ok
+    total /= math.factorial(k)
+    for i in np.flatnonzero(lost).tolist():
+        total[i] = mixed_volume([p.vertices[member[i]] for p, member in zip(parts, members)],
+                                S.faces[k][i].hull_basis, S.tol)
+    return total.tolist()
 
 
 def mixed_phi_volume(

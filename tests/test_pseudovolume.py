@@ -342,7 +342,7 @@ class TestSummandLabels:
             sizes = {len(s) for s in sets}
             if 1 in sizes:
                 counts["point"] += 1
-                assert measure(f) == 0.0
+                assert measure[i] == 0.0
                 continue
             if sizes != {2}:
                 continue
@@ -350,7 +350,7 @@ class TestSummandLabels:
             pts = S.vertices[list(f.vertex_ids)]
             basis = SubspaceBasis.from_span(n, pts - pts[0])
             segments = [p.vertices[s] for p, s in zip(parts, sets)]
-            assert measure(f) == pytest.approx(mixed_volume(segments, basis), rel=1e-12)
+            assert measure[i] == pytest.approx(mixed_volume(segments, basis), rel=1e-12)
             assert f.rho == pytest.approx(cl_rho(basis).rho, rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(f.hull_basis.vectors.T @ f.hull_basis.vectors,
                                        basis.vectors.T @ basis.vectors, atol=1e-12)
@@ -392,6 +392,92 @@ class TestSummandLabels:
                                method="polarization")
         assert d.value == pytest.approx(9.0557017343842, rel=1e-12)
         assert abs(d.value - p.value) <= d.bound + p.bound
+
+
+def cube(dim):
+    return hull(np.array(list(itertools.product([-1.0, 1.0], repeat=dim))))
+
+
+def simplex_c3():
+    """A 4-simplex in C^3: every 3-face of A + A + A = 3A is 3T for a 3-face T, so the
+    direct path reads the pair sums 2T from the lattice of 2A."""
+    return hull(np.random.default_rng(4).normal(size=(5, 6)))
+
+
+def unit_square_c3():
+    """The unit square in the first complex line of C^3."""
+    v = np.zeros((4, 6))
+    v[1, 0] = v[2, 1] = v[3, 0] = v[3, 1] = 1
+    return hull(v)
+
+
+class TestSummandMixedVolumes:
+    """The direct path's V_k(Delta_1, ..., Delta_k), the polarization of vol_k over the
+    subset sums of the summand faces with every term read from a lattice
+    (``_summand_mixed_volume``), against ``mixed_volume`` on the support-function
+    summand faces (``summand_faces``) in each face's own basis."""
+
+    C2_PAIRS = ["theta4+theta4", "cube4+cube4", "theta4+cube4"]
+
+    @pytest.fixture(params=C2_PAIRS + ["A+A+A", "cube6+cube6+square"])
+    def parts(self, request, theta4, cube4):
+        named = {"theta4": theta4, "cube4": cube4}
+        if request.param in self.C2_PAIRS:
+            return [named[name] for name in request.param.split("+")]
+        if request.param == "A+A+A":
+            return [simplex_c3()] * 3
+        c6 = cube(6)
+        return [c6, c6, unit_square_c3()]
+
+    def test_matches_mixed_volume_on_every_face(self, parts):
+        S = minkowski_sum(parts)
+        k = len(parts)
+        measure = _summand_mixed_volume(S, parts, k)
+        assert len(measure) == len(S.faces.ids[k])
+        for m, f in zip(measure, S.faces[k]):
+            bodies = [p.vertices[list(s.vertex_ids)] for p, s in
+                      zip(parts, summand_faces(S, parts, f))]
+            assert m == pytest.approx(mixed_volume(bodies, f.hull_basis, S.tol), rel=1e-12)
+
+    def test_no_mixed_volume_call(self, parts, monkeypatch):
+        # On [-1,1]^6 + [-1,1]^6 + square this needs the facet intersection: the 0-faces'
+        # pair sums alone miss the partial sum's other vertex rows on the face.
+        calls = []
+        monkeypatch.setattr(importlib.import_module("kazvol.pseudovolume"), "mixed_volume",
+                            lambda *a: calls.append(a) or mixed_volume(*a))
+        mixed_phi_volume(parts, RHO, samples=10)
+        assert calls == []
+
+    def test_unresolved_subset_sum_goes_to_mixed_volume(self, monkeypatch):
+        parts = [simplex_c3()] * 3
+        S = minkowski_sum(parts)
+        want = _summand_mixed_volume(S, parts, 3)
+        pv = importlib.import_module("kazvol.pseudovolume")
+        partial, lost, calls = pv._partial_sum_volumes, [], []
+
+        def losing(S, parts, I, S_I, faces, k):
+            vol, found = partial(S, parts, I, S_I, faces, k)
+            if I == (0, 1):
+                lost.append(faces[0])
+                found[0] = False
+            return vol, found
+
+        monkeypatch.setattr(pv, "_partial_sum_volumes", losing)
+        monkeypatch.setattr(pv, "mixed_volume", lambda *a: calls.append(a) or mixed_volume(*a))
+        got = _summand_mixed_volume(S, parts, 3)
+        assert len(lost) == len(calls) == 1
+        i = S.faces.ids[3].index(lost[0])
+        assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
+        assert got[i] == pytest.approx(want[i], rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["direct", "polarization"])
+    def test_two_cubes_and_a_square_in_c3(self, method, stream):
+        # [-1,1]^6 + [-1,1]^6 keeps 76 vertex rows but has 64 0-faces: the pair sums
+        # are read from the 0-faces' labels only.
+        c6 = cube(6)
+        q = mixed_pseudovolume([c6, c6, unit_square_c3()], samples=SAMPLES, stream=stream,
+                               method=method)
+        assert q.value == pytest.approx(32 / 3, rel=1e-12)
 
 
 class TestMinkowskiInequality:
