@@ -48,14 +48,14 @@ direct route) on the hulls of n point sets in C^n, as ``kazvol mixed`` runs it: 
 Theta_4 + [-1, 1]^4 and, left out by --smoke, on a seeded pair of 8 and 9 points
 in C^2 (``np.random.default_rng(2026)``, one draw after the other), Theta_4 +
 Theta_4, [-1, 1]^4 + [-1, 1]^4 and the C^3 triple [-1, 1]^6, [-1, 1]^6 and the
-unit square of the first complex line (its pair sums are partial-sum faces).
+unit square of the first complex line (its faces with a pair sum call ``mixed_volume``).
 Each records the median of ``REPS`` calls after a warm-up call, the value with its
-std_error, bound and method, and a cProfile split into ``hull`` (the summands',
-the sum's and any partial sum's), Qhull and the layers of ``LAYERS["mixed"]``:
+std_error, bound and method, and a cProfile split into ``hull`` (the summands'
+and the sum's), Qhull and the layers of ``LAYERS["mixed"]``:
 ``minkowski_sum``, the summand labels, the label-set classification of a whole
 dimension ``_summand_label_sets``, the summand mixed volumes
-``_summand_mixed_volume`` with their lattice reads ``_face_volumes`` and
-``_partial_sum_volumes``, ``mixed_volume`` (the fallback; on older trees every
+``_summand_mixed_volume`` with their summand lattice reads ``_face_volumes``,
+``mixed_volume`` (for k >= 3 a face with a pair sum; on older trees every
 face that is neither a zero nor a parallelotope) and ``_simplex_data`` (the sum's
 simplex faces; on older trees also the parallelotope faces).
 
@@ -104,7 +104,7 @@ LAYERS = {
              "polytope._simplex_data"),
     "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_label_sets",
               "pseudovolume._summand_mixed_volume", "polytope._face_volumes",
-              "polytope._partial_sum_volumes", "volumes.mixed_volume", "polytope._simplex_data"),
+              "volumes.mixed_volume", "polytope._simplex_data"),
 }
 
 

@@ -12,7 +12,7 @@ pseudovolume, faces, eps-expand, intrinsic, phi-volume and angle on each
 polytope in data/, mixed (plain, --oracle, --tol 1e-6, --ball; plain on
 cube4 + cube4 and theta4 + theta4; plain and --oracle on three inline
 polytopes in C^3, the k = 3 parallelepiped faces of the direct path; plain on a
-homothetic triple A, 2A, A + t in C^3, whose pair sums are faces of partial sums), smooth
+homothetic triple A, 2A, A + t in C^3, whose 3-faces all need pair sums), smooth
 (balls, an ellipsoid, a degenerate ellipsoid and its rotation with the kink
 off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
 --samples 70000 and lower_ball in C^4, all on the one-dimensional integral
@@ -169,7 +169,7 @@ c3_triple = [json.dumps({"n": 3, "vertices": v}) for v in (
 run("mixed c3 triple", ["mixed", *c3_triple])
 run("mixed-oracle c3 triple", ["mixed", *c3_triple, "--oracle"])
 # A 4-simplex A in C^3, 2A and A + t: every 3-face of the sum is a sum of homothetic
-# tetrahedra, so the direct path reads its pair sums from the lattices of the pair sums.
+# tetrahedra, whose mixed volume needs the volumes of their pair sums.
 simplex = np.array([[0, 0, 0, 0, 0, 0], [1, 0, 0.5, 0, 0, 0.25], [0, 1, 0, -0.5, 0.25, 0],
                     [0.5, 0, 0, 1, 0, 0.5], [0, 0.25, 0.5, 0, 1, 0]])
 homothetic = [json.dumps({"n": 3, "vertices": v.tolist()})

@@ -606,67 +606,24 @@ def _summand_label_sets(S: Polytope, parts: list[Polytope],
 
 def _are_faces(P: Polytope, member: np.ndarray) -> np.ndarray:
     """Whether each (V,) bool membership row is the vertex set of a face of P (of any
-    dimension, as ``_find`` accepts it)."""
-    return _face_positions(P, member)[1]
-
-
-def _face_positions(P: Polytope, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each (V,) bool membership row's index among every tuple of ``P.faces.ids``, taken
-    in order as one list, and whether it is there: its ``np.packbits`` key among theirs."""
+    dimension, as ``_find`` accepts it): its ``np.packbits`` key among those of every
+    tuple in ``P.faces.ids``."""
     every = [ids for level in P.faces.ids.values() for ids in level]
     faces = np.packbits(_membership(every, P.n_vertices) != 0, axis=1)
-    return _row_lookup(faces, np.packbits(member, axis=1))
+    return _row_lookup(faces, np.packbits(member, axis=1))[1]
 
 
-def _face_volumes(P: Polytope, member: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """vol_k of the face of P whose vertex set is each (V,) bool membership row, 0 where
-    that face has another dimension, and whether the row is a face at all; vol_k is
-    read from ``P.faces.data(k)`` only where a row is a k-face."""
-    pos, found = _face_positions(P, member)
-    levels = list(P.faces.ids.values())  # dimensions 0, ..., d in order
-    start = sum(map(len, levels[:k]))
-    at = found & (pos >= start) & (pos < start + len(P.faces.ids.get(k, [])))
+def _face_volumes(P: Polytope, member: np.ndarray, k: int) -> np.ndarray:
+    """vol_k of the face of P whose vertex set is each (V,) bool membership row of a face:
+    read from ``P.faces.data(k)`` where its ``np.packbits`` key is among those of
+    ``P.faces.ids[k]``, 0 where the face has lower dimension."""
+    ids = P.faces.ids.get(k, [])
     vol = np.zeros(len(member))
-    if at.any():
-        vol[at] = np.array(P.faces.data(k)[0])[pos[at] - start]
-    return vol, found
-
-
-def _partial_sum_volumes(S: Polytope, parts: list[Polytope], I: tuple[int, ...],
-                         S_I: Polytope, faces: list[tuple[int, ...]],
-                         k: int) -> tuple[np.ndarray, np.ndarray]:
-    """vol_k of F(S_I, u) for each face F(S, u) of S = ``minkowski_sum(parts)`` given by
-    its ids, where S_I is the sum of the parts in I, as ``_face_volumes`` gives it; and
-    whether each F(S_I, u) was found.
-
-    A 0-face of F(S, u) is the sum of one vertex of each summand in one way only, so
-    the I-columns of its ``_sum_labels`` sum to a 0-face of F(S_I, u), and those sums
-    are all of them: rows of ``S_I.vertices``, found bit for bit (added in
-    ``_sum_points``' order).  Any other vertex row of S may have other decompositions
-    and is left out.  F(S_I, u) is then the smallest face of S_I holding those rows:
-    the intersection of the facets through them, as in ``support``'s fallback (S_I
-    itself where none is).  A face is not found where a sum is not a vertex row of
-    S_I, or where the intersection is not a face of S_I's lattice.
-    """
-    extreme = np.zeros(S.n_vertices, dtype=bool)
-    extreme[np.ravel(S.faces.ids[0])] = True
-    ids = [[v for v in f if extreme[v]] for f in faces]
-    rows = np.repeat(np.arange(len(ids)), [len(f) for f in ids])
-    labels = _sum_labels(S, parts)[np.fromiter(itertools.chain.from_iterable(ids), np.intp,
-                                                len(rows))]
-    points = parts[I[0]].vertices[labels[:, I[0]]]
-    for l in I[1:]:
-        points = points + parts[l].vertices[labels[:, l]]
-    at, there = _row_lookup(S_I.vertices, points)
-    member = np.zeros((len(ids), S_I.n_vertices), dtype=bool)
-    member[rows[there], at[there]] = True
-    i, j = S_I._facet_pairs(_members(member))
-    face = np.ones_like(member)
-    if len(i):
-        first = np.flatnonzero(np.diff(i, prepend=-1))
-        face[i[first]] = np.logical_and.reduceat(S_I._incidence[j] != 0, first, axis=0)
-    vol, found = _face_volumes(S_I, face, k)
-    return vol, found & (np.bincount(rows[~there], minlength=len(ids)) == 0)
+    if ids:
+        pos, at = _row_lookup(np.packbits(_membership(ids, P.n_vertices) != 0, axis=1),
+                              np.packbits(member, axis=1))
+        vol[at] = np.asarray(P.faces.data(k)[0])[pos[at]]
+    return vol
 
 
 def summand_faces(S: Polytope, parts: list[Polytope], face: Face) -> tuple[Face, ...]:

@@ -19,10 +19,10 @@ The direct path to Q_n is that sum over the Minkowski sum with the mixed
 volume of the summand faces in place of vol_k.  The summand faces are read
 from the sum's vertex labels (each 0-face of a sum is the sum of exactly one
 vertex of each summand) in one array pass, with no summand ``Face`` built; the
-mixed volume is the polarization of vol_k over their subset sums, each a face
-of a lattice already built (the sum's, a summand's, or for k >= 3 that of a
-partial sum), so no Qhull runs per face and ``mixed_volume`` only on a face
-whose subset sum is not found.
+mixed volume is the polarization of vol_k over their subset sums, read from
+the sum's and the summands' lattices where those hold every nonzero term (a
+one-vertex summand, k edges, and every face in C^2), so ``mixed_volume`` runs
+only on a face that needs the sum of 1 < |I| < k summand faces (k >= 3).
 The outer angles come from independent substreams, so every sum of them, and
 every sum of such sums, is a :func:`numerics.weighted_sum`.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
@@ -33,7 +33,6 @@ which its angles, sums and splits are decided too.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 from operator import attrgetter
@@ -44,8 +43,8 @@ import numpy as np
 from .cone_geometry import AnglePass
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
-from .polytope import (Face, Polytope, _face_volumes, _partial_sum_volumes,  # noqa: F401
-                       _summand_label_sets, hull, minkowski_sum, split, summand_faces)
+from .polytope import (Face, Polytope, _face_volumes, _summand_label_sets,  # noqa: F401
+                       hull, minkowski_sum, split, summand_faces)
 from .volumes import mixed_volume
 
 __all__ = [
@@ -119,13 +118,13 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> list[fl
     The summand faces are the label sets of ``_summand_label_sets`` (``summand_faces``,
     the support-function route, only for a face with a set that is not a face).  V_k
     is the polarization of vol_k over the subset sums Delta_I = sum_{l in I} Delta_l,
-    V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|} vol_k(Delta_I), each term read from a
-    lattice: Delta_[k] is Delta, Delta_l a face of Gamma_l (``_face_volumes``), and any
-    other Delta_I a face of the sum S_I of the Gamma_l in I, built once
-    (``_partial_sum_volumes``).  A face with a one-vertex summand keeps V_k = 0, and a
-    term is read only where the sizes allow dim Delta_I = k (sum over I of
-    |Delta_l| - 1 >= k), so k edges give vol_k(Delta) / k!.  A face with a Delta_I not
-    found gets ``mixed_volume`` in Delta's ``hull_basis``.
+    V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|} vol_k(Delta_I), where a term is 0 unless
+    sum_{l in I} (|Delta_l| - 1) >= k.  A face with a one-vertex summand keeps V_k = 0.
+    Delta_[k] is Delta, with vol_k from S's face data, and Delta_l a face of Gamma_l
+    (``_face_volumes``): so k edges give vol_k(Delta) / k!, and in C^2 every other face
+    (vol_2 Delta - vol_2 Delta_1 - vol_2 Delta_2) / 2.  A face that needs a Delta_I with
+    1 < |I| < k (only for k >= 3), a face of no lattice built here, gets
+    ``mixed_volume`` in Delta's ``hull_basis``.
     """
     if k not in S.faces:
         return []
@@ -136,20 +135,13 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> list[fl
             member[i, list(s.vertex_ids)] = True
     dims = np.stack([member.sum(axis=1) for member in members], axis=1) - 1
     live = (dims > 0).all(axis=1)
+    # The largest sizes over 1 < |I| < k are those of the k - 1 summands past the smallest.
+    lost = live & (k > 2) & (dims.sum(axis=1) - dims.min(axis=1) >= k)
     total = np.where(live, S.faces.data(k)[0], 0.0)
-    lost = np.zeros(len(total), dtype=bool)
-    for size in range(1, k):
-        for I in itertools.combinations(range(k), size):
-            rows = np.flatnonzero(live & (dims[:, I].sum(axis=1) >= k))
-            if not len(rows):
-                continue
-            if size == 1:
-                vol, ok = _face_volumes(parts[I[0]], members[I[0]][rows], k)
-            else:
-                vol, ok = _partial_sum_volumes(S, parts, I, minkowski_sum([parts[l] for l in I]),
-                                               [S.faces.ids[k][i] for i in rows], k)
-            total[rows] += (-1) ** (k - size) * vol
-            lost[rows] |= ~ok
+    single = live & ~lost & (k > 1)  # for k = 1, Delta_1 is Delta
+    for l, (p, member) in enumerate(zip(parts, members)):
+        if len(rows := np.flatnonzero(single & (dims[:, l] >= k))):
+            total[rows] += (-1) ** (k - 1) * _face_volumes(p, member[rows], k)
     total /= math.factorial(k)
     for i in np.flatnonzero(lost).tolist():
         total[i] = mixed_volume([p.vertices[member[i]] for p, member in zip(parts, members)],

@@ -399,8 +399,8 @@ def cube(dim):
 
 
 def simplex_c3():
-    """A 4-simplex in C^3: every 3-face of A + A + A = 3A is 3T for a 3-face T, so the
-    direct path reads the pair sums 2T from the lattice of 2A."""
+    """A 4-simplex in C^3: every 3-face of A + A + A = 3A is 3T for a 3-face T, so its
+    V_3(T, T, T) needs vol_3 of the pair sum 2T."""
     return hull(np.random.default_rng(4).normal(size=(5, 6)))
 
 
@@ -413,7 +413,7 @@ def unit_square_c3():
 
 class TestSummandMixedVolumes:
     """The direct path's V_k(Delta_1, ..., Delta_k), the polarization of vol_k over the
-    subset sums of the summand faces with every term read from a lattice
+    subset sums of the summand faces read from the sum's and the summands' lattices
     (``_summand_mixed_volume``), against ``mixed_volume`` on the support-function
     summand faces (``summand_faces``) in each face's own basis."""
 
@@ -439,41 +439,39 @@ class TestSummandMixedVolumes:
                       zip(parts, summand_faces(S, parts, f))]
             assert m == pytest.approx(mixed_volume(bodies, f.hull_basis, S.tol), rel=1e-12)
 
-    def test_no_mixed_volume_call(self, parts, monkeypatch):
-        # On [-1,1]^6 + [-1,1]^6 + square this needs the facet intersection: the 0-faces'
-        # pair sums alone miss the partial sum's other vertex rows on the face.
+    @pytest.mark.parametrize("pair", C2_PAIRS)
+    def test_no_mixed_volume_call_in_c2(self, pair, theta4, cube4, monkeypatch):
+        named = {"theta4": theta4, "cube4": cube4}
         calls = []
         monkeypatch.setattr(importlib.import_module("kazvol.pseudovolume"), "mixed_volume",
                             lambda *a: calls.append(a) or mixed_volume(*a))
-        mixed_phi_volume(parts, RHO, samples=10)
+        mixed_phi_volume([named[name] for name in pair.split("+")], RHO, samples=10)
         assert calls == []
 
-    def test_unresolved_subset_sum_goes_to_mixed_volume(self, monkeypatch):
-        parts = [simplex_c3()] * 3
+    @pytest.mark.parametrize("case", ["A+A+A", "cube6+cube6+square"])
+    def test_pair_sum_faces_go_to_mixed_volume(self, case, monkeypatch):
+        # In C^3 a face needs vol_3 of a pair sum Delta_l + Delta_m unless a summand is a
+        # vertex or all three are edges; that face alone calls `mixed_volume`, as before.
+        parts = [simplex_c3()] * 3 if case == "A+A+A" else [cube(6), cube(6), unit_square_c3()]
         S = minkowski_sum(parts)
-        want = _summand_mixed_volume(S, parts, 3)
-        pv = importlib.import_module("kazvol.pseudovolume")
-        partial, lost, calls = pv._partial_sum_volumes, [], []
-
-        def losing(S, parts, I, S_I, faces, k):
-            vol, found = partial(S, parts, I, S_I, faces, k)
-            if I == (0, 1):
-                lost.append(faces[0])
-                found[0] = False
-            return vol, found
-
-        monkeypatch.setattr(pv, "_partial_sum_volumes", losing)
-        monkeypatch.setattr(pv, "mixed_volume", lambda *a: calls.append(a) or mixed_volume(*a))
-        got = _summand_mixed_volume(S, parts, 3)
-        assert len(lost) == len(calls) == 1
-        i = S.faces.ids[3].index(lost[0])
-        assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
-        assert got[i] == pytest.approx(want[i], rel=1e-12)
+        sizes = np.array([[len(s.vertex_ids) for s in summand_faces(S, parts, f)]
+                          for f in S.faces[3]])
+        pair_sums = (sizes > 1).all(axis=1) & (sizes > 2).any(axis=1)
+        calls = []
+        monkeypatch.setattr(importlib.import_module("kazvol.pseudovolume"), "mixed_volume",
+                            lambda *a: calls.append(a) or mixed_volume(*a))
+        measure = _summand_mixed_volume(S, parts, 3)
+        assert len(calls) == pair_sums.sum() > 0
+        for (bodies, basis, tol), i in zip(calls, np.flatnonzero(pair_sums)):
+            assert basis is S.faces[3][i].hull_basis
+            assert measure[i] == mixed_volume(bodies, basis, tol)
+        if case == "A+A+A":
+            assert pair_sums.all()
 
     @pytest.mark.parametrize("method", ["direct", "polarization"])
     def test_two_cubes_and_a_square_in_c3(self, method, stream):
-        # [-1,1]^6 + [-1,1]^6 keeps 76 vertex rows but has 64 0-faces: the pair sums
-        # are read from the 0-faces' labels only.
+        # [-1,1]^6 + [-1,1]^6 keeps 76 vertex rows but has 64 0-faces: the 12 others are
+        # sums of summand vertices in more than one way.
         c6 = cube(6)
         q = mixed_pseudovolume([c6, c6, unit_square_c3()], samples=SAMPLES, stream=stream,
                                method=method)
