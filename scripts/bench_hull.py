@@ -8,9 +8,11 @@ angles and the direct ``Q_2`` on fixed inputs for one kazvol source tree.
 
 The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 30 points in C^4 (each cloud ``np.random.default_rng(2026).normal(size=(m,
-2n))``), the cube [-1, 1]^8 and the Minkowski sum Theta_4 + [-1, 1]^4 (the hull
-of its 128 vertex sums, as ``minkowski_sum`` takes it): a non-simplicial hull
-whose squares and cubes take the lattice's bitmask path.  ``hull`` builds each dimension's faces on
+2n))``), the cube [-1, 1]^8 and the Minkowski sums Theta_4 + [-1, 1]^4 and
+[-1, 1]^6 + [-1, 1]^6 (the hulls of their 128 and 4,096 vertex sums, as
+``minkowski_sum`` takes them): non-simplicial hulls whose squares and cubes take
+the lattice's bitmask path, and whose sums are mostly exact duplicates for
+``_dedupe``.  ``hull`` builds each dimension's faces on
 first read, so ``hull`` alone leaves out work; each case times four paths
 instead, each as the median wall time over ``REPS`` calls after one warm-up
 call:
@@ -28,7 +30,7 @@ call:
 It also records the f-vector, a hash of the faces path's output (equal hashes
 on two trees mean byte-identical ``kazvol faces`` output) and, from one more
 eager call and one more faces call under cProfile, the cumulative seconds of
-the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_facet_sets``,
+the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_dedupe``, ``_facet_sets``,
 ``_lattice``, the per-dimension face builder ``_build_faces`` of trees that
 have no column reader, the column reader ``_FaceLattice.data``, the
 per-dimension batch (``_simplex_columns`` on trees whose non-simplicial faces
@@ -52,9 +54,11 @@ unit square of the first complex line (its faces with a pair sum call ``mixed_vo
 Each records the median of ``REPS`` calls after a warm-up call, the value with its
 std_error, bound and method, and a cProfile split into ``hull`` (the summands'
 and the sum's), Qhull and the layers of ``LAYERS["mixed"]``:
-``minkowski_sum``, the summand labels, the label-set classification of a whole
-dimension ``_summand_label_sets``, the summand mixed volumes
-``_summand_mixed_volume`` with their summand lattice reads ``_face_volumes``,
+``minkowski_sum``, the summand labels, the lattice positions of the summand faces
+of a whole dimension ``_summand_positions`` (on older trees the label-set
+classification ``_summand_label_sets``), the summand mixed volumes
+``_summand_mixed_volume`` (on older trees with their summand lattice reads
+``_face_volumes``),
 ``mixed_volume`` (for k >= 3 a face with a pair sum; on older trees every
 face that is neither a zero nor a parallelotope) and ``_simplex_data`` (the sum's
 simplex faces; on older trees also the parallelotope faces).
@@ -99,11 +103,12 @@ CLOUD_SEED = 2026
 REPS = 5  # timed calls of each path per case
 # Profiled functions, as "module.name" under ``kazvol``, recorded by the part after the module.
 LAYERS = {
-    "hull": ("polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
+    "hull": ("polytope._dedupe", "polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
              "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._face_data",
              "polytope._simplex_data"),
-    "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_label_sets",
-              "pseudovolume._summand_mixed_volume", "polytope._face_volumes",
+    "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_positions",
+              "polytope._summand_label_sets", "pseudovolume._summand_mixed_volume",
+              "polytope._face_volumes",
               "volumes.mixed_volume", "polytope._simplex_data"),
 }
 
@@ -113,10 +118,12 @@ def cases(smoke: bool) -> list[tuple[str, np.ndarray]]:
     out = [("theta4", theta4)]
     if not smoke:
         cube4 = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+        cube6 = np.array(list(itertools.product([-1.0, 1.0], repeat=6)))
         out += [("cloud 40 in C^3", np.random.default_rng(CLOUD_SEED).normal(size=(40, 6))),
                 ("cloud 30 in C^4", np.random.default_rng(CLOUD_SEED).normal(size=(30, 8))),
                 ("cube [-1,1]^8", np.array(list(itertools.product([-1.0, 1.0], repeat=8)))),
-                ("sum theta4 + [-1,1]^4", (theta4[:, None, :] + cube4[None, :, :]).reshape(-1, 4))]
+                ("sum theta4 + [-1,1]^4", (theta4[:, None, :] + cube4[None, :, :]).reshape(-1, 4)),
+                ("sum [-1,1]^6 + [-1,1]^6", (cube6[:, None, :] + cube6[None, :, :]).reshape(-1, 6))]
     return out
 
 

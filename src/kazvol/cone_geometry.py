@@ -12,7 +12,8 @@ Monte Carlo classification of uniform directions in the normal space with
 the package's one estimator :func:`numerics.sampled_mean`.  Every angle is a
 :class:`numerics.Estimate`: a closed form carries its rounding in ``bound``
 and method "exact", a sampled angle its standard error, the number of
-unambiguous draws it kept and method "monte_carlo".
+unambiguous draws it kept and method "monte_carlo".  :class:`AnglePass` keeps
+the angles of a polytope by lattice position (k, i) in ``P.faces.ids[k]``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import complex_linalg as cl
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, sampled_mean, sphere_sample
-from .polytope import Face, Polytope
+from .polytope import Face, FaceNotFound, Polytope
 
 __all__ = [
     "outer_angle",
@@ -64,18 +65,19 @@ def _classify(P: Polytope, face: Face, basis: cl.SubspaceBasis, samples: int,
     return Estimate(value, err, method="monte_carlo", samples=used)
 
 
-def _exact_angles(P: Polytope, faces: list[Face]) -> list[Estimate | None]:
-    """Closed-form angles of faces of one dimension whose normal cones have dimension 2 or 3.
+def _exact_angles(P: Polytope, k: int, ids: list[tuple[int, ...]]) -> list[Estimate | None]:
+    """Closed-form angles of the k-faces with these vertex-id tuples: 1 for the improper
+    face, 1/2 for a facet, and those of normal cones of dimension 2 or 3.
 
     ``bound`` is a rounding bound, so that gates on exact values tolerate the
     last ulp.  Any other face, or one whose rays do not span its cone, gets None.
     """
-    out: list[Estimate | None] = [None] * len(faces)
-    c = P.dim_real - faces[0].k
+    c = P.dim_real - k
+    out: list[Estimate | None] = [Estimate(0.5 if c else 1.0) if c < 2 else None] * len(ids)
     if c not in (2, 3):
         return out
-    face_idx, facet_idx = P._facet_pairs([f.vertex_ids for f in faces])
-    count = np.bincount(face_idx, minlength=len(faces))
+    face_idx, facet_idx = P._facet_pairs(ids)
+    count = np.bincount(face_idx, minlength=len(ids))
     for m in [2] if c == 2 else np.unique(count[count >= 3]).tolist():
         group = np.flatnonzero(count == m)
         rays = P.facet_normals[facet_idx[np.searchsorted(face_idx, group)[:, None] + np.arange(m)]]
@@ -110,21 +112,17 @@ def outer_angle(
     stream: RandomStream = RandomStream(),
 ) -> Estimate:
     face = P.face_by_ids(face_id)
-    d = P.dim_real
-    if face.k == d:
-        return Estimate(1.0)
-    if face.k == d - 1:
-        return Estimate(0.5)
-    return (_exact_angles(P, [face])[0]
+    return (_exact_angles(P, face.k, [face.vertex_ids])[0]
             or _classify(P, face, _normal_space(P, face), samples, stream))
 
 
 class AnglePass:
-    """Shared, cached angle computation for all faces of one polytope.
+    """Shared, cached angle computation for all faces of one polytope, read by lattice
+    position: ``at(k, i)`` is the angle of ``P.faces.ids[k][i]``.
 
-    The first face asked of a dimension brings the closed forms of all its
-    faces in one batch.  A sampled face draws on the substream of its position
-    in the lattice, so results are deterministic in (seed, stream_id, samples).
+    The first read of a dimension brings the closed forms of all its faces in one
+    batch.  A sampled face draws on the substream of its position in ``all_faces()``,
+    so results are deterministic in (seed, stream_id, samples).
     """
 
     def __init__(self, P: Polytope, samples: int = DEFAULT_SAMPLES,
@@ -132,19 +130,18 @@ class AnglePass:
         self.polytope = P
         self.samples = samples
         self.stream = stream
-        self._cache: dict[tuple[int, ...], Estimate] = {}
-        self._swept: set[int] = set()
+        self._levels: dict[int, list[Estimate | None]] = {}
+
+    def at(self, k: int, i: int) -> Estimate:
+        P = self.polytope
+        if (level := self._levels.get(k)) is None:
+            level = self._levels[k] = _exact_angles(P, k, P.faces.ids[k])
+        if level[i] is None:
+            sub = self.stream.substream(sum(P.face_vector()[:k]) + i)
+            level[i] = outer_angle(P, P.faces.ids[k][i], self.samples, sub)
+        return level[i]
 
     def angle(self, face: Face) -> Estimate:
-        key = face.vertex_ids
-        if face.k not in self._swept:
-            self._swept.add(face.k)
-            faces = self.polytope.faces[face.k]
-            exact = zip(faces, _exact_angles(self.polytope, faces))
-            self._cache.update((f.vertex_ids, est) for f, est in exact if est is not None)
-        if key not in self._cache:
-            # Its position in ``all_faces()`` (the face count if it is none), from the lattice.
-            counts, at = self.polytope.face_vector(), self.polytope._locate(key)
-            sub = self.stream.substream(sum(counts) if at is None else sum(counts[:at[0]]) + at[1])
-            self._cache[key] = outer_angle(self.polytope, key, self.samples, sub)
-        return self._cache[key]
+        if (at := self.polytope._locate(face.vertex_ids)) is None:
+            raise FaceNotFound(list(face.vertex_ids))
+        return self.at(*at)

@@ -104,11 +104,12 @@ class Face:
 @dataclass(frozen=True, eq=False)
 class Polytope:
     """Immutable polytope: vertex rows plus the computed face lattice, every face
-    and facet keyed by its sorted vertex-id tuple (``faces.ids[k]`` is sorted)."""
+    addressed by its position (k, i) in the sorted vertex-id tuples ``faces.ids[k]``."""
 
     ambient_n: int
     vertices: np.ndarray  # (V, 2n), Qhull's vertices: the 0-faces (``faces.ids[0]``) and any
     # other boundary point Qhull kept under the tolerance
+    source: np.ndarray  # (V,) the index of the input row of ``hull`` each vertex row copies
     faces: _FaceLattice  # dimension -> faces, built on first read; ``faces.data(k)``: columns
     dim_real: int
     span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
@@ -203,15 +204,20 @@ def _members(mask: np.ndarray) -> list[list[int]]:
 
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
-    """The points in input order, less each one within Chebyshev distance
-    eps * scale of an earlier kept point (one k-d-tree pair query, then a
-    greedy pass over the close pairs only)."""
+    """Indices, ascending, of the points less each one within Chebyshev distance
+    eps * scale of an earlier kept point: exact duplicates by one ``np.unique`` of the
+    rows' bytes (each keeps its first), then one k-d-tree pair query and a greedy
+    pass over the close pairs only.  An exact duplicate is always dropped, and a
+    dropped point drops no other, so the first step keeps the greedy result."""
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    first = np.sort(np.unique(keys, return_index=True)[1])
     scale_ = max(1.0, float(np.abs(points).max()))
-    pairs = cKDTree(points).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
-    dropped = [False] * len(points)
+    pairs = cKDTree(points[first]).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
+    dropped = [False] * len(first)
     for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
         dropped[j] = dropped[j] or not dropped[i]
-    return points[~np.array(dropped, dtype=bool)]
+    return first[~np.array(dropped, dtype=bool)]
 
 
 def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -470,32 +476,35 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ValueError(f"point {int(bad[0])} is not finite: {pts[bad[0]].tolist()}")
-    pts = _dedupe(pts, tol.eps)
+    kept = _dedupe(pts, tol.eps)
+    pts = pts[kept]
     center, basis_rows = _affine_frame(pts, tol)
     d = basis_rows.shape[0]
     span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
-        vertices, lattice, arrays, pyramids, volume = pts[:1], {}, {}, {}, 1.0
+        rows, lattice, arrays, pyramids, volume = [0], {}, {}, {}, 1.0
         facet_ids, facet_normals = (), np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
         if d == 1:
             order = np.argsort(coords[:, 0])
-            vertices = pts[[order[0], order[-1]]]
+            rows = [order[0], order[-1]]
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
             lattice, arrays, pyramids = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}, {}
             facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh, exponent, volume = _qhull(coords)
-            vertices = pts[np.sort(qh.vertices)]
+            rows = np.sort(qh.vertices)
             facet_sets = _facet_sets(coords, qh, exponent, tol.eps)
             lattice, arrays, pyramids = _lattice(list(facet_sets), d)
             facet_ids = tuple(facet_sets)
             facet_normals = np.array(list(facet_sets.values())) @ basis_rows
+    vertices = pts[rows]
     faces = _FaceLattice(vertices, lattice, arrays, pyramids, d, volume, basis_rows, tol)
-    return Polytope(n, vertices, faces, d, span, center, facet_ids, facet_normals, tol)
+    return Polytope(n, vertices, kept[rows], faces, d, span, center, facet_ids, facet_normals,
+                    tol)
 
 
 def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
@@ -560,20 +569,14 @@ def _sum_points(parts: list[Polytope]) -> np.ndarray:
 
 def _sum_labels(S: Polytope, parts: list[Polytope]) -> np.ndarray:
     """(V, m) array whose row i holds the vertex of each summand that sums to vertex i of
-    S = ``minkowski_sum(parts)``.
+    S = ``minkowski_sum(parts)``: ``S.source`` is its row of ``_sum_points``.
 
-    ``hull`` copies its vertices bit for bit from the rows of ``_sum_points``, so an
-    exact row lookup (on the rows' bytes, the first of equal rows, as ``_dedupe``
-    keeps) finds them.  Every 0-face of a sum is the sum of exactly one vertex of each
-    summand, so its row is that decomposition.  ``hull`` also keeps any other point
-    Qhull returns as a vertex (``[-1,1]^6 + [-1,1]^6`` has 76 vertex rows and 64
-    0-faces); such a point may be a sum in more than one way, and its row is the
-    first of them.
+    Every 0-face of a sum is the sum of exactly one vertex of each summand, so its row
+    is that decomposition.  ``hull`` also keeps any other point Qhull returns as a
+    vertex (``[-1,1]^6 + [-1,1]^6`` has 76 vertex rows and 64 0-faces); such a point
+    may be a sum in more than one way, and its row is the first of them.
     """
-    first, found = _row_lookup(_sum_points(parts), S.vertices)
-    if not found.all():
-        raise RuntimeError("a vertex of the sum is not a sum of summand vertices")
-    return np.stack(np.unravel_index(first, [p.n_vertices for p in parts]), axis=1)
+    return np.stack(np.unravel_index(S.source, [p.n_vertices for p in parts]), axis=1)
 
 
 def _row_lookup(table: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,44 +589,28 @@ def _row_lookup(table: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.n
     return first[pos], keys[pos] == want
 
 
-def _summand_label_sets(S: Polytope, parts: list[Polytope],
-                        k: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per summand l, the (faces, V_l) bool membership rows of the l-th ``_sum_labels`` of
-    each k-face's vertices, in ``S.faces.ids[k]`` order (one fancy assignment each, no
-    ``Face`` built); and whether every set of a face is a face of its summand, where it
-    is the summand face of ``summand_faces``."""
+def _summand_positions(S: Polytope, parts: list[Polytope],
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dimension and index, two (faces, m) int arrays in ``S.faces.ids[k]`` order, of the
+    face ``parts[l].faces.ids[dim][index]`` whose vertex set is the l-th ``_sum_labels``
+    of each k-face's vertices, where it is the summand face of ``summand_faces``; -1
+    in both where a set is no face.  One lookup per summand of the sets'
+    ``np.packbits`` keys among those of all its faces; no ``Face`` built."""
     ids = S.faces.ids.get(k, [])
     sizes = [len(t) for t in ids]
     rows = np.repeat(np.arange(len(ids)), sizes)
     labels = _sum_labels(S, parts)[np.fromiter(itertools.chain.from_iterable(ids), np.intp,
                                                 sum(sizes))]
-    members = [np.zeros((len(ids), p.n_vertices), dtype=bool) for p in parts]
-    for l, member in enumerate(members):
+    dims, index = np.full((2, len(ids), len(parts)), -1)
+    for l, p in enumerate(parts):
+        member = np.zeros((len(ids), p.n_vertices), dtype=bool)
         member[rows, labels[:, l]] = True
-    found = [_are_faces(p, member) for p, member in zip(parts, members)]
-    return members, np.logical_and.reduce(found, axis=0)
-
-
-def _are_faces(P: Polytope, member: np.ndarray) -> np.ndarray:
-    """Whether each (V,) bool membership row is the vertex set of a face of P (of any
-    dimension, as ``_find`` accepts it): its ``np.packbits`` key among those of every
-    tuple in ``P.faces.ids``."""
-    every = [ids for level in P.faces.ids.values() for ids in level]
-    faces = np.packbits(_membership(every, P.n_vertices) != 0, axis=1)
-    return _row_lookup(faces, np.packbits(member, axis=1))[1]
-
-
-def _face_volumes(P: Polytope, member: np.ndarray, k: int) -> np.ndarray:
-    """vol_k of the face of P whose vertex set is each (V,) bool membership row of a face:
-    read from ``P.faces.data(k)`` where its ``np.packbits`` key is among those of
-    ``P.faces.ids[k]``, 0 where the face has lower dimension."""
-    ids = P.faces.ids.get(k, [])
-    vol = np.zeros(len(member))
-    if ids:
-        pos, at = _row_lookup(np.packbits(_membership(ids, P.n_vertices) != 0, axis=1),
-                              np.packbits(member, axis=1))
-        vol[at] = np.asarray(P.faces.data(k)[0])[pos[at]]
-    return vol
+        every = [t for level in p.faces.ids.values() for t in level]
+        pos, found = _row_lookup(np.packbits(_membership(every, p.n_vertices) != 0, axis=1),
+                                 np.packbits(member, axis=1))
+        where = np.array([(j, i) for j, level in p.faces.ids.items() for i in range(len(level))])
+        dims[found, l], index[found, l] = where[pos[found]].T
+    return dims, index
 
 
 def summand_faces(S: Polytope, parts: list[Polytope], face: Face) -> tuple[Face, ...]:

@@ -14,17 +14,17 @@ cross-check path.
 Every sum of phi(E_Delta) * vol_k(Delta) * psi_Gamma(Delta) over the k-faces
 of one polytope (P_n, v_k^phi, the eps-expansion coefficients and each term of
 the polarization) goes through the single face sum ``_face_sum``, which
-returns an :class:`numerics.Estimate` with the per-face rows as its terms.
-The direct path to Q_n is that sum over the Minkowski sum with the mixed
-volume of the summand faces in place of vol_k.  The summand faces are read
-from the sum's vertex labels (each 0-face of a sum is the sum of exactly one
-vertex of each summand) in one array pass, with no summand ``Face`` built; the
-mixed volume is the polarization of vol_k over their subset sums, read from
-the sum's and the summands' lattices where those hold every nonzero term (a
-one-vertex summand, k edges, and every face in C^2), so ``mixed_volume`` runs
-only on a face that needs the sum of 1 < |I| < k summand faces (k >= 3).
-The outer angles come from independent substreams, so every sum of them, and
-every sum of such sums, is a :func:`numerics.weighted_sum`.
+returns an :class:`numerics.Estimate` with the per-face rows as its terms and
+reads each face's angle at its lattice position (k, i).  The direct path to
+Q_n is that sum over the Minkowski sum with the mixed volume of the summand
+faces in place of vol_k.  The summand faces are the lattice positions of the
+sum's vertex labels (each 0-face of a sum is the sum of exactly one vertex of
+each summand), found in one array pass with no summand ``Face`` built; the
+mixed volume is the polarization of vol_k over their subset sums, read at
+those positions where the lattices hold every nonzero term (a one-vertex
+summand, k edges, every face in C^2), so ``mixed_volume`` runs only on a face
+that needs the sum of 1 < |I| < k summand faces (k >= 3).  The outer angles
+come from independent substreams, so every sum of them is a ``weighted_sum``.
 A weight phi is any callable from a :class:`Face` to a float (``face.hull_basis``
 is an orthonormal basis of E_Delta); ``RHO`` reads ``Face.rho``, which the batch
 of the face's dimension computed under the polytope's tolerance ``P.tol``, under
@@ -43,8 +43,8 @@ import numpy as np
 from .cone_geometry import AnglePass
 from .numerics import DEFAULT_SAMPLES, Estimate, RandomStream, kappa, weighted_sum
 # `hull` is unused here but stays bound for the perfbench tracer's rebind check.
-from .polytope import (Face, Polytope, _face_volumes, _summand_label_sets,  # noqa: F401
-                       hull, minkowski_sum, split, summand_faces)
+from .polytope import (Face, Polytope, _summand_positions, hull,  # noqa: F401
+                       minkowski_sum, split, summand_faces)
 from .volumes import mixed_volume
 
 __all__ = [
@@ -77,18 +77,22 @@ def _face_sum(
     vol_k.  The weighted sum of the angles with weights phi * measure, and the per-face
     rows (vertex ids, phi, measure, angle, term) as its terms.  For k = 0 the vertex
     normal cones tile E_Gamma and every vertex spans {0}, so the sum is phi({0}) * vol_0
-    of a vertex, exact and without angles or rows.
+    of a vertex, exact and without angles or rows.  The angles are read by position, so
+    they must be those of P itself (``ValueError`` otherwise).
     """
+    if angles.polytope is not P:
+        raise ValueError("the angles are of another polytope")
     if k == 0:
         f = P.faces[0][0]
         return Estimate(float(phi(f) * f.volume_k))
     faces = P.faces.get(k, [])
     pairs = []
     rows = []
-    for f, m in zip(faces, [f.volume_k for f in faces] if measure is None else measure):
+    measure = [f.volume_k for f in faces] if measure is None else measure
+    for i, (f, m) in enumerate(zip(faces, measure)):
         if m == 0.0 or (w := phi(f)) == 0.0:
             continue
-        a = angles.angle(f)
+        a = angles.at(k, i)
         pairs.append((w * m, a))
         rows.append((f.vertex_ids, w, m, a.value, w * m * a.value))
     return weighted_sum(pairs, rows)
@@ -115,37 +119,36 @@ def _summand_mixed_volume(S: Polytope, parts: list[Polytope], k: int) -> list[fl
     """V_k(Delta_1, ..., Delta_k) of the summand faces of each k-face Delta of S, in
     ``S.faces.ids[k]`` order.
 
-    The summand faces are the label sets of ``_summand_label_sets`` (``summand_faces``,
-    the support-function route, only for a face with a set that is not a face).  V_k
-    is the polarization of vol_k over the subset sums Delta_I = sum_{l in I} Delta_l,
-    V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|} vol_k(Delta_I), where a term is 0 unless
-    sum_{l in I} (|Delta_l| - 1) >= k.  A face with a one-vertex summand keeps V_k = 0.
-    Delta_[k] is Delta, with vol_k from S's face data, and Delta_l a face of Gamma_l
-    (``_face_volumes``): so k edges give vol_k(Delta) / k!, and in C^2 every other face
-    (vol_2 Delta - vol_2 Delta_1 - vol_2 Delta_2) / 2.  A face that needs a Delta_I with
-    1 < |I| < k (only for k >= 3), a face of no lattice built here, gets
-    ``mixed_volume`` in Delta's ``hull_basis``.
+    The summand faces are read by their lattice positions, ``_summand_positions``
+    (``summand_faces``, the support-function route, only for a face with a label set
+    that is not a face).  V_k is the polarization of vol_k over the subset sums
+    Delta_I = sum_{l in I} Delta_l, V_k = (1/k!) sum_{I nonempty} (-1)^{k-|I|}
+    vol_k(Delta_I), where a term is 0 unless sum_{l in I} dim Delta_l >= k.  A face with
+    a one-vertex summand keeps V_k = 0.  Delta_[k] is Delta, with vol_k from S's face
+    data, and Delta_l a k-face of Gamma_l, with vol_k from its: so k edges give
+    vol_k(Delta) / k!, and in C^2 every other face (vol_2 Delta - vol_2 Delta_1 -
+    vol_2 Delta_2) / 2.  A face that needs a Delta_I with 1 < |I| < k (only for k >= 3),
+    a face of no lattice built here, gets ``mixed_volume`` in Delta's ``hull_basis``.
     """
     if k not in S.faces:
         return []
-    members, found = _summand_label_sets(S, parts, k)
-    for i in np.flatnonzero(~found).tolist():
-        for member, s in zip(members, summand_faces(S, parts, S.faces[k][i])):
-            member[i] = False
-            member[i, list(s.vertex_ids)] = True
-    dims = np.stack([member.sum(axis=1) for member in members], axis=1) - 1
+    dims, index = _summand_positions(S, parts, k)
+    for i in np.flatnonzero((dims < 0).any(axis=1)).tolist():
+        for l, (p, s) in enumerate(zip(parts, summand_faces(S, parts, S.faces[k][i]))):
+            dims[i, l], index[i, l] = p._locate(s.vertex_ids)
     live = (dims > 0).all(axis=1)
-    # The largest sizes over 1 < |I| < k are those of the k - 1 summands past the smallest.
+    # The largest sums over 1 < |I| < k are those of the k - 1 summands past the smallest.
     lost = live & (k > 2) & (dims.sum(axis=1) - dims.min(axis=1) >= k)
     total = np.where(live, S.faces.data(k)[0], 0.0)
     single = live & ~lost & (k > 1)  # for k = 1, Delta_1 is Delta
-    for l, (p, member) in enumerate(zip(parts, members)):
-        if len(rows := np.flatnonzero(single & (dims[:, l] >= k))):
-            total[rows] += (-1) ** (k - 1) * _face_volumes(p, member[rows], k)
+    for l, p in enumerate(parts):
+        if len(rows := np.flatnonzero(single & (dims[:, l] == k))):
+            total[rows] += (-1) ** (k - 1) * np.asarray(p.faces.data(k)[0])[index[rows, l]]
     total /= math.factorial(k)
     for i in np.flatnonzero(lost).tolist():
-        total[i] = mixed_volume([p.vertices[member[i]] for p, member in zip(parts, members)],
-                                S.faces[k][i].hull_basis, S.tol)
+        summands = [p.vertices[list(p.faces.ids[j][at])]
+                    for p, j, at in zip(parts, dims[i].tolist(), index[i].tolist())]
+        total[i] = mixed_volume(summands, S.faces[k][i].hull_basis, S.tol)
     return total.tolist()
 
 

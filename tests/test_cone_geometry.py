@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kazvol import AnglePass, RandomStream, hull, minkowski_sum, outer_angle
+from kazvol import AnglePass, FaceNotFound, RandomStream, hull, minkowski_sum, outer_angle
 from kazvol import cone_geometry
 from kazvol.cone_geometry import _classify, _exact_angles, _normal_space
 from kazvol.numerics import weighted_sum
@@ -163,6 +163,15 @@ class TestAnglePass:
         a2 = ap.angle(f)
         assert a1 is a2
 
+    def test_face_of_another_lattice_raises(self, theta4, cube4, stream):
+        ap = AnglePass(cube4, SAMPLES, stream)
+        face = next(f for f in theta4.faces[2] if cube4._locate(f.vertex_ids) is None)
+        with pytest.raises(FaceNotFound):
+            ap.angle(face)
+        # A face whose ids are a face of the cube reads the cube's angle there.
+        edge = next(f for f in theta4.faces[1] if cube4._locate(f.vertex_ids) is not None)
+        assert ap.angle(edge) is ap.at(*cube4._locate(edge.vertex_ids))
+
     def test_deterministic(self, theta4):
         a = AnglePass(theta4, SAMPLES, RandomStream(5)).angle(theta4.faces[2][0])
         b = AnglePass(theta4, SAMPLES, RandomStream(5)).angle(theta4.faces[2][0])
@@ -234,7 +243,7 @@ class TestBatchedAngles:
         P = random_polytope(np.random.default_rng(self.SEED_MIXED), 10)
         edges = P.faces[1]
         assert len({len(P.facets_containing(f)) for f in edges}) >= 2
-        for i, (f, est) in enumerate(zip(edges, _exact_angles(P, edges))):
+        for i, (f, est) in enumerate(zip(edges, _exact_angles(P, 1, P.faces.ids[1]))):
             assert est.method == "exact"
             mc = _classify(P, f, _normal_space(P, f), self.MC_SAMPLES, stream.substream(i))
             assert abs(est.value - mc.value) <= 4 * mc.std_error, f.id

@@ -716,6 +716,8 @@ DEDUPE_CASES = {
     **{f"near duplicates at {offset} eps": (lambda offset=offset: _near_duplicates(204, offset))
        for offset in (0.5, 2.0)},
     "chain a-b-c": lambda: np.array([[0.0, 0.0], [0.8 * EPS, 0.0], [1.6 * EPS, 0.0]]),
+    "chain a-b-b-c": lambda: np.array([[0.0, 0.0], [0.8 * EPS, 0.0], [0.8 * EPS, 0.0],
+                                       [1.6 * EPS, 0.0]]),
     "cube + cube": lambda: _sum_points(CUBE4, CUBE4),
     "theta4 + cube": lambda: _sum_points(THETA4, CUBE4),
 }
@@ -724,12 +726,26 @@ DEDUPE_CASES = {
 @pytest.mark.parametrize("case", sorted(DEDUPE_CASES))
 def test_dedupe_matches_greedy_oracle(case):
     points = DEDUPE_CASES[case]()
-    assert np.array_equal(_dedupe(points, EPS), greedy_dedupe(points, EPS))
+    assert np.array_equal(points[_dedupe(points, EPS)], greedy_dedupe(points, EPS))
+
+
+def test_vertices_are_their_source_rows():
+    """``P.source`` names the input row of each vertex, bit for bit: on a cloud with
+    planted exact and near duplicates, and on a Minkowski sum's vertex sums."""
+    rng = np.random.default_rng(205)
+    pts = rng.normal(size=(20, 4))
+    cloud = rng.permutation(np.vstack([pts, pts[:6], pts[6:12] + 0.5 * EPS]))
+    P = hull(cloud)
+    assert P.source.tolist() == sorted(set(P.source.tolist()))
+    assert P.vertices.tobytes() == cloud[P.source].tobytes()
+    parts = [hull(THETA4), hull(CUBE4)]
+    S = minkowski_sum(parts)
+    assert S.vertices.tobytes() == pt._sum_points(parts)[S.source].tobytes()
 
 
 def test_dedupe_chain_keeps_both_ends():
     points = DEDUPE_CASES["chain a-b-c"]()
-    assert np.array_equal(_dedupe(points, EPS), points[[0, 2]])
+    assert np.array_equal(points[_dedupe(points, EPS)], points[[0, 2]])
 
 
 def _pyramid(bend):

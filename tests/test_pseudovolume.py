@@ -26,7 +26,7 @@ from kazvol import (
 from kazvol.complex_linalg import SubspaceBasis, random_unitary, realify
 from kazvol.complex_linalg import rho as cl_rho
 from kazvol.numerics import Tolerance, kappa, weighted_sum
-from kazvol.polytope import Face, _summand_label_sets, _sum_labels, summand_faces
+from kazvol.polytope import Face, _summand_positions, _sum_labels, summand_faces
 from kazvol.pseudovolume import _summand_mixed_volume
 from kazvol.smooth_bodies import ball_pseudovolume
 
@@ -99,6 +99,17 @@ class TestPolytopeValues:
         ], dtype=float))
         rep = pseudovolume(P, samples=SAMPLES, stream=stream)
         assert rep.value == 0.0
+
+    def test_angles_of_another_polytope_rejected(self, theta4):
+        # The stretched Theta_4 has Theta_4's vertex-id tuples, so its face sum would
+        # read Theta_4's angles by position: P_2 = 17.803 in place of 15.733.
+        P = hull(np.vstack([np.eye(4), -np.eye(4)]) @ np.diag([1.0, 2.0, 3.0, 5.0]))
+        for k in range(3):
+            with pytest.raises(ValueError, match="another polytope"):
+                intrinsic_phi_volume(P, k, RHO, AnglePass(theta4))
+        rep = pseudovolume(P, AnglePass(P))
+        assert rep.value == pytest.approx(15.733404754437442, rel=1e-12)
+        assert rep.std_error == 0.0
 
 
 class TestNonMonotonicity:
@@ -304,9 +315,9 @@ def c3_triple():
 
 
 class TestSummandLabels:
-    """The direct path reads summand faces from the sum's vertex labels, as one
-    membership row per face and summand (``_summand_label_sets``); the
-    support-function route ``summand_faces`` is the oracle."""
+    """The direct path reads summand faces from the sum's vertex labels, as the lattice
+    position (dimension, index) of each face's summand faces (``_summand_positions``);
+    the support-function route ``summand_faces`` is the oracle."""
 
     @pytest.fixture(params=["c2_pair", "c3_triple", "c2_clouds"])
     def parts(self, request, theta4, cube4):
@@ -323,22 +334,23 @@ class TestSummandLabels:
         np.testing.assert_array_equal(
             sum(p.vertices[labels[:, l]] for l, p in enumerate(parts)), S.vertices)
         for k in S.faces:
-            members, found = _summand_label_sets(S, parts, k)
-            assert found.all(), k
+            dims, index = _summand_positions(S, parts, k)
+            assert (dims >= 0).all() and (index >= 0).all(), k
             for i, f in enumerate(S.faces[k]):
-                got = [frozenset(np.flatnonzero(m[i]).tolist()) for m in members]
+                got = [p.faces.ids[j][at] for p, j, at in zip(parts, dims[i], index[i])]
                 want = summand_faces(S, parts, f)
-                assert got == [w.id for w in want], f.vertex_ids
+                assert got == [w.vertex_ids for w in want], f.vertex_ids
+                assert dims[i].tolist() == [w.k for w in want], f.vertex_ids
 
     def test_parallelotope_data_match_per_face_routes(self, parts):
         S = minkowski_sum(parts)
         k = len(parts)
         n = S.ambient_n
-        members, _ = _summand_label_sets(S, parts, k)
+        dims, index = _summand_positions(S, parts, k)
         measure = _summand_mixed_volume(S, parts, k)
         counts = {"parallelotope": 0, "point": 0}
         for i, f in enumerate(S.faces[k]):
-            sets = [np.flatnonzero(m[i]) for m in members]
+            sets = [list(p.faces.ids[j][at]) for p, j, at in zip(parts, dims[i], index[i])]
             sizes = {len(s) for s in sets}
             if 1 in sizes:
                 counts["point"] += 1
@@ -363,8 +375,8 @@ class TestSummandLabels:
         # Every label set rejected: each summand face comes from `summand_faces`.
         pv = importlib.import_module("kazvol.pseudovolume")
         calls = []
-        monkeypatch.setattr(importlib.import_module("kazvol.polytope"), "_are_faces",
-                            lambda P, member: np.zeros(len(member), dtype=bool))
+        monkeypatch.setattr(pv, "_summand_positions",
+                            lambda S, ps, k: np.full((2, len(S.faces.ids[k]), len(ps)), -1))
         monkeypatch.setattr(pv, "summand_faces",
                             lambda S, ps, f: calls.append(f) or summand_faces(S, ps, f))
         fallback = mixed_phi_volume(parts, RHO, samples=SAMPLES, stream=stream)
