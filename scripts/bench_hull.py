@@ -34,9 +34,12 @@ the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_dedupe``, ``_facet_se
 ``_lattice``, the per-dimension face builder ``_build_faces`` of trees that
 have no column reader, the column reader ``_FaceLattice.data``, the
 per-dimension batch (``_simplex_columns`` on trees whose non-simplicial faces
-compute their own data, ``_face_data`` with its pyramid step on later ones) and
-its simplex pass ``_simplex_data``; a name the tree does not define is left out
-of the record.
+compute their own data, ``_face_data`` with its pyramid step on later ones), its
+simplex pass ``_simplex_data`` on trees that run one Gram-Schmidt pass per
+dimension, and on trees that extend each face from one of the dimension below,
+the extension kernel ``complex_linalg.gram_schmidt_step`` (real and complex steps,
+and the rows of every ``gram_schmidt``) and the row lookup ``_row_lookup`` that finds
+each simplex's base; a name the tree does not define is left out of the record.
 The profile is read from the functions of the given tree, so nothing of
 ``hull`` is copied here; Qhull is timed by a pass-through wrapper around the
 ``ConvexHull`` name that ``polytope`` calls.  Profiled times carry cProfile's
@@ -60,8 +63,10 @@ classification ``_summand_label_sets``), the summand mixed volumes
 ``_summand_mixed_volume`` (on older trees with their summand lattice reads
 ``_face_volumes``),
 ``mixed_volume`` (for k >= 3 a face with a pair sum; on older trees every
-face that is neither a zero nor a parallelotope) and ``_simplex_data`` (the sum's
-simplex faces; on older trees also the parallelotope faces).
+face that is neither a zero nor a parallelotope) and the sum's face data:
+``_face_data`` (every face of the dimensions read, by one extension step each) or,
+on older trees, ``_simplex_data`` (the sum's simplex faces; on still older trees
+also the parallelotope faces).
 
 The run also records the machine, the package versions and a hash of the
 tree's sources; it stops if ``kazvol`` is imported from outside SRC (an
@@ -105,11 +110,12 @@ REPS = 5  # timed calls of each path per case
 LAYERS = {
     "hull": ("polytope._dedupe", "polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
              "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._face_data",
-             "polytope._simplex_data"),
+             "polytope._simplex_data", "complex_linalg.gram_schmidt_step",
+             "polytope._row_lookup"),
     "mixed": ("polytope.minkowski_sum", "polytope._sum_labels", "polytope._summand_positions",
               "polytope._summand_label_sets", "pseudovolume._summand_mixed_volume",
               "polytope._face_volumes",
-              "volumes.mixed_volume", "polytope._simplex_data"),
+              "volumes.mixed_volume", "polytope._simplex_data", "polytope._face_data"),
 }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 import time
@@ -114,8 +115,8 @@ def cmd_rho(args, tol, stream, samples) -> dict:
 
 def cmd_faces(args, tol, stream, samples) -> dict:
     """One line per face, a dimension at a time from the columns ``P.faces.data(k)``
-    through one ``%`` template, so a simplicial polytope builds no ``Face``.  A
-    dimension whose faces differ in vertex count joins each face's ids instead."""
+    through one ``%`` on the joined line templates of its faces (one per vertex count),
+    so a simplicial polytope builds no ``Face``."""
     P = pt.load_polytope(args.file, tol)
     print(f"ambient C^{P.ambient_n}, real dimension {P.dim_real}, "
           f"{P.n_vertices} vertices")
@@ -124,13 +125,10 @@ def cmd_faces(args, tol, stream, samples) -> dict:
     for k, level in P.faces.ids.items():
         vol, rho = P.faces.data(k)
         tail = " vol=%.9g rho=%.9g" + (" (improper)" if k == P.dim_real else "")
-        if len(set(map(len, level))) == 1:
-            line = f"  k={k} vertices=[{', '.join(['%d'] * len(level[0]))}]{tail}"
-            lines += [line % (*ids, v, r) for ids, v, r in zip(level, vol, rho)]
-        else:
-            line = f"  k={k} vertices=[%s]{tail}"
-            lines += [line % (", ".join(map(str, ids)), v, r)
-                      for ids, v, r in zip(level, vol, rho)]
+        line = {m: f"  k={k} vertices=[{', '.join(['%d'] * m)}]{tail}"
+                for m in set(map(len, level))}
+        values = itertools.chain.from_iterable(map(tuple.__add__, level, zip(vol, rho)))
+        lines.append("\n".join(map(line.__getitem__, map(len, level))) % tuple(values))
     print("\n".join(lines))
     return {"values": {"face_vector": P.face_vector(), "dim_real": P.dim_real}}
 

@@ -160,19 +160,23 @@ def gram_schmidt(a: np.ndarray, cutoff: float = 0.0) -> tuple[np.ndarray, np.nda
     the norm of what is left, so prod r is the k-volume of the rows (|det R| of their
     QR).  Real or complex a; a complex q is orthonormal in the Hermitian product.  A
     row whose r is at most ``cutoff`` gets a zero row in q, so the rows after it are
-    not projected on noise.
+    not projected on noise.  Each row's projection is one ``gram_schmidt_step``.
     """
-    q = np.array(a)
-    k = q.shape[1]
-    r = np.empty(q.shape[:2])
-    for j in range(k):
-        v, done = q[:, j:j + 1], q[:, :j]  # (F, 1, m) and (F, j, m), views into q
-        done_h = np.swapaxes(done.conj() if np.iscomplexobj(q) else done, 1, 2)
-        for _ in range(2 if j else 0):
-            v -= (v @ done_h) @ done
-        r[:, j] = np.linalg.norm(v[:, 0], axis=1)
+    q, r = np.array(a), np.empty(np.shape(a)[:2])
+    for j in range(q.shape[1]):
+        v = q[:, j:j + 1]
+        r[:, j] = gram_schmidt_step(q[:, :j], v)
         v *= np.divide(1.0, r[:, j], out=np.zeros(len(r)), where=r[:, j] > cutoff)[:, None, None]
     return r, q
+
+
+def gram_schmidt_step(done: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One row of ``gram_schmidt``: v (F, 1, m) projected twice off the orthonormal (or zero)
+    rows done (F, j, m), in place; returns the norms r (F,) of what is left."""
+    done_h = np.swapaxes(done.conj() if np.iscomplexobj(done) else done, 1, 2)
+    for _ in range(2 if done.shape[1] else 0):
+        v -= (v @ done_h) @ done
+    return np.linalg.norm(v[:, 0], axis=1)
 
 
 def batch_rho(frames: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ def _normal_space(P: Polytope, face: Face) -> cl.SubspaceBasis:
     span = P.span_basis.vectors
     if face.k == 0:
         return cl.SubspaceBasis(P.ambient_n, span)
-    fb = face.hull_basis.vectors
+    fb = face.frame
     residual = span - (span @ fb.T) @ fb
     return cl.SubspaceBasis.from_span(P.ambient_n, residual, P.tol)
 

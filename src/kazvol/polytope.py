@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,17 +89,21 @@ def _qhull(points: np.ndarray) -> tuple[ConvexHull, int, float]:
 @dataclass(eq=False)
 class Face:
     """A face of a polytope and its data, hashed by identity: vol_k, rho and an
-    orthonormal basis of E_Delta, all from its dimension's batch (``_face_data``)."""
+    orthonormal frame (rows) of E_Delta, all from its dimension's batch (``_face_data``)."""
 
     vertex_ids: tuple[int, ...]  # sorted: the face's key in the lattice
     k: int
     volume_k: float
     rho: float
-    hull_basis: cl.SubspaceBasis
+    frame: np.ndarray  # (k, 2n)
 
     @property
     def id(self) -> frozenset[int]:
         return frozenset(self.vertex_ids)
+
+    @cached_property
+    def hull_basis(self) -> cl.SubspaceBasis:
+        return cl.SubspaceBasis(self.frame.shape[1] // 2, self.frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,71 +342,66 @@ def _exponent(a: np.ndarray) -> int:
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
-def _simplex_data(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """prod r / k! and orthonormal row frames (F, k, 2n) of F sets of k edges (F, k, 2n).
+# One dimension's face data in ``ids[k]`` order, from ``_face_data``.
+_Batch = namedtuple("_Batch", "vol rho frames prod zframes zprod at")
 
-    One ``cl.gram_schmidt`` pass over the edges, scaled by a power of two so that
-    no squared norm over- or underflows, gives the residual norms r and a frame of
-    each span.  For the edges of a k-simplex from one vertex, prod r / k! is its
-    vol_k; for the k edges of a k-parallelotope, the mixed volume V_k.
-    """
-    k, exponent = edges.shape[1], _exponent(edges)
-    r, q = cl.gram_schmidt(np.ldexp(edges, -exponent))
+
+def _face_data(vertices: np.ndarray, ids: dict, arrays: dict, bases: dict | None,
+               below: _Batch, k: int, tol: Tolerance) -> _Batch:
+    """The k-faces' batch, k >= 1: each face extends a (k-1)-face G of ``below`` by one
+    ``cl.gram_schmidt_step`` of an edge, scaled by 2**-e (e of the coordinate ranges) so no
+    product over- or underflows.  A simplex F = (v_0, ..., v_k), row of ``arrays[k]`` (``at``
+    maps rows to positions), steps v_k - v_0 off G = F[:-1]: prod r = G's times r and vol_k =
+    prod r / k!, as ``cl.gram_schmidt`` over F's edges from v_0.  Any other F is the union of
+    the pyramids with apex F[0] over its (k-1)-faces G that miss F[0] (``bases[F]``; Lasserre,
+    J. Optim. Theory Appl. 39, 1983): vol_k(F) = sum r vol_{k-1}(G) / k; F extends its first G.
+    For k <= n the complexified new row steps off G's ``zframes`` (cutoff tol.eps): rho =
+    min(zprod, 1), zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0 for k > n.
+    All bit for bit."""
+    level, simplices, n2 = ids[k], arrays[k], vertices.shape[1]
+    count, exponent = len(level), _exponent(np.ptp(vertices, axis=0))
+    simplex = np.ones(count, bool) if len(simplices) == count else np.array(
+        [len(f) == k + 1 for f in level])
+    at, other = np.flatnonzero(simplex), np.flatnonzero(~simplex).tolist()
+    g = below.at[_row_lookup(arrays[k - 1], simplices[:, :-1])[0]]
+    apex, g0, first = simplices[:, -1], simplices[:, 0], slice(None)
+    if other:  # each pyramid's (face, G, apex, g_0), its step after the simplices'
+        index = {f: i for i, f in enumerate(ids[k - 1])}
+        tops = np.array([(i, index[b], level[i][0], b[0])
+                         for i in other for b in bases[level[i]]]).T
+        g, apex, g0 = (np.concatenate(pair) for pair in zip((g, apex, g0), tops[1:]))
+        first = np.unique(np.concatenate([at, tops[0]]), return_index=True)[1]
+        top = first[first >= len(at)]  # the pyramid steps whose rows go into a frame
+    q, row = below.frames[g], np.ldexp(vertices[apex] - vertices[g0], -exponent)[:, None]
+    r, m, prod = cl.gram_schmidt_step(q, row), len(at), np.ones(count)
+    row[:m] *= np.divide(1.0, r[:m], out=np.zeros(m), where=r[:m] > 0)[:, None, None]
+    prod[at] = below.prod[g[:m]] * r[:m]
     with np.errstate(over="ignore"):  # inf past the float range, as ``_qhull``'s volume
-        return np.ldexp(r.prod(axis=1), k * exponent) / math.factorial(k), q
-
-
-def _face_data(vertices: np.ndarray, level: list[tuple[int, ...]], simplices: np.ndarray,
-               bases: dict, below: tuple | None, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """vol_k and orthonormal row frames (f, k, 2n) of the f proper k-faces ``level``.
-
-    Vertices have 1 and an empty frame, the simplices (rows of ``simplices``) one
-    ``_simplex_data`` pass.  Any other face F is the union of the pyramids with apex v,
-    its first vertex, over its (k-1)-faces G that miss v (``bases[F]``; Lasserre, J.
-    Optim. Theory Appl. 39, 1983): vol_k(F) = sum h(v, G) vol_{k-1}(G) / k, from the
-    ids, vol_{k-1} and frames ``below``.  h is the norm of v - g_0 off G's frame,
-    projected twice and scaled as in ``_simplex_data``; F's frame is its first G's
-    frame plus the unit residual.
-    """
-    count, n2 = len(level), vertices.shape[1]
-    if k == 0:
-        return np.ones(count), np.zeros((count, 0, n2))
-    edges = vertices[simplices[:, 1:]] - vertices[simplices[:, :1]]
-    if len(simplices) == count:
-        return _simplex_data(edges)
-    vol, frames = np.empty(count), np.empty((count, k, n2))
-    pyramid = np.array([len(ids) > k + 1 for ids in level])
-    if len(simplices):
-        vol[~pyramid], frames[~pyramid] = _simplex_data(edges)
-    level_below, vol_below, frames_below = below
-    index = {ids: i for i, ids in enumerate(level_below)}
-    tops = [level[i] for i in np.flatnonzero(pyramid)]
-    face, base, apex, g0 = np.array([(f, index[g], top[0], g[0])
-                                     for f, top in enumerate(tops) for g in bases[top]]).T
-    edges, q = vertices[apex] - vertices[g0], frames_below[base]
-    exponent = _exponent(edges)
-    residual = np.ldexp(edges, -exponent)[:, None]
-    for _ in range(2):
-        residual -= (residual @ np.swapaxes(q, 1, 2)) @ q
-    h = np.linalg.norm(residual[:, 0], axis=1)
-    with np.errstate(over="ignore"):
-        vol[pyramid] = np.ldexp(np.bincount(face, h * np.array(vol_below)[base], len(tops)),
-                                exponent) / k
-    first = np.flatnonzero(np.diff(face, prepend=-1))
-    frames[pyramid] = np.concatenate([q[first], residual[first] / h[first, None, None]], axis=1)
-    return vol, frames
+        vol = np.ldexp(prod, k * exponent) / math.factorial(k)
+        if other:  # a simplex's row is scaled as in ``cl.gram_schmidt``, a pyramid's divided
+            row[top] /= r[top, None, None]
+            pyramids = np.bincount(tops[0], r[m:] * np.array(below.vol)[tops[1]], count)
+            vol[~simplex] = (np.ldexp(pyramids, exponent) / k)[~simplex]
+    base, frames = g[first], np.concatenate([q[first], row[first]], axis=1)
+    zframes, zprod = None, np.zeros(count)
+    if 2 * k <= n2:
+        zq, z = below.zframes[base], frames[:, -1:, 0::2] + 1j * frames[:, -1:, 1::2]
+        r = cl.gram_schmidt_step(zq, z)
+        z *= np.divide(1.0, r, out=np.zeros(len(r)), where=r > tol.eps)[:, None, None]
+        zframes = np.concatenate([zq, z], axis=1)
+        zprod = np.where(r > tol.eps, below.zprod[base] * (r * r), 0.0)
+    return _Batch(vol.tolist(), np.minimum(zprod, 1.0).tolist(), frames, prod, zframes, zprod, at)
 
 
 class _FaceLattice(Mapping):
     """Read-only map dimension -> faces over the vertex-id tuples ``ids`` of every face;
     ``data(k)`` gives the k-faces' vol_k and rho as columns, with no ``Face`` built.
 
-    The lattice is checked against the Euler relation on construction.  The first
-    read of a dimension k, by ``data`` or by ``[]``, runs its batch: vol_k and frames
-    from ``_face_data`` (which needs the batch of dimension k - 1 where a k-face is not
-    a simplex), or for the improper face (k = d) the given volume and the frame (rows)
-    of E_Gamma; then rho of every frame from one ``cl.batch_rho``.  ``[]`` builds the
-    ``Face`` objects from the batch.
+    The lattice is checked against the Euler relation on construction.  The first read
+    of a dimension k, by ``data`` or by ``[]``, runs its batch: vertices have vol 1, rho 1
+    and an empty frame, the improper face (k = d) the given volume, the frame (rows) of
+    E_Gamma and one ``cl.batch_rho``, and other faces extend the batch of dimension k - 1
+    (``_face_data``), run first.  ``[]`` builds the ``Face`` objects from the batch.
     """
 
     def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]],
@@ -411,22 +411,21 @@ class _FaceLattice(Mapping):
         _euler_check(self.ids, tol)
         self._vertices, self._arrays, self._pyramids = vertices, arrays, pyramids
         self._d, self._volume, self._frame, self._tol = d, volume, frame, tol
-        self._data: dict[int, tuple[list[float], list[float], np.ndarray]] = {}
+        self._data: dict[int, _Batch] = {}
         self._built: dict[int, list[Face]] = {}
 
-    def _batch(self, k: int) -> tuple[list[float], list[float], np.ndarray]:
-        """vol_k and rho (lists) and frames (f_k, k, 2n) of the k-faces, in ``ids[k]`` order."""
+    def _batch(self, k: int) -> _Batch:
         if k not in self._data:
+            f, n2 = len(self.ids[k]), self._vertices.shape[1]
             if k == self._d:
-                vol, frames = np.array([self._volume]), self._frame[None]
+                rho = cl.batch_rho(self._frame[None], self._tol)[0].tolist()
+                self._data[k] = _Batch([self._volume], rho, self._frame[None], *[None] * 4)
+            elif k == 0:
+                self._data[k] = _Batch([1.0] * f, [1.0] * f, np.zeros((f, 0, n2)), np.ones(f),
+                                       np.zeros((f, 0, n2 // 2), complex), np.ones(f), np.arange(f))
             else:
-                bases = self._pyramids.get(k)
-                below = (self.ids[k - 1], *self._batch(k - 1)[::2]) if bases else None
-                vol, frames = _face_data(self._vertices, self.ids[k], self._arrays[k], bases,
-                                         below, k)
-            # k > n real directions never span a complex-equidimensional space: rho = 0.
-            rho = np.zeros(len(vol)) if 2 * k > frames.shape[2] else cl.batch_rho(frames, self._tol)[0]
-            self._data[k] = vol.tolist(), rho.tolist(), frames
+                self._data[k] = _face_data(self._vertices, self.ids, self._arrays,
+                                           self._pyramids.get(k), self._batch(k - 1), k, self._tol)
         return self._data[k]
 
     def data(self, k: int) -> tuple[list[float], list[float]]:
@@ -437,9 +436,8 @@ class _FaceLattice(Mapping):
     def __getitem__(self, k: int) -> list[Face]:
         faces = self._built.get(k)
         if faces is None:
-            n = self._vertices.shape[1] // 2
-            faces = self._built[k] = [Face(ids, k, v, r, cl.SubspaceBasis(n, q))
-                                      for ids, v, r, q in zip(self.ids[k], *self._batch(k))]
+            faces = self._built[k] = [Face(ids, k, v, r, q)
+                                      for ids, v, r, q in zip(self.ids[k], *self._batch(k)[:3])]
         return faces
 
     def __contains__(self, k) -> bool:

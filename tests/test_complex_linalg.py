@@ -18,7 +18,6 @@ from kazvol import (
 from kazvol.complex_linalg import (_t_vectors, batch_rho, complex_to_real, gram_schmidt,
                                    multiply_i, real_to_complex)
 from kazvol.numerics import DEFAULT_TOLERANCE, kappa
-from kazvol.polytope import _simplex_data
 
 GS_SEED = 1905  # random rows and frames for the Gram-Schmidt kernel tests
 SLIVER_SEED = 1910  # the sliver simplices
@@ -221,8 +220,10 @@ class TestGramSchmidt:
     @pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (4, 4)])
     def test_sliver_simplices_against_40_digits(self, k, n, offset):
-        """One edge ``offset`` off the span of the others, condition number kappa:
-        vol_k within kappa * 1e-15 relative and rho within kappa * 1e-15 of 40 digits."""
+        """One edge ``offset`` off the span of the others, condition number kappa: vol_k =
+        prod r / k! of ``gram_schmidt`` (bit for bit the face data of a simplex) within
+        kappa * 1e-15 relative and ``batch_rho`` of its frame within kappa * 1e-15 of 40
+        digits."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng([SLIVER_SEED, k])
         edges = rng.normal(size=(k, 2 * n))
@@ -230,7 +231,8 @@ class TestGramSchmidt:
         off -= np.linalg.lstsq(edges[:-1].T, off, rcond=None)[0] @ edges[:-1]
         edges[-1] = rng.normal(size=k - 1) @ edges[:-1] + offset * off / np.linalg.norm(off)
         bound = np.linalg.cond(edges) * 1e-15
-        vol, frames = _simplex_data(edges[None])
+        r, frames = gram_schmidt(edges[None])
+        vol = r.prod(axis=1) / math.factorial(k)
         rho_ = batch_rho(frames, DEFAULT_TOLERANCE)[0]
         with mpmath.workdps(40):
             w = mpmath.matrix(edges.tolist())

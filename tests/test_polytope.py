@@ -593,31 +593,50 @@ def test_every_face_frame_is_orthonormal_and_spans_its_vertices(case):
         assert np.abs(edges - (edges @ q.T) @ q).max() <= 1e-12 * scale, f.vertex_ids
 
 
+@pytest.mark.parametrize("n, points, seed",
+                         [(3, 14, 309), (3, 24, 310), (4, 12, 311), (4, 15, 312)])
+def test_simplex_face_data_is_one_gram_schmidt_bit_for_bit(n, points, seed):
+    """Every simplex face's vol_k, rho and frame, though each extends its face without the
+    last vertex by one step, equal ``cl.gram_schmidt`` over its edges from its first vertex
+    (vol_k = prod r / k!) and ``cl.batch_rho`` of that frame, bit for bit."""
+    P = hull(np.random.default_rng(seed).normal(size=(points, 2 * n)))
+    for k in range(1, P.dim_real):
+        faces = P.faces[k]
+        assert all(len(f.vertex_ids) == k + 1 for f in faces)
+        ids = np.array([f.vertex_ids for f in faces])
+        r, q = cl.gram_schmidt(P.vertices[ids[:, 1:]] - P.vertices[ids[:, :1]])
+        assert [f.volume_k for f in faces] == (r.prod(axis=1) / math.factorial(k)).tolist()
+        assert [f.rho for f in faces] == cl.batch_rho(q, P.tol)[0].tolist()
+        assert np.array_equal(np.array([f.frame for f in faces]), q)
+
+
 @pytest.fixture
 def built(monkeypatch):
-    """The dimensions of the proper faces whose data batch runs from here on, one entry
-    per batch: a dimension's first read, of its columns or of its ``Face`` objects."""
+    """The dimensions of the proper faces of dimension 1 or more whose data batch runs from
+    here on, one entry per batch, in the order they finish: a dimension's first read, of
+    its columns or of its ``Face`` objects, runs the batches below it first."""
     dims = []
     batch = pt._face_data
 
-    def record(vertices, level, simplices, bases, below, k):
+    def record(vertices, ids, arrays, bases, below, k, tol):
         dims.append(k)
-        return batch(vertices, level, simplices, bases, below, k)
+        return batch(vertices, ids, arrays, bases, below, k, tol)
 
     monkeypatch.setattr(pt, "_face_data", record)
     return dims
 
 
 def test_volume_path_builds_no_face_data(monkeypatch, built):
-    """``hull``, the f-vector and the improper face's volume (``kazvol volume``) make no
-    ``_simplex_data`` pass and build no proper face."""
+    """``hull``, the f-vector and the improper face's volume (``kazvol volume``) build no
+    proper face: the only Gram-Schmidt steps are the d of the improper face's rho, each
+    on its one frame."""
     calls = []
-    simplex_data = pt._simplex_data
-    monkeypatch.setattr(pt, "_simplex_data", lambda *a: calls.append(a) or simplex_data(*a))
+    step = cl.gram_schmidt_step
+    monkeypatch.setattr(cl, "gram_schmidt_step", lambda *a: calls.append(len(a[1])) or step(*a))
     P = hull(np.random.default_rng(301).normal(size=(16, 6)))
     assert sum(P.face_vector()) > 100
     assert P.improper_face.volume_k > 0
-    assert calls == [] and built == []
+    assert calls == [1] * P.dim_real and built == []
 
 
 def test_faces_command_builds_no_face_on_a_simplicial_polytope(monkeypatch, built, capsys):
@@ -629,18 +648,19 @@ def test_faces_command_builds_no_face_on_a_simplicial_polytope(monkeypatch, buil
     points = np.random.default_rng(306).normal(size=(14, 6))
     assert main(["faces", json.dumps({"n": 3, "vertices": points.tolist()})]) == EXIT_OK
     assert "(improper)" in capsys.readouterr().out
-    assert made == [] and built == [0, 1, 2, 3, 4, 5]
+    assert made == [] and built == [1, 2, 3, 4, 5]
 
 
 def test_columns_and_faces_share_one_batch(built):
     """A dimension's columns and its ``Face`` objects, read in either order, come from
-    one batch and carry the same values bit for bit."""
+    one batch and carry the same values bit for bit; the first read of dimension 2
+    runs the batch of dimension 1 first, and that of dimension 3 only its own."""
     P = hull(np.random.default_rng(307).normal(size=(12, 6)))
     vol, rho = P.faces.data(2)
     assert [f.volume_k for f in P.faces[2]] == vol and [f.rho for f in P.faces[2]] == rho
     faces = P.faces[3]
     assert P.faces.data(3) == ([f.volume_k for f in faces], [f.rho for f in faces])
-    assert built == [2, 3]
+    assert built == [1, 2, 3]
 
 
 def test_hull_itself_checks_the_euler_relation(built):
@@ -655,10 +675,10 @@ def test_hull_itself_checks_the_euler_relation(built):
 
 def test_pseudovolume_builds_one_dimension(built):
     """P_2 of a cloud in C^2 sums over the 2-faces, whose normal cones (dimension 2)
-    have closed-form angles: no other dimension is built."""
+    have closed-form angles: only the dimensions below them are built, for their data."""
     P = hull(np.random.default_rng(302).normal(size=(12, 4)))
     assert pseudovolume(P, samples=SAMPLES).value > 0
-    assert built == [2]
+    assert built == [1, 2]
 
 
 def test_sampled_angle_keeps_its_lattice_substream(built):
