@@ -11,8 +11,9 @@ The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 2n))``), the cube [-1, 1]^8 and the Minkowski sums Theta_4 + [-1, 1]^4 and
 [-1, 1]^6 + [-1, 1]^6 (the hulls of their 128 and 4,096 vertex sums, as
 ``minkowski_sum`` takes them): non-simplicial hulls whose squares and cubes take
-the lattice's bitmask path, and whose sums are mostly exact duplicates for
-``_dedupe``.  ``hull`` builds each dimension's faces on
+the lattice's closure on packed vertex rows (on older trees an int-bitmask branch),
+and whose sums are mostly exact duplicates (dropped by ``_dedupe`` on older trees, by
+``minkowski_sum`` itself on later ones, so the rows here give ``hull`` the duplicates).  ``hull`` builds each dimension's faces on
 first read, so ``hull`` alone leaves out work; each case times four paths
 instead, each as the median wall time over ``REPS`` calls after one warm-up
 call:
@@ -31,7 +32,8 @@ It also records the f-vector, a hash of the faces path's output (equal hashes
 on two trees mean byte-identical ``kazvol faces`` output) and, from one more
 eager call and one more faces call under cProfile, the cumulative seconds of
 the whole call, of ``hull``, of Qhull (``ConvexHull``), ``_dedupe``, ``_facet_sets``,
-``_lattice``, the per-dimension face builder ``_build_faces`` of trees that
+``_lattice`` and, on trees that close the non-simplicial faces on packed vertex rows,
+its step per dimension ``_closure_step``, the per-dimension face builder ``_build_faces`` of trees that
 have no column reader, the column reader ``_FaceLattice.data``, the
 per-dimension batch (``_simplex_columns`` on trees whose non-simplicial faces
 compute their own data, ``_face_data`` with its pyramid step on later ones), its
@@ -108,7 +110,8 @@ CLOUD_SEED = 2026
 REPS = 5  # timed calls of each path per case
 # Profiled functions, as "module.name" under ``kazvol``, recorded by the part after the module.
 LAYERS = {
-    "hull": ("polytope._dedupe", "polytope._facet_sets", "polytope._lattice", "polytope._build_faces",
+    "hull": ("polytope._dedupe", "polytope._facet_sets", "polytope._lattice",
+             "polytope._closure_step", "polytope._build_faces",
              "polytope._FaceLattice.data", "polytope._simplex_columns", "polytope._face_data",
              "polytope._simplex_data", "complex_linalg.gram_schmidt_step",
              "polytope._row_lookup"),

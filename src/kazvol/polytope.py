@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -192,37 +192,35 @@ class Polytope:
         return np.sum(normals, axis=0)
 
 
-def _membership(id_sets: list, count: int) -> np.ndarray:
-    """(len(id_sets), count) float32 0/1 rows, row i marking the ids of set i."""
+def _membership(id_sets: list, count: int, dtype: type = np.float32) -> np.ndarray:
+    """(len(id_sets), count) 0/1 rows, row i marking the ids of set i."""
     sizes = [len(ids) for ids in id_sets]
-    out = np.zeros((len(sizes), count), dtype=np.float32)
+    out = np.zeros((len(sizes), count), dtype=dtype)
     out[np.repeat(np.arange(len(sizes)), sizes), [v for ids in id_sets for v in ids]] = 1
     return out
 
 
-def _members(mask: np.ndarray) -> list[list[int]]:
-    """Row i of a 0/1 matrix as the sorted list of its nonzero columns (the inverse of
+def _members(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Row i of a 0/1 matrix as the sorted tuple of its nonzero columns (the inverse of
     ``_membership``), from one ``nonzero`` over the whole matrix."""
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-    flat = np.nonzero(mask)[1].tolist()
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+    rows, cols = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(len(mask)), "right").tolist()
+    flat = cols.tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
     """Indices, ascending, of the points less each one within Chebyshev distance
-    eps * scale of an earlier kept point: exact duplicates by one ``np.unique`` of the
-    rows' bytes (each keeps its first), then one k-d-tree pair query and a greedy
-    pass over the close pairs only.  An exact duplicate is always dropped, and a
-    dropped point drops no other, so the first step keeps the greedy result."""
-    rows = np.ascontiguousarray(points)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    first = np.sort(np.unique(keys, return_index=True)[1])
+    eps * scale of an earlier kept point: one k-d-tree pair query and a greedy pass over
+    the close pairs only.  An exact duplicate is always dropped and a dropped point drops
+    no other, so dropping exact duplicates first (``minkowski_sum`` does, whose vertex
+    sums are mostly exact duplicates) keeps the same points."""
     scale_ = max(1.0, float(np.abs(points).max()))
-    pairs = cKDTree(points[first]).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
-    dropped = [False] * len(first)
+    pairs = cKDTree(points).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
+    dropped = [False] * len(points)
     for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
         dropped[j] = dropped[j] or not dropped[i]
-    return first[~np.array(dropped, dtype=bool)]
+    return np.flatnonzero(~np.array(dropped, dtype=bool))
 
 
 def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -241,80 +239,159 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
                 eps: float) -> dict[tuple[int, ...], np.ndarray]:
     """Map facet vertex ids -> outer unit normal (in the projected coordinates).
 
-    Qhull ran on coords times 2**-exponent.  Vertex ids number Qhull's vertices in
-    index order; a facet's ids, sorted, are read from those vertices' entries of its
-    point-plane incidence, so points on a facet's plane that are not vertices drop out.  Qhull
-    triangulates non-simplicial facets, so one facet can come as many
-    equations; each point set keeps the normal of its first equation.
-    Equations are taken in chunks of about 2**20 point-equation pairs.  A facet
-    bent within eps can also come with sliver facets along its ridges; their
-    point sets lie inside a real facet's set, so only the inclusion-maximal
-    sets are kept.  A set that lies strictly inside another has at least d
-    points, so it is only compared with the sets of more than d.
+    Qhull ran on coords times 2**-exponent.  Each equation's points on its plane (within
+    10 eps scale) are one ``_pack`` key, taken in chunks of about 2**20 point-equation
+    pairs.  Qhull triangulates non-simplicial facets, so one facet can come as many
+    equations: the keys are deduped once, in equation order, and each point set keeps the
+    normal of its first equation.  A facet bent within eps can also come with sliver
+    facets along its ridges; their point sets lie inside a real facet's set, so only the
+    inclusion-maximal sets are kept (``a & ~b`` is zero where a lies in b, in chunks of
+    about 2**20 words).  A set that lies strictly inside another has at least d points,
+    so it is only compared with the sets of more than d.
+    Vertex ids number Qhull's vertices in index order; a facet's ids, sorted, are the
+    vertices of its set, so points on its plane that are not vertices drop out.
     """
-    sets: dict[frozenset[int], tuple[tuple[int, ...], np.ndarray]] = {}  # points -> (ids, normal)
     scale_ = max(1.0, float(np.abs(coords).max()))
-    step = max(1, 2**20 // len(coords))
-    keep = np.sort(qhull.vertices)
-    for start in range(0, len(qhull.equations), step):
-        eqs = qhull.equations[start:start + step]
-        offset = np.ldexp(eqs[:, -1], exponent)
-        on_plane = np.abs(coords @ eqs[:, :-1].T + offset) <= eps * scale_ * 10
-        normals = eqs[:, :-1] / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
-        _, first = np.unique(np.packbits(on_plane, axis=0).T, axis=0, return_index=True)
-        cols = np.sort(first)
-        rows = on_plane[:, cols].T
-        for points, ids, normal in zip(_members(rows), _members(rows[:, keep]), normals[cols]):
-            sets.setdefault(frozenset(points), (tuple(ids), normal))
-    big = [s for s in sets if len(s) > coords.shape[1]]
-    return {ids: normal for s, (ids, normal) in sets.items() if not any(s < t for t in big)}
+    step, eqs = max(1, 2**20 // len(coords)), qhull.equations
+    keys = np.concatenate([_pack(np.abs(coords @ e[:, :-1].T + np.ldexp(e[:, -1], exponent)).T
+                                 <= eps * scale_ * 10)
+                           for e in (eqs[s:s + step] for s in range(0, len(eqs), step))])
+    first = np.sort(np.unique(_void(keys), return_index=True)[1])
+    words = np.ascontiguousarray(keys[first].T)  # word-major: ANDs and reductions run along sets
+    size = np.bitwise_count(words).sum(axis=0)
+    big = size > coords.shape[1]
+    outside, bigger = ~words[:, big, None], size[big, None]
+    kept, step = np.ones(len(first), bool), max(1, 2**20 // max(1, outside.size))
+    for s in range(0, len(first), step):  # no set lies strictly inside a bigger one
+        inside = ~(words[:, None, s:s + step] & outside).any(axis=0)
+        kept[s:s + step] = ~(inside & (size[s:s + step] < bigger)).any(axis=0)
+    rows = np.unpackbits(keys[first[kept]].view(np.uint8), axis=1, count=len(coords))
+    normals = eqs[first[kept], :-1]
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    return dict(zip(_members(rows[:, np.sort(qhull.vertices)]), normals))
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as packed uint64 bit rows, ceil(columns / 64) words each, one code
+    path for every width: row i's key holds column v at bit 7 - v % 8 of byte v // 8
+    (``np.packbits``)."""
+    bits = np.packbits(rows, axis=1)
+    out = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), np.uint8)
+    out[:, :bits.shape[1]] = bits
+    return out.view(np.uint64)
+
+
+def _void(keys: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as one void scalar each, for ``np.unique`` of rows."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
 def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
-        dict[int, list[tuple[int, ...]]], dict[int, np.ndarray], dict[int, dict]]:
+        dict[int, list[tuple[int, ...]]], dict[int, np.ndarray],
+        dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets
     down; each dimension k's simplices as one (m, k + 1) int array, in the same order;
-    and by dimension, each other face's pyramid bases (``_face_data``).
+    and by dimension k, the pyramid bases of its other faces (``_face_data``): the faces'
+    positions in ``ids[k]`` and the bases' in ``ids[k - 1]``, sorted by face, then base.
 
     A k-face with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
-    deletions.  A dimension's simplices are one (m, k + 1) int array, and one fancy
-    index through a table of k-column subsets gives all their deletions, which
-    ``_unique_rows`` sorts and dedupes at once.  The (k-1)-faces of any other k-face
-    F are the inclusion-maximal proper sets F & g over the facets g, on int
-    bitmasks; a (k-1)-face has at least k vertices and a smaller set F & g lies in
-    one that has, so candidates of fewer than k vertices are dropped unscanned.
-    Those found with k vertices join the simplex array before it is deduped, and
-    those that miss F's first vertex are its pyramid bases.
+    deletions, all of a dimension from one fancy index through a table of k-column
+    subsets, which ``_unique_rows`` sorts and dedupes at once.  The (k-1)-faces of any
+    other k-face F are the inclusion-maximal proper sets F & g over the facets g
+    (Kaibel & Pfetsch, Comput. Geom. 23, 2002), found on ``_pack`` rows by
+    ``_closure_step``: those with k vertices join the simplex array before it is
+    deduped, the others are the next dimension's non-simplex faces, and those that miss
+    F's first vertex are F's pyramid bases.
     """
     radix = 1 + max(ids[-1] for ids in facets)
     out = {d - 1: sorted(set(facets))}
     simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
-    others = {sum(1 << v for v in ids): ids for ids in out[d - 1] if len(ids) != d}
+    at = np.array([i for i, f in enumerate(out[d - 1]) if len(f) != d], dtype=np.intp)
     arrays, pyramids = {d - 1: simplices}, {}
-    facet_masks = [sum(1 << v for v in ids) for ids in out[d - 1]] if others else []
+    if len(at):
+        packed = _pack(_membership(out[d - 1], radix, bool))
+        others, first = packed[at], np.array([out[d - 1][i][0] for i in at])
+        size = np.array([len(out[d - 1][i]) for i in at])
     for k in range(d - 1, 0, -1):
-        below: dict[int, tuple[int, ...]] = {}
-        bases = pyramids[k] = {}
-        for m, ids in others.items():
-            maximal: list[int] = []
-            for c in sorted({m & g for g in facet_masks} - {m}, key=int.bit_count, reverse=True):
-                if c.bit_count() < k:
-                    break
-                if all(c & o != c for o in maximal):
-                    maximal.append(c)
-            for c in maximal:
-                if c not in below:
-                    below[c] = tuple(v for v in ids if c >> v & 1)
-            bases[ids] = [below[c] for c in maximal if not c >> ids[0] & 1]
-        found = np.array([ids for ids in below.values() if len(ids) == k], dtype=np.int64)
+        found = np.zeros((0, k), np.int64)
+        if len(at):
+            keys, size, face, index = _closure_step(others, size, packed, k)
+            rows = np.unpackbits(keys.view(np.uint8), axis=1, count=radix)
+            simplex = size == k
+            found = np.nonzero(rows[simplex])[1].reshape(-1, k)
         simplices = _unique_rows(np.concatenate(
             [simplices[:, list(itertools.combinations(range(k + 1), k))].reshape(-1, k),
-             found.reshape(-1, k)]), radix)
-        faces = list(zip(*simplices.T.tolist()))
-        others = {c: ids for c, ids in below.items() if len(ids) > k}
-        out[k - 1] = sorted(faces + list(others.values())) if others else faces
+             found]), radix)
+        out[k - 1] = faces = list(zip(*simplices.T.tolist()))
         arrays[k - 1] = simplices
+        if len(at):
+            other = ~simplex
+            tops = _members(rows[other])
+            if tops:
+                out[k - 1] = faces = sorted(faces + tops)
+            position = dict(zip(faces, range(len(faces))))
+            where = np.empty(len(keys), np.intp)  # each key's position in ids[k - 1]
+            where[simplex] = [position[f] for f in zip(*found.T.tolist())]
+            where[other] = [position[f] for f in tops]
+            base = rows[index, first[face]] == 0  # misses F's first vertex
+            pyramids[k] = np.divmod(np.sort(at[face[base]] * len(faces) + where[index[base]]),
+                                    len(faces))
+            at, others, size = where[other], keys[other], size[other]
+            first = rows[other].argmax(axis=1)
     return out, arrays, pyramids
+
+
+def _closure_step(faces: np.ndarray, size: np.ndarray, facets: np.ndarray, k: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (k-1)-faces of non-simplex k-faces F, from the ``_pack`` rows and sizes of the
+    faces and the ``_pack`` rows of the facets: their distinct keys and sizes, and each
+    pair of a face F's row and the key row of one of its (k-1)-faces, sorted by F.
+
+    One AND of the rows gives every F & g and its size; a (k-1)-face has at least k
+    vertices and a smaller set lies in one that has, so the candidates are those with
+    k <= |F & g| < |F|.  They are deduped over all F, then per F.  Only a candidate
+    smaller than the largest of its F can lie strictly inside another (none does on a
+    cube, whose candidates in one F are all alike), so only those are tested against the
+    others of their F (a lies in b where ``a & ~b`` is zero); one that lies inside is
+    dropped."""
+    n, width = facets.shape
+    step, i, cands, most = max(1, 2**20 // facets.size), [], [], []
+    for s in range(0, len(size), step):
+        both = faces[s:s + step, None] & facets
+        count = np.bitwise_count(both).sum(axis=2)
+        count[count >= size[s:s + step, None]] = 0
+        most.append(count.max(axis=1))
+        at = np.flatnonzero(count >= k)
+        i.append(at // n + s)
+        cands.append(both.reshape(-1, width)[at])
+    i, cands, most = np.concatenate(i), np.concatenate(cands), np.concatenate(most)
+    order = np.lexsort(cands.T)  # dedupe: equal keys are neighbours in this order
+    cands = cands[order]
+    new = np.ones(len(order), bool)
+    new[1:] = (cands[1:] != cands[:-1]).any(axis=1)
+    keys = cands[new]
+    pair = np.sort(i[order] * len(keys) + np.cumsum(new) - 1)  # dedupe per F
+    new = np.ones(len(pair), bool)
+    new[1:] = pair[1:] != pair[:-1]
+    pair = pair[new]
+    i = pair // len(keys)
+    key = pair - i * len(keys)
+    size = np.bitwise_count(keys).sum(axis=1)
+    a = np.flatnonzero(size[key] < most[i])  # only these can lie inside another of their F
+    if len(a):
+        start = np.searchsorted(i, i[a])
+        count = np.searchsorted(i, i[a], "right") - start
+        b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start, count)
+        a = np.repeat(a, count)
+        smaller = size[key[a]] < size[key[b]]
+        a, b = a[smaller], b[smaller]
+        kept = np.ones(len(i), bool)
+        kept[a[~(keys[key[a]] & ~keys[key[b]]).any(axis=1)]] = False
+        below = np.zeros(len(keys), bool)
+        below[key[kept]] = True
+        keys, size, i, key = keys[below], size[below], i[kept], (np.cumsum(below) - 1)[key[kept]]
+    return keys, size, i, key
 
 
 def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -325,6 +402,8 @@ def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
     ``np.lexsort`` and a compare of adjacent rows instead (the slower path: used for
     every width, it made the ``lattice`` benchmark's tta_s about a fifth longer)."""
     width = rows.shape[1]
+    if not len(rows):
+        return rows
     if radix**width < 2**63:
         place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
         key = np.sort(rows @ place)
@@ -346,29 +425,29 @@ def _exponent(a: np.ndarray) -> int:
 _Batch = namedtuple("_Batch", "vol rho frames prod zframes zprod at")
 
 
-def _face_data(vertices: np.ndarray, ids: dict, arrays: dict, bases: dict | None,
-               below: _Batch, k: int, tol: Tolerance) -> _Batch:
+def _face_data(vertices: np.ndarray, ids: dict, arrays: dict,
+               bases: tuple[np.ndarray, np.ndarray] | None,
+               below: _Batch, k: int, exponent: int, tol: Tolerance) -> _Batch:
     """The k-faces' batch, k >= 1: each face extends a (k-1)-face G of ``below`` by one
-    ``cl.gram_schmidt_step`` of an edge, scaled by 2**-e (e of the coordinate ranges) so no
-    product over- or underflows.  A simplex F = (v_0, ..., v_k), row of ``arrays[k]`` (``at``
-    maps rows to positions), steps v_k - v_0 off G = F[:-1]: prod r = G's times r and vol_k =
-    prod r / k!, as ``cl.gram_schmidt`` over F's edges from v_0.  Any other F is the union of
-    the pyramids with apex F[0] over its (k-1)-faces G that miss F[0] (``bases[F]``; Lasserre,
-    J. Optim. Theory Appl. 39, 1983): vol_k(F) = sum r vol_{k-1}(G) / k; F extends its first G.
-    For k <= n the complexified new row steps off G's ``zframes`` (cutoff tol.eps): rho =
-    min(zprod, 1), zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0 for k > n.
-    All bit for bit."""
+    ``cl.gram_schmidt_step`` of an edge, scaled by 2**-exponent (e of the coordinate
+    ranges) so no product over- or underflows.  A simplex F = (v_0, ..., v_k), row of
+    ``arrays[k]`` (``at`` maps rows to positions), steps v_k - v_0 off G = F[:-1]: prod r =
+    G's times r and vol_k = prod r / k!, as ``cl.gram_schmidt`` over F's edges from v_0.  Any
+    other F is the union of the pyramids with apex F[0] over its (k-1)-faces G that miss F[0]
+    (``bases``: positions of F and G, sorted by F; Lasserre, J. Optim. Theory Appl. 39,
+    1983): vol_k(F) = sum r vol_{k-1}(G) / k; F extends its first G.  For k <= n the
+    complexified new row steps off G's ``zframes`` (cutoff tol.eps): rho = min(zprod, 1),
+    zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0 for k > n.  All bit for bit."""
     level, simplices, n2 = ids[k], arrays[k], vertices.shape[1]
-    count, exponent = len(level), _exponent(np.ptp(vertices, axis=0))
-    simplex = np.ones(count, bool) if len(simplices) == count else np.array(
-        [len(f) == k + 1 for f in level])
-    at, other = np.flatnonzero(simplex), np.flatnonzero(~simplex).tolist()
+    count, simplex, other = len(level), np.ones(len(level), bool), bases is not None
+    if other:
+        simplex[bases[0]] = False
+    at = np.flatnonzero(simplex)
     g = below.at[_row_lookup(arrays[k - 1], simplices[:, :-1])[0]]
     apex, g0, first = simplices[:, -1], simplices[:, 0], slice(None)
     if other:  # each pyramid's (face, G, apex, g_0), its step after the simplices'
-        index = {f: i for i, f in enumerate(ids[k - 1])}
-        tops = np.array([(i, index[b], level[i][0], b[0])
-                         for i in other for b in bases[level[i]]]).T
+        tops = np.array([bases[0], bases[1], [level[i][0] for i in bases[0].tolist()],
+                         [ids[k - 1][j][0] for j in bases[1].tolist()]])
         g, apex, g0 = (np.concatenate(pair) for pair in zip((g, apex, g0), tops[1:]))
         first = np.unique(np.concatenate([at, tops[0]]), return_index=True)[1]
         top = first[first >= len(at)]  # the pyramid steps whose rows go into a frame
@@ -405,7 +484,7 @@ class _FaceLattice(Mapping):
     """
 
     def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]],
-                 arrays: dict[int, np.ndarray], pyramids: dict[int, dict], d: int,
+                 arrays: dict[int, np.ndarray], pyramids: dict[int, tuple], d: int,
                  volume: float, frame: np.ndarray, tol: Tolerance) -> None:
         self.ids = {**dict(sorted(lattice.items())), d: [tuple(range(len(vertices)))]}
         _euler_check(self.ids, tol)
@@ -413,6 +492,11 @@ class _FaceLattice(Mapping):
         self._d, self._volume, self._frame, self._tol = d, volume, frame, tol
         self._data: dict[int, _Batch] = {}
         self._built: dict[int, list[Face]] = {}
+
+    @cached_property
+    def _edge_exponent(self) -> int:
+        """The e of the coordinate ranges, by which ``_face_data`` scales every edge."""
+        return _exponent(np.ptp(self._vertices, axis=0))
 
     def _batch(self, k: int) -> _Batch:
         if k not in self._data:
@@ -425,7 +509,8 @@ class _FaceLattice(Mapping):
                                        np.zeros((f, 0, n2 // 2), complex), np.ones(f), np.arange(f))
             else:
                 self._data[k] = _face_data(self._vertices, self.ids, self._arrays,
-                                           self._pyramids.get(k), self._batch(k - 1), k, self._tol)
+                                           self._pyramids.get(k), self._batch(k - 1), k,
+                                           self._edge_exponent, self._tol)
         return self._data[k]
 
     def data(self, k: int) -> tuple[list[float], list[float]]:
@@ -542,7 +627,8 @@ def _norm(u: np.ndarray) -> float:
 
 
 def minkowski_sum(parts: list[Polytope]) -> Polytope:
-    """The sum, built under the tolerance its summands share."""
+    """The sum, built under the tolerance its summands share; ``S.source`` indexes the rows
+    of ``_sum_points``."""
     if not parts:
         raise EmptyInput("need at least one summand")
     n, tol = parts[0].ambient_n, parts[0].tol
@@ -553,7 +639,10 @@ def minkowski_sum(parts: list[Polytope]) -> Polytope:
     total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
-    return hull(_sum_points(parts), tol)
+    points = _sum_points(parts)
+    first = np.sort(np.unique(_void(points), return_index=True)[1])  # exact duplicates out
+    S = hull(points[first], tol)
+    return replace(S, source=first[S.source])
 
 
 def _sum_points(parts: list[Polytope]) -> np.ndarray:
@@ -580,10 +669,8 @@ def _sum_labels(S: Polytope, parts: list[Polytope]) -> np.ndarray:
 def _row_lookup(table: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of wanted, the index of the first equal row of table and whether there
     is one: one sort of the rows' bytes as void keys and a bisection."""
-    table, wanted = np.ascontiguousarray(table), np.ascontiguousarray(wanted)
-    row = np.dtype((np.void, table.itemsize * table.shape[1]))
-    keys, first = np.unique(table.view(row).ravel(), return_index=True)
-    pos = np.minimum(np.searchsorted(keys, want := wanted.view(row).ravel()), len(keys) - 1)
+    keys, first = np.unique(_void(table), return_index=True)
+    pos = np.minimum(np.searchsorted(keys, want := _void(wanted)), len(keys) - 1)
     return first[pos], keys[pos] == want
 
 
@@ -604,7 +691,7 @@ def _summand_positions(S: Polytope, parts: list[Polytope],
         member = np.zeros((len(ids), p.n_vertices), dtype=bool)
         member[rows, labels[:, l]] = True
         every = [t for level in p.faces.ids.values() for t in level]
-        pos, found = _row_lookup(np.packbits(_membership(every, p.n_vertices) != 0, axis=1),
+        pos, found = _row_lookup(np.packbits(_membership(every, p.n_vertices, bool), axis=1),
                                  np.packbits(member, axis=1))
         where = np.array([(j, i) for j, level in p.faces.ids.items() for i in range(len(level))])
         dims[found, l], index[found, l] = where[pos[found]].T

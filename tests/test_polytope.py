@@ -479,6 +479,10 @@ ORACLE_CASES = {
     "cube [-1,1]^6": lambda: hull(CUBE6),
     "C2 pair sum": lambda: minkowski_sum([hull(np.random.default_rng(35).normal(size=(8, 4))),
                                           hull(np.random.default_rng(36).normal(size=(9, 4)))]),
+    # 76 vertex rows: the facets' packed keys take two 64-bit words.
+    "cube [-1,1]^6 + [-1,1]^6": lambda: minkowski_sum([hull(CUBE6), hull(CUBE6)]),
+    "C3 pair sum": lambda: minkowski_sum([hull(np.random.default_rng(37).normal(size=(5, 6))),
+                                          hull(np.random.default_rng(38).normal(size=(4, 6)))]),
 }
 
 
@@ -534,24 +538,107 @@ def test_closure_matches_oracle_where_simplices_and_cube_faces_meet():
 
 
 def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
-    """The facets of 12 points in C^4 relabelled to ids above 2**10 (a permutation, so
-    the order changes): the closure is the relabelled closure of the original ids.
+    """The facets of 12 points in C^4 and of [-1, 1]^6 relabelled to ids above 2**10 (a
+    permutation, so the order changes): the closure is the relabelled closure of the
+    original ids.
     radix**k passes 2**63 for the 7-vertex deletions only, and exactly there the rows
-    are deduped by ``np.lexsort`` instead of a packed int64 key."""
-    P = hull(np.random.default_rng(401).normal(size=(12, 8)))
-    d, (base, _, _) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
-    labels = (1025 + 3 * np.random.default_rng(405).permutation(P.n_vertices)).tolist()
-
-    def relabel(ids):
+    are deduped by ``np.lexsort`` instead of a packed int64 key.  The cube's packed
+    vertex rows take 17 words, and each of its faces' pyramid bases are its faces below
+    that miss its new first vertex."""
+    def relabel(ids, labels):
         return tuple(sorted(labels[v] for v in ids))
 
+    Q = hull(CUBE6)
+    cube = pt._lattice(list(Q.facet_ids), Q.dim_real)[0]
+    labels = (1025 + 3 * np.random.default_rng(406).permutation(Q.n_vertices)).tolist()
+    got, _, pyramids = pt._lattice([relabel(ids, labels) for ids in Q.facet_ids], Q.dim_real)
+    assert got == {k: sorted(relabel(ids, labels) for ids in faces) for k, faces in cube.items()}
+    assert sorted(pyramids) == list(range(2, Q.dim_real))
+    for k, (face, below) in pyramids.items():
+        bases = {(got[k][f], got[k - 1][g]) for f, g in zip(face.tolist(), below.tolist())}
+        assert bases == {(f, g) for f in got[k] for g in got[k - 1]
+                         if set(g) < set(f) and f[0] not in g}, k
+
+    P = hull(np.random.default_rng(401).normal(size=(12, 8)))
+    d, (base, _, none) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
+    assert none == {}
+    labels = (1025 + 3 * np.random.default_rng(405).permutation(P.n_vertices)).tolist()
     widths = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: widths.append(len(keys)) or lexsort(keys))
-    got, _, _ = pt._lattice([relabel(ids) for ids in P.facet_ids], d)
+    got, _, _ = pt._lattice([relabel(ids, labels) for ids in P.facet_ids], d)
     assert widths == [k for k in range(d - 1, 0, -1) if (max(labels) + 1) ** k >= 2**63] == [7]
-    assert got == {k: sorted(relabel(ids) for ids in faces) for k, faces in base.items()}
+    assert got == {k: sorted(relabel(ids, labels) for ids in faces) for k, faces in base.items()}
     assert list(got) == list(base)
+
+
+@pytest.mark.parametrize("case", ["data cube4", "cube + crosspolytope", "prism", "C2 pair sum",
+                                  "cube [-1,1]^6", "C3 pair sum"])
+def test_pyramid_bases_are_the_faces_below_that_miss_the_first_vertex(case):
+    """Each non-simplex k-face F's pyramid bases (positions in ``ids[k]`` and ``ids[k - 1]``,
+    sorted by face, then base) are the closure oracle's (k-1)-faces inside F that miss F[0],
+    each once; simplices have none."""
+    P = ORACLE_CASES[case]()
+    want = frozenset_lattice(P)
+    lattice, _, pyramids = pt._lattice(list(P.facet_ids), P.dim_real)
+    assert set(pyramids) == {k for k in range(1, P.dim_real) if any(len(f) > k + 1
+                                                                  for f in lattice[k])}
+    for k, (face, base) in pyramids.items():
+        steps = face * len(lattice[k - 1]) + base
+        assert (np.diff(steps) > 0).all(), k
+        got: dict = {}
+        for f, g in zip(face.tolist(), base.tolist()):
+            got.setdefault(lattice[k][f], []).append(lattice[k - 1][g])
+        expect = {ids: sorted(g for g, _, _ in want[k - 1] if set(g) < set(ids) and ids[0] not in g)
+                  for ids, _, _ in want[k] if len(ids) > k + 1}
+        assert got == expect, (case, k)
+
+
+def _qhull_input(points, tol=DEFAULT_TOLERANCE):
+    """The projected coordinates, Qhull and exponent that ``hull`` hands ``_facet_sets``."""
+    points = points[_dedupe(points, tol.eps)]
+    center, basis = pt._affine_frame(points, tol)
+    coords = (points - center) @ basis.T
+    qhull, exponent, _ = pt._qhull(coords)
+    return coords, qhull, exponent
+
+
+def frozenset_facet_sets(coords, qhull, exponent, eps):
+    """Reference: the per-equation frozenset pass that the packed keys of ``_facet_sets``
+    replaced.  Returns its facet map and the number of distinct point sets it saw."""
+    sets = {}
+    scale_ = max(1.0, float(np.abs(coords).max()))
+    step = max(1, 2**20 // len(coords))
+    keep = np.sort(qhull.vertices)
+    for start in range(0, len(qhull.equations), step):
+        eqs = qhull.equations[start:start + step]
+        on_plane = np.abs(coords @ eqs[:, :-1].T + np.ldexp(eqs[:, -1], exponent)) <= eps * scale_ * 10
+        normals = eqs[:, :-1] / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
+        for e in range(len(eqs)):
+            ids = tuple(np.flatnonzero(on_plane[keep, e]).tolist())
+            sets.setdefault(frozenset(np.flatnonzero(on_plane[:, e]).tolist()), (ids, normals[e]))
+    big = [s for s in sets if len(s) > coords.shape[1]]
+    return {ids: normal for s, (ids, normal) in sets.items() if not any(s < t for t in big)}, len(sets)
+
+
+def _rounded_rotated_cube(seed):
+    rotated = CUBE4 @ realify(random_unitary(2, RandomStream(seed))).T
+    return np.array([[float(f"{x:.10g}") for x in row] for row in rotated])
+
+
+@pytest.mark.parametrize("case", ["cube4", "theta4 + cube4", "cube6", "rounded rotated cube"])
+def test_facet_sets_match_the_frozenset_reference(case):
+    """Ids, order and normals bit for bit, on Qhull's triangulated (Qt) facets and on a cube
+    whose bent facets come with sliver facets that the maximality test drops."""
+    points = {"cube4": CUBE4, "theta4 + cube4": _sum_points(THETA4, CUBE4), "cube6": CUBE6,
+              "rounded rotated cube": _rounded_rotated_cube(1)}[case]
+    coords, qhull, exponent = _qhull_input(points)
+    got = pt._facet_sets(coords, qhull, exponent, EPS)
+    want, distinct = frozenset_facet_sets(coords, qhull, exponent, EPS)
+    assert len(qhull.equations) > len(want)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert (distinct > len(want)) == (case == "rounded rotated cube")
 
 
 def test_lattice_oracle_under_loose_tolerance():
@@ -618,9 +705,9 @@ def built(monkeypatch):
     dims = []
     batch = pt._face_data
 
-    def record(vertices, ids, arrays, bases, below, k, tol):
+    def record(vertices, ids, arrays, bases, below, k, exponent, tol):
         dims.append(k)
-        return batch(vertices, ids, arrays, bases, below, k, tol)
+        return batch(vertices, ids, arrays, bases, below, k, exponent, tol)
 
     monkeypatch.setattr(pt, "_face_data", record)
     return dims
@@ -751,7 +838,8 @@ def test_dedupe_matches_greedy_oracle(case):
 
 def test_vertices_are_their_source_rows():
     """``P.source`` names the input row of each vertex, bit for bit: on a cloud with
-    planted exact and near duplicates, and on a Minkowski sum's vertex sums."""
+    planted exact and near duplicates, and on a Minkowski sum's vertex sums, whose
+    rows are those ``hull`` keeps of all the sums."""
     rng = np.random.default_rng(205)
     pts = rng.normal(size=(20, 4))
     cloud = rng.permutation(np.vstack([pts, pts[:6], pts[6:12] + 0.5 * EPS]))
@@ -761,6 +849,9 @@ def test_vertices_are_their_source_rows():
     parts = [hull(THETA4), hull(CUBE4)]
     S = minkowski_sum(parts)
     assert S.vertices.tobytes() == pt._sum_points(parts)[S.source].tobytes()
+    # ``minkowski_sum`` drops the exact duplicates before ``hull``: the same kept rows.
+    whole = hull(pt._sum_points(parts))
+    assert S.source.tolist() == whole.source.tolist() and S.faces.ids == whole.faces.ids
 
 
 def test_dedupe_chain_keeps_both_ends():
@@ -790,8 +881,6 @@ def test_face_bent_within_tolerance_keeps_its_rank():
 def test_rounded_rotated_cube(seed):
     """[-1, 1]^4 under a random unitary, rounded to 10 significant digits: Qhull's
     sliver facets along the bent facets' ridges are dropped, as sets inside a facet's."""
-    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
-    rotated = cube @ realify(random_unitary(2, RandomStream(seed))).T
-    P = hull(np.array([[float(f"{x:.10g}") for x in row] for row in rotated]))
+    P = hull(_rounded_rotated_cube(seed))
     assert P.face_vector() == [16, 32, 24, 8, 1]
     assert pseudovolume(P, samples=SAMPLES).value == pytest.approx(16.0, abs=1e-8)
