@@ -11,12 +11,11 @@ The cases are the ``hull`` rows of the ROADMAP: Theta_4, 40 points in C^3,
 2n))``), the cube [-1, 1]^8 and the Minkowski sums Theta_4 + [-1, 1]^4 and
 [-1, 1]^6 + [-1, 1]^6 (the hulls of their 128 and 4,096 vertex sums, as
 ``minkowski_sum`` takes them): non-simplicial hulls whose squares and cubes take
-the lattice's closure on packed vertex rows (on older trees an int-bitmask branch),
-and whose sums are mostly exact duplicates (dropped by ``_dedupe`` on older trees, by
-``minkowski_sum`` itself on later ones, so the rows here give ``hull`` the duplicates).  ``hull`` builds each dimension's faces on
-first read, so ``hull`` alone leaves out work; each case times four paths
-instead, each as the median wall time over ``REPS`` calls after one warm-up
-call:
+the lattice's closure on packed vertex rows (on older trees an int-bitmask
+branch), and whose sums are mostly exact duplicates for ``_dedupe``.  ``hull``
+builds each dimension's faces on first read, so ``hull`` alone leaves out work;
+each case times four paths instead, each as the median wall time over ``REPS``
+calls after one warm-up call:
 
 - eager: ``hull`` plus a read of every dimension of ``P.faces``, the work of
   a caller that sums over ``Face`` objects;

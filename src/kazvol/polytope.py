@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -211,16 +211,17 @@ def _members(mask: np.ndarray) -> list[tuple[int, ...]]:
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
     """Indices, ascending, of the points less each one within Chebyshev distance
-    eps * scale of an earlier kept point: one k-d-tree pair query and a greedy pass over
-    the close pairs only.  An exact duplicate is always dropped and a dropped point drops
-    no other, so dropping exact duplicates first (``minkowski_sum`` does, whose vertex
-    sums are mostly exact duplicates) keeps the same points."""
+    eps * scale of an earlier kept point: exact duplicates by one ``np.unique`` of the
+    rows' bytes (each keeps its first), then one k-d-tree pair query and a greedy
+    pass over the close pairs only.  An exact duplicate is always dropped, and a
+    dropped point drops no other, so the first step keeps the greedy result."""
+    first = np.sort(np.unique(_void(points), return_index=True)[1])
     scale_ = max(1.0, float(np.abs(points).max()))
-    pairs = cKDTree(points).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
-    dropped = [False] * len(points)
+    pairs = cKDTree(points[first]).query_pairs(eps * scale_, p=np.inf, output_type="ndarray")
+    dropped = [False] * len(first)
     for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
         dropped[j] = dropped[j] or not dropped[i]
-    return np.flatnonzero(~np.array(dropped, dtype=bool))
+    return first[~np.array(dropped, dtype=bool)]
 
 
 def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +367,7 @@ def _closure_step(faces: np.ndarray, size: np.ndarray, facets: np.ndarray, k: in
         i.append(at // n + s)
         cands.append(both.reshape(-1, width)[at])
     i, cands, most = np.concatenate(i), np.concatenate(cands), np.concatenate(most)
-    order = np.lexsort(cands.T)  # dedupe: equal keys are neighbours in this order
+    order = np.lexsort(cands.T)  # np.unique of the void rows took 1.2-2.3x as long
     cands = cands[order]
     new = np.ones(len(order), bool)
     new[1:] = (cands[1:] != cands[:-1]).any(axis=1)
@@ -627,8 +628,7 @@ def _norm(u: np.ndarray) -> float:
 
 
 def minkowski_sum(parts: list[Polytope]) -> Polytope:
-    """The sum, built under the tolerance its summands share; ``S.source`` indexes the rows
-    of ``_sum_points``."""
+    """The sum, built under the tolerance its summands share."""
     if not parts:
         raise EmptyInput("need at least one summand")
     n, tol = parts[0].ambient_n, parts[0].tol
@@ -639,10 +639,7 @@ def minkowski_sum(parts: list[Polytope]) -> Polytope:
     total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
-    points = _sum_points(parts)
-    first = np.sort(np.unique(_void(points), return_index=True)[1])  # exact duplicates out
-    S = hull(points[first], tol)
-    return replace(S, source=first[S.source])
+    return hull(_sum_points(parts), tol)
 
 
 def _sum_points(parts: list[Polytope]) -> np.ndarray:
