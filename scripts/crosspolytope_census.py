@@ -46,7 +46,7 @@ def census(P, name: str, samples: int, seed: int) -> None:
             continue
         a = ap.angle(f)
         rhos.append(f.rho)
-        print(f"  face {sorted(f.id)}: rho = {f.rho:.9f}, area = {f.volume_k:.9f}, "
+        print(f"  face {list(f.vertex_ids)}: rho = {f.rho:.9f}, area = {f.volume_k:.9f}, "
               f"psi = {a.value:.6f} ± {a.std_error:.1e} (bound {a.bound:.1e}, {a.method})")
     print(f"  distinct rho values: {sorted(set(round(r, 9) for r in rhos))}")
     rep = pseudovolume(P, angles=ap)

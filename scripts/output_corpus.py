@@ -16,7 +16,8 @@ homothetic triple A, 2A, A + t in C^3, whose 3-faces all need pair sums), smooth
 (balls, an ellipsoid, a degenerate ellipsoid and its rotation with the kink
 off-axis, an indefinite Q, --mixed --boundary, --oracle; the bodies in C^3 at
 --samples 70000 and lower_ball in C^4, all on the one-dimensional integral
-since it reads no --samples) and verify -- report values,
+since it reads no --samples), eps-expand on a rounded Gaussian cloud in C^3 and
+pseudovolume on one in C^4, whose outer angles are sampled, and verify -- report values,
 per-face rows and stdout lines less the timing line -- plus library paths the
 CLI does not reach, among them the cubature and Monte Carlo of one built-in
 body without its Q.  A polytope keeps the tolerance it was loaded under, so
@@ -199,6 +200,14 @@ run("smooth lower_ball4", ["smooth", json.dumps({"kind": "lower_ball", "n": 4})]
 run("smooth oracle lower_ball2", ["smooth", str(DATA / "lower_ball2.json"), "--oracle"])
 run("smooth oracle mixed", ["smooth", str(DATA / "ball2.json"), "--mixed",
                             str(DATA / "lower_ball2.json"), "--oracle"])
+# Sampled polytope angles: the edges and 2-faces of a cloud in C^3 (normal cones of
+# dimension 5 and 4) and every face of a cloud in C^4, so a change that moves the
+# Monte Carlo draws shows here.
+for key, cmd, seed, shape, tail in (("eps-expand c3 cloud 0.5", "eps-expand", 3101, (10, 6),
+                                     ["--eps", "0.5"]),
+                                    ("pseudovolume c4 cloud", "pseudovolume", 3102, (9, 8), [])):
+    cloud = np.round(np.random.default_rng(seed).normal(size=shape), 3)
+    run(key, [cmd, json.dumps({"n": shape[1] // 2, "vertices": cloud.tolist()}), *tail])
 run("verify", ["verify"])
 
 # Library paths the CLI does not reach.

@@ -34,11 +34,10 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _normal_space(P: Polytope, face: Face) -> cl.SubspaceBasis:
-    """Orthonormal basis of E_Delta^perp ∩ E_Gamma."""
-    span = P.span_basis.vectors
+    """Orthonormal basis of E_Delta^perp ∩ E_Gamma (the improper face's frame)."""
     if face.k == 0:
-        return cl.SubspaceBasis(P.ambient_n, span)
-    fb = face.frame
+        return P.improper_face.hull_basis
+    span, fb = P.improper_face.frame, face.frame
     residual = span - (span @ fb.T) @ fb
     return cl.SubspaceBasis.from_span(P.ambient_n, residual, P.tol)
 

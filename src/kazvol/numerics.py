@@ -185,8 +185,12 @@ def read_json(source) -> dict:
 
 
 def read_field(data: dict, name: str, parse: Callable):
-    """``parse(data[name])``; a value ``parse`` rejects is a ValueError naming the field."""
+    """``parse(data[name])``; a value ``parse`` rejects is a ValueError naming the field.
+    For ``parse = int`` so is any value but an int or numpy integer (``int`` reads 1.5 and
+    true as 1)."""
     value = data[name]
+    if parse is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"field {name!r}: expected an integer, got {value!r}")
     try:
         return parse(value)
     except (ArithmeticError, TypeError, ValueError) as exc:  # "1/0" is a ZeroDivisionError

@@ -97,10 +97,6 @@ class Face:
     rho: float
     frame: np.ndarray  # (k, 2n)
 
-    @property
-    def id(self) -> frozenset[int]:
-        return frozenset(self.vertex_ids)
-
     @cached_property
     def hull_basis(self) -> cl.SubspaceBasis:
         return cl.SubspaceBasis(self.frame.shape[1] // 2, self.frame)
@@ -117,9 +113,8 @@ class Polytope:
     source: np.ndarray  # (V,) the index of the input row of ``hull`` each vertex row copies
     faces: _FaceLattice  # dimension -> faces, built on first read; ``faces.data(k)``: columns
     dim_real: int
-    span_basis: cl.SubspaceBasis  # orthonormal basis of E_Gamma
     centroid: np.ndarray
-    facet_ids: tuple[tuple[int, ...], ...]  # sorted vertex ids of each facet
+    facet_ids: list[tuple[int, ...]]  # ``faces.ids[d - 1]``: facet j is the face (d - 1, j)
     facet_normals: np.ndarray  # (facets, 2n) outer unit normals in R^2n, in facet_ids order
     tol: Tolerance  # set by ``hull``; everything computed on the polytope decides under it
 
@@ -135,14 +130,11 @@ class Polytope:
         return self.faces[self.dim_real][-1]
 
     def face_by_ids(self, ids) -> Face:
+        """The face with these vertex ids, in any order; builds only its dimension."""
         key = sorted({int(i) for i in ids})
-        if (face := self._find(key)) is None:
+        if (at := self._locate(key)) is None:
             raise FaceNotFound(key)
-        return face
-
-    def _find(self, ids) -> Face | None:
-        """The face with these vertex ids, None if none; builds only its dimension."""
-        return None if (at := self._locate(ids)) is None else self.faces[at[0]][at[1]]
+        return self.faces[at[0]][at[1]]
 
     def _locate(self, ids) -> tuple[int, int] | None:
         """(k, i) with ``faces.ids[k][i]`` the sorted ids, None if none: a bisection
@@ -237,8 +229,9 @@ def _affine_frame(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nd
 
 
 def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
-                eps: float) -> dict[tuple[int, ...], np.ndarray]:
-    """Map facet vertex ids -> outer unit normal (in the projected coordinates).
+                eps: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The facets' vertex ids, sorted (the order of ``_lattice``'s (d-1)-faces), and their
+    outer unit normals (in the projected coordinates) in that order.
 
     Qhull ran on coords times 2**-exponent.  Each equation's points on its plane (within
     10 eps scale) are one ``_pack`` key, taken in chunks of about 2**20 point-equation
@@ -250,7 +243,8 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
     about 2**20 words).  A set that lies strictly inside another has at least d points,
     so it is only compared with the sets of more than d.
     Vertex ids number Qhull's vertices in index order; a facet's ids, sorted, are the
-    vertices of its set, so points on its plane that are not vertices drop out.
+    vertices of its set, so points on its plane that are not vertices drop out (two sets
+    with the same vertices are one facet, with the normal of the later).
     """
     scale_ = max(1.0, float(np.abs(coords).max()))
     step, eqs = max(1, 2**20 // len(coords)), qhull.equations
@@ -269,7 +263,9 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
     rows = np.unpackbits(keys[first[kept]].view(np.uint8), axis=1, count=len(coords))
     normals = eqs[first[kept], :-1]
     normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    return dict(zip(_members(rows[:, np.sort(qhull.vertices)]), normals))
+    facets = dict(zip(_members(rows[:, np.sort(qhull.vertices)]), normals))
+    ids = sorted(facets)
+    return ids, np.array([facets[f] for f in ids])
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -306,7 +302,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
     F's first vertex are F's pyramid bases.
     """
     radix = 1 + max(ids[-1] for ids in facets)
-    out = {d - 1: sorted(set(facets))}
+    out = {d - 1: sorted(dict.fromkeys(facets))}  # linear on ``_facet_sets``' sorted ids
     simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
     at = np.array([i for i, f in enumerate(out[d - 1]) if len(f) != d], dtype=np.intp)
     arrays, pyramids = {d - 1: simplices}, {}
@@ -367,12 +363,12 @@ def _closure_step(faces: np.ndarray, size: np.ndarray, facets: np.ndarray, k: in
         i.append(at // n + s)
         cands.append(both.reshape(-1, width)[at])
     i, cands, most = np.concatenate(i), np.concatenate(cands), np.concatenate(most)
-    order = np.lexsort(cands.T)  # np.unique of the void rows took 1.2-2.3x as long
+    order = np.lexsort(cands.T)  # np.unique(return_inverse) of the void rows: 1.6-2x as long
     cands = cands[order]
     new = np.ones(len(order), bool)
     new[1:] = (cands[1:] != cands[:-1]).any(axis=1)
     keys = cands[new]
-    pair = np.sort(i[order] * len(keys) + np.cumsum(new) - 1)  # dedupe per F
+    pair = np.sort(i[order] * len(keys) + np.cumsum(new) - 1)  # per F (np.unique: 4-13x as long)
     new = np.ones(len(pair), bool)
     new[1:] = pair[1:] != pair[:-1]
     pair = pair[new]
@@ -564,11 +560,10 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     pts = pts[kept]
     center, basis_rows = _affine_frame(pts, tol)
     d = basis_rows.shape[0]
-    span = cl.SubspaceBasis(n, basis_rows)
 
     if d == 0:
         rows, lattice, arrays, pyramids, volume = [0], {}, {}, {}, 1.0
-        facet_ids, facet_normals = (), np.zeros((0, dim2n))
+        facet_normals = np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
         if d == 1:
@@ -577,18 +572,17 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
             lattice, arrays, pyramids = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}, {}
-            facet_ids, facet_normals = ((0,), (1,)), np.array([-basis_rows[0], basis_rows[0]])
+            facet_normals = np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh, exponent, volume = _qhull(coords)
             rows = np.sort(qh.vertices)
-            facet_sets = _facet_sets(coords, qh, exponent, tol.eps)
-            lattice, arrays, pyramids = _lattice(list(facet_sets), d)
-            facet_ids = tuple(facet_sets)
-            facet_normals = np.array(list(facet_sets.values())) @ basis_rows
+            facet_ids, facet_normals = _facet_sets(coords, qh, exponent, tol.eps)
+            lattice, arrays, pyramids = _lattice(facet_ids, d)
+            facet_normals = facet_normals @ basis_rows
     vertices = pts[rows]
     faces = _FaceLattice(vertices, lattice, arrays, pyramids, d, volume, basis_rows, tol)
-    return Polytope(n, vertices, kept[rows], faces, d, span, center, facet_ids, facet_normals,
-                    tol)
+    return Polytope(n, vertices, kept[rows], faces, d, center, faces.ids.get(d - 1, ()),
+                    facet_normals, tol)
 
 
 def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
@@ -606,13 +600,12 @@ def support(P: Polytope, u: np.ndarray) -> tuple[float, Face]:
     h = float(vals.max())
     scale_ = max(1.0, float(np.abs(P.vertices).max()))
     members = np.flatnonzero(vals >= h - P.tol.eps * norm * scale_).tolist()
-    face = P._find(members)
-    if face is None:
-        # Tolerance artifact: fall back to the smallest face containing the set,
-        # the intersection of the facets through it (P itself if there are none).
+    if (at := P._locate(members)) is None:
+        # Tolerance artifact: fall back to the smallest face containing the set, the
+        # intersection of the facets through it (every vertex, P itself, if there are none).
         rows = P._incidence[P._incidence[:, members].all(axis=1)]
-        face = P.face_by_ids(np.flatnonzero(rows.all(axis=0))) if len(rows) else P.improper_face
-    return h, face
+        return h, P.face_by_ids(np.flatnonzero(rows.all(axis=0)))
+    return h, P.faces[at[0]][at[1]]
 
 
 def _norm(u: np.ndarray) -> float:

@@ -205,8 +205,8 @@ def alexandroff_gap(m: np.ndarray, other: np.ndarray, rest: list[np.ndarray] = (
 
 def facet_normal_sum(P: Polytope) -> np.ndarray:
     """sum over facets of vol_{d-1}(facet) * outer unit normal; zero for a polytope."""
-    return sum((P.face_by_ids(ids).volume_k * normal
-                for ids, normal in zip(P.facet_ids, P.facet_normals)), np.zeros(2 * P.ambient_n))
+    volumes = P.faces.data(P.dim_real - 1)[0] if P.dim_real else []
+    return sum(map(np.multiply, volumes, P.facet_normals), np.zeros(2 * P.ambient_n))
 
 
 def volume_via_facets(P: Polytope) -> float:
@@ -215,5 +215,5 @@ def volume_via_facets(P: Polytope) -> float:
     d = P.dim_real
     if d == 0:
         return 1.0
-    return sum(float(np.max((P.vertices - P.centroid) @ normal)) * P.face_by_ids(ids).volume_k
-               for ids, normal in zip(P.facet_ids, P.facet_normals)) / d
+    return sum(float(np.max((P.vertices - P.centroid) @ normal)) * volume
+               for normal, volume in zip(P.facet_normals, P.faces.data(d - 1)[0])) / d

@@ -205,13 +205,13 @@ def test_criterion_04_polytope_closed_values():
     theta4 = theta4_polytope()
     ap = AnglePass(theta4, MC_ANGLE, stream.substream(5))
     for f in theta4.faces[2]:
-        if f.id == theta4.improper_face.id:
+        if f.vertex_ids == theta4.improper_face.vertex_ids:
             continue
         a = ap.angle(f)
         assert abs(a.value - 1.0 / 6.0) <= 4 * a.std_error + a.bound, \
             f"two-face angle {a.value} != 1/6"
 
-    rhos = sorted(f.rho for f in theta4.faces[2] if f.id != theta4.improper_face.id)
+    rhos = sorted(f.rho for f in theta4.faces[2] if f.vertex_ids != theta4.improper_face.vertex_ids)
     n_two_thirds = sum(1 for r in rhos if abs(r - 2.0 / 3.0) <= 1e-9)
     assert len(rhos) == 32 and n_two_thirds == 32, f"two-face rho values {rhos}"
     rep4 = pseudovolume(theta4, angles=ap)
@@ -501,7 +501,7 @@ def test_criterion_11_degeneracy_characterization():
     def edge_directions(P):
         dirs = []
         for f in P.faces.get(1, []):
-            ids = sorted(f.id)
+            ids = sorted(f.vertex_ids)
             if len(ids) != 2:
                 continue
             d = P.vertices[ids[1]] - P.vertices[ids[0]]

@@ -392,6 +392,14 @@ class TestExitCodes:
         ("faces", '{"n": 1, "vertices": 5}', "field 'vertices'"),
         ("faces", '{"n": null, "vertices": [[0, 0], [1, 0]]}', "field 'n'"),
         ("smooth", '{"kind": "ball", "n": null}', "field 'n'"),
+        # int() would read 1.5 and true as 1: a float or bool n is an input error.
+        ("faces", '{"n": 1.5, "vertices": [[0, 0]]}', "field 'n': expected an integer"),
+        ("faces", '{"n": true, "vertices": [[0, 0]]}', "field 'n': expected an integer"),
+        ("faces", '{"n": 1.0, "vertices": [[0, 0]]}', "field 'n': expected an integer"),
+        ("smooth", '{"kind": "ball", "n": 2.5}', "field 'n': expected an integer"),
+        ("smooth", '{"kind": "lower_ball", "n": false}', "field 'n': expected an integer"),
+        ("rho", '{"n": 1.5, "vectors": [[1, 0]]}', "field 'n': expected an integer"),
+        ("rho", '{"n": true, "vectors": [[1, 0]]}', "field 'n': expected an integer"),
         ("rho", '{"n": 1, "vectors": null}', "field 'vectors'"),
         ("rho", '{"n": 1, "vectors": [[NaN, 0]]}', "field 'vectors'"),
         ("volume", '{"n": 1, "vertices": [["1/0", 0], [1, 0]]}', "field 'vertices'"),

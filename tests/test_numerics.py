@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kazvol import RandomStream, Tolerance, kappa, sphere_sample, wallis
-from kazvol.numerics import chunks, read_json, sampled_mean
+from kazvol.numerics import chunks, read_field, read_json, sampled_mean
 
 
 class TestKappa:
@@ -190,3 +190,28 @@ class TestReadJson:
     def test_missing_file_names_it(self, tmp_path):
         with pytest.raises(OSError, match="missing.json"):
             read_json(str(tmp_path / "missing.json"))
+
+
+class TestIntegerField:
+    def test_integers_numpy_integers_included(self):
+        for value in (0, 3, np.int64(2), np.int32(4), np.uint8(1)):
+            got = read_field({"n": value}, "n", int)
+            assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, np.bool_(True),
+                                       "2", None])
+    def test_floats_bools_and_others_rejected(self, value):
+        with pytest.raises(ValueError, match="field 'n': expected an integer"):
+            read_field({"n": value}, "n", int)
+
+    def test_loaders_reject_a_non_integer_n(self):
+        """``load_polytope`` and ``load_body`` read n as an integer: 1.5 and true are no
+        longer taken as 1, and a numpy integer is."""
+        from kazvol import load_body, load_polytope
+        for n in (1.5, True):
+            with pytest.raises(ValueError, match="field 'n'"):
+                load_polytope({"n": n, "vertices": [[0.0, 0.0], [1.0, 0.0]]})
+            with pytest.raises(ValueError, match="field 'n'"):
+                load_body({"kind": "ball", "n": n})
+        assert load_polytope({"n": np.int64(1), "vertices": [[0.0, 0.0], [1.0, 0.0]]}).dim_real == 1
+        assert load_body({"kind": "ball", "n": np.int64(2)}).ambient_n == 2

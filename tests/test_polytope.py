@@ -203,7 +203,7 @@ class TestSupport:
         P = hull(pts)
         ids = {tuple(p): i for i, p in enumerate(P.vertices.tolist())}
         a, b, c = (ids[tuple(p)] for p in pts[:3].tolist())
-        assert P._find([b]) is None
+        assert P._locate([b]) is None
         h, f = support(P, np.array([0.0, 1.0]))
         assert h == pytest.approx(2e-9, rel=1e-12)
         assert f.vertex_ids == tuple(sorted((a, b, c)))
@@ -249,10 +249,10 @@ class TestMinkowskiSum:
         for f in s.all_faces():
             fa, fb = summand_faces(s, [a, b], f)
             # Face of the sum decomposes as the sum of its summand faces.
-            va = a.vertices[sorted(fa.id)]
-            vb = b.vertices[sorted(fb.id)]
+            va = a.vertices[list(fa.vertex_ids)]
+            vb = b.vertices[list(fb.vertex_ids)]
             pts = (va[:, None, :] + vb[None, :, :]).reshape(-1, 4)
-            got = s.vertices[sorted(f.id)]
+            got = s.vertices[list(f.vertex_ids)]
             for g in got:
                 assert min(np.linalg.norm(pts - g, axis=1)) < 1e-8
 
@@ -372,12 +372,13 @@ class TestFaceLookup:
         """Each face's ids, shuffled and with some repeated, as a list or an array."""
         P = LOOKUP_CASES[case]()
         rng = np.random.default_rng(401)
-        for f in P.all_faces():
-            ids = list(f.vertex_ids)
-            mixed = rng.permutation(ids + ids[:int(rng.integers(1, len(ids) + 1))])
-            assert P._find(f.vertex_ids) is f
-            assert P._find(mixed.tolist()) is f and P._find(mixed) is f
-            assert P.face_by_ids(mixed) is f
+        for k in sorted(P.faces):
+            for i, f in enumerate(P.faces[k]):
+                ids = list(f.vertex_ids)
+                mixed = rng.permutation(ids + ids[:int(rng.integers(1, len(ids) + 1))])
+                assert P.face_by_ids(f.vertex_ids) is f and P._locate(f.vertex_ids) == (k, i)
+                assert P.face_by_ids(mixed.tolist()) is f and P._locate(mixed) == (k, i)
+                assert P.face_by_ids(mixed) is f
 
     def test_sets_that_are_no_faces(self, cube4, theta3):
         """Two opposite vertices of the cube, the empty set, an id out of range and all
@@ -386,10 +387,10 @@ class TestFaceLookup:
         opposite = int(np.flatnonzero((cube4.vertices == -first).all(axis=1))[0])
         for P, ids in ((cube4, [0, opposite]), (cube4, []), (cube4, [cube4.n_vertices]),
                        (theta3, list(range(1, theta3.n_vertices)))):
-            assert P._find(ids) is None, ids
+            assert P._locate(ids) is None, ids
             with pytest.raises(FaceNotFound):
                 P.face_by_ids(ids)
-        assert theta3.dim_real == 3 and theta3._find(range(6)) is theta3.improper_face
+        assert theta3.dim_real == 3 and theta3.face_by_ids(range(6)) is theta3.improper_face
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -628,17 +629,64 @@ def _rounded_rotated_cube(seed):
 
 @pytest.mark.parametrize("case", ["cube4", "theta4 + cube4", "cube6", "rounded rotated cube"])
 def test_facet_sets_match_the_frozenset_reference(case):
-    """Ids, order and normals bit for bit, on Qhull's triangulated (Qt) facets and on a cube
-    whose bent facets come with sliver facets that the maximality test drops."""
+    """Ids, sorted, and normals in their order bit for bit, on Qhull's triangulated (Qt)
+    facets and on a cube whose bent facets come with sliver facets that the maximality
+    test drops."""
     points = {"cube4": CUBE4, "theta4 + cube4": _sum_points(THETA4, CUBE4), "cube6": CUBE6,
               "rounded rotated cube": _rounded_rotated_cube(1)}[case]
     coords, qhull, exponent = _qhull_input(points)
-    got = pt._facet_sets(coords, qhull, exponent, EPS)
+    ids, normals = pt._facet_sets(coords, qhull, exponent, EPS)
     want, distinct = frozenset_facet_sets(coords, qhull, exponent, EPS)
     assert len(qhull.equations) > len(want)
-    assert list(got) == list(want)
-    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert ids == sorted(want)
+    assert normals.tobytes() == np.array([want[f] for f in ids]).tobytes()
     assert (distinct > len(want)) == (case == "rounded rotated cube")
+
+
+FACET_CASES = {
+    "theta4": lambda: hull(THETA4),
+    "[-1,1]^6 + [-1,1]^6": lambda: minkowski_sum([hull(CUBE6), hull(CUBE6)]),
+    "cloud in C^3": lambda: hull(np.random.default_rng(313).normal(size=(12, 6))),
+    "flat: dim 3 of C^3": lambda: hull(_in_subspace(np.random.default_rng(314), 9, 3, 3)),
+    "segment": lambda: hull(np.array([[0.0, 1.0, 2.0, 0.0], [1.0, -1.0, 0.5, 3.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACET_CASES))
+def test_facet_j_is_the_lattice_face_d_minus_1_j(case):
+    """``facet_ids`` is the lattice's list of (d-1)-faces, and ``facet_normals[j]`` is the
+    outer unit normal of facet j inside E_Gamma: the facet's vertices lie on its plane,
+    every other vertex below it by more than the tolerance."""
+    P = FACET_CASES[case]()
+    d = P.dim_real
+    assert d >= 1 and P.facet_ids is P.faces.ids[d - 1]
+    assert len(P.facet_normals) == len(P.facet_ids) > d
+    frame = P.improper_face.frame
+    delta = 10 * P.tol.eps * max(1.0, float(np.abs(P.vertices).max()))
+    for ids, normal in zip(P.facet_ids, P.facet_normals):
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+        np.testing.assert_allclose(normal, (normal @ frame.T) @ frame, rtol=0, atol=1e-12)
+        h = P.vertices @ normal
+        top = h[list(ids)]
+        assert top.max() - top.min() <= delta, ids
+        rest = np.delete(h, list(ids))
+        assert (rest < top.min() - delta).all(), ids
+
+
+@pytest.mark.parametrize("case", sorted(FACET_CASES) + ["point", "theta3"])
+def test_improper_frame_is_an_orthonormal_basis_of_the_affine_hull(case):
+    """The improper face's frame, E_Gamma, has d orthonormal rows, d the rank of the vertices
+    about their centroid, and every vertex lies in the centroid plus their span."""
+    points = {"point": np.array([[0.5, -1.0, 2.0, 0.0]]),
+              "theta3": np.vstack([np.eye(4)[:3], -np.eye(4)[:3]])}
+    P = hull(points[case]) if case in points else FACET_CASES[case]()
+    q = P.improper_face.frame
+    assert q.shape == (P.dim_real, 2 * P.ambient_n)
+    np.testing.assert_allclose(q @ q.T, np.eye(P.dim_real), rtol=0, atol=1e-12)
+    offsets = P.vertices - P.centroid
+    scale = max(1.0, float(np.abs(P.vertices).max()))
+    assert np.linalg.matrix_rank(offsets, tol=1e-9 * scale) == P.dim_real
+    assert np.abs(offsets - (offsets @ q.T) @ q).max() <= 1e-12 * scale
 
 
 def test_lattice_oracle_under_loose_tolerance():
@@ -777,7 +825,7 @@ def test_sampled_angle_keeps_its_lattice_substream(built):
     edge = P.faces[1][5]
     got = AnglePass(P, 2000, stream).angle(edge)
     assert got.method == "monte_carlo" and built == [1]
-    want = outer_angle(P, edge.id, 2000, stream.substream(P.all_faces().index(edge)))
+    want = outer_angle(P, edge.vertex_ids, 2000, stream.substream(P.all_faces().index(edge)))
     assert (got.value, got.std_error, got.samples) == (want.value, want.std_error, want.samples)
 
 

@@ -134,7 +134,7 @@ class TestIntrinsicVolume:
 
     def test_face_volume_lookup(self, cube4):
         f = cube4.faces[1][0]
-        assert cube4.face_by_ids(f.id).volume_k == pytest.approx(2.0, rel=1e-12)
+        assert cube4.face_by_ids(f.vertex_ids).volume_k == pytest.approx(2.0, rel=1e-12)
 
 
 class TestMixedDiscriminant:
