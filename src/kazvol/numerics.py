@@ -184,13 +184,18 @@ def read_json(source) -> dict:
     return data
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def read_field(data: dict, name: str, parse: Callable):
     """``parse(data[name])``; a value ``parse`` rejects is a ValueError naming the field.
-    For ``parse = int`` so is any value but an int or numpy integer (``int`` reads 1.5 and
-    true as 1)."""
+    So is a boolean anywhere in the value, as every field holds numbers (``float`` reads
+    true as 1), and for ``parse = int`` any value but an int or numpy integer."""
     value = data[name]
-    if parse is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-        raise ValueError(f"field {name!r}: expected an integer, got {value!r}")
+    if _has_bool(value) or parse is int and not isinstance(value, (int, np.integer)):
+        want, got = ("an integer", repr(value)) if parse is int else ("numbers", "a boolean")
+        raise ValueError(f"field {name!r}: expected {want}, got {got}")
     try:
         return parse(value)
     except (ArithmeticError, TypeError, ValueError) as exc:  # "1/0" is a ZeroDivisionError

@@ -289,8 +289,8 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
         dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Sorted vertex-id tuples of the proper faces, by dimension, from the (sorted) facets
     down; each dimension k's simplices as one (m, k + 1) int array, in the same order;
-    and by dimension k, the pyramid bases of its other faces (``_face_data``): the faces'
-    positions in ``ids[k]`` and the bases' in ``ids[k - 1]``, sorted by face, then base.
+    and by dimension k, each other face's position in ``ids[k]`` paired with that of each
+    of its (k-1)-faces in ``ids[k - 1]``, sorted by face, then (k-1)-face (``_face_data``).
 
     A k-face with k + 1 vertices is a simplex: its (k-1)-faces are its one-vertex
     deletions, all of a dimension from one fancy index through a table of k-column
@@ -298,8 +298,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
     other k-face F are the inclusion-maximal proper sets F & g over the facets g
     (Kaibel & Pfetsch, Comput. Geom. 23, 2002), found on ``_pack`` rows by
     ``_closure_step``: those with k vertices join the simplex array before it is
-    deduped, the others are the next dimension's non-simplex faces, and those that miss
-    F's first vertex are F's pyramid bases.
+    deduped, and the others are the next dimension's non-simplex faces.
     """
     radix = 1 + max(ids[-1] for ids in facets)
     out = {d - 1: sorted(dict.fromkeys(facets))}  # linear on ``_facet_sets``' sorted ids
@@ -308,8 +307,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
     arrays, pyramids = {d - 1: simplices}, {}
     if len(at):
         packed = _pack(_membership(out[d - 1], radix, bool))
-        others, first = packed[at], np.array([out[d - 1][i][0] for i in at])
-        size = np.array([len(out[d - 1][i]) for i in at])
+        others, size = packed[at], np.array([len(out[d - 1][i]) for i in at])
     for k in range(d - 1, 0, -1):
         found = np.zeros((0, k), np.int64)
         if len(at):
@@ -331,11 +329,8 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
             where = np.empty(len(keys), np.intp)  # each key's position in ids[k - 1]
             where[simplex] = [position[f] for f in zip(*found.T.tolist())]
             where[other] = [position[f] for f in tops]
-            base = rows[index, first[face]] == 0  # misses F's first vertex
-            pyramids[k] = np.divmod(np.sort(at[face[base]] * len(faces) + where[index[base]]),
-                                    len(faces))
+            pyramids[k] = np.divmod(np.sort(at[face] * len(faces) + where[index]), len(faces))
             at, others, size = where[other], keys[other], size[other]
-            first = rows[other].argmax(axis=1)
     return out, arrays, pyramids
 
 
@@ -425,39 +420,34 @@ _Batch = namedtuple("_Batch", "vol rho frames prod zframes zprod at")
 def _face_data(vertices: np.ndarray, ids: dict, arrays: dict,
                bases: tuple[np.ndarray, np.ndarray] | None,
                below: _Batch, k: int, exponent: int, tol: Tolerance) -> _Batch:
-    """The k-faces' batch, k >= 1: each face extends a (k-1)-face G of ``below`` by one
-    ``cl.gram_schmidt_step`` of an edge, scaled by 2**-exponent (e of the coordinate
-    ranges) so no product over- or underflows.  A simplex F = (v_0, ..., v_k), row of
-    ``arrays[k]`` (``at`` maps rows to positions), steps v_k - v_0 off G = F[:-1]: prod r =
-    G's times r and vol_k = prod r / k!, as ``cl.gram_schmidt`` over F's edges from v_0.  Any
-    other F is the union of the pyramids with apex F[0] over its (k-1)-faces G that miss F[0]
-    (``bases``: positions of F and G, sorted by F; Lasserre, J. Optim. Theory Appl. 39,
-    1983): vol_k(F) = sum r vol_{k-1}(G) / k; F extends its first G.  For k <= n the
-    complexified new row steps off G's ``zframes`` (cutoff tol.eps): rho = min(zprod, 1),
-    zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0 for k > n.  All bit for bit."""
-    level, simplices, n2 = ids[k], arrays[k], vertices.shape[1]
-    count, simplex, other = len(level), np.ones(len(level), bool), bases is not None
-    if other:
-        simplex[bases[0]] = False
-    at = np.flatnonzero(simplex)
-    g = below.at[_row_lookup(arrays[k - 1], simplices[:, :-1])[0]]
-    apex, g0, first = simplices[:, -1], simplices[:, 0], slice(None)
-    if other:  # each pyramid's (face, G, apex, g_0), its step after the simplices'
-        tops = np.array([bases[0], bases[1], [level[i][0] for i in bases[0].tolist()],
-                         [ids[k - 1][j][0] for j in bases[1].tolist()]])
-        g, apex, g0 = (np.concatenate(pair) for pair in zip((g, apex, g0), tops[1:]))
-        first = np.unique(np.concatenate([at, tops[0]]), return_index=True)[1]
-        top = first[first >= len(at)]  # the pyramid steps whose rows go into a frame
+    """The k-faces' batch, k >= 1, by one rule: F is the union of the pyramids with apex
+    v = F[-1] over its (k-1)-faces G that miss v, G[-1] != F[-1] (Lasserre, J. Optim. Theory
+    Appl. 39, 1983).  A simplex, row of ``arrays[k]`` (``at`` maps rows to positions), has
+    one, F[:-1]; any other F has them among ``bases``, all its (k-1)-faces.  Each pyramid is one
+    ``cl.gram_schmidt_step`` of v - G[0] off G's frame in ``below``, scaled by 2**-exponent
+    (e of the coordinate ranges) so no product over- or underflows: prod = k! vol_k = sum r
+    prod(G), for a simplex prod r as ``cl.gram_schmidt`` over its edges from F[0].  F extends
+    its first G.  For k <= n the complexified new row steps off G's ``zframes`` (cutoff
+    tol.eps): rho = min(zprod, 1), zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0
+    for k > n.  All bit for bit."""
+    simplices, count, n2, first = arrays[k], len(ids[k]), vertices.shape[1], slice(None)
+    at = (np.arange(count) if bases is None
+          else np.flatnonzero(np.bincount(bases[0], minlength=count) == 0))
+    steps = (at, below.at[_row_lookup(arrays[k - 1], simplices[:, :-1])[0]],
+             simplices[:, -1], simplices[:, 0])  # each pyramid's F, G, v and G[0]
+    if bases is not None:
+        last = np.array([f[-1] for f in ids[k]])
+        g0, g1 = np.array([[f[0] for f in ids[k - 1]], [f[-1] for f in ids[k - 1]]])
+        face, g = (b[g1[bases[1]] != last[bases[0]]] for b in bases)
+        steps = [np.concatenate(pair) for pair in zip(steps, (face, g, last[face], g0[g]))]
+        first = np.unique(steps[0], return_index=True)[1]
+    face, g, apex, g0 = steps
     q, row = below.frames[g], np.ldexp(vertices[apex] - vertices[g0], -exponent)[:, None]
-    r, m, prod = cl.gram_schmidt_step(q, row), len(at), np.ones(count)
-    row[:m] *= np.divide(1.0, r[:m], out=np.zeros(m), where=r[:m] > 0)[:, None, None]
-    prod[at] = below.prod[g[:m]] * r[:m]
+    r = cl.gram_schmidt_step(q, row)
+    row *= np.divide(1.0, r, out=np.zeros(len(r)), where=r > 0)[:, None, None]
+    prod = np.bincount(face, r * below.prod[g], count)
     with np.errstate(over="ignore"):  # inf past the float range, as ``_qhull``'s volume
         vol = np.ldexp(prod, k * exponent) / math.factorial(k)
-        if other:  # a simplex's row is scaled as in ``cl.gram_schmidt``, a pyramid's divided
-            row[top] /= r[top, None, None]
-            pyramids = np.bincount(tops[0], r[m:] * np.array(below.vol)[tops[1]], count)
-            vol[~simplex] = (np.ldexp(pyramids, exponent) / k)[~simplex]
     base, frames = g[first], np.concatenate([q[first], row[first]], axis=1)
     zframes, zprod = None, np.zeros(count)
     if 2 * k <= n2:

@@ -380,6 +380,8 @@ def _density(bodies: list[SupportBody], boundary: bool = False):
     the constant (sqrt(s)^n for one body), so no scale of Q under- or overflows.
     """
     n = bodies[0].ambient_n
+    if any(b.ambient_n != n for b in bodies):
+        raise ValueError("bodies must share the ambient space")
     if (boundary or len(bodies) > 1) and len(bodies) != n:
         raise ValueError(f"need exactly {n} bodies in C^{n}")
     scales = [1.0 if b.q is None else float(np.max(np.abs(b.q))) for b in bodies]
@@ -646,12 +648,12 @@ def smooth_quadrature(
     and ``boundary_mixed_pseudovolume``.
     """
     n = bodies[0].ambient_n
+    constant, integrand = _density(bodies, boundary)
     axes = [b.singular_axis for b in bodies if b.singular_axis is not None]
     if n == 1 and axes:
         raise ValueError(
             "in C^1 a body with a singular line carries all of its density on that line, "
             "which no sphere quadrature sees (the segment lower_ball(1) has P_1 = 2)")
-    constant, integrand = _density(bodies, boundary)
     if len(bodies) == 1 and bodies[0].q is not None and not boundary:
         mean, err, nodes = _schwinger_mean(bodies[0].q)
         return Estimate(constant * mean, bound=constant * err, method="integral", samples=nodes)

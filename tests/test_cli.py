@@ -405,6 +405,11 @@ class TestExitCodes:
         ("volume", '{"n": 1, "vertices": [["1/0", 0], [1, 0]]}', "field 'vertices'"),
         ("discriminant", '{"matrices": [[[[1]]]]}', "field 'matrices'"),
         ("discriminant", '{"matrices": [[[[1, 2, 3]]]]}', "field 'matrices'"),
+        # A JSON boolean is no number, though float, complex and int read true as 1.
+        ("faces", '{"n": 1, "vertices": [[true, 0], [0, false]]}', "field 'vertices'"),
+        ("rho", '{"n": 1, "vectors": [[true, false]]}', "field 'vectors'"),
+        ("discriminant", '{"matrices": [[[true]]]}', "field 'matrices'"),
+        ("smooth", '{"kind": "ellipsoid", "n": 1, "Q": [[true, 0], [0, 2]]}', "field 'Q'"),
     ])
     def test_malformed_document(self, command, text, named, tmp_path, capsys):
         doc = tmp_path / "doc.json"
@@ -427,6 +432,16 @@ class TestExitCodes:
             "n": 5, "vertices": np.eye(10).tolist()}))
         code, _ = run(["faces", str(big)], capsys)
         assert code == EXIT_CAP
+
+    @pytest.mark.parametrize("kind, first, mixed", [("ball", 2, 3), ("ball", 3, 2),
+                                                     ("lower_ball", 1, 2)])
+    def test_smooth_bodies_from_different_spaces(self, kind, first, mixed, capsys):
+        """Also where the first body, a segment in C^1, has a singular line."""
+        code = main(["smooth", json.dumps({"kind": kind, "n": first}),
+                     "--mixed", json.dumps({"kind": "ball", "n": mixed}), "--samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "input error" in err and "must share the ambient space" in err
 
     @pytest.mark.parametrize("command", ["pseudovolume", "faces"])
     @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN"])

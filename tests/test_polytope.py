@@ -544,8 +544,8 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     original ids.
     radix**k passes 2**63 for the 7-vertex deletions only, and exactly there the rows
     are deduped by ``np.lexsort`` instead of a packed int64 key.  The cube's packed
-    vertex rows take 17 words, and each of its faces' pyramid bases are its faces below
-    that miss its new first vertex."""
+    vertex rows take 17 words, and each of its faces comes with every face below it, each
+    once, sorted."""
     def relabel(ids, labels):
         return tuple(sorted(labels[v] for v in ids))
 
@@ -556,9 +556,10 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     assert got == {k: sorted(relabel(ids, labels) for ids in faces) for k, faces in cube.items()}
     assert sorted(pyramids) == list(range(2, Q.dim_real))
     for k, (face, below) in pyramids.items():
-        bases = {(got[k][f], got[k - 1][g]) for f, g in zip(face.tolist(), below.tolist())}
-        assert bases == {(f, g) for f in got[k] for g in got[k - 1]
-                         if set(g) < set(f) and f[0] not in g}, k
+        steps = face * len(got[k - 1]) + below
+        assert (np.diff(steps) > 0).all(), k
+        bases = [(got[k][f], got[k - 1][g]) for f, g in zip(face.tolist(), below.tolist())]
+        assert bases == [(f, g) for f in got[k] for g in got[k - 1] if set(g) < set(f)], k
 
     P = hull(np.random.default_rng(401).normal(size=(12, 8)))
     d, (base, _, none) = P.dim_real, pt._lattice(list(P.facet_ids), P.dim_real)
@@ -576,9 +577,10 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
 @pytest.mark.parametrize("case", ["data cube4", "cube + crosspolytope", "prism", "C2 pair sum",
                                   "cube [-1,1]^6", "C3 pair sum"])
 def test_pyramid_bases_are_the_faces_below_that_miss_the_first_vertex(case):
-    """Each non-simplex k-face F's pyramid bases (positions in ``ids[k]`` and ``ids[k - 1]``,
-    sorted by face, then base) are the closure oracle's (k-1)-faces inside F that miss F[0],
-    each once; simplices have none."""
+    """Each non-simplex k-face F comes with the closure oracle's (k-1)-faces inside F, each
+    once (positions in ``ids[k]`` and ``ids[k - 1]``, sorted by face, then (k-1)-face),
+    among which ``_face_data`` picks the pyramid bases that miss F's last vertex; simplices
+    have none."""
     P = ORACLE_CASES[case]()
     want = frozenset_lattice(P)
     lattice, _, pyramids = pt._lattice(list(P.facet_ids), P.dim_real)
@@ -590,9 +592,48 @@ def test_pyramid_bases_are_the_faces_below_that_miss_the_first_vertex(case):
         got: dict = {}
         for f, g in zip(face.tolist(), base.tolist()):
             got.setdefault(lattice[k][f], []).append(lattice[k - 1][g])
-        expect = {ids: sorted(g for g, _, _ in want[k - 1] if set(g) < set(ids) and ids[0] not in g)
+        expect = {ids: sorted(g for g, _, _ in want[k - 1] if set(g) < set(ids))
                   for ids, _, _ in want[k] if len(ids) > k + 1}
         assert got == expect, (case, k)
+
+
+# The input rows of each case, and the seed of the permutation that relabels them, fixed
+# before the test was first run.
+RELABEL_CASES = {
+    "cube4": lambda shuffle: hull(shuffle(CUBE4)),
+    "theta4 + cube4": lambda shuffle: hull(shuffle(_sum_points(THETA4, CUBE4))),
+    "cube [-1,1]^6": lambda shuffle: hull(shuffle(CUBE6)),
+    "prism": lambda shuffle: hull(shuffle(np.array(
+        [[a, b, c, 0.0] for a, b in ((0, 0), (1, 0), (0, 1)) for c in (0.0, 1.0)]))),
+    "C3 pair sum": lambda shuffle: minkowski_sum(
+        [hull(shuffle(np.random.default_rng(37).normal(size=(5, 6)))),
+         hull(shuffle(np.random.default_rng(38).normal(size=(4, 6))))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELABEL_CASES))
+def test_face_data_does_not_depend_on_the_vertex_labels(case):
+    """Relabelling the input rows moves the last vertex of some non-simplex faces, the apex
+    of their pyramids, but each face's vol_k and rho, matched by vertex coordinates, agree
+    within 1e-12."""
+    rng = np.random.default_rng(3201)
+    P = RELABEL_CASES[case](lambda rows: rows)
+    Q = RELABEL_CASES[case](lambda rows: rows[rng.permutation(len(rows))])
+
+    def by_coordinates(S):
+        return {tuple(sorted(map(tuple, S.vertices[list(f.vertex_ids)].tolist()))): f
+                for f in S.all_faces()}
+
+    got, want = by_coordinates(Q), by_coordinates(P)
+    assert got.keys() == want.keys()
+    moved = 0
+    for key, f in want.items():
+        g = got[key]
+        assert g.volume_k == pytest.approx(f.volume_k, rel=1e-12, abs=1e-12), (case, key)
+        assert g.rho == pytest.approx(f.rho, rel=1e-12, abs=1e-12), (case, key)
+        moved += len(f.vertex_ids) > f.k + 1 and not np.array_equal(
+            P.vertices[f.vertex_ids[-1]], Q.vertices[g.vertex_ids[-1]])
+    assert moved, case
 
 
 def _qhull_input(points, tol=DEFAULT_TOLERANCE):

@@ -576,6 +576,10 @@ class TestMixedQuadrature:
         with pytest.raises(ValueError):
             mc_mixed_pseudovolume([ball(2)], 1000, RandomStream(0))
 
+    def test_bodies_from_different_spaces(self):
+        with pytest.raises(ValueError, match="must share the ambient space"):
+            mc_mixed_pseudovolume([ball(2), ball(3)], 1000, RandomStream(0))
+
 
 class TestErrorHandling:
     def test_non_finite_integrand(self):
