@@ -160,23 +160,24 @@ def gram_schmidt(a: np.ndarray, cutoff: float = 0.0) -> tuple[np.ndarray, np.nda
     the norm of what is left, so prod r is the k-volume of the rows (|det R| of their
     QR).  Real or complex a; a complex q is orthonormal in the Hermitian product.  A
     row whose r is at most ``cutoff`` gets a zero row in q, so the rows after it are
-    not projected on noise.  Each row's projection is one ``gram_schmidt_step``.
+    not projected on noise.  Each row is one ``gram_schmidt_step``.
     """
     q, r = np.array(a), np.empty(np.shape(a)[:2])
     for j in range(q.shape[1]):
-        v = q[:, j:j + 1]
-        r[:, j] = gram_schmidt_step(q[:, :j], v)
-        v *= np.divide(1.0, r[:, j], out=np.zeros(len(r)), where=r[:, j] > cutoff)[:, None, None]
+        r[:, j] = gram_schmidt_step(q[:, :j], q[:, j:j + 1], cutoff)
     return r, q
 
 
-def gram_schmidt_step(done: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One row of ``gram_schmidt``: v (F, 1, m) projected twice off the orthonormal (or zero)
-    rows done (F, j, m), in place; returns the norms r (F,) of what is left."""
+def gram_schmidt_step(done: np.ndarray, v: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
+    """One row of ``gram_schmidt``, in place: v (F, 1, m) projected twice off the orthonormal
+    (or zero) rows done (F, j, m), then scaled to unit length, or to zero where the norm r
+    of what was left is at most ``cutoff``; returns r (F,), the norms before the scaling."""
     done_h = np.swapaxes(done.conj() if np.iscomplexobj(done) else done, 1, 2)
     for _ in range(2 if done.shape[1] else 0):
         v -= (v @ done_h) @ done
-    return np.linalg.norm(v[:, 0], axis=1)
+    r = np.linalg.norm(v[:, 0], axis=1)
+    v *= np.divide(1.0, r, out=np.zeros(len(r)), where=r > cutoff)[:, None, None]
+    return r
 
 
 def batch_rho(frames: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +191,7 @@ def batch_rho(frames: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[n
     count, k, _ = frames.shape
     if k == 0:
         return np.ones(count), np.zeros(count, dtype=int)
-    r, _ = gram_schmidt(frames[:, :, 0::2] + 1j * frames[:, :, 1::2], tol.eps)
+    r, _ = gram_schmidt(real_to_complex(frames), tol.eps)
     rank = (r > tol.eps).sum(axis=1)
     return np.where(rank == k, np.minimum((r * r).prod(axis=1), 1.0), 0.0), rank
 

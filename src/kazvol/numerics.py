@@ -169,11 +169,11 @@ def weighted_sum(pairs: Iterable[tuple[float, Estimate]], terms: tuple = ()) -> 
 def read_json(source) -> dict:
     """A JSON object from a file path, inline JSON text, or an already parsed dict.
 
-    A string that starts with "{" is inline JSON; any other string or path is
-    read as a file, so a missing file raises an OSError naming it.  A document
+    A string that starts with "{" or "[" is inline JSON; any other string or path
+    is read as a file, so a missing file raises an OSError naming it.  A document
     that is not an object is a ValueError.
     """
-    if isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         data = json.loads(source)
     elif isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())

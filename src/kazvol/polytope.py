@@ -233,20 +233,20 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
     """The facets' vertex ids, sorted (the order of ``_lattice``'s (d-1)-faces), and their
     outer unit normals (in the projected coordinates) in that order.
 
-    Qhull ran on coords times 2**-exponent.  Each equation's points on its plane (within
-    10 eps scale) are one ``_pack`` key, taken in chunks of about 2**20 point-equation
-    pairs.  Qhull triangulates non-simplicial facets, so one facet can come as many
-    equations: the keys are deduped once, in equation order, and each point set keeps the
-    normal of its first equation.  A facet bent within eps can also come with sliver
-    facets along its ridges; their point sets lie inside a real facet's set, so only the
-    inclusion-maximal sets are kept (``a & ~b`` is zero where a lies in b, in chunks of
-    about 2**20 words).  A set that lies strictly inside another has at least d points,
-    so it is only compared with the sets of more than d.
-    Vertex ids number Qhull's vertices in index order; a facet's ids, sorted, are the
-    vertices of its set, so points on its plane that are not vertices drop out (two sets
-    with the same vertices are one facet, with the normal of the later).
+    Qhull ran on coords times 2**-exponent.  Vertex ids number Qhull's vertices in index
+    order, and only those rows can be facet ids, so the on-plane test runs on them alone:
+    each equation's vertices on its plane (within 10 eps scale, scale over every row) are
+    one ``_pack`` key, taken in chunks of about 2**20 vertex-equation pairs.  Qhull
+    triangulates non-simplicial facets, so one facet can come as many equations: the keys
+    are deduped once, in equation order, and each vertex set keeps the normal of its first
+    equation.  A facet bent within eps can also come with sliver facets along its ridges;
+    their vertex sets lie inside a real facet's set, so only the inclusion-maximal sets
+    are kept, each one facet (``a & ~b`` is zero where a lies in b, in chunks of about
+    2**20 words).  A set that lies strictly inside another has at least d vertices, so it
+    is only compared with the sets of more than d.
     """
     scale_ = max(1.0, float(np.abs(coords).max()))
+    coords = coords[np.sort(qhull.vertices)]
     step, eqs = max(1, 2**20 // len(coords)), qhull.equations
     keys = np.concatenate([_pack(np.abs(coords @ e[:, :-1].T + np.ldexp(e[:, -1], exponent)).T
                                  <= eps * scale_ * 10)
@@ -260,12 +260,10 @@ def _facet_sets(coords: np.ndarray, qhull: ConvexHull, exponent: int,
     for s in range(0, len(first), step):  # no set lies strictly inside a bigger one
         inside = ~(words[:, None, s:s + step] & outside).any(axis=0)
         kept[s:s + step] = ~(inside & (size[s:s + step] < bigger)).any(axis=0)
-    rows = np.unpackbits(keys[first[kept]].view(np.uint8), axis=1, count=len(coords))
+    ids = _members(np.unpackbits(keys[first[kept]].view(np.uint8), axis=1, count=len(coords)))
     normals = eqs[first[kept], :-1]
-    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    facets = dict(zip(_members(rows[:, np.sort(qhull.vertices)]), normals))
-    ids = sorted(facets)
-    return ids, np.array([facets[f] for f in ids])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [ids[i] for i in order], (normals / np.linalg.norm(normals, axis=1)[:, None])[order]
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -304,7 +302,7 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
     out = {d - 1: sorted(dict.fromkeys(facets))}  # linear on ``_facet_sets``' sorted ids
     simplices = np.array([f for f in out[d - 1] if len(f) == d], dtype=np.int64).reshape(-1, d)
     at = np.array([i for i, f in enumerate(out[d - 1]) if len(f) != d], dtype=np.intp)
-    arrays, pyramids = {d - 1: simplices}, {}
+    arrays, subfaces = {d - 1: simplices}, {}
     if len(at):
         packed = _pack(_membership(out[d - 1], radix, bool))
         others, size = packed[at], np.array([len(out[d - 1][i]) for i in at])
@@ -329,9 +327,9 @@ def _lattice(facets: list[tuple[int, ...]], d: int) -> tuple[
             where = np.empty(len(keys), np.intp)  # each key's position in ids[k - 1]
             where[simplex] = [position[f] for f in zip(*found.T.tolist())]
             where[other] = [position[f] for f in tops]
-            pyramids[k] = np.divmod(np.sort(at[face] * len(faces) + where[index]), len(faces))
+            subfaces[k] = np.divmod(np.sort(at[face] * len(faces) + where[index]), len(faces))
             at, others, size = where[other], keys[other], size[other]
-    return out, arrays, pyramids
+    return out, arrays, subfaces
 
 
 def _closure_step(faces: np.ndarray, size: np.ndarray, facets: np.ndarray, k: int) -> tuple[
@@ -418,42 +416,40 @@ _Batch = namedtuple("_Batch", "vol rho frames prod zframes zprod at")
 
 
 def _face_data(vertices: np.ndarray, ids: dict, arrays: dict,
-               bases: tuple[np.ndarray, np.ndarray] | None,
+               subfaces: tuple[np.ndarray, np.ndarray] | None,
                below: _Batch, k: int, exponent: int, tol: Tolerance) -> _Batch:
     """The k-faces' batch, k >= 1, by one rule: F is the union of the pyramids with apex
     v = F[-1] over its (k-1)-faces G that miss v, G[-1] != F[-1] (Lasserre, J. Optim. Theory
     Appl. 39, 1983).  A simplex, row of ``arrays[k]`` (``at`` maps rows to positions), has
-    one, F[:-1]; any other F has them among ``bases``, all its (k-1)-faces.  Each pyramid is one
-    ``cl.gram_schmidt_step`` of v - G[0] off G's frame in ``below``, scaled by 2**-exponent
-    (e of the coordinate ranges) so no product over- or underflows: prod = k! vol_k = sum r
-    prod(G), for a simplex prod r as ``cl.gram_schmidt`` over its edges from F[0].  F extends
-    its first G.  For k <= n the complexified new row steps off G's ``zframes`` (cutoff
-    tol.eps): rho = min(zprod, 1), zprod = G's times r**2 or 0, as ``cl.batch_rho``; rho = 0
-    for k > n.  All bit for bit."""
+    one, F[:-1]; any other F has them among ``subfaces``, all its (k-1)-faces.  Each pyramid
+    is one ``cl.gram_schmidt_step`` of v - G[0] off G's frame in ``below``, scaled by
+    2**-exponent (e of the coordinate ranges) so no product over- or underflows: prod = k!
+    vol_k = sum r prod(G), for a simplex prod r as ``cl.gram_schmidt`` over its edges from
+    F[0].  F extends its first G.  For k <= n the complexified new row steps off G's
+    ``zframes`` (cutoff tol.eps): rho = min(zprod, 1), zprod = G's times r**2 or 0, as
+    ``cl.batch_rho``; rho = 0 for k > n.  All bit for bit."""
     simplices, count, n2, first = arrays[k], len(ids[k]), vertices.shape[1], slice(None)
-    at = (np.arange(count) if bases is None
-          else np.flatnonzero(np.bincount(bases[0], minlength=count) == 0))
+    at = (np.arange(count) if subfaces is None
+          else np.flatnonzero(np.bincount(subfaces[0], minlength=count) == 0))
     steps = (at, below.at[_row_lookup(arrays[k - 1], simplices[:, :-1])[0]],
              simplices[:, -1], simplices[:, 0])  # each pyramid's F, G, v and G[0]
-    if bases is not None:
+    if subfaces is not None:
         last = np.array([f[-1] for f in ids[k]])
         g0, g1 = np.array([[f[0] for f in ids[k - 1]], [f[-1] for f in ids[k - 1]]])
-        face, g = (b[g1[bases[1]] != last[bases[0]]] for b in bases)
+        face, g = (b[g1[subfaces[1]] != last[subfaces[0]]] for b in subfaces)
         steps = [np.concatenate(pair) for pair in zip(steps, (face, g, last[face], g0[g]))]
         first = np.unique(steps[0], return_index=True)[1]
     face, g, apex, g0 = steps
     q, row = below.frames[g], np.ldexp(vertices[apex] - vertices[g0], -exponent)[:, None]
     r = cl.gram_schmidt_step(q, row)
-    row *= np.divide(1.0, r, out=np.zeros(len(r)), where=r > 0)[:, None, None]
     prod = np.bincount(face, r * below.prod[g], count)
     with np.errstate(over="ignore"):  # inf past the float range, as ``_qhull``'s volume
         vol = np.ldexp(prod, k * exponent) / math.factorial(k)
     base, frames = g[first], np.concatenate([q[first], row[first]], axis=1)
     zframes, zprod = None, np.zeros(count)
     if 2 * k <= n2:
-        zq, z = below.zframes[base], frames[:, -1:, 0::2] + 1j * frames[:, -1:, 1::2]
-        r = cl.gram_schmidt_step(zq, z)
-        z *= np.divide(1.0, r, out=np.zeros(len(r)), where=r > tol.eps)[:, None, None]
+        zq, z = below.zframes[base], cl.real_to_complex(frames[:, -1:])
+        r = cl.gram_schmidt_step(zq, z, tol.eps)
         zframes = np.concatenate([zq, z], axis=1)
         zprod = np.where(r > tol.eps, below.zprod[base] * (r * r), 0.0)
     return _Batch(vol.tolist(), np.minimum(zprod, 1.0).tolist(), frames, prod, zframes, zprod, at)
@@ -471,11 +467,11 @@ class _FaceLattice(Mapping):
     """
 
     def __init__(self, vertices: np.ndarray, lattice: dict[int, list[tuple[int, ...]]],
-                 arrays: dict[int, np.ndarray], pyramids: dict[int, tuple], d: int,
+                 arrays: dict[int, np.ndarray], subfaces: dict[int, tuple], d: int,
                  volume: float, frame: np.ndarray, tol: Tolerance) -> None:
         self.ids = {**dict(sorted(lattice.items())), d: [tuple(range(len(vertices)))]}
         _euler_check(self.ids, tol)
-        self._vertices, self._arrays, self._pyramids = vertices, arrays, pyramids
+        self._vertices, self._arrays, self._subfaces = vertices, arrays, subfaces
         self._d, self._volume, self._frame, self._tol = d, volume, frame, tol
         self._data: dict[int, _Batch] = {}
         self._built: dict[int, list[Face]] = {}
@@ -496,7 +492,7 @@ class _FaceLattice(Mapping):
                                        np.zeros((f, 0, n2 // 2), complex), np.ones(f), np.arange(f))
             else:
                 self._data[k] = _face_data(self._vertices, self.ids, self._arrays,
-                                           self._pyramids.get(k), self._batch(k - 1), k,
+                                           self._subfaces.get(k), self._batch(k - 1), k,
                                            self._edge_exponent, self._tol)
         return self._data[k]
 
@@ -552,7 +548,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
     d = basis_rows.shape[0]
 
     if d == 0:
-        rows, lattice, arrays, pyramids, volume = [0], {}, {}, {}, 1.0
+        rows, lattice, arrays, subfaces, volume = [0], {}, {}, {}, 1.0
         facet_normals = np.zeros((0, dim2n))
     else:
         coords = (pts - center) @ basis_rows.T
@@ -561,16 +557,16 @@ def hull(points, tol: Tolerance = DEFAULT_TOLERANCE) -> Polytope:
             rows = [order[0], order[-1]]
             volume = float(coords[order[-1], 0] - coords[order[0], 0])
             # Rank 1 puts the first coordinate strictly below the last after the sort.
-            lattice, arrays, pyramids = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}, {}
+            lattice, arrays, subfaces = {0: [(0,), (1,)]}, {0: np.array([[0], [1]])}, {}
             facet_normals = np.array([-basis_rows[0], basis_rows[0]])
         else:
             qh, exponent, volume = _qhull(coords)
             rows = np.sort(qh.vertices)
             facet_ids, facet_normals = _facet_sets(coords, qh, exponent, tol.eps)
-            lattice, arrays, pyramids = _lattice(facet_ids, d)
+            lattice, arrays, subfaces = _lattice(facet_ids, d)
             facet_normals = facet_normals @ basis_rows
     vertices = pts[rows]
-    faces = _FaceLattice(vertices, lattice, arrays, pyramids, d, volume, basis_rows, tol)
+    faces = _FaceLattice(vertices, lattice, arrays, subfaces, d, volume, basis_rows, tol)
     return Polytope(n, vertices, kept[rows], faces, d, center, faces.ids.get(d - 1, ()),
                     facet_normals, tol)
 
@@ -622,15 +618,16 @@ def minkowski_sum(parts: list[Polytope]) -> Polytope:
     total = math.prod(p.n_vertices for p in parts)
     if total > SUM_VERTEX_CAP:
         raise DimensionCapExceeded(f"vertex product {total} exceeds cap {SUM_VERTEX_CAP}")
-    return hull(_sum_points(parts), tol)
+    return hull(_sum_points([p.vertices for p in parts]), tol)
 
 
-def _sum_points(parts: list[Polytope]) -> np.ndarray:
-    """The sums of one vertex of each summand, row i1 * V2 * ... * Vm + ... + im for the
-    vertices i1, ..., im: the rows from which ``minkowski_sum`` takes its hull."""
-    acc = parts[0].vertices
-    for p in parts[1:]:
-        acc = (acc[:, None, :] + p.vertices[None, :, :]).reshape(-1, acc.shape[1])
+def _sum_points(points: list[np.ndarray]) -> np.ndarray:
+    """The sums of one row of each array, row i1 * N2 * ... * Nm + ... + im for the rows
+    i1, ..., im: on the summands' vertices, the rows from which ``minkowski_sum`` takes
+    its hull."""
+    acc = points[0]
+    for p in points[1:]:
+        acc = (acc[:, None, :] + p[None, :, :]).reshape(-1, acc.shape[1])
     return acc
 
 

@@ -258,30 +258,26 @@ def _complex_hessian_of(hr: np.ndarray) -> np.ndarray:
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
 
+def _h_at(body: SupportBody, x: np.ndarray, *shifts: np.ndarray) -> np.ndarray:
+    """h at the real points x + shifts[0] + shifts[1] + ..., added in that order."""
+    return body.h(cl.real_to_complex(sum(shifts, x)))
+
+
 def _fd_real_hessian(body: SupportBody, z: np.ndarray) -> np.ndarray:
     """Real 2n x 2n Hessians of h by central differences, shape (N, 2n, 2n)."""
     x = cl.complex_to_real(z)
     m, dim = x.shape
     steps = _FD_STEP * np.linalg.norm(x, axis=-1)
+    shift = steps[:, None, None] * np.eye(dim)  # row a of point i: steps_i e_a
     out = np.empty((m, dim, dim))
     f0 = body.h(z)
     for a in range(dim):
-        ea = np.zeros(dim)
-        ea[a] = 1.0
-        da = steps[:, None] * ea[None, :]
-        out[:, a, a] = (
-            body.h(cl.real_to_complex(x + da)) - 2 * f0 + body.h(cl.real_to_complex(x - da))
-        ) / steps**2
+        da = shift[:, a]
+        out[:, a, a] = (_h_at(body, x, da) - 2 * f0 + _h_at(body, x, -da)) / steps**2
         for b in range(a + 1, dim):
-            eb = np.zeros(dim)
-            eb[b] = 1.0
-            db = steps[:, None] * eb[None, :]
-            mixed = (
-                body.h(cl.real_to_complex(x + da + db))
-                - body.h(cl.real_to_complex(x + da - db))
-                - body.h(cl.real_to_complex(x - da + db))
-                + body.h(cl.real_to_complex(x - da - db))
-            ) / (4 * steps**2)
+            db = shift[:, b]
+            mixed = (_h_at(body, x, da, db) - _h_at(body, x, da, -db)
+                     - _h_at(body, x, -da, db) + _h_at(body, x, -da, -db)) / (4 * steps**2)
             out[:, a, b] = mixed
             out[:, b, a] = mixed
     return out
@@ -307,16 +303,12 @@ def complex_gradient(body: SupportBody, z: np.ndarray) -> np.ndarray:
     if body.gradient is not None:
         return body.gradient(z)
     x = cl.complex_to_real(z)
-    dim = 2 * n
     steps = _FD_STEP * np.linalg.norm(x, axis=-1)
-    partials = np.empty((z.shape[0], dim))
-    for a in range(dim):
-        ea = np.zeros(dim)
-        ea[a] = 1.0
-        da = steps[:, None] * ea[None, :]
-        partials[:, a] = (
-            body.h(cl.real_to_complex(x + da)) - body.h(cl.real_to_complex(x - da))
-        ) / (2 * steps)
+    shift = steps[:, None, None] * np.eye(2 * n)
+    partials = np.empty(x.shape)
+    for a in range(2 * n):
+        da = shift[:, a]
+        partials[:, a] = (_h_at(body, x, da) - _h_at(body, x, -da)) / (2 * steps)
     return 0.5 * (partials[:, 0::2] - 1j * partials[:, 1::2])
 
 

@@ -18,7 +18,7 @@ from . import complex_linalg as cl
 from . import polytope as pt
 from . import smooth_bodies as sb
 from .pseudovolume import pseudovolume, valuation_check
-from .numerics import RandomStream, kappa, wallis, weighted_sum
+from .numerics import Estimate, RandomStream, kappa, wallis, weighted_sum
 
 __all__ = ["Check", "run_suite", "SUITES"]
 
@@ -53,64 +53,46 @@ TABLE_LOWER = [
 Q2_BALLS = 16.0 / 3.0
 
 
+def _closed_check(name: str, value: float, expected: float) -> Check:
+    return _check(name, abs(value - expected) <= 1e-12 * expected,
+                  f"{value:.12g} vs {expected:.12g}")
+
+
+def _estimate_check(name: str, res: Estimate, expected: float, sigmas: int,
+                    slack: float = 0.0) -> Check:
+    return _check(name, abs(res.value - expected) <= sigmas * res.std_error + res.bound + slack,
+                  f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {expected:.6g} "
+                  f"({res.method})")
+
+
 def suite_tables(samples: int, stream: RandomStream) -> list[Check]:
     checks = []
     for n in range(1, 11):
-        value = sb.ball_pseudovolume(n)
-        expected = TABLE_FULL[n - 1]
-        checks.append(_check(
-            f"P{n}(B_{2 * n}) closed form",
-            abs(value - expected) <= 1e-12 * expected,
-            f"{value:.12g} vs {expected:.12g}",
-        ))
-        value = sb.lower_ball_pseudovolume(n)
-        expected = TABLE_LOWER[n - 1]
-        checks.append(_check(
-            f"P{n}(B_{2 * n - 1}) closed form",
-            abs(value - expected) <= 1e-12 * expected,
-            f"{value:.12g} vs {expected:.12g}",
-        ))
+        checks.append(_closed_check(f"P{n}(B_{2 * n}) closed form", sb.ball_pseudovolume(n),
+                                    TABLE_FULL[n - 1]))
+        checks.append(_closed_check(f"P{n}(B_{2 * n - 1}) closed form",
+                                    sb.lower_ball_pseudovolume(n), TABLE_LOWER[n - 1]))
     checks.append(_check(
         "P_n(B_{2n-1}) < P_n(B_{2n}) for n=1..10",
         all(lo < hi for lo, hi in zip(TABLE_LOWER, TABLE_FULL)),
         "strict monotonicity across the two tables",
     ))
     for n in (1, 2, 3):
-        lhs, rhs = sb.levi_ball_identity(n)
-        checks.append(_check(
-            f"boundary Levi identity n={n}",
-            abs(lhs - rhs) <= 1e-12 * rhs,
-            f"{lhs:.12g} vs {rhs:.12g}",
-        ))
+        checks.append(_closed_check(f"boundary Levi identity n={n}", *sb.levi_ball_identity(n)))
     mc_samples = min(samples, 400_000)
     for n in (1, 2, 3):
         res = sb.smooth_quadrature([sb.ball(n)], mc_samples, stream.substream(n))
-        expected = TABLE_FULL[n - 1]
-        checks.append(_check(
-            f"P{n}(B_{2 * n}) sphere quadrature",
-            abs(res.value - expected) <= 3 * res.std_error + res.bound + 1e-9,
-            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {expected:.6g} "
-            f"({res.method})",
-        ))
+        checks.append(_estimate_check(f"P{n}(B_{2 * n}) sphere quadrature", res,
+                                      TABLE_FULL[n - 1], 3, 1e-9))
     for n in (2, 3):
         res = sb.smooth_quadrature([sb.lower_ball(n)], mc_samples, stream.substream(10 + n))
-        expected = TABLE_LOWER[n - 1]
-        checks.append(_check(
-            f"P{n}(B_{2 * n - 1}) sphere quadrature",
-            abs(res.value - expected) <= 4 * res.std_error + res.bound,
-            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {expected:.6g} "
-            f"({res.method})",
-        ))
+        checks.append(_estimate_check(f"P{n}(B_{2 * n - 1}) sphere quadrature", res,
+                                      TABLE_LOWER[n - 1], 4))
     bodies = [sb.ball(2), sb.lower_ball(2)]
     interior = sb.smooth_quadrature(bodies, mc_samples, stream.substream(20))
     boundary = sb.smooth_quadrature(bodies, mc_samples, stream.substream(21), boundary=True)
     for label, res in (("interior", interior), ("boundary", boundary)):
-        checks.append(_check(
-            f"Q2(B4,B3) {label} quadrature = 16/3",
-            abs(res.value - Q2_BALLS) <= 4 * res.std_error + res.bound,
-            f"{res.value:.6g} ± {res.std_error:.2g} + {res.bound:.2g} vs {Q2_BALLS:.6g} "
-            f"({res.method})",
-        ))
+        checks.append(_estimate_check(f"Q2(B4,B3) {label} quadrature = 16/3", res, Q2_BALLS, 4))
     return checks
 
 

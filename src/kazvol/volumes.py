@@ -17,7 +17,7 @@ import numpy as np
 
 from . import complex_linalg as cl
 from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .polytope import DimensionCapExceeded, Polytope, convex_volume
+from .polytope import DimensionCapExceeded, Polytope, _sum_points, convex_volume
 
 __all__ = [
     "SizeMismatch",
@@ -81,11 +81,7 @@ def mixed_volume(
     total = 0.0
     for mask in range(1, 1 << k):
         members = [coords[i] for i in range(k) if mask >> i & 1]
-        acc = members[0]
-        for c in members[1:]:
-            acc = (acc[:, None, :] + c[None, :, :]).reshape(-1, k)
-        sign = (-1) ** (k - len(members))
-        total += sign * convex_volume(acc)
+        total += (-1) ** (k - len(members)) * convex_volume(_sum_points(members))
     return total / math.factorial(k)
 
 
@@ -130,15 +126,14 @@ def _mixed_discriminant_permutation(mats: list[np.ndarray]) -> complex:
     return total / math.factorial(n)
 
 
-def _mixed_discriminant_laplace(mats: list[np.ndarray], ell: int = 0) -> complex:
-    """Expansion along the ell-th matrix:
-    D_n = (1/n) sum_{j,k} m^(ell)_{jk} (-1)^{j+k} D_{n-1}(others with row j, col k removed).
+def _mixed_discriminant_laplace(mats: list[np.ndarray]) -> complex:
+    """Expansion along the first matrix:
+    D_n = (1/n) sum_{j,k} m^(1)_{jk} (-1)^{j+k} D_{n-1}(others with row j, col k removed).
     """
     n = len(mats)
     if n == 1:
         return complex(mats[0][0, 0])
-    m = mats[ell]
-    others = [mats[i] for i in range(n) if i != ell]
+    m, others = mats[0], mats[1:]
     total = 0.0 + 0.0j
     for j in range(n):
         for k in range(n):

@@ -389,6 +389,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,text,named", [
         ("faces", "[1, 2]", "JSON object"),
         ("smooth", "[1, 2]", "JSON object"),
+        ("volume", "[[0, 0], [1, 0]]", "JSON object, not list"),
         ("faces", '{"n": 1, "vertices": 5}', "field 'vertices'"),
         ("faces", '{"n": null, "vertices": [[0, 0], [1, 0]]}', "field 'n'"),
         ("smooth", '{"kind": "ball", "n": null}', "field 'n'"),
@@ -412,12 +413,14 @@ class TestExitCodes:
         ("smooth", '{"kind": "ellipsoid", "n": 1, "Q": [[true, 0], [0, 2]]}', "field 'Q'"),
     ])
     def test_malformed_document(self, command, text, named, tmp_path, capsys):
+        """The same error from a file and from the text inline (a list is no file path)."""
         doc = tmp_path / "doc.json"
         doc.write_text(text)
-        code = main([command, str(doc), "--samples", "1000"])
-        err = capsys.readouterr().err
-        assert code == EXIT_INPUT
-        assert "input error" in err and named in err
+        for source in (str(doc), text):
+            code = main([command, source, "--samples", "1000"])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT, source
+            assert "input error" in err and named in err, source
 
     def test_indefinite_ellipsoid(self, capsys):
         body = json.dumps({"kind": "ellipsoid", "n": 1, "Q": [[1, 0], [0, -1]]})

@@ -16,7 +16,7 @@ from kazvol import (
     rho,
 )
 from kazvol.complex_linalg import (_t_vectors, batch_rho, complex_to_real, gram_schmidt,
-                                   multiply_i, real_to_complex)
+                                   gram_schmidt_step, multiply_i, real_to_complex)
 from kazvol.numerics import DEFAULT_TOLERANCE, kappa
 
 GS_SEED = 1905  # random rows and frames for the Gram-Schmidt kernel tests
@@ -196,6 +196,30 @@ class TestGramSchmidt:
                                    np.broadcast_to(np.eye(3), (20, 3, 3)), atol=1e-14)
         want = gram_schmidt(a[:, [0, 2, 3]])[0]
         np.testing.assert_allclose(r[:, [0, 2, 3]], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_step_scales_each_row_to_unit_length_or_zero(self, complex_rows):
+        """``gram_schmidt_step`` returns the residual norms r before it scales the rows: a
+        row comes back unit length where r is above the cutoff and zero where r is at or
+        below it (one row inside the span of ``done``, one exactly at the cutoff)."""
+        rng = np.random.default_rng(GS_SEED)
+        a = rng.normal(size=(12, 4, 6))
+        if complex_rows:
+            a = a + 1j * rng.normal(size=(12, 4, 6))
+        done, v = gram_schmidt(a[:, :3])[1], a[:, 3:]
+        v[0] = (2 - 3j if complex_rows else 2.0) * done[0, 1]  # inside the span of done
+        done_h = np.swapaxes(done.conj(), 1, 2)
+        want = np.linalg.norm((v - (v @ done_h) @ done)[:, 0], axis=1)
+        scaled = v.copy()
+        r = gram_schmidt_step(done, scaled)
+        np.testing.assert_allclose(r[1:], want[1:], rtol=1e-12)
+        assert r[0] <= 1e-14 * r[1:].min()
+        np.testing.assert_allclose(np.linalg.norm(scaled[1:, 0], axis=1), 1.0, rtol=1e-14)
+        cutoff, cut = np.sort(r)[5], v.copy()
+        assert np.array_equal(gram_schmidt_step(done, cut, cutoff), r)
+        zero = r <= cutoff
+        assert zero[0] and zero.sum() == 6
+        assert np.all(cut[zero] == 0) and np.array_equal(cut[~zero], scaled[~zero])
 
     @pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_batch_rho_against_svd(self, k, n):

@@ -552,10 +552,10 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
     Q = hull(CUBE6)
     cube = pt._lattice(list(Q.facet_ids), Q.dim_real)[0]
     labels = (1025 + 3 * np.random.default_rng(406).permutation(Q.n_vertices)).tolist()
-    got, _, pyramids = pt._lattice([relabel(ids, labels) for ids in Q.facet_ids], Q.dim_real)
+    got, _, subfaces = pt._lattice([relabel(ids, labels) for ids in Q.facet_ids], Q.dim_real)
     assert got == {k: sorted(relabel(ids, labels) for ids in faces) for k, faces in cube.items()}
-    assert sorted(pyramids) == list(range(2, Q.dim_real))
-    for k, (face, below) in pyramids.items():
+    assert sorted(subfaces) == list(range(2, Q.dim_real))
+    for k, (face, below) in subfaces.items():
         steps = face * len(got[k - 1]) + below
         assert (np.diff(steps) > 0).all(), k
         bases = [(got[k][f], got[k - 1][g]) for f, g in zip(face.tolist(), below.tolist())]
@@ -576,17 +576,17 @@ def test_lattice_on_ids_beyond_the_packed_key(monkeypatch):
 
 @pytest.mark.parametrize("case", ["data cube4", "cube + crosspolytope", "prism", "C2 pair sum",
                                   "cube [-1,1]^6", "C3 pair sum"])
-def test_pyramid_bases_are_the_faces_below_that_miss_the_first_vertex(case):
+def test_non_simplex_faces_come_with_every_face_below(case):
     """Each non-simplex k-face F comes with the closure oracle's (k-1)-faces inside F, each
     once (positions in ``ids[k]`` and ``ids[k - 1]``, sorted by face, then (k-1)-face),
     among which ``_face_data`` picks the pyramid bases that miss F's last vertex; simplices
     have none."""
     P = ORACLE_CASES[case]()
     want = frozenset_lattice(P)
-    lattice, _, pyramids = pt._lattice(list(P.facet_ids), P.dim_real)
-    assert set(pyramids) == {k for k in range(1, P.dim_real) if any(len(f) > k + 1
+    lattice, _, subfaces = pt._lattice(list(P.facet_ids), P.dim_real)
+    assert set(subfaces) == {k for k in range(1, P.dim_real) if any(len(f) > k + 1
                                                                   for f in lattice[k])}
-    for k, (face, base) in pyramids.items():
+    for k, (face, base) in subfaces.items():
         steps = face * len(lattice[k - 1]) + base
         assert (np.diff(steps) > 0).all(), k
         got: dict = {}
@@ -668,17 +668,22 @@ def _rounded_rotated_cube(seed):
     return np.array([[float(f"{x:.10g}") for x in row] for row in rotated])
 
 
-@pytest.mark.parametrize("case", ["cube4", "theta4 + cube4", "cube6", "rounded rotated cube"])
+@pytest.mark.parametrize("case", ["cube4", "theta4 + cube4", "cube6", "rounded rotated cube",
+                                  "[-1,1]^6 + [-1,1]^6"])
 def test_facet_sets_match_the_frozenset_reference(case):
     """Ids, sorted, and normals in their order bit for bit, on Qhull's triangulated (Qt)
-    facets and on a cube whose bent facets come with sliver facets that the maximality
-    test drops."""
+    facets, on a cube whose bent facets come with sliver facets that the maximality
+    test drops, and on a sum whose facets hold points that are no vertex rows (the
+    reference tests every point, ``_facet_sets`` the vertex rows only)."""
     points = {"cube4": CUBE4, "theta4 + cube4": _sum_points(THETA4, CUBE4), "cube6": CUBE6,
-              "rounded rotated cube": _rounded_rotated_cube(1)}[case]
+              "rounded rotated cube": _rounded_rotated_cube(1),
+              "[-1,1]^6 + [-1,1]^6": _sum_points(CUBE6, CUBE6)}[case]
     coords, qhull, exponent = _qhull_input(points)
     ids, normals = pt._facet_sets(coords, qhull, exponent, EPS)
     want, distinct = frozenset_facet_sets(coords, qhull, exponent, EPS)
     assert len(qhull.equations) > len(want)
+    if case == "[-1,1]^6 + [-1,1]^6":
+        assert (len(coords), len(qhull.vertices), len(want)) == (729, 76, 12)
     assert ids == sorted(want)
     assert normals.tobytes() == np.array([want[f] for f in ids]).tobytes()
     assert (distinct > len(want)) == (case == "rounded rotated cube")
@@ -936,7 +941,7 @@ def test_vertices_are_their_source_rows():
     assert P.vertices.tobytes() == cloud[P.source].tobytes()
     parts = [hull(THETA4), hull(CUBE4)]
     S = minkowski_sum(parts)
-    assert S.vertices.tobytes() == pt._sum_points(parts)[S.source].tobytes()
+    assert S.vertices.tobytes() == pt._sum_points([p.vertices for p in parts])[S.source].tobytes()
 
 
 def test_dedupe_chain_keeps_both_ends():
